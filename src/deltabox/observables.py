@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import BracketError, DomainError, InK, SingularPoint
+from .errors import BracketError, ConvergenceError, DomainError, InK, SingularPoint
 from .lattice import LatticePoint, kappa_base, nearest_lattice_point, underline_nu
 from .model import Setup
 from ._special import (
@@ -398,11 +398,17 @@ def amplitude_extrema(n: int) -> Tuple[AmplitudeExtremum, AmplitudeExtremum]:
     value_max = 1.0 / math.sqrt(1.0 - 1.0 / math.sqrt(1.0 + gamma_max * gamma_max))
     maximum = AmplitudeExtremum(n, gamma_max, value_max, (lo_max, hi_max))
     npi = n * math.pi
-    assert 1 + 1 / (2 * npi) + 1 / (3 * npi * npi) < value_max < 1 + 1 / (
+    if not 1 + 1 / (2 * npi) + 1 / (3 * npi * npi) < value_max < 1 + 1 / (
         2 * (n - 1) * math.pi
-    ) + 1 / (2 * ((n - 1) * math.pi) ** 2)
+    ) + 1 / (2 * ((n - 1) * math.pi) ** 2):
+        raise ConvergenceError(
+            f"envelope maximum {value_max!r} of mode {n} is outside its interlacing bounds"
+        )
     mpi = (n + 1) * math.pi
-    assert 1 - 1 / (2 * npi) + 1 / (3 * npi * npi) < value_min < 1 - 1 / (
+    if not 1 - 1 / (2 * npi) + 1 / (3 * npi * npi) < value_min < 1 - 1 / (
         2 * mpi
-    ) + 1 / (2 * mpi * mpi)
+    ) + 1 / (2 * mpi * mpi):
+        raise ConvergenceError(
+            f"envelope minimum {value_min!r} of mode {n} is outside its interlacing bounds"
+        )
     return maximum, minimum

@@ -4,8 +4,15 @@ Discretizing the box on a uniform interior grid turns the Hamiltonian into a
 symmetric tridiagonal matrix; the point interaction becomes a single
 diagonal weight alpha/dx at the node holding x0.  The eigensolver here is
 deliberately self-contained (Sturm-sequence bisection plus inverse
-iteration) so that the oracle shares no code path, and no third-party
-solver, with the analytic side it validates.
+iteration, in the manner of LAPACK dstebz/dstein) so that the oracle shares
+no code path, and no third-party solver, with the analytic side it validates.
+
+Both recurrences are inherently sequential over the N grid nodes, so they
+run on Python floats: numpy's per-call overhead on scalar-sized operands
+would cost more than the arithmetic.  Each eigenvalue is bisected on its own
+and all of them share one cache of Sturm counts, so the midpoints common to
+every target are counted once.  Every eigenpair must pass a residual check
+max|T v - lambda v| <= 1e-10 * max|diag| * max|v|, else ConvergenceError.
 
 Accuracy expectations: O(dx**2) for smooth states, degrading to O(dx) when
 the interaction is on (the delta weight is a first-order approximation), so
@@ -15,9 +22,11 @@ comparisons pin tolerances accordingly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from itertools import islice
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -109,131 +118,184 @@ def build_hamiltonian(
 
 
 # ============================================================
-# Sturm-sequence bisection
+# Sturm-sequence bisection and inverse iteration
 # ============================================================
 
 
-def _sturm_counts(diag: np.ndarray, e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues strictly below each shift.
+def _pivmin(e2: List[float]) -> float:
+    """Smallest pivot magnitude the Sturm recurrence may divide by."""
+    safmin = sys.float_info.min
+    return max(max(e2, default=0.0) * safmin, safmin)
 
-    Runs the LDL^T pivot recurrence for all shifts at once; pivots with
-    magnitude below pivmin are clamped to -pivmin before they are counted
-    or divided by, which keeps the count exact in the presence of underflow.
+
+def _sturm_count(d: List[float], e2: List[float], shift: float, pivmin: float) -> int:
+    """Number of eigenvalues strictly below `shift`.
+
+    Runs the LDL^T pivot recurrence on Python floats; pivots with magnitude
+    below pivmin are clamped to -pivmin before they are counted or divided
+    by, which keeps the count exact in the presence of underflow.
     """
-    safmin = np.finfo(float).tiny
-    pivmin = max(float(e2.max(initial=0.0)) * safmin, safmin)
-    q = diag[0] - shifts
-    q = np.where(np.abs(q) < pivmin, -pivmin, q)
-    counts = (q < 0).astype(int)
-    for i in range(1, len(diag)):
-        q = diag[i] - shifts - e2[i - 1] / q
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        counts += q < 0
-    return counts
+    q = d[0] - shift
+    if abs(q) < pivmin:
+        q = -pivmin
+    count = int(q < 0)
+    for di, e2i in zip(islice(d, 1, None), e2):
+        q = di - shift - e2i / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        if q < 0:
+            count += 1
+    return count
+
+
+def _sturm_counts(diag: np.ndarray, e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues strictly below each shift."""
+    d = np.asarray(diag, dtype=float).tolist()
+    e2_list = np.asarray(e2, dtype=float).tolist()
+    pivmin = _pivmin(e2_list)
+    shift_list = np.asarray(shifts, dtype=float).tolist()
+    return np.array([_sturm_count(d, e2_list, s, pivmin) for s in shift_list], dtype=int)
+
+
+def _bisect(
+    d: List[float],
+    e2: List[float],
+    pivmin: float,
+    k: int,
+    lo: float,
+    hi: float,
+    counts: Dict[float, int],
+) -> float:
+    """k-th smallest eigenvalue (1-based) by Sturm bisection of [lo, hi].
+
+    Stops at relative width 1e-12 or when the midpoint can no longer split
+    the bracket.  `counts` caches the Sturm count of every shift tried, so
+    targets that share a bracket share its midpoints.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        stuck = mid == lo or mid == hi
+        below = counts.get(mid)
+        if below is None:
+            below = counts[mid] = _sturm_count(d, e2, mid, pivmin)
+        if below >= k:
+            hi = mid
+        else:
+            lo = mid
+        if stuck or hi - lo <= 1e-12 * max(abs(lo), abs(hi)):
+            return 0.5 * (lo + hi)
+    raise ConvergenceError("Sturm bisection did not converge in 200 steps")
+
+
+def _tridiag_apply(T: Tridiagonal, v: np.ndarray) -> np.ndarray:
+    """Matrix-vector product T @ v."""
+    out = T.diag * v
+    out[:-1] += T.offdiag * v[1:]
+    out[1:] += T.offdiag * v[:-1]
+    return out
 
 
 def eig_lowest(T: Tridiagonal, count: int) -> List[Tuple[float, np.ndarray]]:
     """Lowest `count` eigenpairs of the tridiagonal matrix.
 
-    Eigenvalues by simultaneous Sturm bisection inside Gershgorin bounds to
-    relative 1e-12; eigenvectors by two steps of inverse iteration with a
+    Each eigenvalue is bisected on its own inside Gershgorin bounds to
+    relative 1e-12, counting eigenvalues below each midpoint with the scalar
+    Sturm recurrence; one count cache serves all targets, so the midpoints
+    they share are counted once and no result depends on `count`.
+    Eigenvectors come from two steps of inverse iteration with a
     partial-pivot tridiagonal solve, normalized so that sum(v**2) * dx = 1
-    and positive at the last node carrying appreciable amplitude.
+    and positive at the last node carrying appreciable amplitude.  A pair
+    whose residual max|T v - lambda v| exceeds 1e-10 * max|diag| * max|v|
+    raises ConvergenceError.
     """
     if count < 1 or count > 12:
         raise DomainError(f"count must be in 1..12, got {count!r}")
     if count > T.N:
         raise DomainError(f"count={count} exceeds matrix size N={T.N}")
-    d = np.asarray(T.diag, dtype=float)
-    e = np.asarray(T.offdiag, dtype=float)
-    e2 = e * e
+    diag = np.asarray(T.diag, dtype=float)
+    offdiag = np.asarray(T.offdiag, dtype=float)
     radius = np.zeros(T.N)
-    radius[:-1] += np.abs(e)
-    radius[1:] += np.abs(e)
-    lo_bound = float(np.min(d - radius))
-    hi_bound = float(np.max(d + radius))
+    radius[:-1] += np.abs(offdiag)
+    radius[1:] += np.abs(offdiag)
+    lo_bound = float(np.min(diag - radius))
+    hi_bound = float(np.max(diag + radius))
     width = hi_bound - lo_bound
-    lo = np.full(count, lo_bound - 1e-12 * width)
-    hi = np.full(count, hi_bound + 1e-12 * width)
-    targets = np.arange(1, count + 1)
-    active = np.ones(count, dtype=bool)
-    for _ in range(200):
-        if not active.any():
-            break
-        mid = 0.5 * (lo + hi)
-        stuck = (mid == lo) | (mid == hi)
-        counts = _sturm_counts(d, e2, mid[active])
-        go_down = np.zeros(count, dtype=bool)
-        go_down[active] = counts >= targets[active]
-        hi = np.where(active & go_down, mid, hi)
-        lo = np.where(active & ~go_down, mid, lo)
-        scale = np.maximum(np.abs(lo), np.abs(hi))
-        converged = (hi - lo) <= 1e-12 * scale
-        active &= ~(converged | stuck)
-    else:
-        raise ConvergenceError("Sturm bisection did not converge in 200 steps")
-    values = 0.5 * (lo + hi)
+    lo = lo_bound - 1e-12 * width
+    hi = hi_bound + 1e-12 * width
+    d = diag.tolist()
+    e = offdiag.tolist()
+    e2 = (offdiag * offdiag).tolist()
+    pivmin = _pivmin(e2)
+    counts: Dict[float, int] = {}
+    values = [_bisect(d, e2, pivmin, k, lo, hi, counts) for k in range(1, count + 1)]
+    residual_scale = 1e-10 * float(np.max(np.abs(diag)))
     rng = np.random.default_rng(_INVERSE_ITERATION_SEED)
     pairs: List[Tuple[float, np.ndarray]] = []
     for lam in values:
         v = rng.standard_normal(T.N)
         for _ in range(2):
-            v = _solve_shifted(d, e, float(lam), v)
+            v = _solve_shifted(d, e, lam, v)
             v /= math.sqrt(float(v @ v))
         v /= math.sqrt(T.dx)
-        support = np.flatnonzero(np.abs(v) > 1e-8 * float(np.max(np.abs(v))))
+        vmax = float(np.max(np.abs(v)))
+        residual = float(np.max(np.abs(_tridiag_apply(T, v) - lam * v)))
+        if not residual <= residual_scale * vmax:
+            raise ConvergenceError(
+                f"inverse iteration left residual {residual:.3e} at eigenvalue {lam!r}"
+            )
+        support = np.flatnonzero(np.abs(v) > 1e-8 * vmax)
         if v[support[-1]] < 0:
             v = -v
-        pairs.append((float(lam), v))
+        pairs.append((lam, v))
     return pairs
 
 
 def _solve_shifted(
-    d: np.ndarray, e: np.ndarray, sigma: float, rhs: np.ndarray
+    d: List[float], e: List[float], sigma: float, rhs: np.ndarray
 ) -> np.ndarray:
     """Solve (T - sigma*I) x = rhs by Gaussian elimination with row pivoting.
 
     Row swaps introduce a second superdiagonal; the three-band upper factor
     is kept explicitly.  Near-singular shifts (inverse iteration's normal
     operating point) are handled by the pivoting, not by perturbing sigma.
+    The elimination runs on Python floats.
     """
     n = len(d)
-    u0 = np.empty(n)
-    u1 = np.zeros(n)
-    u2 = np.zeros(n)
-    y = rhs.astype(float).copy()
-    # Current row i of the reduced system: (b, c1, c2); row i+1 below it.
+    u0 = [0.0] * n
+    u1 = [0.0] * n
+    u2 = [0.0] * n
+    y = np.asarray(rhs, dtype=float).tolist()
+    # Current row i of the reduced system: (b, c1, 0); row i+1 below it.
     b = d[0] - sigma
     c1 = e[0] if n > 1 else 0.0
-    c2 = 0.0
     for i in range(n - 1):
         b_next = d[i + 1] - sigma
         c1_next = e[i + 1] if i + 1 < n - 1 else 0.0
         a = e[i]
         if abs(a) > abs(b):
-            u0[i], u1[i], u2[i] = a, b_next, c1_next
-            row_b, row_c1, row_c2 = b, c1, c2
+            p0, p1, p2 = a, b_next, c1_next
+            row_b, row_c1, row_c2 = b, c1, 0.0
             y[i], y[i + 1] = y[i + 1], y[i]
         else:
-            u0[i], u1[i], u2[i] = b, c1, c2
+            p0, p1, p2 = b, c1, 0.0
             row_b, row_c1, row_c2 = a, b_next, c1_next
-        if u0[i] == 0.0:
-            u0[i] = 1e-300
-        m = row_b / u0[i]
+        if p0 == 0.0:
+            p0 = 1e-300
+        u0[i], u1[i], u2[i] = p0, p1, p2
+        m = row_b / p0
         y[i + 1] -= m * y[i]
-        b = row_c1 - m * u1[i]
-        c1 = row_c2 - m * u2[i]
-        c2 = 0.0
+        b = row_c1 - m * p1
+        c1 = row_c2 - m * p2
     if b == 0.0:
         b = 1e-300
     u0[n - 1] = b
-    x = np.empty(n)
+    x = [0.0] * n
     x[n - 1] = y[n - 1] / u0[n - 1]
     if n > 1:
         x[n - 2] = (y[n - 2] - u1[n - 2] * x[n - 1]) / u0[n - 2]
     for i in range(n - 3, -1, -1):
         x[i] = (y[i] - u1[i] * x[i + 1] - u2[i] * x[i + 2]) / u0[i]
-    return x
+    return np.array(x)
 
 
 # ============================================================

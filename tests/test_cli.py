@@ -4,9 +4,10 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from deltabox import cli
+from deltabox import cli, oracle
 from deltabox.model import RationalX0, make_setup, nu_n, phi_mode
 from deltabox.observables import amplitude_extrema, prob_ratio, prob_ratio_at_mode
 
@@ -104,6 +105,15 @@ def test_one_sided_point_expectation_exits_4(capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert "lattice point" in err
+
+
+def test_oracle_residual_failure_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(
+        oracle, "_solve_shifted", lambda d, e, sigma, rhs: np.array(rhs, dtype=float)
+    )
+    code = cli.main(["oracle", "--alpha", "0.0", "--grid", "511", "--count", "3"])
+    assert code == 4
+    assert "residual" in capsys.readouterr().err
 
 
 def test_missing_nu_exits_3(capsys):

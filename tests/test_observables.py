@@ -4,7 +4,14 @@ import math
 
 import pytest
 
-from deltabox.errors import BracketError, DomainError, InK, SingularPoint
+from deltabox import observables
+from deltabox.errors import (
+    BracketError,
+    ConvergenceError,
+    DomainError,
+    InK,
+    SingularPoint,
+)
 from deltabox.lattice import overline_nu, underline_nu
 from deltabox.model import RationalX0, RealX0, make_setup, nu_n
 from deltabox.observables import (
@@ -220,6 +227,13 @@ def test_amplitude_extrema_first_mode():
     g = minimum.gamma_crit
     assert abs(g * math.cos(g) - math.sin(g)) < 1e-12
     assert math.pi < g < 1.5 * math.pi
+
+
+def test_amplitude_extrema_rejects_out_of_bracket_root(monkeypatch):
+    """The interlacing bounds are checked with a raise, which survives -O."""
+    monkeypatch.setattr(observables, "_tan_fixed_point", lambda lo, hi: 2 * hi)
+    with pytest.raises(ConvergenceError, match="interlacing"):
+        amplitude_extrema(3)
 
 
 @pytest.mark.parametrize("n", [3, 5, 9, 17, 31])

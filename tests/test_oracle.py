@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from deltabox.errors import DomainError, GridMismatch
+from deltabox import oracle
+from deltabox.errors import ConvergenceError, DomainError, GridMismatch
 from deltabox.model import RationalX0, RealX0, energy_from_nu, make_setup, nu_n
 from deltabox.oracle import (
     _site_node,
@@ -101,6 +102,19 @@ def test_sturm_counts_match_dense_solver():
     assert counts.tolist() == expected
 
 
+def test_sturm_counts_clamp_exactly_zero_pivot():
+    """A shift equal to diag[0] makes the first pivot exactly zero; the
+    pivmin clamp must keep the count exact (and avoid dividing by zero)."""
+    diag = np.array([4.0, 1.0, 3.0, 1.0, 5.0, 2.0])
+    offdiag = np.array([1.0, 0.5, 2.0, 1.0, 0.25])
+    dense = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+    ref = np.linalg.eigvalsh(dense)
+    shift = diag[0]
+    assert np.min(np.abs(ref - shift)) > 1e-3
+    counts = _sturm_counts(diag, offdiag**2, np.array([shift]))
+    assert counts.tolist() == [int((ref < shift).sum())]
+
+
 def test_eig_lowest_matches_dense_solver():
     s = setup_pq(1, 4)
     T = build_hamiltonian(s, 3.0, 127)
@@ -134,6 +148,36 @@ def test_eig_lowest_is_deterministic():
     for (l1, v1), (l2, v2) in zip(first, second):
         assert l1 == l2
         assert np.array_equal(v1, v2)
+
+
+def test_eig_lowest_prefix_is_independent_of_count():
+    """Targets share one Sturm count cache; no pair may depend on `count`."""
+    T = build_hamiltonian(setup_pq(1, 4), 5.0, 1023)
+    full = eig_lowest(T, 12)
+    for j in range(1, 12):
+        for (l1, v1), (l2, v2) in zip(eig_lowest(T, j), full[:j]):
+            assert l1 == l2
+            assert np.array_equal(v1, v2)
+
+
+def test_free_grid_levels_match_discrete_laplacian():
+    s = setup_pq(1, 4)
+    N = 4095
+    T = build_hamiltonian(s, 0.0, N)
+    norm = 4 * s.c / T.dx**2
+    for k, (lam, _) in enumerate(eig_lowest(T, 12), start=1):
+        exact = norm * math.sin(k * math.pi / (2 * (N + 1))) ** 2
+        assert abs(lam - exact) <= 2 * np.finfo(float).eps * norm
+
+
+def test_eig_lowest_rejects_large_residual(monkeypatch):
+    """A solve that returns no eigenvector fails the residual check."""
+    T = build_hamiltonian(setup_pq(1, 4), 5.0, 255)
+    monkeypatch.setattr(
+        oracle, "_solve_shifted", lambda d, e, sigma, rhs: np.array(rhs, dtype=float)
+    )
+    with pytest.raises(ConvergenceError, match="residual"):
+        eig_lowest(T, 3)
 
 
 def test_eig_lowest_validates_count():
