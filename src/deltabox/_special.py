@@ -14,6 +14,11 @@ import math
 # Below this argument the quartic series replaces the direct expression.
 _SMALL = 1e-4
 
+# Beyond this value of |nu| * L the evanescent closed forms (norms, ratios,
+# expansion prefactors) are evaluated in log space or rescaled by their
+# dominant exponential; the direct sinh products overflow near 709.
+LOG_SWITCH = 600.0
+
 
 def sinc(y: float) -> float:
     """sin(y)/y with the removable singularity filled in."""

@@ -8,8 +8,9 @@ uniformly.  This module produces those coefficient lists, evaluates partial
 sums with compensated summation, and reports a tail estimate alongside every
 expansion.
 
-Sign prefactors reuse the hardened floor conventions of `wavefn`, so the
-expansions converge to the states as defined there, not merely up to sign.
+Sign prefactors reuse the conventions of `wavefn` and the exact lattice
+floors of `lattice`, so the expansions converge to the states as defined
+there, not merely up to sign.
 """
 
 from __future__ import annotations
@@ -19,17 +20,17 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .errors import DomainError, InK
-from .lattice import _over_in_shared, _under_in_shared
-from .model import RationalX0, Setup, nu_n, phi_mode
-from .wavefn import (
-    WaveKind,
-    _log_rho2_hyper,
-    _require_shared,
-    _under_floor,
-    rho,
-    trig_left_sign,
+from .lattice import (
+    LIMIT_WINDOW_RTOL,
+    over_in_shared,
+    shared_mode,
+    shared_mode_near,
+    under_floor,
+    under_in_shared,
 )
-from ._special import log_sinh
+from .model import Setup, nu_n, phi_mode
+from .wavefn import WaveKind, log_rho2_hyper, rho, trig_left_sign
+from ._special import LOG_SWITCH, log_sinh
 
 # Default truncation order; the 1/m**2 decay puts the sup-norm tail near
 # a few parts in M.
@@ -38,10 +39,6 @@ DEFAULT_M = 4096
 # Relative snap radius for recognizing nu as a free-mode value nu_n, where
 # the expansion is exactly one-hot.
 _MODE_SNAP_RTOL = 1e-12
-
-# Beyond this value of |nu| * L the evanescent prefactor is formed in log
-# space (sinh and rho separately overflow but their ratio is tame).
-_LOG_SWITCH = 600.0
 
 
 @dataclass(frozen=True)
@@ -89,13 +86,19 @@ def _check_m(M: int) -> None:
 def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpansion:
     """Expansion of the normalized eigenfunction at branch parameter nu.
 
-    At nu equal to a free-mode value (within 1e-12 relative) the state is
-    the free mode itself and the expansion is exactly one-hot.  Elsewhere
+    Within the limit-state window around a shared-lattice value (1e-8
+    relative, as in wavefn.eval_normalized) the state is the continuous
+    limit state and its expansion is coeffs_upsilon_hat.  At any other
+    free-mode value (within 1e-12 relative) the state is the free mode
+    itself and the expansion is exactly one-hot.  Elsewhere
     a_m = c * Phi_m(x0) / D_m with the branch-dependent resonance
     denominator D_m and prefactor c; the oscillatory and evanescent branches
     differ in the sign of the nu**2/4 term and in sin versus sinh.
     """
     _check_m(M)
+    shared = shared_mode_near(setup, nu, LIMIT_WINDOW_RTOL)
+    if shared is not None:
+        return coeffs_upsilon_hat(setup, nu_n(setup, shared), M)
     if nu > 0:
         n_guess = round(nu / nu_n(setup, 1))
         if n_guess >= 1 and abs(nu - nu_n(setup, n_guess)) <= _MODE_SNAP_RTOL * nu:
@@ -119,13 +122,13 @@ def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpans
 
     else:
         t = -nu
-        if t * setup.L < _LOG_SWITCH:
+        if t * setup.L < LOG_SWITCH:
             pref = (t / (2 * rho(setup, nu))) * math.sinh(t * setup.L / 2)
         else:
             log_pref = (
                 math.log(t / 2)
                 + log_sinh(t * setup.L / 2)
-                - 0.5 * _log_rho2_hyper(setup, t)
+                - 0.5 * log_rho2_hyper(setup, t)
             )
             pref = math.exp(log_pref)
         kind = WaveKind.hyper()
@@ -153,7 +156,7 @@ def coeffs_upsilon_hat(
     mode that vanishes at x0.
     """
     _check_m(M)
-    p = _require_shared(setup, nu_hat)
+    p = shared_mode(setup, nu_hat)
     pref = (
         math.cos((p * math.pi / setup.L) * (setup.L / 2 - setup.x0_value))
         * 2
@@ -188,9 +191,9 @@ def coeffs_upsilon_under(
         raise DomainError(f"k must be >= 1, got {k!r}")
     if side not in ("below", "above"):
         raise DomainError(f"side must be 'below' or 'above', got {side!r}")
-    if isinstance(setup.x0, RationalX0) and _under_in_shared(setup.x0, k):
+    if under_in_shared(setup, k) is not None:
         raise InK(f"left lattice index k={k} lies on the shared lattice")
-    exponent = 1 + (_under_floor(setup, k) - k)
+    exponent = 1 + (under_floor(setup, k) - k)
     sign = -1.0 if exponent % 2 else 1.0
     if side == "above":
         sign = -sign
@@ -213,7 +216,7 @@ def coeffs_upsilon_over(setup: Setup, l: int, M: int = DEFAULT_M) -> FourierExpa
     _check_m(M)
     if l < 1:
         raise DomainError(f"l must be >= 1, got {l!r}")
-    if isinstance(setup.x0, RationalX0) and _over_in_shared(setup.x0, l):
+    if over_in_shared(setup, l) is not None:
         raise InK(f"right lattice index l={l} lies on the shared lattice")
     sign = -1.0 if l % 2 else 1.0
     pref = sign * l * setup.L**2 * math.sqrt(setup.L - 2 * setup.x0_value) / math.pi

@@ -8,12 +8,26 @@ strictly increasing bijection onto R; their intersection (the shared points)
 hosts free-well modes that vanish at x0 and are therefore unaffected by the
 interaction strength.
 
-For a rational interaction point x0 = (p/q)(L/2) all lattice positions are
-rational multiples of 2 pi / L and every coincidence question is decided in
-exact integer arithmetic (positions are kept as Fractions in units of
-2 pi / L, in which the n-th free mode sits exactly at integer n).  A real
-x0 is treated as generically irrational: no shared points exist, and
-accidental float coincidences are merged at relative tolerance 1e-9.
+Every Setup carries one exact fraction x0 = (p/q)(L/2) (see model), so for
+every site the lattice positions are rational multiples of 2 pi / L: in
+those units, where the n-th free mode sits exactly at integer n, the k-th
+under point is 2kq/(q+p) and the l-th over point is 2lq/(q-p).  Every
+coincidence and ordering question is decided in integer arithmetic (under
+point k and over point l coincide when k(q-p) = l(q+p)), and positions
+become floats only as (2kq)/(q+p) * (2 pi / L), where Python's int/int
+division rounds correctly.
+
+Three radii around lattice points, each with its own job:
+
+* ON_LATTICE_RTOL (1e-9, relative to the point): nu counts as sitting on the
+  point.  The observables return their limit values there, and a shared
+  value passed to the continuous limit state is accepted.
+* LIMIT_WINDOW_RTOL (1e-8, relative to the point): around a shared point the
+  normalized eigenfunction and its sine expansion are replaced by the
+  continuous limit state, because the norm collapses and the direct quotient
+  loses all precision (shared_mode_near).
+* singular_guard_radius (1e-12 of the first under point, absolute): the
+  dispersion function refuses to evaluate its poles closer than this.
 
 Interval case tags follow the bounding-point kinds: G for the unbounded
 leftmost interval, then A (under, under), B (under, over), C (over, under),
@@ -26,14 +40,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .errors import DomainError
-from .model import RationalX0, Setup
+from .errors import DomainError, NotInK
+from .model import Setup
 
-# Merge tolerance for nearly coincident lattice points with a real x0.
-_REAL_MERGE_RTOL = 1e-9
+ON_LATTICE_RTOL = 1e-9
+LIMIT_WINDOW_RTOL = 1e-8
 
 _CASE_BY_KINDS = {
     ("under", "under"): "A",
@@ -97,60 +110,68 @@ class ModeClassification:
 # ======================================================================
 
 
-def _under_frac(x0: RationalX0, k: int) -> Fraction:
-    # Position of the k-th under point in units of 2 pi / L.
-    return Fraction(2 * k * x0.q, x0.q + x0.p)
-
-
-def _over_frac(x0: RationalX0, l: int) -> Fraction:
-    return Fraction(2 * l * x0.q, x0.q - x0.p)
-
-
 def underline_nu(setup: Setup, k: int) -> float:
     """Wave number of the k-th under point, 2 k pi / (L/2 + x0)."""
     if k < 1:
         raise DomainError(f"under index must be >= 1, got k={k}")
-    if setup.is_rational:
-        return float(_under_frac(setup.x0, k)) * (2 * math.pi / setup.L)
-    return 2 * k * math.pi / setup.width_left
+    return (2 * k * setup.q) / (setup.q + setup.p) * (2 * math.pi / setup.L)
 
 
 def overline_nu(setup: Setup, l: int) -> float:
     """Wave number of the l-th over point, 2 l pi / (L/2 - x0)."""
     if l < 1:
         raise DomainError(f"over index must be >= 1, got l={l}")
-    if setup.is_rational:
-        return float(_over_frac(setup.x0, l)) * (2 * math.pi / setup.L)
-    return 2 * l * math.pi / setup.width_right
+    return (2 * l * setup.q) / (setup.q - setup.p) * (2 * math.pi / setup.L)
 
 
-def kappa_base(setup: Setup) -> Optional[int]:
+def kappa_base(setup: Setup) -> int:
     """Base index b such that the shared lattice is {m nu_b : m >= 1}.
 
-    Returns None for a real x0 (treated as irrational, no shared points).
     For x0 = (p/q)(L/2) in lowest terms, b = q when p and q are both odd and
     b = 2q otherwise (p = 0 counts as even, so a centered interaction gives
-    b = 2: every even mode vanishes at the center).
+    b = 2: every even mode vanishes at the center).  A generic float site
+    has q near 1e8 or more, so its shared lattice starts beyond that mode.
     """
-    if not setup.is_rational:
-        return None
-    p, q = setup.x0.p, setup.x0.q
+    p, q = setup.p, setup.q
     if p % 2 == 1 and q % 2 == 1:
         return q
     return 2 * q
 
 
-def _under_in_shared(x0: RationalX0, k: int) -> Optional[int]:
-    # If the k-th under point is shared, return its over index l, else None.
-    num = k * (x0.q - x0.p)
-    den = x0.q + x0.p
+def under_in_shared(setup: Setup, k: int) -> Optional[int]:
+    """Over index l of the point the k-th under point shares, or None."""
+    num = k * (setup.q - setup.p)
+    den = setup.q + setup.p
     return num // den if num % den == 0 else None
 
 
-def _over_in_shared(x0: RationalX0, l: int) -> Optional[int]:
-    num = l * (x0.q + x0.p)
-    den = x0.q - x0.p
+def over_in_shared(setup: Setup, l: int) -> Optional[int]:
+    """Under index k of the point the l-th over point shares, or None."""
+    num = l * (setup.q + setup.p)
+    den = setup.q - setup.p
     return num // den if num % den == 0 else None
+
+
+def under_floor(setup: Setup, k: int) -> int:
+    """Exact floor(k L / (L/2 + x0)): free modes at or below the k-th under point."""
+    return (2 * k * setup.q) // (setup.q + setup.p)
+
+
+def _point(setup: Setup, k: Optional[int], l: Optional[int]) -> LatticePoint:
+    # The point with under index k and/or over index l (the other None).
+    return _make_point(underline_nu(setup, k) if k is not None else overline_nu(setup, l), k, l)
+
+
+def _make_point(nu: float, k: Optional[int], l: Optional[int]) -> LatticePoint:
+    kind = "over" if k is None else ("under" if l is None else "both")
+    return LatticePoint(nu=nu, kind=kind, k=k, l=l)
+
+
+def _position(setup: Setup, pt: LatticePoint) -> tuple[int, int]:
+    # Exact position (numerator, denominator) in units of 2 pi / L.
+    if pt.k is not None:
+        return 2 * pt.k * setup.q, setup.q + setup.p
+    return 2 * pt.l * setup.q, setup.q - setup.p
 
 
 # ======================================================================
@@ -163,93 +184,30 @@ def partition(setup: Setup, nu_max: float) -> tuple[list[LatticePoint], list[Int
 
     The first point strictly beyond nu_max is included as a closing point so
     the returned intervals cover (-inf, nu_max] completely.  Coincident
-    under/over points are merged into "both" points, exactly for a rational
-    x0 and at relative tolerance 1e-9 for a real one.
+    under/over points are merged into "both" points.
     """
     if not (math.isfinite(nu_max) and nu_max > 0):
         raise DomainError(f"nu_max must be positive and finite, got {nu_max}")
-    if setup.is_rational:
-        points = _partition_points_rational(setup, nu_max)
-    else:
-        points = _partition_points_real(setup, nu_max)
-    intervals = _intervals_from_points(setup, points)
-    return points, intervals
-
-
-def _partition_points_rational(setup: Setup, nu_max: float) -> list[LatticePoint]:
-    x0 = setup.x0
-    unit = 2 * math.pi / setup.L
-    merged: dict[Fraction, list[Optional[int]]] = {}
-    for gen, slot in ((_under_frac, 0), (_over_frac, 1)):
-        idx = 1
-        while True:
-            pos = gen(x0, idx)
-            merged.setdefault(pos, [None, None])[slot] = idx
-            if float(pos) * unit > nu_max:
-                break
-            idx += 1
-            if idx > 10**7:
-                raise RuntimeError("lattice generation runaway")
+    # Merge the two lattices in order: under point k lies below over point l
+    # exactly when k (q - p) < l (q + p).
+    left, right = setup.q - setup.p, setup.q + setup.p
     points: list[LatticePoint] = []
-    for pos in sorted(merged):
-        k, l = merged[pos]
-        kind = "both" if (k is not None and l is not None) else ("under" if k is not None else "over")
-        points.append(LatticePoint(nu=float(pos) * unit, kind=kind, k=k, l=l))
-    return _truncate_after_closing(points, nu_max)
-
-
-def _partition_points_real(setup: Setup, nu_max: float) -> list[LatticePoint]:
-    raw: list[tuple[float, str, int]] = []
-    for gen, kind in ((underline_nu, "under"), (overline_nu, "over")):
-        idx = 1
-        while True:
-            nu = gen(setup, idx)
-            raw.append((nu, kind, idx))
-            if nu > nu_max:
-                break
-            idx += 1
-            if idx > 10**7:
-                raise RuntimeError("lattice generation runaway")
-    raw.sort()
-    points: list[LatticePoint] = []
-    i = 0
-    while i < len(raw):
-        nu, kind, idx = raw[i]
-        if (
-            i + 1 < len(raw)
-            and raw[i + 1][1] != kind
-            and abs(raw[i + 1][0] - nu) <= _REAL_MERGE_RTOL * raw[i + 1][0]
-        ):
-            nu2, kind2, idx2 = raw[i + 1]
-            k = idx if kind == "under" else idx2
-            l = idx if kind == "over" else idx2
-            points.append(LatticePoint(nu=(nu + nu2) / 2, kind="both", k=k, l=l))
-            i += 2
+    k = l = 1
+    while not points or points[-1].nu <= nu_max:
+        if k + l > 2 * 10**7:
+            raise RuntimeError("lattice generation runaway")
+        a, b = k * left, l * right
+        if a < b:
+            points.append(_point(setup, k, None))
+            k += 1
+        elif a > b:
+            points.append(_point(setup, None, l))
+            l += 1
         else:
-            points.append(
-                LatticePoint(nu=nu, kind=kind, k=idx if kind == "under" else None, l=idx if kind == "over" else None)
-            )
-            i += 1
-    return _truncate_after_closing(points, nu_max)
-
-
-def _truncate_after_closing(points: list[LatticePoint], nu_max: float) -> list[LatticePoint]:
-    out = []
-    for pt in points:
-        out.append(pt)
-        if pt.nu > nu_max:
-            break
-    return out
-
-
-def _point_position(setup: Setup, pt: LatticePoint):
-    # Position of a lattice point in units of 2 pi / L (exact for rational x0,
-    # in which units the n-th free mode sits exactly at integer n).
-    if setup.is_rational:
-        if pt.k is not None:
-            return _under_frac(setup.x0, pt.k)
-        return _over_frac(setup.x0, pt.l)
-    return pt.nu / (2 * math.pi / setup.L)
+            points.append(_point(setup, k, l))
+            k += 1
+            l += 1
+    return points, _intervals_from_points(setup, points)
 
 
 def _intervals_from_points(setup: Setup, points: list[LatticePoint]) -> list[IntervalDescriptor]:
@@ -262,12 +220,16 @@ def _intervals_from_points(setup: Setup, points: list[LatticePoint]) -> list[Int
             tag = _CASE_BY_KINDS.get((lower.kind, upper.kind))
             if tag is None:
                 raise RuntimeError(f"impossible bounding kinds {(lower.kind, upper.kind)}")
-        lo_pos = _point_position(setup, lower) if lower is not None else 0
-        hi_pos = _point_position(setup, upper)
-        n = math.floor(hi_pos)
-        mode = n if (n >= 1 and lo_pos < n < hi_pos) else None
+        # n = floor(upper position) is the mode inside when it lies strictly
+        # between the two bounding positions.
+        hi_num, hi_den = _position(setup, upper)
+        n = hi_num // hi_den
+        lo_num, lo_den = _position(setup, lower) if lower is not None else (0, 1)
+        inside = n >= 1 and n * hi_den < hi_num and lo_num < n * lo_den
         intervals.append(
-            IntervalDescriptor(index=i, lower=lower, upper=upper, case_tag=tag, contains_mode=mode)
+            IntervalDescriptor(
+                index=i, lower=lower, upper=upper, case_tag=tag, contains_mode=n if inside else None
+            )
         )
         lower = upper
     return intervals
@@ -282,115 +244,105 @@ def classify_mode(setup: Setup, n: int) -> ModeClassification:
     """Place the n-th free mode: shared point (tag Z) or its open interval.
 
     The counts of under and over points below the mode are computed as
-    floor(n (q+p)/(2q)) and floor(n (q-p)/(2q)), in exact integer arithmetic
-    for a rational x0 (the case analysis is discontinuous in these floors,
-    so floats would misclassify boundary configurations).
+    floor(n (q+p)/(2q)) and floor(n (q-p)/(2q)) in exact integer arithmetic
+    (the case analysis is discontinuous in these floors, so floats would
+    misclassify boundary configurations).
     """
     if n < 1:
         raise DomainError(f"mode index must be >= 1, got n={n}")
     base = kappa_base(setup)
-    if base is not None and n % base == 0:
+    if n % base == 0:
         return ModeClassification(n=n, case_tag="Z", interval=None)
-
-    unit = 2 * math.pi / setup.L
-    if setup.is_rational:
-        p, q = setup.x0.p, setup.x0.q
-        k_hat = (n * (q + p)) // (2 * q)
-        l_hat = (n * (q - p)) // (2 * q)
-
-        def fr_under(k):
-            return _under_frac(setup.x0, k)
-
-        def fr_over(l):
-            return _over_frac(setup.x0, l)
-
-    else:
-        k_hat = math.floor(n * (0.5 + setup.x0_value / setup.L))
-        l_hat = math.floor(n * (0.5 - setup.x0_value / setup.L))
-
-        def fr_under(k):
-            return underline_nu(setup, k) / unit
-
-        def fr_over(l):
-            return overline_nu(setup, l) / unit
-
-    lower = _bounding_point(setup, fr_under, fr_over, k_hat, l_hat, unit)
-    upper = _bounding_point(setup, fr_under, fr_over, k_hat + 1, l_hat + 1, unit, pick_min=True)
+    p, q = setup.p, setup.q
+    k_hat = (n * (q + p)) // (2 * q)
+    l_hat = (n * (q - p)) // (2 * q)
+    lower = _bounding_point(setup, k_hat, l_hat, max)
+    upper = _bounding_point(setup, k_hat + 1, l_hat + 1, min)
     if lower is None:
         tag = "G"
     else:
         tag = _CASE_BY_KINDS.get((lower.kind, upper.kind))
         if tag is None:
             raise RuntimeError(f"impossible bounding kinds {(lower.kind, upper.kind)}")
-    shared_below = (n - 1) // base if base is not None else 0
-    index = k_hat + l_hat - shared_below
+    index = k_hat + l_hat - (n - 1) // base
     interval = IntervalDescriptor(index=index, lower=lower, upper=upper, case_tag=tag, contains_mode=n)
     return ModeClassification(n=n, case_tag=tag, interval=interval)
 
 
-def _bounding_point(setup, fr_under, fr_over, k, l, unit, pick_min=False):
-    # Build the lattice point bounding a mode: max of the candidates below it
-    # (k-th under, l-th over) or, with pick_min, the min of those above it.
-    cand = []
-    if k >= 1:
-        cand.append((fr_under(k), "under", k))
-    if l >= 1:
-        cand.append((fr_over(l), "over", l))
-    if not cand:
+def _bounding_point(setup: Setup, k: int, l: int, pick) -> Optional[LatticePoint]:
+    # The lattice point bounding a mode: pick=max of the candidates below it
+    # (k-th under, l-th over), pick=min of those above it.  Index 0 means no
+    # candidate of that kind.
+    if k < 1 and l < 1:
         return None
-    if len(cand) == 2 and _positions_equal(setup, cand[0][0], cand[1][0]):
-        pos = cand[0][0]
-        return LatticePoint(nu=float(pos) * unit, kind="both", k=k, l=l)
-    pos, kind, idx = min(cand) if pick_min else max(cand)
-    return LatticePoint(
-        nu=float(pos) * unit, kind=kind, k=idx if kind == "under" else None, l=idx if kind == "over" else None
-    )
-
-
-def _positions_equal(setup: Setup, a, b) -> bool:
-    if setup.is_rational:
-        return a == b
-    return abs(a - b) <= _REAL_MERGE_RTOL * max(abs(a), abs(b))
+    if l < 1:
+        return _point(setup, k, None)
+    if k < 1:
+        return _point(setup, None, l)
+    a, b = k * (setup.q - setup.p), l * (setup.q + setup.p)
+    if a == b:
+        return _point(setup, k, l)
+    if pick(a, b) == a:
+        return _point(setup, k, None)
+    return _point(setup, None, l)
 
 
 # ======================================================================
-# Proximity helper shared by the guarded evaluators
+# Lookup
 # ======================================================================
 
 
 def nearest_lattice_point(setup: Setup, nu: float) -> tuple[Optional[LatticePoint], float]:
     """Nearest lattice point to nu and its distance (None, inf for nu <= 0).
 
-    Used as the single source of truth for pole guards.  The returned point
-    carries full provenance, including shared-point detection for rational
-    interaction points.
+    The lookup behind the pole guard and the on-lattice tests of the
+    observables (lattice_point_at); tests that only ask about the shared
+    lattice use shared_mode_near.  The returned point carries full
+    provenance, including shared-point detection.  Ties go to the under
+    point.
     """
     if nu <= 0:
         return None, math.inf
-    spacing_under = underline_nu(setup, 1)
-    spacing_over = overline_nu(setup, 1)
-    best: Optional[LatticePoint] = None
-    best_dist = math.inf
-    k = max(1, round(nu / spacing_under))
-    l = max(1, round(nu / spacing_over))
-    for kind, idx, value in (("under", k, underline_nu(setup, k)), ("over", l, overline_nu(setup, l))):
-        dist = abs(nu - value)
-        if dist < best_dist:
-            best_dist = dist
-            if setup.is_rational:
-                if kind == "under":
-                    other = _under_in_shared(setup.x0, idx)
-                    kk, ll = idx, other
-                else:
-                    other = _over_in_shared(setup.x0, idx)
-                    kk, ll = other, idx
-                if other is not None:
-                    best = LatticePoint(nu=value, kind="both", k=kk, l=ll)
-                    continue
-            best = LatticePoint(
-                nu=value, kind=kind, k=idx if kind == "under" else None, l=idx if kind == "over" else None
-            )
-    return best, best_dist
+    p, q = setup.p, setup.q
+    unit = 2 * math.pi / setup.L
+    k = max(1, round(nu / ((2 * q) / (q + p) * unit)))
+    l = max(1, round(nu / ((2 * q) / (q - p) * unit)))
+    under = (2 * k * q) / (q + p) * unit
+    over = (2 * l * q) / (q - p) * unit
+    if abs(nu - over) < abs(nu - under):
+        return _make_point(over, over_in_shared(setup, l), l), abs(nu - over)
+    return _make_point(under, k, under_in_shared(setup, k)), abs(nu - under)
+
+
+def lattice_point_at(setup: Setup, nu: float) -> Optional[LatticePoint]:
+    """The lattice point nu sits on (within ON_LATTICE_RTOL of it), else None."""
+    if nu <= 0:
+        return None
+    point, dist = nearest_lattice_point(setup, nu)
+    return point if dist <= ON_LATTICE_RTOL * point.nu else None
+
+
+def shared_mode_near(setup: Setup, nu: float, rtol: float) -> Optional[int]:
+    """Mode number n if nu lies within rtol * nu_n of a shared point nu_n, else None.
+
+    The shared points are the free modes whose index is a multiple of
+    kappa_base, so this needs no search of the two one-sided lattices.
+    """
+    if nu <= 0:
+        return None
+    unit = 2 * math.pi / setup.L
+    n = round(nu / unit)
+    if n >= 1 and n % kappa_base(setup) == 0 and abs(nu - n * unit) <= rtol * n * unit:
+        return n
+    return None
+
+
+def shared_mode(setup: Setup, nu: float) -> int:
+    """Mode number n of the shared point nu_n on which nu sits; else NotInK."""
+    n = shared_mode_near(setup, nu, ON_LATTICE_RTOL)
+    if n is None:
+        raise NotInK(f"nu={nu!r} is not a shared-lattice value")
+    return n
 
 
 def singular_guard_radius(setup: Setup) -> float:

@@ -11,11 +11,17 @@ E = c (nu/2)^2, nu = 0 the zero-energy piecewise-linear state, and nu < 0
 the evanescent branch with E = -c (nu/2)^2.  The map nu -> E is continuous
 and strictly increasing on all of R.
 
-The interaction point is either an exact rational multiple of the half box,
-x0 = (p/q) (L/2) with p, q coprime, or a plain float.  The distinction is
-structural, not cosmetic: whether the two sub-box wave lattices share points
-is a number-theoretic fact that floating point cannot decide, so exact
-integer arithmetic is used wherever that fact matters.
+The interaction point is given either as an exact rational multiple of the
+half box, x0 = (p/q) (L/2) with p, q coprime, or as a plain float length.
+Whether the two sub-box wave lattices share points is a number-theoretic
+fact that floating point cannot decide, so every Setup carries one exact
+fraction p/q of L/2 and the lattice is built from it in integer arithmetic.
+A float site gets the fraction with the smallest denominator whose position
+lies within half an ulp of the float: a float that is exactly a simple
+fraction of the box (0.125 = L/8 at L = 1) gets that fraction, while a
+generic float gets a denominator near 1e8 or more, whose shared lattice
+begins far beyond any wave number of interest.  The closed forms use the
+float position x0_value in both cases.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ class RationalX0:
 
 @dataclass(frozen=True)
 class RealX0:
-    """x0 as a plain length, treated as a generic (irrational) point."""
+    """x0 as a plain float length; its lattice uses site_fraction's p/q."""
 
     value_abs: float
 
@@ -87,7 +93,10 @@ class Setup:
     """Immutable physical configuration; all derived lengths precomputed.
 
     q_ratio is the sub-box length ratio (L/2 - x0)/(L/2 + x0) in (0, 1];
-    lbar and rbar are the midpoints of the left and right sub-boxes.
+    lbar and rbar are the midpoints of the left and right sub-boxes.  p/q is
+    the exact fraction of L/2 that the lattice is built from: the site's own
+    fraction for RationalX0, the simplest fraction within half an ulp of
+    x0_value for RealX0 (see site_fraction).
     """
 
     L: float
@@ -97,6 +106,8 @@ class Setup:
     q_ratio: float
     lbar: float
     rbar: float
+    p: int
+    q: int
 
     @property
     def width_right(self) -> float:
@@ -131,7 +142,42 @@ def make_setup(L: float, x0: X0Spec, c: float) -> Setup:
     q_ratio = (L / 2 - x0_value) / (L / 2 + x0_value)
     lbar = (-L / 2 + x0_value) / 2
     rbar = (x0_value + L / 2) / 2
-    return Setup(L=L, x0=x0, c=c, x0_value=x0_value, q_ratio=q_ratio, lbar=lbar, rbar=rbar)
+    p, q = (x0.p, x0.q) if isinstance(x0, RationalX0) else site_fraction(x0_value, L)
+    return Setup(
+        L=L, x0=x0, c=c, x0_value=x0_value, q_ratio=q_ratio, lbar=lbar, rbar=rbar, p=p, q=q
+    )
+
+
+def site_fraction(x0: float, L: float) -> tuple[int, int]:
+    """Lowest-terms p/q of smallest q with |(p/q)(L/2) - x0| <= ulp(x0)/2.
+
+    Exact: the bounds (2 x0 -/+ ulp(x0)) / L are integer ratios taken from
+    the floats, and the continued-fraction walk below runs on integer
+    pairs.  For 0 <= x0 < L/2 the result satisfies 0 <= p < q.
+    """
+    xn, xd = x0.as_integer_ratio()
+    un, ud = math.ulp(x0).as_integer_ratio()
+    Ln, Ld = L.as_integer_ratio()
+    den = xd * ud * Ln
+    return _simplest_between((2 * xn * ud - un * xd) * Ld, den, (2 * xn * ud + un * xd) * Ld, den)
+
+
+def _simplest_between(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    # Smallest-denominator fraction in [an/ad, bn/bd] (ad, bd > 0).  While
+    # both ends share their integer part f, peel it off (x = f + 1/x') and go
+    # on with the reciprocal interval, keeping the convergents h/k of the
+    # peeled parts; the first integer inside the current interval ends it.
+    h0, k0, h1, k1 = 0, 1, 1, 0
+    while True:
+        f = an // ad
+        if f * ad == an:
+            break
+        if f < bn // bd:
+            f += 1
+            break
+        h0, k0, h1, k1 = h1, k1, f * h1 + h0, f * k1 + k0
+        an, ad, bn, bd = bd, bn - f * bd, ad, an - f * ad
+    return f * h1 + h0, f * k1 + k0
 
 
 # ======================================================================

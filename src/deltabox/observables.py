@@ -20,22 +20,15 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import BracketError, ConvergenceError, DomainError, InK, SingularPoint
-from .lattice import LatticePoint, kappa_base, nearest_lattice_point, underline_nu
+from .lattice import LatticePoint, kappa_base, lattice_point_at
 from .model import Setup
 from ._special import (
+    LOG_SWITCH,
     log_sinh,
     log_sinhc_minus_one,
     one_minus_sinc,
     sinhc_minus_one,
 )
-
-# Relative distance below which a requested nu is treated as sitting on a
-# lattice point, matching the merge tolerance used by the partition.
-_LATTICE_RTOL = 1e-9
-
-# Beyond this value of |nu| * L the evanescent closed forms are rescaled by
-# their dominant exponential; the direct forms overflow near 709.
-_LOG_SWITCH = 600.0
 
 
 @dataclass(frozen=True)
@@ -66,16 +59,6 @@ class AmplitudeExtremum:
 # ============================================================
 
 
-def _lattice_hit(setup: Setup, nu: float) -> Optional[LatticePoint]:
-    if nu <= 0:
-        return None
-    point, dist = nearest_lattice_point(setup, nu)
-    if point is None:
-        return None
-    tol = _LATTICE_RTOL * max(nu, underline_nu(setup, 1))
-    return point if dist <= tol else None
-
-
 def prob_ratio(setup: Setup, nu: float) -> RatioPoint:
     """Right-to-left probability ratio of the normalized state at nu.
 
@@ -85,7 +68,7 @@ def prob_ratio(setup: Setup, nu: float) -> RatioPoint:
     """
     w1 = setup.width_right
     w2 = setup.width_left
-    hit = _lattice_hit(setup, nu)
+    hit = lattice_point_at(setup, nu)
     if hit is not None:
         if hit.kind == "both":
             return RatioPoint(nu, 1.0 / setup.q_ratio, hit)
@@ -101,7 +84,7 @@ def prob_ratio(setup: Setup, nu: float) -> RatioPoint:
     if nu == 0:
         return RatioPoint(nu, setup.q_ratio)
     t = -nu
-    if t * setup.L < _LOG_SWITCH:
+    if t * setup.L < LOG_SWITCH:
         sh1 = math.sinh(t * w1 / 2)
         sh2 = math.sinh(t * w2 / 2)
         num = sh2 * sh2 * (w1 / 2) * sinhc_minus_one(t * w1)
@@ -122,8 +105,7 @@ def prob_ratio_at_mode(setup: Setup, n: int) -> float:
     """
     if n < 1:
         raise DomainError(f"mode number must be >= 1, got {n!r}")
-    base = kappa_base(setup)
-    if base is not None and n % base == 0:
+    if n % kappa_base(setup) == 0:
         raise InK(f"mode n={n} lies on the shared lattice")
     ratio_arg_right = n * math.pi * (1 - 2 * setup.x0_value / setup.L)
     ratio_arg_left = n * math.pi * (1 + 2 * setup.x0_value / setup.L)
@@ -268,7 +250,7 @@ def expectation_x(setup: Setup, nu: float) -> float:
     antisymmetric).  One-sided lattice points have no two-sided state and
     raise SingularPoint.
     """
-    hit = _lattice_hit(setup, nu)
+    hit = lattice_point_at(setup, nu)
     if hit is not None:
         if hit.kind == "both":
             return setup.x0_value
@@ -299,7 +281,7 @@ def expectation_x(setup: Setup, nu: float) -> float:
         ) * one_minus_sinc(nu * w1)
         return (left + right) / norm2
     t = -nu
-    if t * setup.L >= _LOG_SWITCH:
+    if t * setup.L >= LOG_SWITCH:
         return _expectation_hyper_scaled(setup, t)
     sh1 = math.sinh(t * w1 / 2)
     sh2 = math.sinh(t * w2 / 2)

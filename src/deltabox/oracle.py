@@ -235,6 +235,9 @@ def eig_lowest(T: Tridiagonal, count: int) -> List[Tuple[float, np.ndarray]]:
         v = rng.standard_normal(T.N)
         for _ in range(2):
             v = _solve_shifted(d, e, lam, v)
+            # Scale by max|v| first: at an exactly singular shift the 1e-300
+            # pivot stand-in makes entries near 1e300 and v @ v would overflow.
+            v /= float(np.max(np.abs(v)))
             v /= math.sqrt(float(v @ v))
         v /= math.sqrt(T.dx)
         vmax = float(np.max(np.abs(v)))
@@ -316,11 +319,10 @@ def analytic_levels(
     _, intervals = partition(setup, nu_max)
     levels = [(solve_nu(setup, alpha, iv), False) for iv in intervals]
     base = kappa_base(setup)
-    if base is not None:
-        n = base
-        while nu_n(setup, n) <= nu_max:
-            levels.append((nu_n(setup, n), True))
-            n += base
+    n = base
+    while nu_n(setup, n) <= nu_max:
+        levels.append((nu_n(setup, n), True))
+        n += base
     levels.sort(key=lambda item: item[0])
     if len(levels) < count:
         raise DomainError(f"internal level budget too small for count={count}")

@@ -23,13 +23,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .errors import DomainError, InK, NotInK
-from .lattice import LatticePoint, _over_in_shared, _under_in_shared, kappa_base
-from .model import RationalX0, Setup, nu_n, phi_mode
+from .errors import DomainError, InK
+from .lattice import (
+    LIMIT_WINDOW_RTOL,
+    LatticePoint,
+    over_in_shared,
+    shared_mode,
+    shared_mode_near,
+    under_floor,
+    under_in_shared,
+)
+from .model import Setup, nu_n, phi_mode
 from ._special import (
+    LOG_SWITCH,
     hardened_floor,
     log_add_exp,
     log_sinh,
@@ -37,14 +45,6 @@ from ._special import (
     one_minus_sinc,
     sinhc_minus_one,
 )
-
-# Relative half-width of the window around a shared-lattice mode inside which
-# the normalized eigenfunction is replaced by its (continuous) limit state.
-_SHARED_WINDOW_RTOL = 1e-8
-
-# Beyond this value of |nu| * L the evanescent normalization is evaluated in
-# log space; the direct expressions overflow near |nu| * L ~ 709.
-_LOG_SWITCH = 600.0
 
 
 # ============================================================
@@ -190,7 +190,7 @@ def rho(setup: Setup, nu: float) -> float:
     if nu == 0:
         return w1 * w2 * math.sqrt(setup.L / 3)
     t = -nu
-    if t * setup.L < _LOG_SWITCH:
+    if t * setup.L < LOG_SWITCH:
         sh1 = math.sinh(t * w1 / 2)
         sh2 = math.sinh(t * w2 / 2)
         rho2 = sh1 * sh1 * (w2 / 2) * sinhc_minus_one(t * w2) + sh2 * sh2 * (
@@ -198,31 +198,18 @@ def rho(setup: Setup, nu: float) -> float:
         ) * sinhc_minus_one(t * w1)
         return math.sqrt(rho2)
     try:
-        return math.exp(0.5 * _log_rho2_hyper(setup, t))
+        return math.exp(0.5 * log_rho2_hyper(setup, t))
     except OverflowError:
         return math.inf
 
 
-def _log_rho2_hyper(setup: Setup, t: float) -> float:
+def log_rho2_hyper(setup: Setup, t: float) -> float:
+    """log(rho**2) on the evanescent branch nu = -t, finite for every t > 0."""
     w1 = setup.width_right
     w2 = setup.width_left
     term1 = 2 * log_sinh(t * w1 / 2) + math.log(w2 / 2) + log_sinhc_minus_one(t * w2)
     term2 = 2 * log_sinh(t * w2 / 2) + math.log(w1 / 2) + log_sinhc_minus_one(t * w1)
     return log_add_exp(term1, term2)
-
-
-def _shared_mode_near(setup: Setup, nu: float) -> Optional[float]:
-    """Shared-lattice value within the replacement window of nu, if any."""
-    if nu <= 0:
-        return None
-    base = kappa_base(setup)
-    if base is None:
-        return None
-    nu_b = nu_n(setup, base)
-    m = round(nu / nu_b)
-    if m >= 1 and abs(nu - m * nu_b) <= _SHARED_WINDOW_RTOL * m * nu_b:
-        return m * nu_b
-    return None
 
 
 def eval_normalized(setup: Setup, nu: float, x: float) -> WaveSample:
@@ -234,10 +221,10 @@ def eval_normalized(setup: Setup, nu: float, x: float) -> WaveSample:
     either coupling path).  Very deep evanescent states are evaluated in log
     space, where the direct sinh products would overflow.
     """
-    shared = _shared_mode_near(setup, nu)
-    if shared is not None:
-        return upsilon_hat(setup, shared, x)
-    if nu < 0 and (-nu) * setup.L >= _LOG_SWITCH:
+    n = shared_mode_near(setup, nu, LIMIT_WINDOW_RTOL)
+    if n is not None:
+        return upsilon_hat(setup, nu_n(setup, n), x)
+    if nu < 0 and (-nu) * setup.L >= LOG_SWITCH:
         _check_x(setup, x)
         t = -nu
         if x <= setup.x0_value:
@@ -248,7 +235,7 @@ def eval_normalized(setup: Setup, nu: float, x: float) -> WaveSample:
             other = t * setup.width_left / 2
         if arm == 0.0:
             return WaveSample(x, 0.0, WaveKind.hyper())
-        log_val = log_sinh(other) + log_sinh(arm) - 0.5 * _log_rho2_hyper(setup, t)
+        log_val = log_sinh(other) + log_sinh(arm) - 0.5 * log_rho2_hyper(setup, t)
         value = math.exp(log_val) if log_val < 700 else math.inf
         return WaveSample(x, value, WaveKind.hyper())
     sample = eval_psi(setup, nu, x)
@@ -298,42 +285,23 @@ def jump_ratio(setup: Setup, nu: float) -> float:
 # ============================================================
 
 
-def _require_shared(setup: Setup, nu_hat: float) -> int:
-    """Validate that nu_hat sits on the shared lattice; return its mode number."""
-    base = kappa_base(setup)
-    if base is None:
-        raise NotInK("the shared lattice is empty for irrational x0")
-    nu_b = nu_n(setup, base)
-    m = round(nu_hat / nu_b)
-    if m < 1 or abs(nu_hat - m * nu_b) > 1e-9 * max(nu_hat, nu_b):
-        raise NotInK(f"nu={nu_hat!r} is not a shared-lattice value")
-    return m * base
-
-
 def upsilon_hat(setup: Setup, nu_hat: float, x: float) -> WaveSample:
     """Continuous limit state at a shared-lattice value nu_hat.
 
     Equals -sqrt(q_ratio) * phi_n(x) left of x0 and phi_n(x) / sqrt(q_ratio)
     right of it, where n is the box mode sitting at nu_hat.  This is the
     two-sided limit of the normalized eigenfunctions through the lattice
-    point, identical along both coupling paths.
+    point, identical along both coupling paths.  Raises NotInK unless nu_hat
+    is on the shared lattice (lattice.shared_mode).
     """
     _check_x(setup, x)
-    n = _require_shared(setup, nu_hat)
+    n = shared_mode(setup, nu_hat)
     root_q = math.sqrt(setup.q_ratio)
     if x <= setup.x0_value:
         value = -root_q * phi_mode(setup, n, x)
     else:
         value = phi_mode(setup, n, x) / root_q
     return WaveSample(x, value, WaveKind.limit_hat())
-
-
-def _under_floor(setup: Setup, k: int) -> int:
-    """Exact floor(k * L / width_left), the sign exponent of the left limits."""
-    if isinstance(setup.x0, RationalX0):
-        p, q = setup.x0.p, setup.x0.q
-        return (2 * k * q) // (q + p)
-    return hardened_floor(k * setup.L / setup.width_left)
 
 
 def upsilon_under(setup: Setup, k: int, side: str, x: float) -> WaveSample:
@@ -349,12 +317,12 @@ def upsilon_under(setup: Setup, k: int, side: str, x: float) -> WaveSample:
         raise DomainError(f"k must be >= 1, got {k!r}")
     if side not in ("below", "above"):
         raise DomainError(f"side must be 'below' or 'above', got {side!r}")
-    if isinstance(setup.x0, RationalX0) and _under_in_shared(setup.x0, k):
+    if under_in_shared(setup, k) is not None:
         raise InK(f"left lattice index k={k} lies on the shared lattice")
     if x > setup.x0_value:
         return WaveSample(x, 0.0, WaveKind.limit_under(k, side))
     w2 = setup.width_left
-    sign = -1.0 if (_under_floor(setup, k) - 1) % 2 else 1.0
+    sign = -1.0 if (under_floor(setup, k) - 1) % 2 else 1.0
     if side == "above":
         sign = -sign
     value = sign * (2.0 / math.sqrt(setup.L + 2 * setup.x0_value)) * math.sin(
@@ -373,7 +341,7 @@ def upsilon_over(setup: Setup, l: int, x: float) -> WaveSample:
     _check_x(setup, x)
     if l < 1:
         raise DomainError(f"l must be >= 1, got {l!r}")
-    if isinstance(setup.x0, RationalX0) and _over_in_shared(setup.x0, l):
+    if over_in_shared(setup, l) is not None:
         raise InK(f"right lattice index l={l} lies on the shared lattice")
     if x < setup.x0_value:
         return WaveSample(x, 0.0, WaveKind.limit_over(l))
@@ -410,15 +378,15 @@ def kappa_constants(setup: Setup, point: LatticePoint) -> float:
     if point.kind == "under":
         if point.k is None:
             raise DomainError("left lattice point must carry index k")
-        if isinstance(setup.x0, RationalX0) and _under_in_shared(setup.x0, point.k):
+        if under_in_shared(setup, point.k) is not None:
             raise InK(f"k={point.k} lies on the shared lattice")
-        exponent = _under_floor(setup, point.k) - point.k
+        exponent = under_floor(setup, point.k) - point.k
         sign = -1.0 if exponent % 2 else 1.0
         return c * point.nu * sign / math.sqrt(setup.L + 2 * setup.x0_value)
     if point.kind == "over":
         if point.l is None:
             raise DomainError("right lattice point must carry index l")
-        if isinstance(setup.x0, RationalX0) and _over_in_shared(setup.x0, point.l):
+        if over_in_shared(setup, point.l) is not None:
             raise InK(f"l={point.l} lies on the shared lattice")
         sign = -1.0 if (point.l - 1) % 2 else 1.0
         return c * point.nu * sign / math.sqrt(setup.L - 2 * setup.x0_value)
@@ -446,14 +414,14 @@ def _one_sided_derivatives(setup: Setup, point: LatticePoint, side: str):
     w1 = setup.width_right
     w2 = setup.width_left
     if point.kind == "both":
-        n = _require_shared(setup, point.nu)
+        n = shared_mode(setup, point.nu)
         root_q = math.sqrt(setup.q_ratio)
         dphi = -math.sqrt(2 / setup.L) * (n * math.pi / setup.L) * math.cos(
             (n * math.pi / setup.L) * (setup.L / 2 - x0)
         )
         return -root_q * dphi, dphi / root_q
     if point.kind == "under":
-        sign = -1.0 if (_under_floor(setup, point.k) - 1) % 2 else 1.0
+        sign = -1.0 if (under_floor(setup, point.k) - 1) % 2 else 1.0
         if side == "above":
             sign = -sign
         amp = 2.0 / math.sqrt(setup.L + 2 * x0)

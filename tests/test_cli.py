@@ -311,3 +311,47 @@ def test_oracle_table(capsys):
     for n, row in enumerate(rows, start=1):
         assert float(row["nu"]) == pytest.approx(nu_n(s, n), rel=1e-9)
         assert float(row["rel_energy_error"]) < 1e-3
+
+
+# ======================================================================
+# Float sites that are exact fractions of the box
+# ======================================================================
+
+# Commands (without --x0) that succeed on both sites of a twin pair.
+TWIN_TABLES = [
+    ("partition", "--nu-max", "120"),
+    ("spectrum", "--alpha", "-7.5", "--count", "12"),
+    ("sweep", "--interval", "7", "--samples", "16"),
+    ("wavefunction", "--nu-mode", "40", "--points", "65"),
+    ("wavefunction", "--nu", "3.3", "--points", "65"),
+    ("limit", "--kind", "hat", "--nu-mode", "40", "--points", "65"),
+    ("limit", "--kind", "under", "--k", "1", "--points", "65"),
+    ("fourier", "--nu-mode", "40", "--M", "64"),
+    ("ratio", "--nu-min", "0.5", "--nu-max", "120", "--points", "401"),
+    ("expectation", "--nu-min", "-30", "--nu-max", "120", "--points", "401"),
+    ("oracle", "--alpha", "1000", "--grid", "1279", "--count", "9"),
+]
+
+
+@pytest.mark.parametrize("real, rational", [("real:0.125", "rational:1/4"), ("real:0.2", "rational:2/5")])
+def test_float_twin_prints_the_rational_tables(capsys, real, rational):
+    for argv in TWIN_TABLES:
+        code, out = run_cli(capsys, *argv, "--x0", real)
+        assert code == 0, argv
+        assert (code, out) == run_cli(capsys, *argv, "--x0", rational), argv
+    # Over point 3 is shared at both sites, so both twins reject it.
+    argv = ("fourier", "--limit", "over", "--l", "3", "--M", "8")
+    assert run_cli(capsys, *argv, "--x0", real) == run_cli(capsys, *argv, "--x0", rational) == (3, "")
+
+
+@pytest.mark.parametrize(
+    "argv, twin",
+    [
+        (("spectrum", "--alpha", "20", "--count", "8", "--x0", "real:0.2"), "rational:2/5"),
+        (("oracle", "--alpha", "0", "--grid", "1023", "--count", "9", "--x0", "real:0.125"), "rational:1/4"),
+    ],
+)
+def test_float_twin_former_failures_succeed(capsys, argv, twin):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert (code, out) == run_cli(capsys, *argv[:-1], twin)

@@ -160,6 +160,17 @@ def test_partial_sums_reconstruct_limit_states_away_from_site():
         assert err < 4e-3
 
 
+@pytest.mark.parametrize("p, q, n", [(1, 4, 8), (3, 4, 16)])
+def test_general_expansion_at_shared_mode_matches_eval_normalized(p, q, n):
+    """At a shared-lattice value both modules give the continuous limit state."""
+    s = setup_pq(p, q)
+    nu = nu_n(s, n)
+    expansion = coeffs_general(s, nu, M=2048)
+    f = lambda x: eval_normalized(s, nu, x).value
+    err = sup_reconstruction_error(s, expansion, f, exclude_radius=s.L / 64)
+    assert err < 4e-3
+
+
 def test_parseval_defect_shrinks_with_truncation_order():
     s = setup_pq(1, 4)
     defects = [abs(parseval_defect(coeffs_general(s, 7.3, M=M))) for M in (64, 256, 1024)]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltabox.errors import DomainError
+from deltabox.errors import DomainError, SingularPoint
 from deltabox.lattice import (
     classify_mode,
     kappa_base,
@@ -18,6 +18,7 @@ from deltabox.lattice import (
     underline_nu,
 )
 from deltabox.model import RationalX0, RealX0, make_setup, nu_n, phi_mode
+from deltabox.observables import expectation_x, prob_ratio
 
 
 def setup_pq(p, q, L=1.0, c=1.0):
@@ -65,8 +66,9 @@ def test_shared_lattice_base(p, q, expected_base):
 
 
 def test_real_site_has_no_shared_lattice():
+    """A generic float site's shared lattice starts beyond mode 1e8."""
     s = make_setup(L=1.0, x0=RealX0(1 / (10 * math.sqrt(2))), c=1.0)
-    assert kappa_base(s) is None
+    assert kappa_base(s) > 10**8
 
 
 @pytest.mark.parametrize("p, q", [(1, 4), (3, 4), (1, 2), (3, 5), (11, 13)])
@@ -234,3 +236,59 @@ def test_classified_interval_brackets_the_mode(pq, n):
     iv = cls.interval
     lower = -math.inf if iv.lower is None else iv.lower.nu
     assert lower < nu < iv.upper.nu
+
+
+# ======================================================================
+# Float sites: the lattice of the simplest fraction within half an ulp
+# ======================================================================
+
+
+@pytest.mark.parametrize("v, pq", [(0.125, (1, 4)), (0.2, (2, 5)), (0.3, (3, 5)), (0.0, (0, 1))])
+def test_float_site_takes_its_exact_fraction(v, pq):
+    s = make_setup(L=1.0, x0=RealX0(v), c=1.0)
+    assert (s.p, s.q) == pq
+    assert s.x0_value == v
+
+
+def test_float_twin_of_one_quarter_sees_the_shared_point():
+    """real:0.125 is exactly L/8: 16 pi is the shared point of rational:1/4."""
+    s = make_setup(L=1.0, x0=RealX0(0.125), c=1.0)
+    nu = 16 * math.pi
+    point, _ = nearest_lattice_point(s, nu)
+    assert point.kind == "both" and (point.k, point.l) == (5, 3)
+    assert prob_ratio(s, nu).r == pytest.approx(5 / 3, rel=1e-15)
+    assert expectation_x(s, nu) == 0.125
+    assert classify_mode(s, 8).case_tag == "Z"
+
+
+def _outcome(f, *args):
+    # The value, or the type of the exception raised: twins must agree on both.
+    try:
+        return f(*args)
+    except (SingularPoint, ArithmeticError) as exc:
+        return type(exc).__name__
+
+
+@given(pq=coprime_pq(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_float_twin_agrees_with_rational_site(pq, data):
+    p, q = pq
+    exact = setup_pq(p, q)
+    twin = make_setup(L=1.0, x0=RealX0(RationalX0(p, q).value(1.0)), c=1.0)
+    assert (twin.p, twin.q) == (p, q)
+    assert kappa_base(twin) == kappa_base(exact)
+    index = st.integers(min_value=1, max_value=60)
+    nu = data.draw(
+        st.one_of(
+            st.floats(min_value=-50.0, max_value=400.0),
+            index.map(lambda n: nu_n(exact, n)),
+            index.map(lambda k: underline_nu(exact, k)),
+            index.map(lambda l: overline_nu(exact, l)),
+        )
+    )
+    assert nearest_lattice_point(twin, nu) == nearest_lattice_point(exact, nu)
+    assert _outcome(prob_ratio, twin, nu) == _outcome(prob_ratio, exact, nu)
+    assert _outcome(expectation_x, twin, nu) == _outcome(expectation_x, exact, nu)
+    n = data.draw(st.integers(min_value=1, max_value=120))
+    assert classify_mode(twin, n) == classify_mode(exact, n)
+    assert partition(twin, 200.0) == partition(exact, 200.0)

@@ -9,6 +9,7 @@ from deltabox import oracle
 from deltabox.errors import ConvergenceError, DomainError, GridMismatch
 from deltabox.model import RationalX0, RealX0, energy_from_nu, make_setup, nu_n
 from deltabox.oracle import (
+    Tridiagonal,
     _site_node,
     _sturm_counts,
     analytic_levels,
@@ -178,6 +179,20 @@ def test_eig_lowest_rejects_large_residual(monkeypatch):
     )
     with pytest.raises(ConvergenceError, match="residual"):
         eig_lowest(T, 3)
+
+
+def test_eig_lowest_survives_exactly_singular_shift():
+    """Eigenvalue 0 of this path-graph Laplacian leaves an exactly zero last
+    pivot in the shifted solve; its 1e-300 stand-in must not overflow v."""
+    T = Tridiagonal(np.array([1.0, 2.0, 1.0]), np.array([-1.0, -1.0]), 3, 1.0)
+    dense = np.diag(T.diag) + np.diag(T.offdiag, 1) + np.diag(T.offdiag, -1)
+    ref_values, ref_vectors = np.linalg.eigh(dense)
+    pairs = eig_lowest(T, 3)
+    for (lam, v), expected, ref in zip(pairs, ref_values, ref_vectors.T):
+        assert lam == pytest.approx(expected, abs=1e-12)
+        assert np.all(np.isfinite(v))
+        assert float(v @ v) == pytest.approx(1.0, rel=1e-12)
+        assert abs(float(v @ ref)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_eig_lowest_validates_count():
