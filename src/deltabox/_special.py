@@ -3,44 +3,52 @@
 The closed forms in this package repeatedly need 1 - sin(y)/y and
 sinh(y)/y - 1, which cancel catastrophically for small y, and log-scale
 evaluation of sinh expressions that overflow for large arguments.  These
-helpers centralize the series switches and log identities so every module
-uses the same conventions.
+helpers and constants hold the series switch, the linear window and the
+log-space switch, so every module uses the same conventions.
 """
 
 from __future__ import annotations
 
 import math
 
-# Below this argument the quartic series replaces the direct expression.
-_SMALL = 1e-4
+# Below this argument 1 - sin(y)/y and sinh(y)/y - 1 are summed as power
+# series; above it the direct forms lose at most a digit to cancellation.
+SERIES_SWITCH = 0.5
+
+# Below this value of |nu| * L the state equals the nu = 0 linear state to
+# rounding: its corrections are of relative order (nu * L)**2, under an ulp.
+LINEAR_WINDOW = 2.0**-27
 
 # Beyond this value of |nu| * L the evanescent closed forms (norms, ratios,
 # expansion prefactors) are evaluated in log space or rescaled by their
 # dominant exponential; the direct sinh products overflow near 709.
 LOG_SWITCH = 600.0
 
+# 1/(2k+1)! for k = 1..7, the Taylor coefficients in y**2 of sinh(y)/y - 1
+# (alternating in sign for 1 - sin(y)/y).  The first omitted term is below
+# 1e-18 of the sum at SERIES_SWITCH.
+_SERIES = tuple(1.0 / math.factorial(2 * k + 1) for k in range(1, 8))
 
-def sinc(y: float) -> float:
-    """sin(y)/y with the removable singularity filled in."""
-    if abs(y) < _SMALL:
-        y2 = y * y
-        return 1.0 - y2 / 6 * (1.0 - y2 / 20)
-    return math.sin(y) / y
+
+def _even_series(y: float, sign: float) -> float:
+    z = y * y
+    acc = 0.0
+    for coeff in reversed(_SERIES):
+        acc = coeff + sign * z * acc
+    return z * acc
 
 
 def one_minus_sinc(y: float) -> float:
     """1 - sin(y)/y without cancellation near y = 0."""
-    if abs(y) < _SMALL:
-        y2 = y * y
-        return y2 / 6 * (1.0 - y2 / 20)
+    if abs(y) < SERIES_SWITCH:
+        return _even_series(y, -1.0)
     return 1.0 - math.sin(y) / y
 
 
 def sinhc_minus_one(y: float) -> float:
     """sinh(y)/y - 1 without cancellation near y = 0 (y < ~700)."""
-    if abs(y) < _SMALL:
-        y2 = y * y
-        return y2 / 6 * (1.0 + y2 / 20)
+    if abs(y) < SERIES_SWITCH:
+        return _even_series(y, 1.0)
     return math.sinh(y) / y - 1.0
 
 
@@ -49,21 +57,6 @@ def log_sinh(z: float) -> float:
     if z < 20:
         return math.log(math.sinh(z))
     return z - math.log(2.0) + math.log1p(-math.exp(-2 * z))
-
-
-def log_sinhc_minus_one(y: float) -> float:
-    """log(sinh(y)/y - 1) for y > 0, stable for arbitrarily large y."""
-    if y < 40:
-        return math.log(sinhc_minus_one(y))
-    return y - math.log(2 * y) + math.log1p(-math.exp(-2 * y) - 2 * y * math.exp(-y))
-
-
-def log_add_exp(a: float, b: float) -> float:
-    """log(exp(a) + exp(b)) without overflow."""
-    hi, lo = (a, b) if a >= b else (b, a)
-    if lo == -math.inf:
-        return hi
-    return hi + math.log1p(math.exp(lo - hi))
 
 
 def hardened_floor(y: float) -> int:

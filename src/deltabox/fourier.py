@@ -29,8 +29,8 @@ from .lattice import (
     under_in_shared,
 )
 from .model import Setup, nu_n, phi_mode
-from .wavefn import WaveKind, log_rho2_hyper, rho, trig_left_sign
-from ._special import LOG_SWITCH, log_sinh
+from .wavefn import WaveKind, log_rho, rho, trig_left_sign
+from ._special import LINEAR_WINDOW, LOG_SWITCH, log_sinh
 
 # Default truncation order; the 1/m**2 decay puts the sup-norm tail near
 # a few parts in M.
@@ -90,7 +90,8 @@ def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpans
     relative, as in wavefn.eval_normalized) the state is the continuous
     limit state and its expansion is coeffs_upsilon_hat.  At any other
     free-mode value (within 1e-12 relative) the state is the free mode
-    itself and the expansion is exactly one-hot.  Elsewhere
+    itself and the expansion is exactly one-hot.  Inside the linear window
+    (|nu| L < LINEAR_WINDOW) the state is the nu = 0 linear state.  Elsewhere
     a_m = c * Phi_m(x0) / D_m with the branch-dependent resonance
     denominator D_m and prefactor c; the oscillatory and evanescent branches
     differ in the sign of the nu**2/4 term and in sin versus sinh.
@@ -99,6 +100,8 @@ def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpans
     shared = shared_mode_near(setup, nu, LIMIT_WINDOW_RTOL)
     if shared is not None:
         return coeffs_upsilon_hat(setup, nu_n(setup, shared), M)
+    if abs(nu) * setup.L < LINEAR_WINDOW:
+        nu = 0.0
     if nu > 0:
         n_guess = round(nu / nu_n(setup, 1))
         if n_guess >= 1 and abs(nu - nu_n(setup, n_guess)) <= _MODE_SNAP_RTOL * nu:
@@ -125,11 +128,7 @@ def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpans
         if t * setup.L < LOG_SWITCH:
             pref = (t / (2 * rho(setup, nu))) * math.sinh(t * setup.L / 2)
         else:
-            log_pref = (
-                math.log(t / 2)
-                + log_sinh(t * setup.L / 2)
-                - 0.5 * log_rho2_hyper(setup, t)
-            )
+            log_pref = math.log(t / 2) + log_sinh(t * setup.L / 2) - log_rho(setup, nu)
             pref = math.exp(log_pref)
         kind = WaveKind.hyper()
 

@@ -220,12 +220,12 @@ def _intervals_from_points(setup: Setup, points: list[LatticePoint]) -> list[Int
             tag = _CASE_BY_KINDS.get((lower.kind, upper.kind))
             if tag is None:
                 raise RuntimeError(f"impossible bounding kinds {(lower.kind, upper.kind)}")
-        # n = floor(upper position) is the mode inside when it lies strictly
-        # between the two bounding positions.
+        # The largest integer strictly below the upper position is the mode
+        # inside when it also lies above the lower position.
         hi_num, hi_den = _position(setup, upper)
-        n = hi_num // hi_den
+        n = (hi_num - 1) // hi_den
         lo_num, lo_den = _position(setup, lower) if lower is not None else (0, 1)
-        inside = n >= 1 and n * hi_den < hi_num and lo_num < n * lo_den
+        inside = n >= 1 and lo_num < n * lo_den
         intervals.append(
             IntervalDescriptor(
                 index=i, lower=lower, upper=upper, case_tag=tag, contains_mode=n if inside else None

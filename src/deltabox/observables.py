@@ -1,16 +1,18 @@
 """Physical observables of the eigenstates: side probabilities, mean position,
 and the centered-interaction amplitude envelope.
 
-The probability ratio r(nu) compares the mass of the normalized state right
-of the interaction site to the mass left of it.  It is defined by closed
-forms away from the lattice, extends continuously to the shared lattice with
-the exact value 1/q_ratio, and degenerates to 0 or infinity at one-sided
-lattice points, where the state empties one compartment.  The position
-expectation admits closed antiderivatives on all branches and collapses to
-exact values at distinguished points (x0 on the shared lattice, x0/2 for the
-zero-energy state).  For the centered site the normalized amplitude is
-governed by a single scalar envelope gamma -> 1/sqrt(1 - sin(gamma)/gamma)
-whose extrema interlace the half-integer multiples of pi.
+Both side probabilities and the mean position are read from the two
+compartment masses of `wavefn.compartment_masses`.  The probability ratio
+r(nu) is the right mass over the left mass away from the lattice, extends
+continuously to the shared lattice with the exact value 1/q_ratio, and
+degenerates to 0 or infinity at one-sided lattice points, where the state
+empties one compartment.  The position expectation weights each
+compartment's centre of mass, a closed form in its own width, by its mass,
+and collapses to exact values at distinguished points (x0 on the shared
+lattice, x0/2 for the zero-energy state).  For the centered site the
+normalized amplitude is governed by a single scalar envelope
+gamma -> 1/sqrt(1 - sin(gamma)/gamma) whose extrema interlace the
+half-integer multiples of pi.
 """
 
 from __future__ import annotations
@@ -22,13 +24,8 @@ from typing import Optional, Tuple
 from .errors import BracketError, ConvergenceError, DomainError, InK, SingularPoint
 from .lattice import LatticePoint, kappa_base, lattice_point_at
 from .model import Setup
-from ._special import (
-    LOG_SWITCH,
-    log_sinh,
-    log_sinhc_minus_one,
-    one_minus_sinc,
-    sinhc_minus_one,
-)
+from .wavefn import compartment_masses
+from ._special import LINEAR_WINDOW, LOG_SWITCH, one_minus_sinc, sinhc_minus_one
 
 
 @dataclass(frozen=True)
@@ -66,8 +63,6 @@ def prob_ratio(setup: Setup, nu: float) -> RatioPoint:
     values (1/q_ratio on the shared lattice, 0 at left-side points, inf at
     right-side points) so that parameter sweeps need no special casing.
     """
-    w1 = setup.width_right
-    w2 = setup.width_left
     hit = lattice_point_at(setup, nu)
     if hit is not None:
         if hit.kind == "both":
@@ -75,24 +70,8 @@ def prob_ratio(setup: Setup, nu: float) -> RatioPoint:
         if hit.kind == "under":
             return RatioPoint(nu, 0.0, hit)
         return RatioPoint(nu, math.inf, hit)
-    if nu > 0:
-        s1 = math.sin((nu / 2) * w1)
-        s2 = math.sin((nu / 2) * w2)
-        num = s2 * s2 * (w1 / 2) * one_minus_sinc(nu * w1)
-        den = s1 * s1 * (w2 / 2) * one_minus_sinc(nu * w2)
-        return RatioPoint(nu, num / den)
-    if nu == 0:
-        return RatioPoint(nu, setup.q_ratio)
-    t = -nu
-    if t * setup.L < LOG_SWITCH:
-        sh1 = math.sinh(t * w1 / 2)
-        sh2 = math.sinh(t * w2 / 2)
-        num = sh2 * sh2 * (w1 / 2) * sinhc_minus_one(t * w1)
-        den = sh1 * sh1 * (w2 / 2) * sinhc_minus_one(t * w2)
-        return RatioPoint(nu, num / den)
-    log_num = 2 * log_sinh(t * w2 / 2) + math.log(w1 / 2) + log_sinhc_minus_one(t * w1)
-    log_den = 2 * log_sinh(t * w1 / 2) + math.log(w2 / 2) + log_sinhc_minus_one(t * w2)
-    return RatioPoint(nu, math.exp(log_num - log_den))
+    left, right, _ = compartment_masses(setup, nu)
+    return RatioPoint(nu, right / left)
 
 
 def prob_ratio_at_mode(setup: Setup, n: int) -> float:
@@ -121,134 +100,33 @@ def prob_ratio_at_mode(setup: Setup, n: int) -> float:
 # ============================================================
 
 
-def _trig_antideriv_left(nu: float, L: float, x: float) -> float:
-    """Antiderivative of x*sin((nu/2)(L/2+x))**2."""
-    theta = nu * (L / 2 + x)
-    return x * x / 4 - (x / (2 * nu)) * math.sin(theta) - math.cos(theta) / (
-        2 * nu * nu
-    )
+def _site_distance(nu: float, w: float) -> float:
+    """Mean distance from x0 of the mass in a compartment of width w.
 
-
-def _trig_antideriv_right(nu: float, L: float, x: float) -> float:
-    """Antiderivative of x*sin((nu/2)(L/2-x))**2."""
-    theta = nu * (L / 2 - x)
-    return x * x / 4 + (x / (2 * nu)) * math.sin(theta) - math.cos(theta) / (
-        2 * nu * nu
-    )
-
-
-def _hyper_antideriv_left(t: float, L: float, x: float) -> float:
-    """Antiderivative of x*sinh((t/2)(L/2+x))**2."""
-    theta = t * (L / 2 + x)
-    return -x * x / 4 + (x / (2 * t)) * math.sinh(theta) - math.cosh(theta) / (
-        2 * t * t
-    )
-
-
-def _hyper_antideriv_right(t: float, L: float, x: float) -> float:
-    """Antiderivative of x*sinh((t/2)(L/2-x))**2."""
-    theta = t * (L / 2 - x)
-    return -x * x / 4 - (x / (2 * t)) * math.sinh(theta) - math.cosh(theta) / (
-        2 * t * t
-    )
-
-
-# Series coefficients of sin(z)**2 = sum_j (-1)**(j+1) _SIN2_COEFF[j-1] z**(2j)
-# (and of sinh(z)**2 with all signs positive): 2**(2j-1) / (2j)!.
-_SIN2_COEFF = (
-    1.0,
-    1.0 / 3.0,
-    2.0 / 45.0,
-    1.0 / 315.0,
-    512.0 / 3628800.0,
-    2048.0 / 479001600.0,
-)
-
-# Below this value of |nu| * L the antiderivative differences cancel to
-# noise and the expectation integrals are summed as power series instead.
-_EXPECTATION_SERIES_SWITCH = 0.5
-
-
-def _expectation_series(setup: Setup, nu: float) -> float:
-    """Mean position for small |nu|, via the sin^2 / sinh^2 power series.
-
-    The closed antiderivatives lose all significance as nu -> 0 (their
-    1/nu**2 terms cancel only analytically), while the piecewise integrals
-    expand in even powers of nu with smooth coefficients.  Six terms leave a
-    relative truncation error below 1e-17 at the switch point.
+    The compartment's density is sin**2 (sinh**2 for nu < 0) of (nu/2) u,
+    u the distance from its wall.  With y = |nu| w the mean of w - u is
+    (w/2) (1 - sinc(y/2)**2) / (1 - sinc(y)), or its sinh analogue, which
+    equals w/y = 1/|nu| to rounding once y reaches LOG_SWITCH.
     """
-    w1 = setup.width_right
-    w2 = setup.width_left
-    L = setup.L
-    beta = (nu / 2) ** 2
-    alternating = nu > 0
-    if alternating:
-        amp1 = math.sin((nu / 2) * w1) ** 2
-        amp2 = math.sin((nu / 2) * w2) ** 2
-    else:
-        amp1 = math.sinh((nu / 2) * w1) ** 2
-        amp2 = math.sinh((nu / 2) * w2) ** 2
-
-    def piece(w: float) -> tuple:
-        """(integral of amp^2, integral of u * amp^2) over u in [0, w]."""
-        total_a = 0.0
-        total_b = 0.0
-        power = 1.0
-        for j, coeff in enumerate(_SIN2_COEFF, start=1):
-            power *= beta * w * w
-            sign = -1.0 if (alternating and j % 2 == 0) else 1.0
-            total_a += sign * coeff * power * w / (2 * j + 1)
-            total_b += sign * coeff * power * w * w / (2 * j + 2)
-        return total_a, total_b
-
-    a2, b2 = piece(w2)
-    a1, b1 = piece(w1)
-    numer = amp1 * (b2 - (L / 2) * a2) + amp2 * ((L / 2) * a1 - b1)
-    denom = amp1 * a2 + amp2 * a1
-    return numer / denom
-
-
-def _expectation_hyper_scaled(setup: Setup, t: float) -> float:
-    """Mean position for deep evanescent states, rescaled by exp(-t*L).
-
-    Every sinh/cosh is replaced by its dominant exponential times a bounded
-    correction, so the quotient stays finite for arbitrarily large t and
-    tends to x0 as t grows.
-    """
-    w1 = setup.width_right
-    w2 = setup.width_left
-    x0 = setup.x0_value
-    big1 = t * w1
-    big2 = t * w2
-    e1 = math.exp(-big1)
-    e2 = math.exp(-big2)
-    ee1 = math.exp(-2 * big1)
-    ee2 = math.exp(-2 * big2)
-    amp_left = (1 - e1) ** 2 / 4
-    amp_right = (1 - e2) ** 2 / 4
-    int_left = (
-        (x0 / (4 * t)) * (1 - ee2)
-        - ((1 + ee2) / 2 - e2) / (2 * t * t)
-        + e2 * w1 * w2 / 4
-    )
-    int_right = (
-        (x0 / (4 * t)) * (1 - ee1)
-        + ((1 + ee1) / 2 - e1) / (2 * t * t)
-        - e1 * w1 * w2 / 4
-    )
-    norm2 = amp_left * (w2 / 2) * ((1 - ee2) / (2 * big2) - e2) + amp_right * (
-        w1 / 2
-    ) * ((1 - ee1) / (2 * big1) - e1)
-    return (amp_left * int_left + amp_right * int_right) / norm2
+    y = abs(nu) * w
+    if nu > 0:
+        a = one_minus_sinc(y / 2)
+        return (w / 2) * a * (2 - a) / one_minus_sinc(y)
+    if y >= LOG_SWITCH:
+        return w / y
+    b = sinhc_minus_one(y / 2)
+    return (w / 2) * b * (2 + b) / sinhc_minus_one(y)
 
 
 def expectation_x(setup: Setup, nu: float) -> float:
     """Mean position of the normalized state at branch parameter nu.
 
-    Exact shortcuts: x0 on the shared lattice, x0/2 for the zero-energy
-    state, 0 for a centered site (every state is then symmetric or
-    antisymmetric).  One-sided lattice points have no two-sided state and
-    raise SingularPoint.
+    The mass-weighted mean of the two compartments' centres of mass, each a
+    closed form in its own width.  Exact shortcuts: x0 on the shared
+    lattice, x0/2 for the linear state (inside the linear window), 0 for a
+    centered site (every state is then symmetric or antisymmetric).
+    One-sided lattice points have no two-sided state and raise
+    SingularPoint.
     """
     hit = lattice_point_at(setup, nu)
     if hit is not None:
@@ -259,42 +137,13 @@ def expectation_x(setup: Setup, nu: float) -> float:
         )
     if setup.x0_value == 0.0:
         return 0.0
-    if nu == 0:
+    if abs(nu) * setup.L < LINEAR_WINDOW:
         return setup.x0_value / 2
-    if abs(nu) * setup.L <= _EXPECTATION_SERIES_SWITCH:
-        return _expectation_series(setup, nu)
-    w1 = setup.width_right
-    w2 = setup.width_left
-    x0 = setup.x0_value
-    L = setup.L
-    if nu > 0:
-        s1 = math.sin((nu / 2) * w1)
-        s2 = math.sin((nu / 2) * w2)
-        left = s1 * s1 * (
-            _trig_antideriv_left(nu, L, x0) - _trig_antideriv_left(nu, L, -L / 2)
-        )
-        right = s2 * s2 * (
-            _trig_antideriv_right(nu, L, L / 2) - _trig_antideriv_right(nu, L, x0)
-        )
-        norm2 = s1 * s1 * (w2 / 2) * one_minus_sinc(nu * w2) + s2 * s2 * (
-            w1 / 2
-        ) * one_minus_sinc(nu * w1)
-        return (left + right) / norm2
-    t = -nu
-    if t * setup.L >= LOG_SWITCH:
-        return _expectation_hyper_scaled(setup, t)
-    sh1 = math.sinh(t * w1 / 2)
-    sh2 = math.sinh(t * w2 / 2)
-    left = sh1 * sh1 * (
-        _hyper_antideriv_left(t, L, x0) - _hyper_antideriv_left(t, L, -L / 2)
+    left, right, _ = compartment_masses(setup, nu)
+    shift = right * _site_distance(nu, setup.width_right) - left * _site_distance(
+        nu, setup.width_left
     )
-    right = sh2 * sh2 * (
-        _hyper_antideriv_right(t, L, L / 2) - _hyper_antideriv_right(t, L, x0)
-    )
-    norm2 = sh1 * sh1 * (w2 / 2) * sinhc_minus_one(t * w2) + sh2 * sh2 * (
-        w1 / 2
-    ) * sinhc_minus_one(t * w1)
-    return (left + right) / norm2
+    return setup.x0_value + shift / (left + right)
 
 
 # ============================================================

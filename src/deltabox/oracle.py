@@ -34,7 +34,7 @@ from .errors import ConvergenceError, DomainError, GridMismatch
 from .lattice import kappa_base, partition
 from .model import RationalX0, Setup, energy_from_nu, nu_n, phi_mode
 from .spectrum import solve_nu
-from .wavefn import eval_normalized
+from .wavefn import sample_wave
 
 _INVERSE_ITERATION_SEED = 1729
 
@@ -349,7 +349,7 @@ def compare(setup: Setup, alpha: float, N: int, count: int) -> OracleComparison:
             n_mode = round(nu / nu_n(setup, 1))
             psi = np.array([phi_mode(setup, n_mode, x) for x in xs])
         else:
-            psi = np.array([eval_normalized(setup, nu, x).value for x in xs])
+            psi = np.array([sample.value for sample in sample_wave(setup, nu, xs)])
         sup_wave = float(np.max(np.abs(vec - psi))) / float(np.max(np.abs(psi)))
         out.append(
             LevelComparison(idx, nu, is_mode, energy, float(lam), rel_energy, sup_wave)

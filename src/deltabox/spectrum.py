@@ -38,6 +38,9 @@ from .lattice import IntervalDescriptor, nearest_lattice_point, singular_guard_r
 from .model import Setup
 
 # Below this value of |nu| w2 / 2 the series expansion around nu = 0 is used.
+# It is not _special.SERIES_SWITCH: it guards the cancellation of the
+# cot/coth terms of the dispersion function and its Newton derivative, a
+# different series that stops at nu**4 and so needs the smaller switch.
 _SERIES_THRESHOLD = 1e-4
 
 # ======================================================================

@@ -3,10 +3,12 @@
 Every bound state splits at the interaction site x0 into two free half-waves
 that share the wavenumber nu/2 and vanish at the walls.  This module builds
 those piecewise states on all three energy branches (oscillatory nu > 0, the
-linear nu = 0 state, evanescent nu < 0), normalizes them in closed form, and
-exposes the limit states reached as the coupling strength diverges: a
-continuous state on the shared lattice and one-sided states that fill a
-single compartment and vanish identically on the other.
+linear nu = 0 state, evanescent nu < 0), computes the L2 mass of each
+compartment in closed form in one place (`compartment_masses`; the norm
+and the observables follow from it), and exposes the limit states reached
+as the coupling strength diverges: a continuous state on the shared lattice
+and one-sided states that fill a single compartment and vanish identically
+on the other.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -37,14 +39,15 @@ from .lattice import (
 )
 from .model import Setup, nu_n, phi_mode
 from ._special import (
+    LINEAR_WINDOW,
     LOG_SWITCH,
     hardened_floor,
-    log_add_exp,
     log_sinh,
-    log_sinhc_minus_one,
     one_minus_sinc,
     sinhc_minus_one,
 )
+
+_LN2 = math.log(2.0)
 
 
 # ============================================================
@@ -173,60 +176,112 @@ def eval_psi(setup: Setup, nu: float, x: float) -> WaveSample:
 # ============================================================
 
 
-def rho(setup: Setup, nu: float) -> float:
-    """L2 norm of the unnormalized eigenfunction, in closed form.
+def compartment_masses(setup: Setup, nu: float) -> "tuple[float, float, float]":
+    """L2 masses of the unnormalized eigenfunction left and right of x0.
 
-    Returns math.inf when the evanescent norm exceeds float range.
+    Returns (left, right, scale); the masses are left * 2**scale and
+    right * 2**scale.  scale is 0 on the trig, linear and direct evanescent
+    branches.  Inside the linear window (|nu| L < LINEAR_WINDOW) the state is
+    (nu/2)**2 times the linear nu = 0 state to rounding, and scale carries
+    that factor's binary exponent exactly, so the masses neither underflow
+    nor lose digits.  Deep evanescent states (t L >= LOG_SWITCH, t = -nu)
+    carry their dominant exponential exp(t w1 + t w2) in scale and keep only
+    bounded factors in left and right.  Every observable built from the
+    masses (rho, the probability ratio, the mean position) reads them here.
     """
     w1 = setup.width_right
     w2 = setup.width_left
+    if abs(nu) * setup.L < LINEAR_WINDOW:
+        left = w1 * w1 * w2**3 / 3
+        right = w2 * w2 * w1**3 / 3
+        if nu == 0:
+            return left, right, 0.0
+        # |nu|/2 = m * 2**(e - 1); frexp avoids the underflow of |nu|/2.
+        m, e = math.frexp(abs(nu))
+        m4 = m**4
+        return left * m4, right * m4, 4.0 * (e - 1)
     if nu > 0:
         s1 = math.sin((nu / 2) * w1)
         s2 = math.sin((nu / 2) * w2)
-        rho2 = s1 * s1 * (w2 / 2) * one_minus_sinc(nu * w2) + s2 * s2 * (
-            w1 / 2
-        ) * one_minus_sinc(nu * w1)
-        return math.sqrt(rho2)
-    if nu == 0:
-        return w1 * w2 * math.sqrt(setup.L / 3)
+        left = s1 * s1 * (w2 / 2) * one_minus_sinc(nu * w2)
+        right = s2 * s2 * (w1 / 2) * one_minus_sinc(nu * w1)
+        return left, right, 0.0
     t = -nu
+    y1 = t * w1
+    y2 = t * w2
     if t * setup.L < LOG_SWITCH:
-        sh1 = math.sinh(t * w1 / 2)
-        sh2 = math.sinh(t * w2 / 2)
-        rho2 = sh1 * sh1 * (w2 / 2) * sinhc_minus_one(t * w2) + sh2 * sh2 * (
-            w1 / 2
-        ) * sinhc_minus_one(t * w1)
-        return math.sqrt(rho2)
+        sh1 = math.sinh(y1 / 2)
+        sh2 = math.sinh(y2 / 2)
+        left = sh1 * sh1 * (w2 / 2) * sinhc_minus_one(y2)
+        right = sh2 * sh2 * (w1 / 2) * sinhc_minus_one(y1)
+        return left, right, 0.0
+    # sinh(y/2)**2 = exp(y) expm1(-y)**2 / 4; the exp(y) factors go to scale.
+    left = math.expm1(-y1) ** 2 / 4 * (w2 / 2) * _scaled_sinhc_minus_one(y2)
+    right = math.expm1(-y2) ** 2 / 4 * (w1 / 2) * _scaled_sinhc_minus_one(y1)
+    # A power-of-two rescaling keeps left + right near 1, so rho overflows
+    # only where rho itself exceeds float range.
+    k = math.frexp(left + right)[1]
+    return math.ldexp(left, -k), math.ldexp(right, -k), (y1 + y2) / _LN2 + k
+
+
+def _scaled_sinhc_minus_one(y: float) -> float:
+    """exp(-y) * (sinh(y)/y - 1), finite for every y > 0."""
+    if y < LOG_SWITCH:
+        return math.exp(-y) * sinhc_minus_one(y)
+    return 0.5 / y
+
+
+def rho(setup: Setup, nu: float) -> float:
+    """L2 norm of the unnormalized eigenfunction, from its compartment masses.
+
+    Returns math.inf when the evanescent norm exceeds float range.
+    """
+    left, right, scale = compartment_masses(setup, nu)
     try:
-        return math.exp(0.5 * log_rho2_hyper(setup, t))
+        return math.sqrt(left + right) * 2.0 ** (0.5 * scale)
     except OverflowError:
         return math.inf
 
 
-def log_rho2_hyper(setup: Setup, t: float) -> float:
-    """log(rho**2) on the evanescent branch nu = -t, finite for every t > 0."""
-    w1 = setup.width_right
-    w2 = setup.width_left
-    term1 = 2 * log_sinh(t * w1 / 2) + math.log(w2 / 2) + log_sinhc_minus_one(t * w2)
-    term2 = 2 * log_sinh(t * w2 / 2) + math.log(w1 / 2) + log_sinhc_minus_one(t * w1)
-    return log_add_exp(term1, term2)
+def log_rho(setup: Setup, nu: float) -> float:
+    """log(rho), finite for deep evanescent states whose rho overflows."""
+    left, right, scale = compartment_masses(setup, nu)
+    return 0.5 * (math.log(left + right) + scale * _LN2)
 
 
 def eval_normalized(setup: Setup, nu: float, x: float) -> WaveSample:
-    """Unit-norm eigenfunction value at x.
+    """Unit-norm eigenfunction value at x; the one-point case of sample_wave."""
+    return sample_wave(setup, nu, [x])[0]
+
+
+def sample_wave(setup: Setup, nu: float, xs: "list[float]") -> "list[WaveSample]":
+    """Normalized eigenfunction sampled on a list of positions.
 
     Within a relative window of 1e-8 around a shared-lattice mode the norm
-    collapses and the direct quotient loses all precision, so the value is
-    replaced by the continuous limit state there (the two-sided limit along
-    either coupling path).  Very deep evanescent states are evaluated in log
-    space, where the direct sinh products would overflow.
+    collapses and the direct quotient loses all precision, so the values
+    come from the continuous limit state there (the two-sided limit along
+    either coupling path).  Inside the linear window the state is the nu = 0
+    linear state.  Very deep evanescent states are evaluated in log space,
+    where the direct sinh products would overflow.  The norm is computed
+    once for the whole list.
     """
     n = shared_mode_near(setup, nu, LIMIT_WINDOW_RTOL)
     if n is not None:
-        return upsilon_hat(setup, nu_n(setup, n), x)
-    if nu < 0 and (-nu) * setup.L >= LOG_SWITCH:
+        nu_hat = nu_n(setup, n)
+        return [upsilon_hat(setup, nu_hat, x) for x in xs]
+    if abs(nu) * setup.L < LINEAR_WINDOW:
+        nu = 0.0
+    t = -nu
+    if t * setup.L < LOG_SWITCH:
+        norm = rho(setup, nu)
+        return [
+            WaveSample(sample.x, sample.value / norm, sample.kind)
+            for sample in (eval_psi(setup, nu, x) for x in xs)
+        ]
+    log_norm = log_rho(setup, nu)
+    out = []
+    for x in xs:
         _check_x(setup, x)
-        t = -nu
         if x <= setup.x0_value:
             arm = (t / 2) * (setup.L / 2 + x)
             other = t * setup.width_right / 2
@@ -234,17 +289,12 @@ def eval_normalized(setup: Setup, nu: float, x: float) -> WaveSample:
             arm = (t / 2) * (setup.L / 2 - x)
             other = t * setup.width_left / 2
         if arm == 0.0:
-            return WaveSample(x, 0.0, WaveKind.hyper())
-        log_val = log_sinh(other) + log_sinh(arm) - 0.5 * log_rho2_hyper(setup, t)
+            out.append(WaveSample(x, 0.0, WaveKind.hyper()))
+            continue
+        log_val = log_sinh(other) + log_sinh(arm) - log_norm
         value = math.exp(log_val) if log_val < 700 else math.inf
-        return WaveSample(x, value, WaveKind.hyper())
-    sample = eval_psi(setup, nu, x)
-    return WaveSample(x, sample.value / rho(setup, nu), sample.kind)
-
-
-def sample_wave(setup: Setup, nu: float, xs: "list[float]") -> "list[WaveSample]":
-    """Normalized eigenfunction sampled on a list of positions."""
-    return [eval_normalized(setup, nu, x) for x in xs]
+        out.append(WaveSample(x, value, WaveKind.hyper()))
+    return out
 
 
 # ============================================================

@@ -267,6 +267,13 @@ def test_ratio_forms_agree(capsys):
     assert [float(r["nu"]) for r in rows] == [7.0, 7.5, 8.0]
 
 
+def test_ratio_at_tiny_nu_is_the_linear_ratio(capsys):
+    s = make_setup(L=1.0, x0=RationalX0(1, 4), c=1.0)
+    code, out = run_cli(capsys, "ratio", "--nu", "1e-200")
+    assert code == 0
+    assert float(parse_csv(out)[0]["r"]) == pytest.approx(s.q_ratio, rel=1e-14, abs=0)
+
+
 def test_ratio_at_shared_point_reports_lattice_kind(capsys):
     code, out = run_cli(capsys, "ratio", "--nu", repr(16 * math.pi))
     assert code == 0

@@ -158,6 +158,17 @@ def test_partition_intervals_contain_their_modes():
             nu = nu_n(s, iv.contains_mode)
             lower = -math.inf if iv.lower is None else iv.lower.nu
             assert lower < nu < iv.upper.nu
+        # Conversely every mode below the last point that is not shared is
+        # reported, including one just below a shared upper point.
+        reported = {iv.contains_mode for iv in intervals} - {None}
+        last = intervals[-1].upper.nu
+        n_last = math.ceil(last / nu_n(s, 1))
+        expected = {
+            n
+            for n in range(1, n_last + 1)
+            if nu_n(s, n) < last and n % kappa_base(s) != 0
+        }
+        assert reported == expected
 
 
 def test_classify_mode_agrees_with_partition():

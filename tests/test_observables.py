@@ -1,6 +1,7 @@
 """Probability ratios, position expectations, amplitude envelope."""
 
 import math
+import sys
 
 import pytest
 
@@ -21,7 +22,7 @@ from deltabox.observables import (
     prob_ratio,
     prob_ratio_at_mode,
 )
-from deltabox.wavefn import eval_normalized
+from deltabox.wavefn import eval_normalized, rho
 
 from _quad import simpson, simpson_peaked
 
@@ -99,6 +100,23 @@ def test_ratio_log_path_agrees_with_direct_path():
     logged = prob_ratio(s, -601.0).r
     assert logged == pytest.approx(direct, rel=1e-2)
     assert prob_ratio(s, -5000.0).r == pytest.approx(1.0, rel=1e-8, abs=1e-8)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize(
+    "nu", [1e-10, -1e-10, 1e-80, -1e-80, 1e-100, -1e-100, 1e-200, 5e-324]
+)
+def test_tiny_nu_gives_the_linear_state(p, nu):
+    """Below the linear window every observable is that of the nu = 0 state."""
+    s = setup_pq(p, 4)
+    close = lambda ref: pytest.approx(ref, rel=1e-14, abs=0)
+    assert prob_ratio(s, nu).r == close(prob_ratio(s, 0.0).r)
+    assert expectation_x(s, nu) == close(expectation_x(s, 0.0))
+    for x in (-0.3, 0.1, 0.4):
+        assert eval_normalized(s, nu, x).value == close(eval_normalized(s, 0.0, x).value)
+    scale = (nu / 2) ** 2
+    if scale >= sys.float_info.min:
+        assert rho(s, nu) / scale == close(rho(s, 0.0))
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 8])

@@ -10,7 +10,9 @@ from deltabox.errors import DomainError, InK, NotInK
 from deltabox.lattice import nearest_lattice_point, overline_nu, partition, underline_nu
 from deltabox.model import RationalX0, RealX0, make_setup, nu_n, phi_mode
 from deltabox.spectrum import dispersion
+from deltabox.observables import prob_ratio
 from deltabox.wavefn import (
+    compartment_masses,
     eval_normalized,
     eval_psi,
     jump_ratio,
@@ -23,6 +25,7 @@ from deltabox.wavefn import (
     upsilon_over,
     upsilon_under,
 )
+from deltabox._special import one_minus_sinc, sinhc_minus_one
 
 from _quad import simpson_peaked, simpson_split
 
@@ -141,6 +144,44 @@ def test_rho_scales_quadratically_near_zero():
     assert rho(s, 0.0) > 0
     ratio = rho(s, 1e-6) / rho(s, 1e-7)
     assert ratio == pytest.approx(100.0, rel=1e-4)
+
+
+@pytest.mark.parametrize("nu", [12.0, -12.0, -700.0, 1e-10])
+def test_compartment_masses_match_quadrature(nu):
+    """Trig, direct evanescent, deep evanescent and linear-window inputs."""
+    s = setup_pq(1, 4)
+    left, right, scale = compartment_masses(s, nu)
+    f = lambda x: eval_psi(s, nu, x).value ** 2
+    half, x0 = s.L / 2, s.x0_value
+    if nu < -100:
+        width = 40.0 / (-nu)
+        quad_left = simpson_peaked(f, -half, x0, x0, width)
+        quad_right = simpson_peaked(f, x0, half, x0, width)
+    else:
+        quad_left = simpson_split(f, -half, x0, x0)
+        quad_right = simpson_split(f, x0, half, x0)
+    unit = 2.0**scale
+    assert left * unit == pytest.approx(quad_left, rel=1e-8, abs=0)
+    assert right * unit == pytest.approx(quad_right, rel=1e-8, abs=0)
+    assert rho(s, nu) ** 2 == pytest.approx((left + right) * unit, rel=1e-14, abs=0)
+    assert prob_ratio(s, nu).r == right / left
+
+
+def taylor_reference(y, sign):
+    """20-term Taylor sum of sinh(y)/y - 1 (sign 1) or 1 - sin(y)/y (sign -1)."""
+    return math.fsum(
+        sign ** (k + 1) * y ** (2 * k) / math.factorial(2 * k + 1) for k in range(1, 21)
+    )
+
+
+def test_series_helpers_match_taylor_reference():
+    """No loss of digits on either side of the series switch."""
+    close = lambda ref: pytest.approx(ref, rel=1e-14, abs=0)
+    y = 1e-8
+    while y <= 2.0:
+        assert one_minus_sinc(y) == close(taylor_reference(y, -1))
+        assert sinhc_minus_one(y) == close(taylor_reference(y, 1))
+        y *= 1.01
 
 
 def test_deep_evanescent_state_concentrates_at_site():
@@ -359,7 +400,8 @@ def test_window_around_shared_mode_returns_the_limit_state():
 def test_sample_wave_matches_pointwise_evaluation():
     s = setup_pq(1, 4)
     xs = [-0.5, -0.2, 0.0, 0.125, 0.3, 0.5]
-    samples = sample_wave(s, 12.0, xs)
-    for x, sample in zip(xs, samples):
-        assert sample.x == x
-        assert sample.value == eval_normalized(s, 12.0, x).value
+    for nu in (12.0, -700.0, 1e-100):
+        samples = sample_wave(s, nu, xs)
+        for x, sample in zip(xs, samples):
+            assert sample.x == x
+            assert sample.value == eval_normalized(s, nu, x).value
