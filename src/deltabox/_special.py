@@ -1,10 +1,10 @@
 """Numerically careful scalar helpers shared across modules.
 
 The closed forms in this package repeatedly need 1 - sin(y)/y and
-sinh(y)/y - 1, which cancel catastrophically for small y, and log-scale
-evaluation of sinh expressions that overflow for large arguments.  These
-helpers and constants hold the series switch, the linear window and the
-log-space switch, so every module uses the same conventions.
+sinh(y)/y - 1, which cancel catastrophically for small y, and a rescaling
+of sinh expressions that overflow for large arguments.  These helpers and
+constants hold the series switch, the linear window and the deep
+evanescent switch, so every module uses the same conventions.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ SERIES_SWITCH = 0.5
 LINEAR_WINDOW = 2.0**-27
 
 # Beyond this value of |nu| * L the evanescent closed forms (norms, ratios,
-# expansion prefactors) are evaluated in log space or rescaled by their
-# dominant exponential; the direct sinh products overflow near 709.
+# samples, expansion prefactors) are rescaled by their dominant exponential;
+# the direct sinh products overflow near 709.
 LOG_SWITCH = 600.0
 
 # 1/(2k+1)! for k = 1..7, the Taylor coefficients in y**2 of sinh(y)/y - 1
@@ -50,13 +50,6 @@ def sinhc_minus_one(y: float) -> float:
     if abs(y) < SERIES_SWITCH:
         return _even_series(y, 1.0)
     return math.sinh(y) / y - 1.0
-
-
-def log_sinh(z: float) -> float:
-    """log(sinh(z)) for z > 0, stable for arbitrarily large z."""
-    if z < 20:
-        return math.log(math.sinh(z))
-    return z - math.log(2.0) + math.log1p(-math.exp(-2 * z))
 
 
 def hardened_floor(y: float) -> int:

@@ -4,8 +4,8 @@ Subcommands map one-to-one onto the library modules (partition, spectrum,
 sweep, wavefunction, limit, fourier, ratio, expectation, amplitude, oracle).
 Output is a single flat table per invocation, deterministic and
 byte-identical across runs for identical arguments: floats are printed with
-repr's shortest round-trip form, CSV uses LF line endings, and the only
-random number generator in the package is seeded.
+repr's shortest round-trip form, CSV uses LF line endings, and the package
+draws no random numbers.
 
 Exit codes: 0 success, 2 argument parsing, 3 domain errors (invalid inputs,
 wrong lattice membership, off-grid sites), 4 numerical failures (singular
@@ -45,7 +45,7 @@ from .model import (
     nu_n,
     phi_mode,
 )
-from .spectrum import alpha_from_nu, solve_nu
+from .spectrum import alpha_from_nu, analytic_levels, solve_nu
 
 _EXIT_DOMAIN = 3
 _EXIT_NUMERICAL = 4
@@ -118,14 +118,6 @@ def _linspace(lo: float, hi: float, n: int) -> List[float]:
 # ============================================================
 
 
-def _cell(value: Any) -> Any:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return value
-
-
 def _emit(config: RunConfig, columns: List[str], rows: List[Dict[str, Any]]) -> None:
     if config.format == "json":
         payload = []
@@ -143,7 +135,8 @@ def _emit(config: RunConfig, columns: List[str], rows: List[Dict[str, Any]]) -> 
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_cell(row.get(col)) for col in columns])
+            # csv writes None as an empty field and a float as its repr.
+            writer.writerow([row.get(col) for col in columns])
         text = buf.getvalue()
     if config.output:
         with open(config.output, "w", encoding="utf-8", newline="") as fh:
@@ -193,7 +186,7 @@ def cmd_partition(config: RunConfig) -> None:
 
 def cmd_spectrum(config: RunConfig) -> None:
     setup = _setup_from(config)
-    levels = oracle.analytic_levels(setup, config.params.alpha, config.params.count)
+    levels = analytic_levels(setup, config.params.alpha, config.params.count)
     columns = ["index", "nu", "energy", "is_mode"]
     rows = [
         {

@@ -29,8 +29,8 @@ from .lattice import (
     under_in_shared,
 )
 from .model import Setup, nu_n, phi_mode
-from .wavefn import WaveKind, log_rho, rho, trig_left_sign
-from ._special import LINEAR_WINDOW, LOG_SWITCH, log_sinh
+from .wavefn import WaveKind, deep_rho, rho, trig_left_sign
+from ._special import LINEAR_WINDOW, LOG_SWITCH
 
 # Default truncation order; the 1/m**2 decay puts the sup-norm tail near
 # a few parts in M.
@@ -45,32 +45,26 @@ _MODE_SNAP_RTOL = 1e-12
 class FourierExpansion:
     """Truncated sine-basis expansion of one state.
 
-    coefficients holds (m, a_m) pairs for m = 1..M.  prefactor is the
-    state's coefficient constant (the c-value multiplying Phi_m(x0) over the
-    resonance denominator); it is 0.0 for one-hot expansions.  tail_bound
-    estimates the sup-norm of the dropped tail from the measured 1/m**2
-    envelope.
+    coefficients holds (m, a_m) pairs for m = 1..M.  tail_bound estimates
+    the sup-norm of the dropped tail from the measured 1/m**2 envelope.
     """
 
     kind: WaveKind
     coefficients: List[Tuple[int, float]]
-    prefactor: float
     M: int
     setup: Setup
     tail_bound: float
 
 
-def _finish(
-    setup: Setup, kind: WaveKind, pref: float, coeffs: List[Tuple[int, float]]
-) -> FourierExpansion:
+def _finish(setup: Setup, kind: WaveKind, coeffs: List[Tuple[int, float]]) -> FourierExpansion:
     envelope = max((abs(a) * m * m for m, a in coeffs), default=0.0)
     tail = math.sqrt(2 / setup.L) * envelope / max(len(coeffs), 1)
-    return FourierExpansion(kind, coeffs, pref, len(coeffs), setup, tail)
+    return FourierExpansion(kind, coeffs, len(coeffs), setup, tail)
 
 
 def _one_hot(setup: Setup, kind: WaveKind, n: int, M: int) -> FourierExpansion:
     coeffs = [(m, 1.0 if m == n else 0.0) for m in range(1, M + 1)]
-    return FourierExpansion(kind, coeffs, 0.0, M, setup, 0.0)
+    return FourierExpansion(kind, coeffs, M, setup, 0.0)
 
 
 def _check_m(M: int) -> None:
@@ -125,19 +119,24 @@ def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpans
 
     else:
         t = -nu
+        kind = WaveKind.hyper()
         if t * setup.L < LOG_SWITCH:
             pref = (t / (2 * rho(setup, nu))) * math.sinh(t * setup.L / 2)
-        else:
-            log_pref = math.log(t / 2) + log_sinh(t * setup.L / 2) - log_rho(setup, nu)
-            pref = math.exp(log_pref)
-        kind = WaveKind.hyper()
 
-        def denom(m: int) -> float:
-            return (math.pi * m / setup.L) ** 2 + (t / 2) ** 2
+            def denom(m: int) -> float:
+                return (math.pi * m / setup.L) ** 2 + (t / 2) ** 2
+
+        else:
+            # sinh(t L / 2) / rho = -expm1(-t L) / (2 deep_rho); the factor
+            # t / 2 moves into the denominator, which would overflow near t**2.
+            pref = -math.expm1(-t * setup.L) / (2 * deep_rho(setup, nu))
+
+            def denom(m: int) -> float:
+                return (math.pi * m / setup.L) ** 2 / (t / 2) + t / 2
 
     phi0 = [phi_mode(setup, m, setup.x0_value) for m in range(1, M + 1)]
     coeffs = [(m, pref * phi0[m - 1] / denom(m)) for m in range(1, M + 1)]
-    return _finish(setup, kind, pref, coeffs)
+    return _finish(setup, kind, coeffs)
 
 
 # ============================================================
@@ -172,7 +171,7 @@ def coeffs_upsilon_hat(
             coeffs.append(
                 (m, pref * phi_mode(setup, m, setup.x0_value) / (m * m - p * p))
             )
-    return _finish(setup, WaveKind.limit_hat(), pref, coeffs)
+    return _finish(setup, WaveKind.limit_hat(), coeffs)
 
 
 def coeffs_upsilon_under(
@@ -207,7 +206,7 @@ def coeffs_upsilon_under(
         )
         for m in range(1, M + 1)
     ]
-    return _finish(setup, WaveKind.limit_under(k, side), pref, coeffs)
+    return _finish(setup, WaveKind.limit_under(k, side), coeffs)
 
 
 def coeffs_upsilon_over(setup: Setup, l: int, M: int = DEFAULT_M) -> FourierExpansion:
@@ -229,7 +228,7 @@ def coeffs_upsilon_over(setup: Setup, l: int, M: int = DEFAULT_M) -> FourierExpa
         )
         for m in range(1, M + 1)
     ]
-    return _finish(setup, WaveKind.limit_over(l), pref, coeffs)
+    return _finish(setup, WaveKind.limit_over(l), coeffs)
 
 
 # ============================================================

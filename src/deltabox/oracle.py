@@ -8,11 +8,12 @@ iteration, in the manner of LAPACK dstebz/dstein) so that the oracle shares
 no code path, and no third-party solver, with the analytic side it validates.
 
 Both recurrences are inherently sequential over the N grid nodes, so they
-run on Python floats: numpy's per-call overhead on scalar-sized operands
-would cost more than the arithmetic.  Each eigenvalue is bisected on its own
-and all of them share one cache of Sturm counts, so the midpoints common to
-every target are counted once.  Every eigenpair must pass a residual check
-max|T v - lambda v| <= 1e-10 * max|diag| * max|v|, else ConvergenceError.
+run on Python floats with the standard library alone; vector work goes
+through C-level builtins (map, max, math.hypot).  Each eigenvalue is bisected
+on its own and all of them share one cache of Sturm counts, so the midpoints
+common to every target are counted once.  Every eigenpair must pass a
+residual check max|T v - lambda v| <= 1e-10 * max|diag| * max|v|, else
+ConvergenceError.
 
 Accuracy expectations: O(dx**2) for smooth states, degrading to O(dx) when
 the interaction is on (the delta weight is a first-order approximation), so
@@ -25,26 +26,22 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, repeat
+from operator import add, mul, sub, truediv
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError, GridMismatch
-from .lattice import kappa_base, partition
 from .model import RationalX0, Setup, energy_from_nu, nu_n, phi_mode
-from .spectrum import solve_nu
+from .spectrum import analytic_levels
 from .wavefn import sample_wave
-
-_INVERSE_ITERATION_SEED = 1729
 
 
 @dataclass(frozen=True)
 class Tridiagonal:
     """Symmetric tridiagonal interior discretization of the Hamiltonian."""
 
-    diag: np.ndarray
-    offdiag: np.ndarray
+    diag: List[float]
+    offdiag: List[float]
     N: int
     dx: float
 
@@ -111,9 +108,9 @@ def build_hamiltonian(
     j = _site_node(setup, N, allow_snap)
     if j < 1 or j > N:
         raise GridMismatch(f"x0 lands on a wall node for N={N}")
-    diag = np.full(N, 2 * setup.c / dx**2)
+    diag = [2 * setup.c / dx**2] * N
     diag[j - 1] += alpha / dx
-    offdiag = np.full(N - 1, -setup.c / dx**2)
+    offdiag = [-setup.c / dx**2] * (N - 1)
     return Tridiagonal(diag, offdiag, N, dx)
 
 
@@ -148,15 +145,6 @@ def _sturm_count(d: List[float], e2: List[float], shift: float, pivmin: float) -
     return count
 
 
-def _sturm_counts(diag: np.ndarray, e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues strictly below each shift."""
-    d = np.asarray(diag, dtype=float).tolist()
-    e2_list = np.asarray(e2, dtype=float).tolist()
-    pivmin = _pivmin(e2_list)
-    shift_list = np.asarray(shifts, dtype=float).tolist()
-    return np.array([_sturm_count(d, e2_list, s, pivmin) for s in shift_list], dtype=int)
-
-
 def _bisect(
     d: List[float],
     e2: List[float],
@@ -187,146 +175,129 @@ def _bisect(
     raise ConvergenceError("Sturm bisection did not converge in 200 steps")
 
 
-def _tridiag_apply(T: Tridiagonal, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product T @ v."""
-    out = T.diag * v
-    out[:-1] += T.offdiag * v[1:]
-    out[1:] += T.offdiag * v[:-1]
-    return out
-
-
-def eig_lowest(T: Tridiagonal, count: int) -> List[Tuple[float, np.ndarray]]:
+def eig_lowest(T: Tridiagonal, count: int) -> List[Tuple[float, List[float]]]:
     """Lowest `count` eigenpairs of the tridiagonal matrix.
 
     Each eigenvalue is bisected on its own inside Gershgorin bounds to
     relative 1e-12, counting eigenvalues below each midpoint with the scalar
     Sturm recurrence; one count cache serves all targets, so the midpoints
     they share are counted once and no result depends on `count`.
-    Eigenvectors come from two steps of inverse iteration with a
-    partial-pivot tridiagonal solve, normalized so that sum(v**2) * dx = 1
-    and positive at the last node carrying appreciable amplitude.  A pair
-    whose residual max|T v - lambda v| exceeds 1e-10 * max|diag| * max|v|
+    Eigenvectors come from `_inverse_iteration`, normalized so that
+    sum(v**2) * dx = 1 and positive at the last node carrying appreciable
+    amplitude.  A pair whose residual max|T v - lambda v| exceeds
+    1e-10 * max|diag| * max|v|, or whose v has no finite nonzero norm,
     raises ConvergenceError.
     """
     if count < 1 or count > 12:
         raise DomainError(f"count must be in 1..12, got {count!r}")
     if count > T.N:
         raise DomainError(f"count={count} exceeds matrix size N={T.N}")
-    diag = np.asarray(T.diag, dtype=float)
-    offdiag = np.asarray(T.offdiag, dtype=float)
-    radius = np.zeros(T.N)
-    radius[:-1] += np.abs(offdiag)
-    radius[1:] += np.abs(offdiag)
-    lo_bound = float(np.min(diag - radius))
-    hi_bound = float(np.max(diag + radius))
+    d, e = T.diag, T.offdiag
+    abs_e = list(map(abs, e))
+    radius = list(map(add, chain(abs_e, (0.0,)), chain((0.0,), abs_e)))
+    lo_bound = min(map(sub, d, radius))
+    hi_bound = max(map(add, d, radius))
     width = hi_bound - lo_bound
     lo = lo_bound - 1e-12 * width
     hi = hi_bound + 1e-12 * width
-    d = diag.tolist()
-    e = offdiag.tolist()
-    e2 = (offdiag * offdiag).tolist()
+    e2 = list(map(mul, e, e))
     pivmin = _pivmin(e2)
     counts: Dict[float, int] = {}
     values = [_bisect(d, e2, pivmin, k, lo, hi, counts) for k in range(1, count + 1)]
-    residual_scale = 1e-10 * float(np.max(np.abs(diag)))
-    rng = np.random.default_rng(_INVERSE_ITERATION_SEED)
-    pairs: List[Tuple[float, np.ndarray]] = []
+    residual_scale = 1e-10 * max(map(abs, d))
+    pairs: List[Tuple[float, List[float]]] = []
     for lam in values:
-        v = rng.standard_normal(T.N)
-        for _ in range(2):
-            v = _solve_shifted(d, e, lam, v)
-            # Scale by max|v| first: at an exactly singular shift the 1e-300
-            # pivot stand-in makes entries near 1e300 and v @ v would overflow.
-            v /= float(np.max(np.abs(v)))
-            v /= math.sqrt(float(v @ v))
-        v /= math.sqrt(T.dx)
-        vmax = float(np.max(np.abs(v)))
-        residual = float(np.max(np.abs(_tridiag_apply(T, v) - lam * v)))
-        if not residual <= residual_scale * vmax:
+        v = _inverse_iteration(d, e, lam)
+        vmax = max(map(abs, v))
+        # (T - lam I) v in one pass: e[i-1] v[i-1] + (d[i] - lam) v[i] + e[i] v[i+1].
+        below = chain((0.0,), map(mul, e, v))
+        above = chain(map(mul, e, islice(v, 1, None)), (0.0,))
+        on = map(mul, map(sub, d, repeat(lam)), v)
+        residual = max(map(abs, map(add, map(add, below, on), above)))
+        # hypot carries a nan or inf of v into norm; max, above, may skip a nan.
+        norm = math.hypot(*v) * math.sqrt(T.dx)
+        if not (residual <= residual_scale * vmax and 0.0 < norm < math.inf):
             raise ConvergenceError(
                 f"inverse iteration left residual {residual:.3e} at eigenvalue {lam!r}"
             )
-        support = np.flatnonzero(np.abs(v) > 1e-8 * vmax)
-        if v[support[-1]] < 0:
-            v = -v
-        pairs.append((lam, v))
+        cutoff = 1e-8 * vmax
+        if next(x for x in reversed(v) if abs(x) > cutoff) < 0:
+            norm = -norm
+        pairs.append((lam, list(map(truediv, v, repeat(norm)))))
     return pairs
 
 
-def _solve_shifted(
-    d: List[float], e: List[float], sigma: float, rhs: np.ndarray
-) -> np.ndarray:
-    """Solve (T - sigma*I) x = rhs by Gaussian elimination with row pivoting.
+def _inverse_iteration(d: List[float], e: List[float], sigma: float) -> List[float]:
+    """Two steps of inverse iteration with T - sigma*I, with 0.5 <= max|x| < 1.
 
-    Row swaps introduce a second superdiagonal; the three-band upper factor
-    is kept explicitly.  Near-singular shifts (inverse iteration's normal
-    operating point) are handled by the pivoting, not by perturbing sigma.
-    The elimination runs on Python floats.
+    T - sigma*I is factored once by Gaussian elimination with row pivoting;
+    row swaps introduce a second superdiagonal, so the upper factor U keeps
+    three bands.  Near-singular shifts (inverse iteration's normal operating
+    point) are handled by the pivoting, not by perturbing sigma; an exactly
+    zero pivot is replaced by 1e-300.  Step 1 back-substitutes
+    U x = (1, ..., 1), Wilkinson's start as in EISPACK tinvit; step 2 solves
+    (T - sigma*I) x' = x in full.  After each step x is rescaled by a power
+    of two to 0.5 <= max|x| < 1, so the entries near 1e300 of an exactly
+    singular shift cannot overflow.
     """
-    n = len(d)
-    u0 = [0.0] * n
-    u1 = [0.0] * n
-    u2 = [0.0] * n
-    y = np.asarray(rhs, dtype=float).tolist()
-    # Current row i of the reduced system: (b, c1, 0); row i+1 below it.
+    u0: List[float] = []
+    u1: List[float] = []
+    u2: List[float] = []
+    steps: List[Tuple[bool, float]] = []  # (row swap, multiplier) per elimination
+    # Current row i of the reduced system: (b, c1, 0); row i+1 below it is
+    # (a, d_next - sigma, c1_next).  The row with the larger lead pivots.
     b = d[0] - sigma
-    c1 = e[0] if n > 1 else 0.0
-    for i in range(n - 1):
-        b_next = d[i + 1] - sigma
-        c1_next = e[i + 1] if i + 1 < n - 1 else 0.0
-        a = e[i]
-        if abs(a) > abs(b):
-            p0, p1, p2 = a, b_next, c1_next
-            row_b, row_c1, row_c2 = b, c1, 0.0
-            y[i], y[i + 1] = y[i + 1], y[i]
+    c1 = e[0] if e else 0.0
+    for a, d_next, c1_next in zip(e, islice(d, 1, None), chain(islice(e, 1, None), (0.0,))):
+        b_next = d_next - sigma
+        swap = abs(a) > abs(b)
+        if swap:
+            m = b / a
+            u0.append(a)
+            u1.append(b_next)
+            u2.append(c1_next)
+            b, c1 = c1 - m * b_next, -m * c1_next
         else:
-            p0, p1, p2 = b, c1, 0.0
-            row_b, row_c1, row_c2 = a, b_next, c1_next
-        if p0 == 0.0:
-            p0 = 1e-300
-        u0[i], u1[i], u2[i] = p0, p1, p2
-        m = row_b / p0
-        y[i + 1] -= m * y[i]
-        b = row_c1 - m * p1
-        c1 = row_c2 - m * p2
-    if b == 0.0:
-        b = 1e-300
-    u0[n - 1] = b
-    x = [0.0] * n
-    x[n - 1] = y[n - 1] / u0[n - 1]
-    if n > 1:
-        x[n - 2] = (y[n - 2] - u1[n - 2] * x[n - 1]) / u0[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (y[i] - u1[i] * x[i + 1] - u2[i] * x[i + 2]) / u0[i]
-    return np.array(x)
+            if b == 0.0:
+                b = 1e-300
+            m = a / b
+            u0.append(b)
+            u1.append(c1)
+            u2.append(0.0)
+            b, c1 = b_next - m * c1, c1_next
+        steps.append((swap, m))
+    u0.append(b if b != 0.0 else 1e-300)
+    u1.append(0.0)
+    u2.append(0.0)
+    x = [1.0] * len(d)
+    for step in range(2):
+        if step:
+            # Step 2's right-hand side: the factorization's eliminations.
+            y = []
+            carry = x[0]
+            for (swap, m), nxt in zip(steps, islice(x, 1, None)):
+                if swap:
+                    carry, nxt = nxt, carry
+                y.append(carry)
+                carry = nxt - m * carry
+            y.append(carry)
+            x = y
+        solved = []
+        x1 = x2 = 0.0
+        for yi, p0, p1, p2 in zip(reversed(x), reversed(u0), reversed(u1), reversed(u2)):
+            x1, x2 = (yi - p1 * x1 - p2 * x2) / p0, x1
+            solved.append(x1)
+        solved.reverse()
+        # An exact power-of-two rescaling: dividing by max|x| itself rounds
+        # every entry and measurably doubles the error of near-degenerate pairs.
+        exponent = math.frexp(max(map(abs, solved)))[1]
+        x = list(map(math.ldexp, solved, repeat(-exponent)))
+    return x
 
 
 # ============================================================
-# Analytic reference spectrum
+# Comparison with the closed forms
 # ============================================================
-
-
-def analytic_levels(
-    setup: Setup, alpha: float, count: int
-) -> List[Tuple[float, bool]]:
-    """Lowest `count` analytic levels as (nu, is_mode) pairs.
-
-    An eigenvalue is either the root of the coupling equation inside one
-    partition interval, or a free mode on the shared lattice, which solves
-    the problem for every coupling because it vanishes at the site.
-    """
-    nu_max = (1.5 * count + 8) * 2 * math.pi / setup.L
-    _, intervals = partition(setup, nu_max)
-    levels = [(solve_nu(setup, alpha, iv), False) for iv in intervals]
-    base = kappa_base(setup)
-    n = base
-    while nu_n(setup, n) <= nu_max:
-        levels.append((nu_n(setup, n), True))
-        n += base
-    levels.sort(key=lambda item: item[0])
-    if len(levels) < count:
-        raise DomainError(f"internal level budget too small for count={count}")
-    return levels[:count]
 
 
 def compare(setup: Setup, alpha: float, N: int, count: int) -> OracleComparison:
@@ -347,13 +318,11 @@ def compare(setup: Setup, alpha: float, N: int, count: int) -> OracleComparison:
         rel_energy = abs(lam - energy) / scale
         if is_mode:
             n_mode = round(nu / nu_n(setup, 1))
-            psi = np.array([phi_mode(setup, n_mode, x) for x in xs])
+            psi = [phi_mode(setup, n_mode, x) for x in xs]
         else:
-            psi = np.array([sample.value for sample in sample_wave(setup, nu, xs)])
-        sup_wave = float(np.max(np.abs(vec - psi))) / float(np.max(np.abs(psi)))
-        out.append(
-            LevelComparison(idx, nu, is_mode, energy, float(lam), rel_energy, sup_wave)
-        )
+            psi = [sample.value for sample in sample_wave(setup, nu, xs)]
+        sup_wave = max(map(abs, map(sub, vec, psi))) / max(map(abs, psi))
+        out.append(LevelComparison(idx, nu, is_mode, energy, lam, rel_energy, sup_wave))
     return OracleComparison(
         out,
         max(lv.rel_energy_error for lv in out),

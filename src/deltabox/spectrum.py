@@ -25,17 +25,27 @@ value is exposed both raw (dispersion) and scaled by c (alpha_from_nu).
 Both are absolute: f is an inverse length and alpha = c f(nu) is c per
 length; dividing alpha by c * nu_n(setup, 1) = 2 pi c / L gives the
 dimensionless coupling scale in which the paper's values are quoted.
+
+analytic_levels assembles the spectrum from these roots: one level per
+partition interval plus the free modes on the shared lattice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Tuple
 
-from .errors import BracketError, SingularPoint
-from .lattice import IntervalDescriptor, nearest_lattice_point, singular_guard_radius, underline_nu
-from .model import Setup
+from .errors import BracketError, DomainError, SingularPoint
+from .lattice import (
+    IntervalDescriptor,
+    kappa_base,
+    nearest_lattice_point,
+    partition,
+    singular_guard_radius,
+    underline_nu,
+)
+from .model import Setup, nu_n
 
 # Below this value of |nu| w2 / 2 the series expansion around nu = 0 is used.
 # It is not _special.SERIES_SWITCH: it guards the cancellation of the
@@ -225,3 +235,24 @@ def _safeguarded_newton(setup: Setup, target: float, lo: float, hi: float) -> fl
                 continue
         x = 0.5 * (lo + hi)
     return 0.5 * (lo + hi)
+
+
+def analytic_levels(setup: Setup, alpha: float, count: int) -> List[Tuple[float, bool]]:
+    """Lowest `count` analytic levels as (nu, is_mode) pairs.
+
+    An eigenvalue is either the root of the coupling equation inside one
+    partition interval, or a free mode on the shared lattice, which solves
+    the problem for every coupling because it vanishes at the site.
+    """
+    nu_max = (1.5 * count + 8) * 2 * math.pi / setup.L
+    _, intervals = partition(setup, nu_max)
+    levels = [(solve_nu(setup, alpha, iv), False) for iv in intervals]
+    base = kappa_base(setup)
+    n = base
+    while nu_n(setup, n) <= nu_max:
+        levels.append((nu_n(setup, n), True))
+        n += base
+    levels.sort(key=lambda item: item[0])
+    if len(levels) < count:
+        raise DomainError(f"internal level budget too small for count={count}")
+    return levels[:count]

@@ -42,7 +42,6 @@ from ._special import (
     LINEAR_WINDOW,
     LOG_SWITCH,
     hardened_floor,
-    log_sinh,
     one_minus_sinc,
     sinhc_minus_one,
 )
@@ -215,13 +214,24 @@ def compartment_masses(setup: Setup, nu: float) -> "tuple[float, float, float]":
         left = sh1 * sh1 * (w2 / 2) * sinhc_minus_one(y2)
         right = sh2 * sh2 * (w1 / 2) * sinhc_minus_one(y1)
         return left, right, 0.0
-    # sinh(y/2)**2 = exp(y) expm1(-y)**2 / 4; the exp(y) factors go to scale.
-    left = math.expm1(-y1) ** 2 / 4 * (w2 / 2) * _scaled_sinhc_minus_one(y2)
-    right = math.expm1(-y2) ** 2 / 4 * (w1 / 2) * _scaled_sinhc_minus_one(y1)
+    left, right, k = _deep_factors(setup, t)
+    return left, right, (y1 + y2) / _LN2 + k
+
+
+def _deep_factors(setup: Setup, t: float) -> "tuple[float, float, int]":
+    """(left, right, k): deep evanescent masses are (left, right) * 2**k * exp(t L).
+
+    sinh(y/2)**2 = exp(y) expm1(-y)**2 / 4, and the exp(y) of both
+    compartments multiply to exp(t L); left + right lies in [0.5, 1).
+    """
+    y1 = t * setup.width_right
+    y2 = t * setup.width_left
+    left = math.expm1(-y1) ** 2 / 4 * (setup.width_left / 2) * _scaled_sinhc_minus_one(y2)
+    right = math.expm1(-y2) ** 2 / 4 * (setup.width_right / 2) * _scaled_sinhc_minus_one(y1)
     # A power-of-two rescaling keeps left + right near 1, so rho overflows
     # only where rho itself exceeds float range.
     k = math.frexp(left + right)[1]
-    return math.ldexp(left, -k), math.ldexp(right, -k), (y1 + y2) / _LN2 + k
+    return math.ldexp(left, -k), math.ldexp(right, -k), k
 
 
 def _scaled_sinhc_minus_one(y: float) -> float:
@@ -243,10 +253,13 @@ def rho(setup: Setup, nu: float) -> float:
         return math.inf
 
 
-def log_rho(setup: Setup, nu: float) -> float:
-    """log(rho), finite for deep evanescent states whose rho overflows."""
-    left, right, scale = compartment_masses(setup, nu)
-    return 0.5 * (math.log(left + right) + scale * _LN2)
+def deep_rho(setup: Setup, nu: float) -> float:
+    """rho * exp(-t L / 2) of a deep evanescent state (t = -nu, t L >= LOG_SWITCH).
+
+    About (8 t)**-0.5: finite and accurate for every such t, where rho overflows.
+    """
+    left, right, k = _deep_factors(setup, -nu)
+    return math.sqrt(left + right) * 2.0 ** (0.5 * k)
 
 
 def eval_normalized(setup: Setup, nu: float, x: float) -> WaveSample:
@@ -261,9 +274,9 @@ def sample_wave(setup: Setup, nu: float, xs: "list[float]") -> "list[WaveSample]
     collapses and the direct quotient loses all precision, so the values
     come from the continuous limit state there (the two-sided limit along
     either coupling path).  Inside the linear window the state is the nu = 0
-    linear state.  Very deep evanescent states are evaluated in log space,
-    where the direct sinh products would overflow.  The norm is computed
-    once for the whole list.
+    linear state.  Deep evanescent states (t L >= LOG_SWITCH, t = -nu), whose
+    sinh products overflow, are rescaled by exp(-t L / 2) in closed form:
+    every factor stays bounded.  The norm is computed once for the whole list.
     """
     n = shared_mode_near(setup, nu, LIMIT_WINDOW_RTOL)
     if n is not None:
@@ -278,7 +291,9 @@ def sample_wave(setup: Setup, nu: float, xs: "list[float]") -> "list[WaveSample]
             WaveSample(sample.x, sample.value / norm, sample.kind)
             for sample in (eval_psi(setup, nu, x) for x in xs)
         ]
-    log_norm = log_rho(setup, nu)
+    # sinh(other) sinh(arm) / rho with sinh(z) = -exp(z) expm1(-2 z) / 2 and
+    # rho = exp(t L / 2) deep_rho: the exponents sum to -(t/2) |x - x0|.
+    norm = 4 * deep_rho(setup, nu)
     out = []
     for x in xs:
         _check_x(setup, x)
@@ -288,11 +303,10 @@ def sample_wave(setup: Setup, nu: float, xs: "list[float]") -> "list[WaveSample]
         else:
             arm = (t / 2) * (setup.L / 2 - x)
             other = t * setup.width_left / 2
-        if arm == 0.0:
-            out.append(WaveSample(x, 0.0, WaveKind.hyper()))
-            continue
-        log_val = log_sinh(other) + log_sinh(arm) - log_norm
-        value = math.exp(log_val) if log_val < 700 else math.inf
+        value = (
+            math.expm1(-2 * other) * math.expm1(-2 * arm)
+            * math.exp(-(t / 2) * abs(x - setup.x0_value)) / norm
+        )
         out.append(WaveSample(x, value, WaveKind.hyper()))
     return out
 

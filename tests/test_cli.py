@@ -4,7 +4,6 @@ import csv
 import json
 import math
 
-import numpy as np
 import pytest
 
 from deltabox import cli, oracle
@@ -108,12 +107,18 @@ def test_one_sided_point_expectation_exits_4(capsys):
 
 
 def test_oracle_residual_failure_exits_4(capsys, monkeypatch):
-    monkeypatch.setattr(
-        oracle, "_solve_shifted", lambda d, e, sigma, rhs: np.array(rhs, dtype=float)
-    )
+    monkeypatch.setattr(oracle, "_inverse_iteration", lambda d, e, sigma: [1.0] * len(d))
     code = cli.main(["oracle", "--alpha", "0.0", "--grid", "511", "--count", "3"])
     assert code == 4
     assert "residual" in capsys.readouterr().err
+
+
+def test_deep_evanescent_fourier_exits_0(capsys):
+    code, out = run_cli(capsys, "fourier", "--nu=-1e300", "--M", "3")
+    assert code == 0
+    rows = parse_csv(out)
+    assert [row["m"] for row in rows] == ["1", "2", "3"]
+    assert all(0 < abs(float(row["a_m"])) < 1e-149 for row in rows)
 
 
 def test_missing_nu_exits_3(capsys):

@@ -203,7 +203,7 @@ def test_tail_bound_controls_the_dropped_remainder():
 
 
 def test_deep_evanescent_prefactor_crosses_log_switch_smoothly():
-    """Coefficient magnitudes vary smoothly where the log-space path begins."""
+    """Coefficient magnitudes vary smoothly where the deep rescaled path begins."""
     s = setup_pq(1, 4)
     direct = coeffs_general(s, -599.0, M=8)
     logged = coeffs_general(s, -601.0, M=8)
@@ -211,6 +211,19 @@ def test_deep_evanescent_prefactor_crosses_log_switch_smoothly():
         assert m1 == m2
         assert a1 == pytest.approx(a2, rel=2e-2)
     assert abs(parseval_defect(coeffs_general(s, -650.0, M=4096))) < 1e-3
+
+
+@pytest.mark.parametrize("p, q", [(0, 1), (1, 4), (3, 4)])
+def test_deep_evanescent_coefficients_at_every_depth(p, q):
+    """a_m = 2 sqrt(2/t) Phi_m(x0) once (pi m / L)**2 is negligible beside
+    (t/2)**2, up to t = 1e300, where the resonance denominator t**2 / 4
+    alone would overflow."""
+    s = setup_pq(p, q)
+    for e in range(10, 301):
+        t = 10.0**e
+        for m, a in coeffs_general(s, -t, M=3).coefficients:
+            expected = 2 * math.sqrt(2 / t) * phi_mode(s, m, s.x0_value)
+            assert abs(a / expected - 1) <= 1e-14, (t, m)
 
 
 # ======================================================================

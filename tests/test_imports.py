@@ -1,6 +1,9 @@
-"""Package structure: modules share only public names."""
+"""Package structure: modules share only public names, and no module needs numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "deltabox"
@@ -17,3 +20,15 @@ def test_no_module_imports_a_private_name_of_another():
                     if alias.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """The CLI imports every module; a fresh interpreter must not load numpy."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = "import sys, deltabox.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -10,13 +10,14 @@ from deltabox.errors import ConvergenceError, DomainError, GridMismatch
 from deltabox.model import RationalX0, RealX0, energy_from_nu, make_setup, nu_n
 from deltabox.oracle import (
     Tridiagonal,
+    _pivmin,
     _site_node,
-    _sturm_counts,
-    analytic_levels,
+    _sturm_count,
     build_hamiltonian,
     compare,
     eig_lowest,
 )
+from deltabox.spectrum import analytic_levels
 
 
 def setup_pq(p, q, L=1.0, c=1.0):
@@ -24,9 +25,10 @@ def setup_pq(p, q, L=1.0, c=1.0):
 
 
 def tridiag_apply(T, v):
-    out = T.diag * v
-    out[:-1] += T.offdiag * v[1:]
-    out[1:] += T.offdiag * v[:-1]
+    diag, offdiag = np.asarray(T.diag), np.asarray(T.offdiag)
+    out = diag * v
+    out[:-1] += offdiag * v[1:]
+    out[1:] += offdiag * v[:-1]
     return out
 
 
@@ -71,7 +73,7 @@ def test_real_site_on_grid_needs_no_snap():
     bumped = int(np.argmax(T.diag))
     assert bumped == 2559
     assert T.diag[bumped] == pytest.approx(2 * s.c / dx**2 + 7.0 / dx)
-    assert np.all(T.offdiag == -s.c / dx**2)
+    assert np.all(np.asarray(T.offdiag) == -s.c / dx**2)
 
 
 def test_build_hamiltonian_rejects_tiny_grids():
@@ -98,9 +100,10 @@ def test_sturm_counts_match_dense_solver():
             ref[-1] + 1.0,
         ]
     )
-    counts = _sturm_counts(T.diag, T.offdiag**2, shifts)
+    e2 = [e * e for e in T.offdiag]
+    counts = [_sturm_count(T.diag, e2, sh, _pivmin(e2)) for sh in shifts.tolist()]
     expected = [int((ref < sh).sum()) for sh in shifts]
-    assert counts.tolist() == expected
+    assert counts == expected
 
 
 def test_sturm_counts_clamp_exactly_zero_pivot():
@@ -112,8 +115,9 @@ def test_sturm_counts_clamp_exactly_zero_pivot():
     ref = np.linalg.eigvalsh(dense)
     shift = diag[0]
     assert np.min(np.abs(ref - shift)) > 1e-3
-    counts = _sturm_counts(diag, offdiag**2, np.array([shift]))
-    assert counts.tolist() == [int((ref < shift).sum())]
+    e2 = (offdiag**2).tolist()
+    count = _sturm_count(diag.tolist(), e2, float(shift), _pivmin(e2))
+    assert count == int((ref < shift).sum())
 
 
 def test_eig_lowest_matches_dense_solver():
@@ -130,6 +134,7 @@ def test_eigenpairs_satisfy_matrix_equation():
     T = build_hamiltonian(setup_pq(3, 4), -20.0, 255)
     scale = float(np.max(np.abs(T.diag)))
     for lam, v in eig_lowest(T, 6):
+        v = np.asarray(v)
         residual = np.max(np.abs(tridiag_apply(T, v) - lam * v))
         assert residual < 1e-12 * scale * float(np.max(np.abs(v)))
 
@@ -137,6 +142,7 @@ def test_eigenpairs_satisfy_matrix_equation():
 def test_eigenvectors_normalized_and_sign_fixed():
     T = build_hamiltonian(setup_pq(1, 4), 5.0, 511)
     for _, v in eig_lowest(T, 5):
+        v = np.asarray(v)
         assert float(v @ v) * T.dx == pytest.approx(1.0, rel=1e-12)
         support = np.flatnonzero(np.abs(v) > 1e-8 * float(np.max(np.abs(v))))
         assert v[support[-1]] > 0
@@ -174,21 +180,34 @@ def test_free_grid_levels_match_discrete_laplacian():
 def test_eig_lowest_rejects_large_residual(monkeypatch):
     """A solve that returns no eigenvector fails the residual check."""
     T = build_hamiltonian(setup_pq(1, 4), 5.0, 255)
-    monkeypatch.setattr(
-        oracle, "_solve_shifted", lambda d, e, sigma, rhs: np.array(rhs, dtype=float)
-    )
+    monkeypatch.setattr(oracle, "_inverse_iteration", lambda d, e, sigma: [1.0] * len(d))
     with pytest.raises(ConvergenceError, match="residual"):
         eig_lowest(T, 3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_eig_lowest_rejects_vector_without_finite_norm(monkeypatch, bad):
+    """Python's max skips a nan that is not first, so the residual alone
+    cannot see it; the 2-norm must.  A zero vector has no norm at all."""
+    T = build_hamiltonian(setup_pq(1, 4), 5.0, 255)
+
+    def broken(d, e, sigma):
+        return [0.0, 0.0, 0.0, bad] + [0.0] * (len(d) - 4)
+
+    monkeypatch.setattr(oracle, "_inverse_iteration", broken)
+    with pytest.raises(ConvergenceError, match="residual"):
+        eig_lowest(T, 1)
 
 
 def test_eig_lowest_survives_exactly_singular_shift():
     """Eigenvalue 0 of this path-graph Laplacian leaves an exactly zero last
     pivot in the shifted solve; its 1e-300 stand-in must not overflow v."""
-    T = Tridiagonal(np.array([1.0, 2.0, 1.0]), np.array([-1.0, -1.0]), 3, 1.0)
+    T = Tridiagonal([1.0, 2.0, 1.0], [-1.0, -1.0], 3, 1.0)
     dense = np.diag(T.diag) + np.diag(T.offdiag, 1) + np.diag(T.offdiag, -1)
     ref_values, ref_vectors = np.linalg.eigh(dense)
     pairs = eig_lowest(T, 3)
     for (lam, v), expected, ref in zip(pairs, ref_values, ref_vectors.T):
+        v = np.asarray(v)
         assert lam == pytest.approx(expected, abs=1e-12)
         assert np.all(np.isfinite(v))
         assert float(v @ v) == pytest.approx(1.0, rel=1e-12)

@@ -198,6 +198,18 @@ def test_deep_evanescent_state_concentrates_at_site():
     assert far < 1e-30
 
 
+@pytest.mark.parametrize("p, q", [(0, 1), (1, 4), (3, 4)])
+def test_deep_evanescent_peak_height_at_every_depth(p, q):
+    """psi(x0)**2 = t/2 to leading order in 1/(t L): the two tails
+    exp(-(t/2)|x - x0|) carry the unit mass.  The exponents of the deep
+    closed form are of size t L / 2 and cancel in psi(x0)."""
+    s = setup_pq(p, q)
+    for e in range(3, 301):
+        t = 10.0**e
+        value = sample_wave(s, -t, [s.x0_value])[0].value
+        assert abs(value * value * 2 / t - 1) <= 1e-14, t
+
+
 # ======================================================================
 # Limit states
 # ======================================================================
