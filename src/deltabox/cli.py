@@ -21,7 +21,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 from . import fourier as fourier_mod
 from . import observables, oracle, wavefn
@@ -106,8 +106,21 @@ def _setup_from(config: RunConfig) -> Setup:
     return make_setup(config.L, parse_x0(config.x0), config.c)
 
 
+def _grid_size(text: str) -> int:
+    """argparse type hook: a grid needs at least one point (exit 2 otherwise)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"a grid needs at least one point, got {n}")
+    return n
+
+
 def _linspace(lo: float, hi: float, n: int) -> List[float]:
-    if n < 2:
+    if n < 1:
+        raise DomainError(f"a grid needs at least one point, got {n}")
+    if n == 1:
         return [lo]
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n - 1)] + [hi]
@@ -118,25 +131,23 @@ def _linspace(lo: float, hi: float, n: int) -> List[float]:
 # ============================================================
 
 
-def _emit(config: RunConfig, columns: List[str], rows: List[Dict[str, Any]]) -> None:
+def _emit(config: RunConfig, columns: List[str], rows: Sequence[Tuple[Any, ...]]) -> None:
+    """Write rows, each a tuple of cells in column order, as CSV or JSON."""
     if config.format == "json":
-        payload = []
-        for row in rows:
-            clean: Dict[str, Any] = {}
-            for col in columns:
-                v = row.get(col)
-                if isinstance(v, float) and not math.isfinite(v):
-                    v = repr(v)
-                clean[col] = v
-            payload.append(clean)
+        payload = [
+            {
+                col: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+                for col, v in zip(columns, row)
+            }
+            for row in rows
+        ]
         text = json.dumps({"columns": columns, "rows": payload}, indent=2) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            # csv writes None as an empty field and a float as its repr.
-            writer.writerow([row.get(col) for col in columns])
+        # csv writes None as an empty field and a float as its repr.
+        writer.writerows(rows)
         text = buf.getvalue()
     if config.output:
         with open(config.output, "w", encoding="utf-8", newline="") as fh:
@@ -165,22 +176,17 @@ def cmd_partition(config: RunConfig) -> None:
         "case_tag",
         "contains_mode",
     ]
-    rows: List[Dict[str, Any]] = []
-    for pt in points:
-        rows.append(
-            {"record": "point", "nu": pt.nu, "kind": pt.kind, "k": pt.k, "l": pt.l}
+    rows = [
+        ("point", pt.nu, pt.kind, pt.k, pt.l, None, None, None, None, None) for pt in points
+    ]
+    rows += [
+        (
+            "interval", None, None, None, None, iv.index,
+            iv.lower.nu if iv.lower is not None else None,
+            iv.upper.nu, iv.case_tag, iv.contains_mode,
         )
-    for iv in intervals:
-        rows.append(
-            {
-                "record": "interval",
-                "index": iv.index,
-                "lower": iv.lower.nu if iv.lower is not None else None,
-                "upper": iv.upper.nu,
-                "case_tag": iv.case_tag,
-                "contains_mode": iv.contains_mode,
-            }
-        )
+        for iv in intervals
+    ]
     _emit(config, columns, rows)
 
 
@@ -189,12 +195,7 @@ def cmd_spectrum(config: RunConfig) -> None:
     levels = analytic_levels(setup, config.params.alpha, config.params.count)
     columns = ["index", "nu", "energy", "is_mode"]
     rows = [
-        {
-            "index": i,
-            "nu": nu,
-            "energy": energy_from_nu(setup, nu),
-            "is_mode": is_mode,
-        }
+        (i, nu, energy_from_nu(setup, nu), is_mode)
         for i, (nu, is_mode) in enumerate(levels, start=1)
     ]
     _emit(config, columns, rows)
@@ -232,13 +233,13 @@ def cmd_sweep(config: RunConfig) -> None:
             continue
         prev = nu
         rows.append(
-            {
-                "nu": nu,
-                "alpha": alpha_from_nu(setup, nu),
-                "r": observables.prob_ratio(setup, nu).r,
-                "Ex": observables.expectation_x(setup, nu),
-                "rho": wavefn.rho(setup, nu),
-            }
+            (
+                nu,
+                alpha_from_nu(setup, nu),
+                observables.prob_ratio(setup, nu).r,
+                observables.expectation_x(setup, nu),
+                wavefn.rho(setup, nu),
+            )
         )
     _emit(config, ["nu", "alpha", "r", "Ex", "rho"], rows)
 
@@ -289,10 +290,7 @@ def cmd_wavefunction(config: RunConfig) -> None:
         if p.nu_mode is None:
             raise DomainError("--phi needs --nu-mode")
         kind = wavefn.WaveKind(label="mode")
-        rows = [
-            {"x": x, "value": phi_mode(setup, p.nu_mode, x), "kind": _kind_label(kind)}
-            for x in xs
-        ]
+        rows = [(x, phi_mode(setup, p.nu_mode, x), _kind_label(kind)) for x in xs]
         _emit(config, ["x", "value", "kind"], rows)
         return
     if p.limit is not None:
@@ -303,9 +301,7 @@ def cmd_wavefunction(config: RunConfig) -> None:
     else:
         nu = _resolve_nu(setup, p)
         samples = wavefn.sample_wave(setup, nu, xs)
-    rows = [
-        {"x": s.x, "value": s.value, "kind": _kind_label(s.kind)} for s in samples
-    ]
+    rows = [(s.x, s.value, _kind_label(s.kind)) for s in samples]
     _emit(config, ["x", "value", "kind"], rows)
 
 
@@ -317,7 +313,7 @@ def cmd_limit(config: RunConfig) -> None:
     if p.nu_mode is not None or p.nu is not None:
         nu = _resolve_nu(setup, p)
     samples = _limit_samples(setup, p.kind, nu, p.k, p.l, p.side, xs)
-    rows = [{"x": s.x, "value": s.value} for s in samples]
+    rows = [(s.x, s.value) for s in samples]
     _emit(config, ["x", "value"], rows)
 
 
@@ -338,11 +334,10 @@ def cmd_fourier(config: RunConfig) -> None:
         expansion = fourier_mod.coeffs_general(setup, _resolve_nu(setup, p), p.M)
     if p.sum_points is not None:
         xs = _linspace(-setup.L / 2, setup.L / 2, p.sum_points)
-        rows = [{"x": x, "value": fourier_mod.partial_sum(expansion, x)} for x in xs]
+        rows = [(x, fourier_mod.partial_sum(expansion, x)) for x in xs]
         _emit(config, ["x", "value"], rows)
         return
-    rows = [{"m": m, "a_m": a} for m, a in expansion.coefficients]
-    _emit(config, ["m", "a_m"], rows)
+    _emit(config, ["m", "a_m"], expansion.coefficients)
 
 
 def cmd_ratio(config: RunConfig) -> None:
@@ -351,29 +346,18 @@ def cmd_ratio(config: RunConfig) -> None:
     columns = ["nu", "r", "at_lattice"]
     if p.nu_mode is not None:
         value = observables.prob_ratio_at_mode(setup, p.nu_mode)
-        rows = [{"nu": nu_n(setup, p.nu_mode), "r": value, "at_lattice": None}]
-    elif p.nu is not None:
-        pt = observables.prob_ratio(setup, p.nu)
-        rows = [
-            {
-                "nu": pt.nu,
-                "r": pt.r,
-                "at_lattice": pt.at_lattice.kind if pt.at_lattice else None,
-            }
-        ]
+        rows = [(nu_n(setup, p.nu_mode), value, None)]
     else:
-        if p.nu_min is None or p.nu_max is None:
+        if p.nu is not None:
+            nus = [p.nu]
+        elif p.nu_min is None or p.nu_max is None:
             raise DomainError("provide --nu, --nu-mode, or --nu-min/--nu-max")
-        rows = []
-        for nu in _linspace(p.nu_min, p.nu_max, p.points):
-            pt = observables.prob_ratio(setup, nu)
-            rows.append(
-                {
-                    "nu": pt.nu,
-                    "r": pt.r,
-                    "at_lattice": pt.at_lattice.kind if pt.at_lattice else None,
-                }
-            )
+        else:
+            nus = _linspace(p.nu_min, p.nu_max, p.points)
+        points = (observables.prob_ratio(setup, nu) for nu in nus)
+        rows = [
+            (pt.nu, pt.r, pt.at_lattice.kind if pt.at_lattice else None) for pt in points
+        ]
     _emit(config, columns, rows)
 
 
@@ -381,14 +365,14 @@ def cmd_expectation(config: RunConfig) -> None:
     setup = _setup_from(config)
     p = config.params
     if p.nu is not None:
-        rows = [{"nu": p.nu, "Ex": observables.expectation_x(setup, p.nu)}]
+        rows = [(p.nu, observables.expectation_x(setup, p.nu))]
     else:
         if p.nu_min is None or p.nu_max is None:
             raise DomainError("provide --nu or --nu-min/--nu-max")
         rows = []
         for nu in _linspace(p.nu_min, p.nu_max, p.points):
             try:
-                rows.append({"nu": nu, "Ex": observables.expectation_x(setup, nu)})
+                rows.append((nu, observables.expectation_x(setup, nu)))
             except SingularPoint:
                 continue  # one-sided lattice points have no two-sided state
     _emit(config, ["nu", "Ex"], rows)
@@ -407,16 +391,7 @@ def cmd_amplitude(config: RunConfig) -> None:
     for n in ns:
         maximum, minimum = observables.amplitude_extrema(n)
         for which, ext in (("max", maximum), ("min", minimum)):
-            rows.append(
-                {
-                    "n": n,
-                    "which": which,
-                    "gamma_crit": ext.gamma_crit,
-                    "value": ext.value,
-                    "bracket_lo": ext.bracket[0],
-                    "bracket_hi": ext.bracket[1],
-                }
-            )
+            rows.append((n, which, ext.gamma_crit, ext.value) + ext.bracket)
     _emit(config, columns, rows)
 
 
@@ -434,15 +409,15 @@ def cmd_oracle(config: RunConfig) -> None:
         "sup_wave_error",
     ]
     rows = [
-        {
-            "index": lv.index,
-            "nu": lv.nu,
-            "is_mode": lv.is_mode,
-            "analytic_energy": lv.analytic_energy,
-            "oracle_energy": lv.oracle_energy,
-            "rel_energy_error": lv.rel_energy_error,
-            "sup_wave_error": lv.sup_wave_error,
-        }
+        (
+            lv.index,
+            lv.nu,
+            lv.is_mode,
+            lv.analytic_energy,
+            lv.oracle_energy,
+            lv.rel_energy_error,
+            lv.sup_wave_error,
+        )
         for lv in report.levels
     ]
     _emit(config, columns, rows)
@@ -486,14 +461,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", parents=[common], help="coupling sweep inside one interval")
     sp.add_argument("--interval", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=64)
+    sp.add_argument("--samples", type=_grid_size, default=64)
     sp.add_argument("--nu-max", type=float, default=120.0)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("wavefunction", parents=[common], help="eigenfunction samples")
     sp.add_argument("--nu", type=float, default=None)
     sp.add_argument("--nu-mode", type=int, default=None)
-    sp.add_argument("--points", type=int, default=257)
+    sp.add_argument("--points", type=_grid_size, default=257)
     sp.add_argument("--limit", choices=("hat", "under", "over"), default=None)
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--l", type=int, default=None)
@@ -512,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--l", type=int, default=None)
     sp.add_argument("--side", choices=("below", "above"), default="below")
-    sp.add_argument("--points", type=int, default=257)
+    sp.add_argument("--points", type=_grid_size, default=257)
     sp.set_defaults(func=cmd_limit)
 
     sp = sub.add_parser("fourier", parents=[common], help="sine-basis coefficients")
@@ -525,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--M", type=int, default=4096)
     sp.add_argument(
         "--sum-points",
-        type=int,
+        type=_grid_size,
         default=None,
         help="emit the partial sum on this many grid points instead of coefficients",
     )
@@ -536,14 +511,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nu-mode", type=int, default=None)
     sp.add_argument("--nu-min", type=float, default=None)
     sp.add_argument("--nu-max", type=float, default=None)
-    sp.add_argument("--points", type=int, default=257)
+    sp.add_argument("--points", type=_grid_size, default=257)
     sp.set_defaults(func=cmd_ratio)
 
     sp = sub.add_parser("expectation", parents=[common], help="mean position")
     sp.add_argument("--nu", type=float, default=None)
     sp.add_argument("--nu-min", type=float, default=None)
     sp.add_argument("--nu-max", type=float, default=None)
-    sp.add_argument("--points", type=int, default=257)
+    sp.add_argument("--points", type=_grid_size, default=257)
     sp.set_defaults(func=cmd_expectation)
 
     sp = sub.add_parser("amplitude", parents=[common], help="centered-site amplitude extrema")

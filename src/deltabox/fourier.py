@@ -5,8 +5,8 @@ the box, so it expands in the free modes Phi_m.  The overlap integrals all
 collapse to closed forms proportional to Phi_m(x0) over a resonance
 denominator, so the coefficients decay like 1/m**2 and partial sums converge
 uniformly.  This module produces those coefficient lists, evaluates partial
-sums with compensated summation, and reports a tail estimate alongside every
-expansion.
+sums by Clenshaw's recurrence with the angle taken from the nearer wall, and
+reports a tail estimate alongside every expansion.
 
 Sign prefactors reuse the conventions of `wavefn` and the exact lattice
 floors of `lattice`, so the expansions converge to the states as defined
@@ -28,7 +28,7 @@ from .lattice import (
     under_floor,
     under_in_shared,
 )
-from .model import Setup, nu_n, phi_mode
+from .model import Setup, check_in_box, nu_n, phi_modes
 from .wavefn import WaveKind, deep_rho, rho, trig_left_sign
 from ._special import LINEAR_WINDOW, LOG_SWITCH
 
@@ -134,8 +134,8 @@ def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpans
             def denom(m: int) -> float:
                 return (math.pi * m / setup.L) ** 2 / (t / 2) + t / 2
 
-    phi0 = [phi_mode(setup, m, setup.x0_value) for m in range(1, M + 1)]
-    coeffs = [(m, pref * phi0[m - 1] / denom(m)) for m in range(1, M + 1)]
+    phi0 = phi_modes(setup, M, setup.x0_value)
+    coeffs = [(m, pref * f / denom(m)) for m, f in enumerate(phi0, start=1)]
     return _finish(setup, kind, coeffs)
 
 
@@ -163,14 +163,11 @@ def coeffs_upsilon_hat(
         * setup.L ** 1.5
         / (math.pi * math.sqrt(setup.L**2 - 4 * setup.x0_value**2))
     )
-    coeffs: List[Tuple[int, float]] = []
-    for m in range(1, M + 1):
-        if m == p:
-            coeffs.append((m, 0.0))
-        else:
-            coeffs.append(
-                (m, pref * phi_mode(setup, m, setup.x0_value) / (m * m - p * p))
-            )
+    phi0 = phi_modes(setup, M, setup.x0_value)
+    coeffs = [
+        (m, 0.0 if m == p else pref * f / (m * m - p * p))
+        for m, f in enumerate(phi0, start=1)
+    ]
     return _finish(setup, WaveKind.limit_hat(), coeffs)
 
 
@@ -197,14 +194,10 @@ def coeffs_upsilon_under(
         sign = -sign
     pref = sign * k * setup.L**2 * math.sqrt(setup.L + 2 * setup.x0_value) / math.pi
     w2 = setup.width_left
+    phi0 = phi_modes(setup, M, setup.x0_value)
     coeffs = [
-        (
-            m,
-            pref
-            * phi_mode(setup, m, setup.x0_value)
-            / (w2 * w2 * m * m - setup.L**2 * k * k),
-        )
-        for m in range(1, M + 1)
+        (m, pref * f / (w2 * w2 * m * m - setup.L**2 * k * k))
+        for m, f in enumerate(phi0, start=1)
     ]
     return _finish(setup, WaveKind.limit_under(k, side), coeffs)
 
@@ -219,14 +212,10 @@ def coeffs_upsilon_over(setup: Setup, l: int, M: int = DEFAULT_M) -> FourierExpa
     sign = -1.0 if l % 2 else 1.0
     pref = sign * l * setup.L**2 * math.sqrt(setup.L - 2 * setup.x0_value) / math.pi
     w1 = setup.width_right
+    phi0 = phi_modes(setup, M, setup.x0_value)
     coeffs = [
-        (
-            m,
-            pref
-            * phi_mode(setup, m, setup.x0_value)
-            / (w1 * w1 * m * m - setup.L**2 * l * l),
-        )
-        for m in range(1, M + 1)
+        (m, pref * f / (w1 * w1 * m * m - setup.L**2 * l * l))
+        for m, f in enumerate(phi0, start=1)
     ]
     return _finish(setup, WaveKind.limit_over(l), coeffs)
 
@@ -237,27 +226,40 @@ def coeffs_upsilon_over(setup: Setup, l: int, M: int = DEFAULT_M) -> FourierExpa
 
 
 def partial_sum(expansion: FourierExpansion, x: float) -> float:
-    """Sum_{m<=M} a_m Phi_m(x) with Kahan-compensated accumulation."""
+    """Sum_{m<=M} a_m Phi_m(x) by Clenshaw's recurrence from the nearer wall.
+
+    Phi_m(x) = sqrt(2/L) sin(m theta_R) with theta_R = pi (L/2 - x) / L, and
+    Clenshaw (1955) gives the sum as sqrt(2/L) b_1 sin(theta_R) with
+    b_m = a_m + 2 cos(theta_R) b_{m+1} - b_{m+2}.  The angle is taken from
+    the nearer wall, theta = pi (L/2 - |x|) / L (theta_R, or pi - theta_R
+    left of the centre), an exact small difference there, whereas theta_R
+    itself rounds near pi at the left wall.  Within pi/3 of a wall,
+    2 cos(theta_R) = +/-(2 - lam) with lam = 4 sin(theta/2)**2, and forming
+    it would cancel lam away; Reinsch's form carries d_m = b_m -/+ b_{m+1}
+    and lam itself instead (Gentleman, Computer J. 12, 1969).  The middle
+    third runs the plain recurrence.  Raises DomainError for x outside the
+    box.
+    """
     setup = expansion.setup
-    total = 0.0
-    carry = 0.0
-    for m, a in expansion.coefficients:
-        if a == 0.0:
-            continue
-        term = a * phi_mode(setup, m, x) - carry
-        fresh = total + term
-        carry = (fresh - total) - term
-        total = fresh
-    return total
+    check_in_box(setup, x)
+    theta = math.pi * (setup.L / 2 - abs(x)) / setup.L
+    lam = 4 * math.sin(theta / 2) ** 2
+    two_cos = math.copysign(2 * math.cos(theta), x)  # 2 cos(theta_R)
+    b = d = 0.0
+    if theta >= math.pi / 3:
+        for _, a in reversed(expansion.coefficients):
+            b, d = a + two_cos * b - d, b  # d holds b_{m+2}
+    elif x >= 0:
+        for _, a in reversed(expansion.coefficients):
+            d += a - lam * b
+            b += d
+    else:
+        for _, a in reversed(expansion.coefficients):
+            d = a + lam * b - d
+            b = d - b
+    return math.sqrt(2 / setup.L) * b * math.sin(theta) + 0.0  # no -0.0 at a wall
 
 
 def parseval_defect(expansion: FourierExpansion) -> float:
     """1 - sum a_m**2, the truncated mass deficit of a unit-norm state."""
-    total = 0.0
-    carry = 0.0
-    for _, a in expansion.coefficients:
-        term = a * a - carry
-        fresh = total + term
-        carry = (fresh - total) - term
-        total = fresh
-    return 1.0 - total
+    return 1.0 - math.fsum(a * a for _, a in expansion.coefficients)

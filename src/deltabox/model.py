@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import List, Union
 
 from .errors import DomainError
 
@@ -215,6 +215,13 @@ def nu_n(setup: Setup, n: int) -> float:
     return 2 * n * math.pi / setup.L
 
 
+def check_in_box(setup: Setup, x: float) -> None:
+    """Raise DomainError unless -L/2 <= x <= L/2 (a NaN x is outside)."""
+    half = setup.L / 2
+    if not (-half <= x <= half):
+        raise DomainError(f"x = {x!r} lies outside the box [{-half}, {half}]")
+
+
 def phi_mode(setup: Setup, n: int, x: float) -> float:
     """Normalized free-well eigenfunction sqrt(2/L) sin((nu_n/2)(L/2 - x)).
 
@@ -223,10 +230,16 @@ def phi_mode(setup: Setup, n: int, x: float) -> float:
     """
     if n < 1:
         raise DomainError(f"mode index must be >= 1, got n={n}")
-    if x < -setup.L / 2 or x > setup.L / 2:
-        raise DomainError(f"x = {x} lies outside the box [-{setup.L / 2}, {setup.L / 2}]")
+    check_in_box(setup, x)
     half_nu = n * math.pi / setup.L
     return math.sqrt(2 / setup.L) * math.sin(half_nu * (setup.L / 2 - x))
+
+
+def phi_modes(setup: Setup, M: int, x: float) -> List[float]:
+    """[Phi_1(x), ..., Phi_M(x)], each bit equal to phi_mode's, one domain check."""
+    check_in_box(setup, x)
+    L, norm, arm = setup.L, math.sqrt(2 / setup.L), setup.L / 2 - x
+    return [norm * math.sin(m * math.pi / L * arm) for m in range(1, M + 1)]
 
 
 def energy_from_nu(setup: Setup, nu: float) -> float:

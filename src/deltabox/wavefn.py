@@ -37,7 +37,7 @@ from .lattice import (
     under_floor,
     under_in_shared,
 )
-from .model import Setup, nu_n, phi_mode
+from .model import Setup, check_in_box, nu_n, phi_mode
 from ._special import (
     LINEAR_WINDOW,
     LOG_SWITCH,
@@ -123,12 +123,6 @@ class LimitResidualReport:
 # ============================================================
 
 
-def _check_x(setup: Setup, x: float) -> None:
-    half = setup.L / 2
-    if not (-half <= x <= half):
-        raise DomainError(f"x={x!r} outside the box [{-half}, {half}]")
-
-
 def trig_left_sign(setup: Setup, nu: float) -> float:
     """Sign factor (-1)**floor(a2/pi) carried by the left trig piece."""
     a2 = (nu / 2) * setup.width_left
@@ -143,7 +137,7 @@ def eval_psi(setup: Setup, nu: float, x: float) -> WaveSample:
     deep that the sinh products exceed float range (|nu| L / 2 > ~709); use
     eval_normalized for those.
     """
-    _check_x(setup, x)
+    check_in_box(setup, x)
     w1 = setup.width_right
     w2 = setup.width_left
     if nu > 0:
@@ -296,7 +290,7 @@ def sample_wave(setup: Setup, nu: float, xs: "list[float]") -> "list[WaveSample]
     norm = 4 * deep_rho(setup, nu)
     out = []
     for x in xs:
-        _check_x(setup, x)
+        check_in_box(setup, x)
         if x <= setup.x0_value:
             arm = (t / 2) * (setup.L / 2 + x)
             other = t * setup.width_right / 2
@@ -358,7 +352,7 @@ def upsilon_hat(setup: Setup, nu_hat: float, x: float) -> WaveSample:
     point, identical along both coupling paths.  Raises NotInK unless nu_hat
     is on the shared lattice (lattice.shared_mode).
     """
-    _check_x(setup, x)
+    check_in_box(setup, x)
     n = shared_mode(setup, nu_hat)
     root_q = math.sqrt(setup.q_ratio)
     if x <= setup.x0_value:
@@ -376,7 +370,7 @@ def upsilon_under(setup: Setup, k: int, side: str, x: float) -> WaveSample:
     give opposite overall signs.  Raises InK when the k-th left value also
     lies on the shared lattice, where the limit is upsilon_hat instead.
     """
-    _check_x(setup, x)
+    check_in_box(setup, x)
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k!r}")
     if side not in ("below", "above"):
@@ -402,7 +396,7 @@ def upsilon_over(setup: Setup, l: int, x: float) -> WaveSample:
     coupling paths.  Raises InK when the l-th right value also lies on the
     shared lattice.
     """
-    _check_x(setup, x)
+    check_in_box(setup, x)
     if l < 1:
         raise DomainError(f"l must be >= 1, got {l!r}")
     if over_in_shared(setup, l) is not None:

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from deltabox import cli, oracle
+from deltabox.errors import DomainError
 from deltabox.model import RationalX0, make_setup, nu_n, phi_mode
 from deltabox.observables import amplitude_extrema, prob_ratio, prob_ratio_at_mode
 
@@ -119,6 +120,33 @@ def test_deep_evanescent_fourier_exits_0(capsys):
     rows = parse_csv(out)
     assert [row["m"] for row in rows] == ["1", "2", "3"]
     assert all(0 < abs(float(row["a_m"])) < 1e-149 for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("wavefunction", "--nu", "5", "--points"),
+        ("limit", "--kind", "over", "--l", "1", "--points"),
+        ("ratio", "--nu-min", "1", "--nu-max", "2", "--points"),
+        ("expectation", "--nu-min", "1", "--nu-max", "2", "--points"),
+        ("fourier", "--nu", "5", "--M", "8", "--sum-points"),
+        ("sweep", "--interval", "2", "--samples"),
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_empty_grid_exits_2(capsys, argv, size):
+    code = cli.main([*argv, size])
+    assert code == 2
+    assert "at least one point" in capsys.readouterr().err
+
+
+def test_one_point_grid_is_the_lower_end(capsys):
+    code, out = run_cli(capsys, "fourier", "--nu", "5", "--M", "8", "--sum-points", "1")
+    assert code == 0
+    assert [float(row["x"]) for row in parse_csv(out)] == [-0.5]
+    with pytest.raises(DomainError):
+        cli._linspace(-0.5, 0.5, 0)
 
 
 def test_missing_nu_exits_3(capsys):

@@ -171,6 +171,65 @@ def test_general_expansion_at_shared_mode_matches_eval_normalized(p, q, n):
     assert err < 4e-3
 
 
+def mp_partial_sum(expansion, x, mpmath):
+    """Sum_m a_m Phi_m(x) of the float coefficients in 40-digit arithmetic."""
+    L = mpmath.mpf(expansion.setup.L)
+    theta = mpmath.pi * (L / 2 - mpmath.mpf(x)) / L
+    terms = (mpmath.mpf(a) * mpmath.sin(m * theta) for m, a in expansion.coefficients)
+    return mpmath.sqrt(2 / L) * mpmath.fsum(terms)
+
+
+@pytest.mark.parametrize(
+    "x0", [RationalX0(1, 4), RationalX0(0, 1), RealX0(0.3)], ids=["1/4", "0/1", "real0.3"]
+)
+def test_partial_sums_are_relatively_accurate_at_both_walls(x0):
+    """Within L/1000 to L*1e-9 of either wall, where every term is small."""
+    mpmath = pytest.importorskip("mpmath")
+    s = make_setup(L=1.0, x0=x0, c=1.0)
+    expansions = [coeffs_general(s, nu, M=1024) for nu in (37.3, -9.0, 0.0)]
+    if x0 == RationalX0(1, 4):
+        expansions.append(coeffs_upsilon_hat(s, nu_n(s, 8), M=1024))
+    with mpmath.workdps(40):
+        for expansion in expansions:
+            for delta in (1e-3, 1e-4, 1e-6, 1e-9):
+                for x in (s.L / 2 - delta * s.L, -(s.L / 2 - delta * s.L)):
+                    exact = mp_partial_sum(expansion, x, mpmath)
+                    rel = abs((partial_sum(expansion, x) - exact) / exact)
+                    assert rel <= 1e-13, (expansion.kind, x)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 2048])
+def test_partial_sums_match_direct_summation(M):
+    s = setup_pq(1, 4)
+    expansions = [
+        coeffs_general(s, 7.3, M=M),
+        coeffs_upsilon_hat(s, nu_n(s, 8), M=M),
+        coeffs_upsilon_under(s, 2, M=M),
+        coeffs_upsilon_over(s, 2, M=M),
+    ]
+    xs = [-s.L / 2 + i * s.L / 64 for i in range(65)]
+    for expansion in expansions:
+        for x in xs:
+            direct = math.fsum(a * phi_mode(s, m, x) for m, a in expansion.coefficients)
+            assert abs(partial_sum(expansion, x) - direct) <= 1e-13, (expansion.kind, x)
+
+
+def test_one_hot_partial_sum_is_the_mode():
+    s = setup_pq(1, 4)
+    expansion = coeffs_general(s, nu_n(s, 5), M=16)
+    for i in range(65):
+        x = -s.L / 2 + i * s.L / 64
+        assert partial_sum(expansion, x) == pytest.approx(phi_mode(s, 5, x), abs=1e-14)
+
+
+def test_partial_sum_rejects_points_outside_the_box():
+    s = setup_pq(1, 4)
+    expansion = coeffs_general(s, 7.3, M=8)
+    for x in (-s.L / 2 - 1e-12, s.L / 2 + 1e-12, 2 * s.L, math.nan):
+        with pytest.raises(DomainError):
+            partial_sum(expansion, x)
+
+
 def test_parseval_defect_shrinks_with_truncation_order():
     s = setup_pq(1, 4)
     defects = [abs(parseval_defect(coeffs_general(s, 7.3, M=M))) for M in (64, 256, 1024)]

@@ -15,6 +15,7 @@ from deltabox.model import (
     make_setup,
     nu_n,
     phi_mode,
+    phi_modes,
 )
 
 from _quad import simpson
@@ -107,6 +108,20 @@ def test_mode_function_normalized_and_vanishes_at_walls(n):
     assert norm == pytest.approx(1.0, rel=1e-10)
     assert phi_mode(s, n, -s.L / 2) == pytest.approx(0.0, abs=1e-12)
     assert phi_mode(s, n, s.L / 2) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "L, x0",
+    [(1.0, RationalX0(1, 4)), (1.0, RationalX0(0, 1)), (2.5, RationalX0(3, 4)), (1.0, RealX0(0.3))],
+)
+def test_phi_modes_is_phi_mode_bit_for_bit(L, x0):
+    s = make_setup(L=L, x0=x0, c=1.0)
+    M = 16384
+    for x in (s.x0_value, -s.L / 2, s.L / 2):
+        assert phi_modes(s, M, x) == [phi_mode(s, m, x) for m in range(1, M + 1)]
+    for x in (-s.L / 2 - 1e-12, 1.5 * s.L, math.nan):
+        with pytest.raises(DomainError):
+            phi_modes(s, M, x)
 
 
 @given(
