@@ -117,6 +117,17 @@ def _grid_size(text: str) -> int:
     return n
 
 
+def _finite_float(text: str) -> float:
+    """argparse type hook: a wave number or coupling must be finite (exit 2 otherwise)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _linspace(lo: float, hi: float, n: int) -> List[float]:
     if n < 1:
         raise DomainError(f"a grid needs at least one point, got {n}")
@@ -252,23 +263,14 @@ def _resolve_nu(setup: Setup, params: argparse.Namespace) -> float:
     raise DomainError("provide --nu or --nu-mode")
 
 
-def _limit_samples(
-    setup: Setup, kind: str, nu: Optional[float], k: Optional[int], l: Optional[int],
-    side: str, xs: List[float],
-) -> List[wavefn.WaveSample]:
+def _limit_state(setup: Setup, kind: str, p: argparse.Namespace) -> wavefn.LimitState:
+    """The limit state that --limit/--kind, --nu/--nu-mode, --k, --l and --side name."""
     if kind == "hat":
-        if nu is None:
-            raise DomainError("the hat limit needs --nu or --nu-mode")
-        return [wavefn.upsilon_hat(setup, nu, x) for x in xs]
-    if kind == "under":
-        if k is None:
-            raise DomainError("the under limit needs --k")
-        return [wavefn.upsilon_under(setup, k, side, x) for x in xs]
-    if kind == "over":
-        if l is None:
-            raise DomainError("the over limit needs --l")
-        return [wavefn.upsilon_over(setup, l, x) for x in xs]
-    raise DomainError(f"unknown limit kind {kind!r}")
+        return wavefn.limit_state(setup, kind, _resolve_nu(setup, p))
+    index, flag = (p.k, "--k") if kind == "under" else (p.l, "--l")
+    if index is None:
+        raise DomainError(f"the {kind} limit needs {flag}")
+    return wavefn.limit_state(setup, kind, index, p.side)
 
 
 def _kind_label(kind: wavefn.WaveKind) -> str:
@@ -294,13 +296,9 @@ def cmd_wavefunction(config: RunConfig) -> None:
         _emit(config, ["x", "value", "kind"], rows)
         return
     if p.limit is not None:
-        nu = None
-        if p.nu_mode is not None or p.nu is not None:
-            nu = _resolve_nu(setup, p)
-        samples = _limit_samples(setup, p.limit, nu, p.k, p.l, p.side, xs)
+        samples = _limit_state(setup, p.limit, p).sample(xs)
     else:
-        nu = _resolve_nu(setup, p)
-        samples = wavefn.sample_wave(setup, nu, xs)
+        samples = wavefn.sample_wave(setup, _resolve_nu(setup, p), xs)
     rows = [(s.x, s.value, _kind_label(s.kind)) for s in samples]
     _emit(config, ["x", "value", "kind"], rows)
 
@@ -309,27 +307,15 @@ def cmd_limit(config: RunConfig) -> None:
     setup = _setup_from(config)
     p = config.params
     xs = _linspace(-setup.L / 2, setup.L / 2, p.points)
-    nu = None
-    if p.nu_mode is not None or p.nu is not None:
-        nu = _resolve_nu(setup, p)
-    samples = _limit_samples(setup, p.kind, nu, p.k, p.l, p.side, xs)
-    rows = [(s.x, s.value) for s in samples]
+    rows = [(s.x, s.value) for s in _limit_state(setup, p.kind, p).sample(xs)]
     _emit(config, ["x", "value"], rows)
 
 
 def cmd_fourier(config: RunConfig) -> None:
     setup = _setup_from(config)
     p = config.params
-    if p.limit == "hat":
-        expansion = fourier_mod.coeffs_upsilon_hat(setup, _resolve_nu(setup, p), p.M)
-    elif p.limit == "under":
-        if p.k is None:
-            raise DomainError("the under limit needs --k")
-        expansion = fourier_mod.coeffs_upsilon_under(setup, p.k, p.M, p.side)
-    elif p.limit == "over":
-        if p.l is None:
-            raise DomainError("the over limit needs --l")
-        expansion = fourier_mod.coeffs_upsilon_over(setup, p.l, p.M)
+    if p.limit is not None:
+        expansion = fourier_mod.coeffs_limit(_limit_state(setup, p.limit, p), p.M)
     else:
         expansion = fourier_mod.coeffs_general(setup, _resolve_nu(setup, p), p.M)
     if p.sum_points is not None:
@@ -451,22 +437,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("partition", parents=[common], help="lattice points and intervals")
-    sp.add_argument("--nu-max", type=float, default=60.0)
+    sp.add_argument("--nu-max", type=_finite_float, default=60.0)
     sp.set_defaults(func=cmd_partition)
 
     sp = sub.add_parser("spectrum", parents=[common], help="lowest levels for a coupling")
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--count", type=int, default=8)
+    sp.add_argument("--alpha", type=_finite_float, required=True)
+    sp.add_argument("--count", type=_grid_size, default=8)
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("sweep", parents=[common], help="coupling sweep inside one interval")
     sp.add_argument("--interval", type=int, required=True)
     sp.add_argument("--samples", type=_grid_size, default=64)
-    sp.add_argument("--nu-max", type=float, default=120.0)
+    sp.add_argument("--nu-max", type=_finite_float, default=120.0)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("wavefunction", parents=[common], help="eigenfunction samples")
-    sp.add_argument("--nu", type=float, default=None)
+    sp.add_argument("--nu", type=_finite_float, default=None)
     sp.add_argument("--nu-mode", type=int, default=None)
     sp.add_argument("--points", type=_grid_size, default=257)
     sp.add_argument("--limit", choices=("hat", "under", "over"), default=None)
@@ -482,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("limit", parents=[common], help="limit-state samples")
     sp.add_argument("--kind", choices=("hat", "under", "over"), required=True)
-    sp.add_argument("--nu", type=float, default=None)
+    sp.add_argument("--nu", type=_finite_float, default=None)
     sp.add_argument("--nu-mode", type=int, default=None)
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--l", type=int, default=None)
@@ -491,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_limit)
 
     sp = sub.add_parser("fourier", parents=[common], help="sine-basis coefficients")
-    sp.add_argument("--nu", type=float, default=None)
+    sp.add_argument("--nu", type=_finite_float, default=None)
     sp.add_argument("--nu-mode", type=int, default=None)
     sp.add_argument("--limit", choices=("hat", "under", "over"), default=None)
     sp.add_argument("--k", type=int, default=None)
@@ -507,27 +493,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_fourier)
 
     sp = sub.add_parser("ratio", parents=[common], help="right/left probability ratio")
-    sp.add_argument("--nu", type=float, default=None)
+    sp.add_argument("--nu", type=_finite_float, default=None)
     sp.add_argument("--nu-mode", type=int, default=None)
-    sp.add_argument("--nu-min", type=float, default=None)
-    sp.add_argument("--nu-max", type=float, default=None)
+    sp.add_argument("--nu-min", type=_finite_float, default=None)
+    sp.add_argument("--nu-max", type=_finite_float, default=None)
     sp.add_argument("--points", type=_grid_size, default=257)
     sp.set_defaults(func=cmd_ratio)
 
     sp = sub.add_parser("expectation", parents=[common], help="mean position")
-    sp.add_argument("--nu", type=float, default=None)
-    sp.add_argument("--nu-min", type=float, default=None)
-    sp.add_argument("--nu-max", type=float, default=None)
+    sp.add_argument("--nu", type=_finite_float, default=None)
+    sp.add_argument("--nu-min", type=_finite_float, default=None)
+    sp.add_argument("--nu-max", type=_finite_float, default=None)
     sp.add_argument("--points", type=_grid_size, default=257)
     sp.set_defaults(func=cmd_expectation)
 
     sp = sub.add_parser("amplitude", parents=[common], help="centered-site amplitude extrema")
     sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--n-max", type=int, default=None)
+    sp.add_argument("--n-max", type=_grid_size, default=None)
     sp.set_defaults(func=cmd_amplitude)
 
     sp = sub.add_parser("oracle", parents=[common], help="finite-difference cross-check")
-    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--alpha", type=_finite_float, required=True)
     sp.add_argument("--grid", type=int, default=2047)
     sp.add_argument("--count", type=int, default=6)
     sp.set_defaults(func=cmd_oracle)

@@ -8,9 +8,9 @@ uniformly.  This module produces those coefficient lists, evaluates partial
 sums by Clenshaw's recurrence with the angle taken from the nearer wall, and
 reports a tail estimate alongside every expansion.
 
-Sign prefactors reuse the conventions of `wavefn` and the exact lattice
-floors of `lattice`, so the expansions converge to the states as defined
-there, not merely up to sign.
+Branches, signs and norms come from the records of `wavefn.general_state`
+and `wavefn.limit_state`, so the expansions converge to the states as
+defined there, not merely up to sign.
 """
 
 from __future__ import annotations
@@ -19,18 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .errors import DomainError, InK
-from .lattice import (
-    LIMIT_WINDOW_RTOL,
-    over_in_shared,
-    shared_mode,
-    shared_mode_near,
-    under_floor,
-    under_in_shared,
-)
+from .errors import DomainError
 from .model import Setup, check_in_box, nu_n, phi_modes
-from .wavefn import WaveKind, deep_rho, rho, trig_left_sign
-from ._special import LINEAR_WINDOW, LOG_SWITCH
+from .wavefn import LimitState, WaveKind, general_state, limit_state
 
 # Default truncation order; the 1/m**2 decay puts the sup-norm tail near
 # a few parts in M.
@@ -81,7 +72,7 @@ def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpans
     """Expansion of the normalized eigenfunction at branch parameter nu.
 
     Within the limit-state window around a shared-lattice value (1e-8
-    relative, as in wavefn.eval_normalized) the state is the continuous
+    relative, as in wavefn.general_state) the state is the continuous
     limit state and its expansion is coeffs_upsilon_hat.  At any other
     free-mode value (within 1e-12 relative) the state is the free mode
     itself and the expansion is exactly one-hot.  Inside the linear window
@@ -91,52 +82,44 @@ def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpans
     differ in the sign of the nu**2/4 term and in sin versus sinh.
     """
     _check_m(M)
-    shared = shared_mode_near(setup, nu, LIMIT_WINDOW_RTOL)
-    if shared is not None:
-        return coeffs_upsilon_hat(setup, nu_n(setup, shared), M)
-    if abs(nu) * setup.L < LINEAR_WINDOW:
-        nu = 0.0
-    if nu > 0:
+    state = general_state(setup, nu)
+    if isinstance(state, LimitState):
+        return coeffs_limit(state, M)
+    nu, t = state.nu, -state.nu
+    if state.branch == "trig":
         n_guess = round(nu / nu_n(setup, 1))
         if n_guess >= 1 and abs(nu - nu_n(setup, n_guess)) <= _MODE_SNAP_RTOL * nu:
-            return _one_hot(setup, WaveKind.trig(), n_guess, M)
-        pref = trig_left_sign(setup, nu) * (nu / (2 * rho(setup, nu))) * math.sin(
-            nu * setup.L / 2
-        )
-        kind = WaveKind.trig()
+            return _one_hot(setup, state.kind, n_guess, M)
+        pref = state.sign * (nu / (2 * state.norm)) * math.sin(nu * setup.L / 2)
 
         def denom(m: int) -> float:
             return (math.pi * m / setup.L) ** 2 - (nu / 2) ** 2
 
-    elif nu == 0:
+    elif state.branch == "linear":
         pref = 4 * math.sqrt(3) * math.sqrt(setup.L) / (
             setup.L**2 - 4 * setup.x0_value**2
         )
-        kind = WaveKind.linear()
 
         def denom(m: int) -> float:
             return (math.pi * m / setup.L) ** 2
 
+    elif state.branch == "hyper":
+        pref = (t / (2 * state.norm)) * math.sinh(t * setup.L / 2)
+
+        def denom(m: int) -> float:
+            return (math.pi * m / setup.L) ** 2 + (t / 2) ** 2
+
     else:
-        t = -nu
-        kind = WaveKind.hyper()
-        if t * setup.L < LOG_SWITCH:
-            pref = (t / (2 * rho(setup, nu))) * math.sinh(t * setup.L / 2)
+        # sinh(t L / 2) / rho = -expm1(-t L) / (2 deep_rho); the factor
+        # t / 2 moves into the denominator, which would overflow near t**2.
+        pref = -math.expm1(-t * setup.L) / (2 * state.norm)
 
-            def denom(m: int) -> float:
-                return (math.pi * m / setup.L) ** 2 + (t / 2) ** 2
-
-        else:
-            # sinh(t L / 2) / rho = -expm1(-t L) / (2 deep_rho); the factor
-            # t / 2 moves into the denominator, which would overflow near t**2.
-            pref = -math.expm1(-t * setup.L) / (2 * deep_rho(setup, nu))
-
-            def denom(m: int) -> float:
-                return (math.pi * m / setup.L) ** 2 / (t / 2) + t / 2
+        def denom(m: int) -> float:
+            return (math.pi * m / setup.L) ** 2 / (t / 2) + t / 2
 
     phi0 = phi_modes(setup, M, setup.x0_value)
     coeffs = [(m, pref * f / denom(m)) for m, f in enumerate(phi0, start=1)]
-    return _finish(setup, kind, coeffs)
+    return _finish(setup, state.kind, coeffs)
 
 
 # ============================================================
@@ -144,31 +127,48 @@ def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpans
 # ============================================================
 
 
+def coeffs_limit(state: LimitState, M: int = DEFAULT_M) -> FourierExpansion:
+    """Expansion of a limit state resolved by wavefn.limit_state.
+
+    Hat (mode p): a_m = c_p * Phi_m(x0) / (m**2 - p**2) for m != p, and
+    a_p = 0 exactly: the limit state is orthogonal to the free mode it
+    replaces, and to every mode that vanishes at x0.  One-sided (mode j,
+    compartment width w): a_m = c_j * Phi_m(x0) / (w**2 m**2 - L**2 j**2),
+    signed by state.coeff_sign.  Those denominators never vanish: a
+    vanishing one would place the j-th one-sided value on the free-mode
+    lattice and hence on the shared lattice, which limit_state rejects.
+    """
+    _check_m(M)
+    setup, j = state.setup, state.mode
+    phi0 = phi_modes(setup, M, setup.x0_value)
+    if state.kind.label == "limit_hat":
+        pref = (
+            math.cos((j * math.pi / setup.L) * (setup.L / 2 - setup.x0_value))
+            * 2
+            * math.sqrt(2)
+            * j
+            * setup.L ** 1.5
+            / (math.pi * math.sqrt(setup.L**2 - 4 * setup.x0_value**2))
+        )
+        coeffs = [
+            (m, 0.0 if m == j else pref * f / (m * m - j * j))
+            for m, f in enumerate(phi0, start=1)
+        ]
+    else:
+        w = state.width
+        pref = state.coeff_sign * j * setup.L**2 * state.root / math.pi
+        coeffs = [
+            (m, pref * f / (w * w * m * m - setup.L**2 * j * j))
+            for m, f in enumerate(phi0, start=1)
+        ]
+    return _finish(setup, state.kind, coeffs)
+
+
 def coeffs_upsilon_hat(
     setup: Setup, nu_hat: float, M: int = DEFAULT_M
 ) -> FourierExpansion:
-    """Expansion of the continuous limit state at shared-lattice value nu_hat.
-
-    a_m = c_p * Phi_m(x0) / (m**2 - p**2) for m != p, and a_p = 0 exactly:
-    the limit state is orthogonal to the free mode it replaces, and to every
-    mode that vanishes at x0.
-    """
-    _check_m(M)
-    p = shared_mode(setup, nu_hat)
-    pref = (
-        math.cos((p * math.pi / setup.L) * (setup.L / 2 - setup.x0_value))
-        * 2
-        * math.sqrt(2)
-        * p
-        * setup.L ** 1.5
-        / (math.pi * math.sqrt(setup.L**2 - 4 * setup.x0_value**2))
-    )
-    phi0 = phi_modes(setup, M, setup.x0_value)
-    coeffs = [
-        (m, 0.0 if m == p else pref * f / (m * m - p * p))
-        for m, f in enumerate(phi0, start=1)
-    ]
-    return _finish(setup, WaveKind.limit_hat(), coeffs)
+    """Expansion of the continuous limit state at shared-lattice value nu_hat."""
+    return coeffs_limit(limit_state(setup, "hat", nu_hat), M)
 
 
 def coeffs_upsilon_under(
@@ -176,48 +176,14 @@ def coeffs_upsilon_under(
 ) -> FourierExpansion:
     """Expansion of the left one-sided limit state with index k.
 
-    Denominators (L/2 + x0)**2 m**2 - L**2 k**2 never vanish for valid k:
-    a vanishing one would place the k-th left value on the free-mode lattice
-    and hence on the shared lattice, which upsilon_under rejects.  side
-    selects the coupling path; "above" negates every coefficient.
+    side selects the coupling path; "above" negates every coefficient.
     """
-    _check_m(M)
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k!r}")
-    if side not in ("below", "above"):
-        raise DomainError(f"side must be 'below' or 'above', got {side!r}")
-    if under_in_shared(setup, k) is not None:
-        raise InK(f"left lattice index k={k} lies on the shared lattice")
-    exponent = 1 + (under_floor(setup, k) - k)
-    sign = -1.0 if exponent % 2 else 1.0
-    if side == "above":
-        sign = -sign
-    pref = sign * k * setup.L**2 * math.sqrt(setup.L + 2 * setup.x0_value) / math.pi
-    w2 = setup.width_left
-    phi0 = phi_modes(setup, M, setup.x0_value)
-    coeffs = [
-        (m, pref * f / (w2 * w2 * m * m - setup.L**2 * k * k))
-        for m, f in enumerate(phi0, start=1)
-    ]
-    return _finish(setup, WaveKind.limit_under(k, side), coeffs)
+    return coeffs_limit(limit_state(setup, "under", k, side), M)
 
 
 def coeffs_upsilon_over(setup: Setup, l: int, M: int = DEFAULT_M) -> FourierExpansion:
     """Expansion of the right one-sided limit state with index l."""
-    _check_m(M)
-    if l < 1:
-        raise DomainError(f"l must be >= 1, got {l!r}")
-    if over_in_shared(setup, l) is not None:
-        raise InK(f"right lattice index l={l} lies on the shared lattice")
-    sign = -1.0 if l % 2 else 1.0
-    pref = sign * l * setup.L**2 * math.sqrt(setup.L - 2 * setup.x0_value) / math.pi
-    w1 = setup.width_right
-    phi0 = phi_modes(setup, M, setup.x0_value)
-    coeffs = [
-        (m, pref * f / (w1 * w1 * m * m - setup.L**2 * l * l))
-        for m, f in enumerate(phi0, start=1)
-    ]
-    return _finish(setup, WaveKind.limit_over(l), coeffs)
+    return coeffs_limit(limit_state(setup, "over", l), M)
 
 
 # ============================================================

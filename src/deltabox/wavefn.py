@@ -10,6 +10,15 @@ as the coupling strength diverges: a continuous state on the shared lattice
 and one-sided states that fill a single compartment and vanish identically
 on the other.
 
+Each state is resolved once and then sampled.  `general_state` makes the
+window and branch decision for a normalized eigenfunction at nu (the
+shared-lattice window, where it returns the hat limit state, the linear
+window, trig, hyper or deep) and computes the per-branch amplitudes, the
+sign and the norm.  `limit_state` validates a limit state (index, side,
+lattice membership) and fixes its sign and amplitude.  Both records sample
+a list of positions in one pass (`sample`) and feed `fourier`'s coefficient
+builders; the one-point functions are the one-element case.
+
 Conventions fixed here and relied on elsewhere:
 
 * the right piece of a trig state carries amplitude |sin(a2)| >= 0, the left
@@ -25,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Union
 
 from .errors import DomainError, InK
 from .lattice import (
@@ -37,7 +46,7 @@ from .lattice import (
     under_floor,
     under_in_shared,
 )
-from .model import Setup, check_in_box, nu_n, phi_mode
+from .model import Setup, check_in_box, nu_n
 from ._special import (
     LINEAR_WINDOW,
     LOG_SWITCH,
@@ -69,30 +78,6 @@ class WaveKind:
     l: Optional[int] = None
     side: Optional[str] = None
 
-    @classmethod
-    def trig(cls) -> "WaveKind":
-        return cls("trig")
-
-    @classmethod
-    def linear(cls) -> "WaveKind":
-        return cls("linear")
-
-    @classmethod
-    def hyper(cls) -> "WaveKind":
-        return cls("hyper")
-
-    @classmethod
-    def limit_hat(cls) -> "WaveKind":
-        return cls("limit_hat")
-
-    @classmethod
-    def limit_under(cls, k: int, side: str) -> "WaveKind":
-        return cls("limit_under", k=k, side=side)
-
-    @classmethod
-    def limit_over(cls, l: int) -> "WaveKind":
-        return cls("limit_over", l=l)
-
 
 @dataclass(frozen=True)
 class WaveSample:
@@ -119,6 +104,78 @@ class LimitResidualReport:
 
 
 # ============================================================
+# Resolved states
+# ============================================================
+
+
+# The state records are not frozen: the one-point functions build one per
+# call, and a frozen dataclass takes several times longer to construct.
+@dataclass
+class _Pieces:
+    """A state's two half-waves: left(x) for x <= x0, right(x) for x > x0."""
+
+    setup: Setup
+    kind: WaveKind
+    left: Callable[[float], float]
+    right: Callable[[float], float]
+
+    def sample(self, xs: "list[float]") -> "list[WaveSample]":
+        """The state on a list of positions; DomainError for one outside the box."""
+        setup, kind, left, right = self.setup, self.kind, self.left, self.right
+        x0 = setup.x0_value
+        out = []
+        for x in xs:
+            check_in_box(setup, x)
+            out.append(WaveSample(x, left(x) if x <= x0 else right(x), kind))
+        return out
+
+
+@dataclass
+class GeneralState(_Pieces):
+    """The eigenfunction at one nu, resolved once by general_state.
+
+    branch is "trig", "linear" (nu is then 0), "hyper" or "deep" (t L >=
+    LOG_SWITCH with t = -nu, sampled with its exp(t L / 2) divided out).
+    sign is trig_left_sign on the trig branch and 1.0 elsewhere; norm is the
+    divisor of every value: rho, deep_rho on the deep branch, or 1.0 for
+    the unnormalized state of eval_psi.
+    """
+
+    branch: str
+    nu: float
+    sign: float
+    norm: float
+
+
+@dataclass
+class LimitState(_Pieces):
+    """A limit state, validated once by limit_state.
+
+    mode is n (hat), k (under) or l (over).  sign is the overall sign s: +1
+    for hat and over, (-1)**(F-1) for under with F = floor(k L / (L/2 + x0))
+    (lattice.under_floor), negated on the "above" path.  For the one-sided
+    states amp = s * 2 / root is the amplitude in the filled compartment,
+    root = sqrt(L +/- 2 x0) and width is that compartment's width.  For hat
+    amp is the free-mode amplitude sqrt(2/L), root is sqrt(q_ratio) (the
+    left piece is -root phi_n, the right phi_n / root) and width is L.
+    """
+
+    mode: int
+    sign: float
+    amp: float
+    root: float
+    width: float
+
+    @property
+    def coeff_sign(self) -> float:
+        """s * (-1)**mode: the sign of a one-sided state's sine coefficients.
+
+        Its derivative-jump constant kappa carries the opposite sign.
+        """
+        return self.sign * (-1.0 if self.mode % 2 else 1.0)
+
+
+# ============================================================
 # Raw (unnormalized) eigenfunctions
 # ============================================================
 
@@ -129,6 +186,28 @@ def trig_left_sign(setup: Setup, nu: float) -> float:
     return -1.0 if hardened_floor(a2 / math.pi) % 2 else 1.0
 
 
+def _direct(setup: Setup, nu: float, norm: float) -> GeneralState:
+    """The trig, linear or evanescent state at nu with every value divided by norm."""
+    half, w1, w2, sign = setup.L / 2, setup.width_right, setup.width_left, 1.0
+    if nu > 0:
+        branch, f, k = "trig", math.sin, nu / 2
+        sign = trig_left_sign(setup, nu)
+        a, b = sign * math.sin(k * w1), abs(math.sin(k * w2))
+    elif nu == 0:
+        # w1 (L/2 + x) and w2 (L/2 - x): float is the identity here.
+        branch, f, k, a, b = "linear", float, 1.0, w1, w2
+    else:
+        t = -nu
+        branch, f, k = "hyper", math.sinh, t / 2
+        a, b = math.sinh(t * w1 / 2), math.sinh(t * w2 / 2)
+    return GeneralState(
+        setup=setup, kind=WaveKind(branch),
+        left=lambda x: a * f(k * (half + x)) / norm,
+        right=lambda x: b * f(k * (half - x)) / norm,
+        branch=branch, nu=nu, sign=sign, norm=norm,
+    )
+
+
 def eval_psi(setup: Setup, nu: float, x: float) -> WaveSample:
     """Unnormalized eigenfunction value at x for branch parameter nu.
 
@@ -137,31 +216,7 @@ def eval_psi(setup: Setup, nu: float, x: float) -> WaveSample:
     deep that the sinh products exceed float range (|nu| L / 2 > ~709); use
     eval_normalized for those.
     """
-    check_in_box(setup, x)
-    w1 = setup.width_right
-    w2 = setup.width_left
-    if nu > 0:
-        a1 = (nu / 2) * w1
-        a2 = (nu / 2) * w2
-        if x <= setup.x0_value:
-            value = trig_left_sign(setup, nu) * math.sin(a1) * math.sin(
-                (nu / 2) * (setup.L / 2 + x)
-            )
-        else:
-            value = abs(math.sin(a2)) * math.sin((nu / 2) * (setup.L / 2 - x))
-        return WaveSample(x, value, WaveKind.trig())
-    if nu == 0:
-        if x <= setup.x0_value:
-            value = w1 * (setup.L / 2 + x)
-        else:
-            value = w2 * (setup.L / 2 - x)
-        return WaveSample(x, value, WaveKind.linear())
-    t = -nu
-    if x <= setup.x0_value:
-        value = math.sinh(t * w1 / 2) * math.sinh((t / 2) * (setup.L / 2 + x))
-    else:
-        value = math.sinh(t * w2 / 2) * math.sinh((t / 2) * (setup.L / 2 - x))
-    return WaveSample(x, value, WaveKind.hyper())
+    return _direct(setup, nu, 1.0).sample([x])[0]
 
 
 # ============================================================
@@ -256,53 +311,51 @@ def deep_rho(setup: Setup, nu: float) -> float:
     return math.sqrt(left + right) * 2.0 ** (0.5 * k)
 
 
+def general_state(setup: Setup, nu: float) -> Union[GeneralState, LimitState]:
+    """The normalized eigenfunction at nu, resolved once for sampling.
+
+    Within a relative window of 1e-8 around a shared-lattice mode the norm
+    collapses and the direct quotient loses all precision, so the state is
+    the continuous limit state there (the two-sided limit along either
+    coupling path) and the hat LimitState is returned.  Inside the linear
+    window the state is the nu = 0 linear state.  Deep evanescent states
+    (t L >= LOG_SWITCH, t = -nu), whose sinh products overflow, are rescaled
+    by exp(-t L / 2) in closed form: every factor stays bounded.
+    """
+    n = shared_mode_near(setup, nu, LIMIT_WINDOW_RTOL)
+    if n is not None:
+        return limit_state(setup, "hat", nu_n(setup, n))
+    if abs(nu) * setup.L < LINEAR_WINDOW:
+        nu = 0.0
+    t = -nu
+    if t * setup.L < LOG_SWITCH:
+        return _direct(setup, nu, rho(setup, nu))
+    # sinh(other) sinh(arm) / rho with sinh(z) = -exp(z) expm1(-2 z) / 2 and
+    # rho = exp(t L / 2) deep_rho: the exponents sum to -(t/2) |x - x0|.
+    norm = deep_rho(setup, nu)
+    half, x0, k, scale = setup.L / 2, setup.x0_value, t / 2, 4 * norm
+    a = math.expm1(-2 * (t * setup.width_right / 2))
+    b = math.expm1(-2 * (t * setup.width_left / 2))
+    return GeneralState(
+        setup=setup, kind=WaveKind("hyper"),
+        left=lambda x: (
+            a * math.expm1(-2 * (k * (half + x))) * math.exp(-k * abs(x - x0)) / scale
+        ),
+        right=lambda x: (
+            b * math.expm1(-2 * (k * (half - x))) * math.exp(-k * abs(x - x0)) / scale
+        ),
+        branch="deep", nu=nu, sign=1.0, norm=norm,
+    )
+
+
 def eval_normalized(setup: Setup, nu: float, x: float) -> WaveSample:
     """Unit-norm eigenfunction value at x; the one-point case of sample_wave."""
     return sample_wave(setup, nu, [x])[0]
 
 
 def sample_wave(setup: Setup, nu: float, xs: "list[float]") -> "list[WaveSample]":
-    """Normalized eigenfunction sampled on a list of positions.
-
-    Within a relative window of 1e-8 around a shared-lattice mode the norm
-    collapses and the direct quotient loses all precision, so the values
-    come from the continuous limit state there (the two-sided limit along
-    either coupling path).  Inside the linear window the state is the nu = 0
-    linear state.  Deep evanescent states (t L >= LOG_SWITCH, t = -nu), whose
-    sinh products overflow, are rescaled by exp(-t L / 2) in closed form:
-    every factor stays bounded.  The norm is computed once for the whole list.
-    """
-    n = shared_mode_near(setup, nu, LIMIT_WINDOW_RTOL)
-    if n is not None:
-        nu_hat = nu_n(setup, n)
-        return [upsilon_hat(setup, nu_hat, x) for x in xs]
-    if abs(nu) * setup.L < LINEAR_WINDOW:
-        nu = 0.0
-    t = -nu
-    if t * setup.L < LOG_SWITCH:
-        norm = rho(setup, nu)
-        return [
-            WaveSample(sample.x, sample.value / norm, sample.kind)
-            for sample in (eval_psi(setup, nu, x) for x in xs)
-        ]
-    # sinh(other) sinh(arm) / rho with sinh(z) = -exp(z) expm1(-2 z) / 2 and
-    # rho = exp(t L / 2) deep_rho: the exponents sum to -(t/2) |x - x0|.
-    norm = 4 * deep_rho(setup, nu)
-    out = []
-    for x in xs:
-        check_in_box(setup, x)
-        if x <= setup.x0_value:
-            arm = (t / 2) * (setup.L / 2 + x)
-            other = t * setup.width_right / 2
-        else:
-            arm = (t / 2) * (setup.L / 2 - x)
-            other = t * setup.width_left / 2
-        value = (
-            math.expm1(-2 * other) * math.expm1(-2 * arm)
-            * math.exp(-(t / 2) * abs(x - setup.x0_value)) / norm
-        )
-        out.append(WaveSample(x, value, WaveKind.hyper()))
-    return out
+    """Normalized eigenfunction sampled on a list of positions (see general_state)."""
+    return general_state(setup, nu).sample(xs)
 
 
 # ============================================================
@@ -343,6 +396,59 @@ def jump_ratio(setup: Setup, nu: float) -> float:
 # ============================================================
 
 
+def limit_state(setup: Setup, kind: str, index: float, side: str = "below") -> LimitState:
+    """Validate a limit state once and fix everything that does not depend on x.
+
+    kind is "hat" with index a shared-lattice value nu_hat, "under" with
+    index k (the left compartment; side "below" or "above" selects the
+    coupling path) or "over" with index l (the right compartment; side is
+    ignored).  Raises NotInK for a hat value off the shared lattice, InK for
+    a one-sided index whose value lies on it, and DomainError for an index
+    below 1, an unknown side or an unknown kind.
+    """
+    half = setup.L / 2
+    if kind == "hat":
+        n = shared_mode(setup, index)
+        amp, root = math.sqrt(2 / setup.L), math.sqrt(setup.q_ratio)
+        h = n * math.pi / setup.L
+        return LimitState(
+            setup=setup, kind=WaveKind("limit_hat"),
+            left=lambda x: -root * (amp * math.sin(h * (half - x))),
+            right=lambda x: amp * math.sin(h * (half - x)) / root,
+            mode=n, sign=1.0, amp=amp, root=root, width=setup.L,
+        )
+    if kind not in ("under", "over"):
+        raise DomainError(f"unknown limit kind {kind!r}")
+    if index is None or index < 1:
+        raise DomainError(f"{'k' if kind == 'under' else 'l'} must be >= 1, got {index!r}")
+    if kind == "under":
+        if side not in ("below", "above"):
+            raise DomainError(f"side must be 'below' or 'above', got {side!r}")
+        if under_in_shared(setup, index) is not None:
+            raise InK(f"left lattice index k={index} lies on the shared lattice")
+        sign = -1.0 if (under_floor(setup, index) - 1) % 2 else 1.0
+        if side == "above":
+            sign = -sign
+        root, width = math.sqrt(setup.L + 2 * setup.x0_value), setup.width_left
+        wave_kind = WaveKind("limit_under", k=index, side=side)
+    else:
+        if over_in_shared(setup, index) is not None:
+            raise InK(f"right lattice index l={index} lies on the shared lattice")
+        sign, root, width = 1.0, math.sqrt(setup.L - 2 * setup.x0_value), setup.width_right
+        wave_kind = WaveKind("limit_over", l=index)
+    amp, phase = sign * (2.0 / root), index * math.pi
+    if kind == "under":
+        left = lambda x: amp * math.sin(phase * (half + x) / width)
+        right = lambda x: 0.0
+    else:
+        left = lambda x: 0.0
+        right = lambda x: amp * math.sin(phase * (half - x) / width)
+    return LimitState(
+        setup=setup, kind=wave_kind, left=left, right=right,
+        mode=index, sign=sign, amp=amp, root=root, width=width,
+    )
+
+
 def upsilon_hat(setup: Setup, nu_hat: float, x: float) -> WaveSample:
     """Continuous limit state at a shared-lattice value nu_hat.
 
@@ -352,14 +458,7 @@ def upsilon_hat(setup: Setup, nu_hat: float, x: float) -> WaveSample:
     point, identical along both coupling paths.  Raises NotInK unless nu_hat
     is on the shared lattice (lattice.shared_mode).
     """
-    check_in_box(setup, x)
-    n = shared_mode(setup, nu_hat)
-    root_q = math.sqrt(setup.q_ratio)
-    if x <= setup.x0_value:
-        value = -root_q * phi_mode(setup, n, x)
-    else:
-        value = phi_mode(setup, n, x) / root_q
-    return WaveSample(x, value, WaveKind.limit_hat())
+    return limit_state(setup, "hat", nu_hat).sample([x])[0]
 
 
 def upsilon_under(setup: Setup, k: int, side: str, x: float) -> WaveSample:
@@ -370,44 +469,28 @@ def upsilon_under(setup: Setup, k: int, side: str, x: float) -> WaveSample:
     give opposite overall signs.  Raises InK when the k-th left value also
     lies on the shared lattice, where the limit is upsilon_hat instead.
     """
-    check_in_box(setup, x)
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k!r}")
-    if side not in ("below", "above"):
-        raise DomainError(f"side must be 'below' or 'above', got {side!r}")
-    if under_in_shared(setup, k) is not None:
-        raise InK(f"left lattice index k={k} lies on the shared lattice")
-    if x > setup.x0_value:
-        return WaveSample(x, 0.0, WaveKind.limit_under(k, side))
-    w2 = setup.width_left
-    sign = -1.0 if (under_floor(setup, k) - 1) % 2 else 1.0
-    if side == "above":
-        sign = -sign
-    value = sign * (2.0 / math.sqrt(setup.L + 2 * setup.x0_value)) * math.sin(
-        k * math.pi * (setup.L / 2 + x) / w2
-    )
-    return WaveSample(x, value, WaveKind.limit_under(k, side))
+    return limit_state(setup, "under", k, side).sample([x])[0]
 
 
 def upsilon_over(setup: Setup, l: int, x: float) -> WaveSample:
     """One-sided limit state filling the right compartment, l-th right mode.
 
-    Vanishes identically for x < x0 and carries the same sign on both
+    Vanishes identically for x <= x0 and carries the same sign on both
     coupling paths.  Raises InK when the l-th right value also lies on the
     shared lattice.
     """
-    check_in_box(setup, x)
-    if l < 1:
-        raise DomainError(f"l must be >= 1, got {l!r}")
-    if over_in_shared(setup, l) is not None:
-        raise InK(f"right lattice index l={l} lies on the shared lattice")
-    if x < setup.x0_value:
-        return WaveSample(x, 0.0, WaveKind.limit_over(l))
-    w1 = setup.width_right
-    value = (2.0 / math.sqrt(setup.L - 2 * setup.x0_value)) * math.sin(
-        l * math.pi * (setup.L / 2 - x) / w1
-    )
-    return WaveSample(x, value, WaveKind.limit_over(l))
+    return limit_state(setup, "over", l).sample([x])[0]
+
+
+def _point_limit(setup: Setup, point: LatticePoint, side: str = "below") -> LimitState:
+    """The limit state at a lattice point."""
+    if point.kind == "both":
+        return limit_state(setup, "hat", point.nu)
+    if point.kind == "under":
+        return limit_state(setup, "under", point.k, side)
+    if point.kind == "over":
+        return limit_state(setup, "over", point.l)
+    raise DomainError(f"unknown lattice point kind {point.kind!r}")
 
 
 # ============================================================
@@ -433,22 +516,8 @@ def kappa_constants(setup: Setup, point: LatticePoint) -> float:
         )
         sign = -1.0 if (point.l - 1) % 2 else 1.0
         return c * amp * point.nu * sign
-    if point.kind == "under":
-        if point.k is None:
-            raise DomainError("left lattice point must carry index k")
-        if under_in_shared(setup, point.k) is not None:
-            raise InK(f"k={point.k} lies on the shared lattice")
-        exponent = under_floor(setup, point.k) - point.k
-        sign = -1.0 if exponent % 2 else 1.0
-        return c * point.nu * sign / math.sqrt(setup.L + 2 * setup.x0_value)
-    if point.kind == "over":
-        if point.l is None:
-            raise DomainError("right lattice point must carry index l")
-        if over_in_shared(setup, point.l) is not None:
-            raise InK(f"l={point.l} lies on the shared lattice")
-        sign = -1.0 if (point.l - 1) % 2 else 1.0
-        return c * point.nu * sign / math.sqrt(setup.L - 2 * setup.x0_value)
-    raise DomainError(f"unknown lattice point kind {point.kind!r}")
+    state = _point_limit(setup, point)
+    return c * point.nu * -state.coeff_sign / state.root
 
 
 # ============================================================
@@ -456,40 +525,15 @@ def kappa_constants(setup: Setup, point: LatticePoint) -> float:
 # ============================================================
 
 
-def _limit_state(setup: Setup, point: LatticePoint, side: str):
-    if point.kind == "both":
-        return lambda x: upsilon_hat(setup, point.nu, x).value
-    if point.kind == "under":
-        return lambda x: upsilon_under(setup, point.k, side, x).value
-    if point.kind == "over":
-        return lambda x: upsilon_over(setup, point.l, x).value
-    raise DomainError(f"unknown lattice point kind {point.kind!r}")
-
-
-def _one_sided_derivatives(setup: Setup, point: LatticePoint, side: str):
+def _one_sided_derivatives(state: LimitState) -> "tuple[float, float]":
     """Analytic (left, right) derivatives of the limit state at x0."""
-    x0 = setup.x0_value
-    w1 = setup.width_right
-    w2 = setup.width_left
-    if point.kind == "both":
-        n = shared_mode(setup, point.nu)
-        root_q = math.sqrt(setup.q_ratio)
-        dphi = -math.sqrt(2 / setup.L) * (n * math.pi / setup.L) * math.cos(
-            (n * math.pi / setup.L) * (setup.L / 2 - x0)
-        )
-        return -root_q * dphi, dphi / root_q
-    if point.kind == "under":
-        sign = -1.0 if (under_floor(setup, point.k) - 1) % 2 else 1.0
-        if side == "above":
-            sign = -sign
-        amp = 2.0 / math.sqrt(setup.L + 2 * x0)
-        left = sign * amp * (point.k * math.pi / w2) * math.cos(point.k * math.pi)
-        return left, 0.0
-    if point.kind == "over":
-        amp = 2.0 / math.sqrt(setup.L - 2 * x0)
-        right = -amp * (point.l * math.pi / w1) * math.cos(point.l * math.pi)
-        return 0.0, right
-    raise DomainError(f"unknown lattice point kind {point.kind!r}")
+    setup, j = state.setup, state.mode
+    if state.kind.label == "limit_hat":
+        h = j * math.pi / setup.L
+        dphi = -state.amp * h * math.cos(h * (setup.L / 2 - setup.x0_value))
+        return -state.root * dphi, dphi / state.root
+    slope = state.amp * (j * math.pi / state.width) * math.cos(j * math.pi)
+    return (slope, 0.0) if state.kind.label == "limit_under" else (0.0, -slope)
 
 
 def limit_residual(
@@ -505,11 +549,11 @@ def limit_residual(
     """
     if grid_n < 16:
         raise DomainError("grid_n too small for a meaningful residual")
-    f = _limit_state(setup, point, side)
+    state = _point_limit(setup, point, side)
     energy_factor = (point.nu / 2) ** 2
     h = setup.L / grid_n
     xs = [-setup.L / 2 + i * h for i in range(grid_n + 1)]
-    values = [f(x) for x in xs]
+    values = [sample.value for sample in state.sample(xs)]
     scale = max(abs(v) for v in values)
     max_resid = 0.0
     for i in range(1, grid_n):
@@ -520,7 +564,7 @@ def limit_residual(
         if resid > max_resid:
             max_resid = resid
     max_resid /= energy_factor * scale
-    left_d, right_d = _one_sided_derivatives(setup, point, side)
+    left_d, right_d = _one_sided_derivatives(state)
     sigma = -1.0 if (point.kind == "under" and side == "above") else 1.0
     kappa = kappa_constants(setup, point)
     jump_error = abs((right_d - left_d) - sigma * kappa / setup.c)

@@ -131,6 +131,8 @@ def test_deep_evanescent_fourier_exits_0(capsys):
         ("expectation", "--nu-min", "1", "--nu-max", "2", "--points"),
         ("fourier", "--nu", "5", "--M", "8", "--sum-points"),
         ("sweep", "--interval", "2", "--samples"),
+        ("spectrum", "--alpha", "5", "--count"),
+        ("amplitude", "--n-max"),
     ],
     ids=lambda argv: argv[0],
 )
@@ -139,6 +141,29 @@ def test_empty_grid_exits_2(capsys, argv, size):
     code = cli.main([*argv, size])
     assert code == 2
     assert "at least one point" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("partition", "--nu-max"),
+        ("spectrum", "--alpha"),
+        ("sweep", "--interval", "2", "--nu-max"),
+        ("wavefunction", "--nu"),
+        ("limit", "--kind", "hat", "--nu"),
+        ("fourier", "--M", "8", "--nu"),
+        ("ratio", "--nu"),
+        ("ratio", "--nu-min", "1", "--nu-max"),
+        ("expectation", "--nu"),
+        ("oracle", "--alpha"),
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-1]}",
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_wave_number_or_coupling_exits_2(capsys, argv, value):
+    code = cli.main([*argv[:-1], f"{argv[-1]}={value}"])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_one_point_grid_is_the_lower_end(capsys):

@@ -18,6 +18,7 @@ from deltabox.wavefn import (
     jump_ratio,
     kappa_constants,
     limit_residual,
+    limit_state,
     rho,
     sample_wave,
     trig_left_sign,
@@ -271,6 +272,45 @@ def test_over_state_support_and_norm():
     assert total == pytest.approx(1.0, rel=1e-9)
 
 
+def grid_with_site_and_walls(setup, n=64):
+    xs = [-setup.L / 2 + i * setup.L / n for i in range(n)] + [setup.L / 2]
+    return sorted(set(xs) | {setup.x0_value})
+
+
+# Every right index is shared at x0 = 3L/8 and x0 = 0.3 L (p/q = 3/4 and
+# 3/5), so the over state exists only at the first site.
+@pytest.mark.parametrize(
+    "x0, kind, index, side",
+    [
+        (RationalX0(1, 4), "hat", 8, "below"),
+        (RationalX0(1, 4), "under", 2, "below"),
+        (RationalX0(1, 4), "under", 2, "above"),
+        (RationalX0(1, 4), "over", 2, "below"),
+        (RationalX0(3, 4), "hat", 16, "below"),
+        (RationalX0(3, 4), "under", 3, "below"),
+        (RationalX0(3, 4), "under", 3, "above"),
+        (RealX0(0.3), "hat", 5, "below"),
+        (RealX0(0.3), "under", 1, "below"),
+        (RealX0(0.3), "under", 1, "above"),
+    ],
+)
+def test_limit_list_sampler_matches_one_point_functions(x0, kind, index, side):
+    s = make_setup(L=1.0, x0=x0, c=1.0)
+    xs = grid_with_site_and_walls(s)
+    assert s.x0_value in xs
+    if kind == "hat":
+        index = nu_n(s, index)
+        one_point = lambda x: upsilon_hat(s, index, x)
+    elif kind == "under":
+        one_point = lambda x: upsilon_under(s, index, side, x)
+    else:
+        one_point = lambda x: upsilon_over(s, index, x)
+    listed = limit_state(s, kind, index, side).sample(xs)
+    assert [sample.x for sample in listed] == xs
+    assert [sample.value for sample in listed] == [one_point(x).value for x in xs]
+    assert all(sample.kind == one_point(0.0).kind for sample in listed)
+
+
 def test_one_sided_states_reject_shared_indices():
     s = setup_pq(1, 4)  # shared at k = 5j, l = 3j
     with pytest.raises(InK):
@@ -407,6 +447,16 @@ def test_window_around_shared_mode_returns_the_limit_state():
         windowed = eval_normalized(s, nu_hat * (1 + 3e-9), x)
         assert windowed.kind.label == "limit_hat"
         assert windowed.value == upsilon_hat(s, nu_hat, x).value
+
+
+@pytest.mark.parametrize("nu", [37.3, 0.0, -3.3])
+def test_sample_wave_is_the_raw_state_over_rho(nu):
+    """Trig, linear and hyper states: the normalized pass divides eval_psi by rho."""
+    s = setup_pq(1, 4)
+    xs = grid_with_site_and_walls(s, n=256)
+    norm = rho(s, nu)
+    samples = sample_wave(s, nu, xs)
+    assert [sample.value for sample in samples] == [eval_psi(s, nu, x).value / norm for x in xs]
 
 
 def test_sample_wave_matches_pointwise_evaluation():
