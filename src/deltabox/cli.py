@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -414,6 +415,7 @@ def cmd_oracle(config: RunConfig) -> None:
 # ============================================================
 
 
+@functools.cache  # built on the first main call, reused by every later one
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--L", type=float, default=1.0, help="box length (default 1)")

@@ -85,40 +85,32 @@ def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpans
     state = general_state(setup, nu)
     if isinstance(state, LimitState):
         return coeffs_limit(state, M)
-    nu, t = state.nu, -state.nu
+    nu, t, L = state.nu, -state.nu, setup.L
+    # a_m = pref * Phi_m(x0) / ((pi m / L)**2 / scale + shift): scale 1.0 and
+    # shift -(nu/2)**2, 0.0 or (t/2)**2 give the trig, linear and hyper
+    # denominators to the last bit; the deep branch divides by t/2 instead.
     if state.branch == "trig":
         n_guess = round(nu / nu_n(setup, 1))
         if n_guess >= 1 and abs(nu - nu_n(setup, n_guess)) <= _MODE_SNAP_RTOL * nu:
             return _one_hot(setup, state.kind, n_guess, M)
-        pref = state.sign * (nu / (2 * state.norm)) * math.sin(nu * setup.L / 2)
-
-        def denom(m: int) -> float:
-            return (math.pi * m / setup.L) ** 2 - (nu / 2) ** 2
-
+        pref = state.sign * (nu / (2 * state.norm)) * math.sin(nu * L / 2)
+        scale, shift = 1.0, -((nu / 2) ** 2)
     elif state.branch == "linear":
-        pref = 4 * math.sqrt(3) * math.sqrt(setup.L) / (
-            setup.L**2 - 4 * setup.x0_value**2
-        )
-
-        def denom(m: int) -> float:
-            return (math.pi * m / setup.L) ** 2
-
+        pref = 4 * math.sqrt(3) * math.sqrt(L) / (L**2 - 4 * setup.x0_value**2)
+        scale, shift = 1.0, 0.0
     elif state.branch == "hyper":
-        pref = (t / (2 * state.norm)) * math.sinh(t * setup.L / 2)
-
-        def denom(m: int) -> float:
-            return (math.pi * m / setup.L) ** 2 + (t / 2) ** 2
-
+        pref = (t / (2 * state.norm)) * math.sinh(t * L / 2)
+        scale, shift = 1.0, (t / 2) ** 2
     else:
         # sinh(t L / 2) / rho = -expm1(-t L) / (2 deep_rho); the factor
         # t / 2 moves into the denominator, which would overflow near t**2.
-        pref = -math.expm1(-t * setup.L) / (2 * state.norm)
-
-        def denom(m: int) -> float:
-            return (math.pi * m / setup.L) ** 2 / (t / 2) + t / 2
-
+        pref = -math.expm1(-t * L) / (2 * state.norm)
+        scale = shift = t / 2
     phi0 = phi_modes(setup, M, setup.x0_value)
-    coeffs = [(m, pref * f / denom(m)) for m, f in enumerate(phi0, start=1)]
+    coeffs = [
+        (m, pref * f / ((math.pi * m / L) ** 2 / scale + shift))
+        for m, f in enumerate(phi0, start=1)
+    ]
     return _finish(setup, state.kind, coeffs)
 
 

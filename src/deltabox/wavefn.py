@@ -126,7 +126,8 @@ class _Pieces:
         out = []
         for x in xs:
             check_in_box(setup, x)
-            out.append(WaveSample(x, left(x) if x <= x0 else right(x), kind))
+            value = (left(x) if x <= x0 else right(x)) + 0.0  # no -0.0 at a wall
+            out.append(WaveSample(x, value, kind))
         return out
 
 

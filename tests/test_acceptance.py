@@ -434,7 +434,7 @@ def run_command(line):
 
 def test_criterion_12_readme_gallery_smoke():
     """Every documented dataset label has commands, and every command
-    emits finite, NaN-free tables."""
+    emits finite, NaN-free tables with no -0.0 cell."""
     text = README.read_text(encoding="utf-8")
     sections = gallery_sections(text)
     for label in GALLERY_LABELS:
@@ -455,6 +455,7 @@ def test_criterion_12_readme_gallery_smoke():
                     at_lattice_col is not None and cells[at_lattice_col] != ""
                 )
                 for cell in cells:
+                    assert cell != "-0.0", f"-0.0 in {line!r}: {row}"
                     try:
                         value = float(cell)
                     except ValueError:

@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from deltabox.model import RationalX0, make_setup, nu_n, phi_mode
 from deltabox.observables import amplitude_extrema, prob_ratio, prob_ratio_at_mode
 
 OVER_1 = "16.755160819145562"  # first one-sided point of the right compartment
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +68,48 @@ def test_output_is_deterministic(capsys):
     _, first = run_cli(capsys, *args)
     _, second = run_cli(capsys, *args)
     assert first == second and first
+
+
+# ======================================================================
+# One parser per process
+# ======================================================================
+
+# Different subcommands in turn; the last repeats the first, after a call
+# that set --nu-mode and --format, so a leaked default would show there.
+PARSE_SEQUENCE = [
+    ["ratio", "--nu", "3.3"],
+    ["wavefunction", "--limit", "under", "--k", "2", "--side", "above", "--points", "5"],
+    ["fourier", "--nu", "7.3", "--M", "64", "--sum-points", "9"],
+    ["spectrum", "--alpha", "5.0", "--count", "4"],
+    ["ratio", "--nu-mode", "3", "--format", "json"],
+    ["ratio", "--nu", "3.3"],
+]
+
+
+def test_one_parser_parses_like_fresh_parsers():
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    for argv in PARSE_SEQUENCE:
+        fresh = cli._build_parser.__wrapped__()
+        assert parser.parse_args(argv) == fresh.parse_args(argv), argv
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_readme_commands_in_one_process_match_fresh_parsers(capsys, fmt):
+    """Every README command, run in order in one process, prints the bytes
+    and exit code of a run with a freshly built parser."""
+    text = README.read_text(encoding="utf-8")
+    argvs = [shlex.split(line)[1:] + ["--format", fmt]
+             for line in text.splitlines() if line.startswith("deltabox ")]
+    assert argvs
+    cli._build_parser.cache_clear()
+    one_parser = [run_cli(capsys, *argv) for argv in argvs]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert one_parser == fresh
 
 
 # ======================================================================
@@ -279,6 +324,22 @@ def test_limit_over_is_supported_right_of_site(capsys):
     right = [float(r["value"]) for r in rows if float(r["x"]) > 0.125 + 1e-12]
     assert all(v == 0.0 for v in left)
     assert any(abs(v) > 0.1 for v in right)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("wavefunction", "--nu", "10.2", "--points", "5"),
+        ("limit", "--kind", "under", "--k", "2", "--side", "above", "--points", "5"),
+    ],
+)
+def test_negative_amplitude_prints_zero_at_the_wall(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    rows = parse_csv(out)
+    assert rows[0]["x"] == "-0.5" and rows[0]["value"] == "0.0"
+    assert float(rows[1]["value"]) < 0.0  # the piece at the left wall
+    assert all(cell != "-0.0" for row in rows for cell in row.values())
 
 
 def test_fourier_coefficient_table_is_one_hot_at_mode(capsys):

@@ -1,5 +1,6 @@
 """Sine-basis expansions: coefficients, partial sums, tails."""
 
+import functools
 import math
 
 import pytest
@@ -29,14 +30,22 @@ def setup_pq(p, q, L=1.0, c=1.0):
     return make_setup(L=L, x0=RationalX0(p, q), c=c)
 
 
-def quadrature_coefficient(setup, f, m, n=8001):
-    return simpson_split(
-        lambda x: f(x) * phi_mode(setup, m, x),
-        -setup.L / 2,
-        setup.L / 2,
-        setup.x0_value,
-        n=n,
-    )
+def assert_coefficients_match_quadrature(expansion, f, n=8001):
+    """Each a_m equals the Simpson overlap of f with Phi_m within 2e-9.
+
+    Every m integrates on the same nodes, so f is evaluated once per node
+    and its values are reused for every m.
+    """
+    setup, values = expansion.setup, functools.cache(f)
+    for m, a in expansion.coefficients:
+        quad = simpson_split(
+            lambda x: values(x) * phi_mode(setup, m, x),
+            -setup.L / 2,
+            setup.L / 2,
+            setup.x0_value,
+            n=n,
+        )
+        assert a == pytest.approx(quad, abs=2e-9), m
 
 
 # ======================================================================
@@ -49,8 +58,7 @@ def test_general_coefficients_match_quadrature(nu):
     s = setup_pq(1, 4)
     expansion = coeffs_general(s, nu, M=12)
     f = lambda x: eval_normalized(s, nu, x).value
-    for m, a in expansion.coefficients:
-        assert a == pytest.approx(quadrature_coefficient(s, f, m), abs=2e-9)
+    assert_coefficients_match_quadrature(expansion, f)
 
 
 def test_general_coefficients_match_quadrature_real_site():
@@ -58,8 +66,7 @@ def test_general_coefficients_match_quadrature_real_site():
     for nu in (4.1, -3.3):
         expansion = coeffs_general(s, nu, M=8)
         f = lambda x: eval_normalized(s, nu, x).value
-        for m, a in expansion.coefficients:
-            assert a == pytest.approx(quadrature_coefficient(s, f, m), abs=2e-9)
+        assert_coefficients_match_quadrature(expansion, f)
 
 
 def test_expansion_is_one_hot_at_free_modes():
@@ -75,8 +82,7 @@ def test_hat_coefficients_match_quadrature():
     nu_hat = nu_n(s, 16)
     expansion = coeffs_upsilon_hat(s, nu_hat, M=24)
     f = lambda x: upsilon_hat(s, nu_hat, x).value
-    for m, a in expansion.coefficients:
-        assert a == pytest.approx(quadrature_coefficient(s, f, m), abs=2e-9)
+    assert_coefficients_match_quadrature(expansion, f)
 
 
 def test_hat_expansion_active_mode_coefficient_is_exactly_zero():
@@ -93,16 +99,14 @@ def test_under_coefficients_match_quadrature():
     s = setup_pq(1, 4)
     expansion = coeffs_upsilon_under(s, 2, M=16)
     f = lambda x: upsilon_under(s, 2, "below", x).value
-    for m, a in expansion.coefficients:
-        assert a == pytest.approx(quadrature_coefficient(s, f, m), abs=2e-9)
+    assert_coefficients_match_quadrature(expansion, f)
 
 
 def test_over_coefficients_match_quadrature():
     s = setup_pq(1, 4)
     expansion = coeffs_upsilon_over(s, 2, M=16)
     f = lambda x: upsilon_over(s, 2, x).value
-    for m, a in expansion.coefficients:
-        assert a == pytest.approx(quadrature_coefficient(s, f, m), abs=2e-9)
+    assert_coefficients_match_quadrature(expansion, f)
 
 
 def test_under_sides_differ_by_overall_sign():

@@ -1,4 +1,5 @@
-"""Package structure: modules share only public names, and no module needs numpy."""
+"""Package structure: modules share only public names, no module needs numpy,
+and importing the CLI builds no parser."""
 
 import ast
 import os
@@ -23,12 +24,20 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    """The CLI imports every module; a fresh interpreter must not load numpy."""
+    """The CLI imports every module; a fresh interpreter must not load numpy.
+
+    Nor may the import build an argument parser: main builds it on its
+    first call, so a process that never calls main never pays for it.
+    """
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    probe = "import sys, deltabox.cli; print('numpy' in sys.modules)"
+    probe = (
+        "import gc, sys, deltabox.cli; from argparse import ArgumentParser; "
+        "print('numpy' in sys.modules, "
+        "any(isinstance(o, ArgumentParser) for o in gc.get_objects()))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"
