@@ -20,7 +20,6 @@ from .errors import (
     SingularPoint,
 )
 from .model import (
-    NuBranch,
     RationalX0,
     RealX0,
     Setup,
@@ -40,7 +39,6 @@ __all__ = [
     "InK",
     "NotInK",
     "SingularPoint",
-    "NuBranch",
     "RationalX0",
     "RealX0",
     "Setup",

@@ -21,7 +21,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from . import fourier as fourier_mod
@@ -48,23 +47,12 @@ from .model import (
 )
 from .spectrum import alpha_from_nu, analytic_levels, solve_nu
 
+_EXIT_USAGE = 2  # argparse's code, also for a file it cannot open
 _EXIT_DOMAIN = 3
 _EXIT_NUMERICAL = 4
 
 _DOMAIN_ERRORS = (DomainError, NotInK, InK, GridMismatch)
 _NUMERICAL_ERRORS = (SingularPoint, BracketError, ConvergenceError, OverflowError)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed global options plus the command-specific namespace."""
-
-    L: float
-    c: float
-    x0: str
-    format: str
-    output: Optional[str]
-    params: argparse.Namespace
 
 
 # ============================================================
@@ -103,8 +91,8 @@ def _x0_spec(spec: str) -> str:
     return spec
 
 
-def _setup_from(config: RunConfig) -> Setup:
-    return make_setup(config.L, parse_x0(config.x0), config.c)
+def _setup_from(args: argparse.Namespace) -> Setup:
+    return make_setup(args.L, parse_x0(args.x0), args.c)
 
 
 def _grid_size(text: str) -> int:
@@ -143,9 +131,9 @@ def _linspace(lo: float, hi: float, n: int) -> List[float]:
 # ============================================================
 
 
-def _emit(config: RunConfig, columns: List[str], rows: Sequence[Tuple[Any, ...]]) -> None:
+def _emit(args: argparse.Namespace, columns: List[str], rows: Sequence[Tuple[Any, ...]]) -> None:
     """Write rows, each a tuple of cells in column order, as CSV or JSON."""
-    if config.format == "json":
+    if args.format == "json":
         payload = [
             {
                 col: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
@@ -161,8 +149,8 @@ def _emit(config: RunConfig, columns: List[str], rows: Sequence[Tuple[Any, ...]]
         # csv writes None as an empty field and a float as its repr.
         writer.writerows(rows)
         text = buf.getvalue()
-    if config.output:
-        with open(config.output, "w", encoding="utf-8", newline="") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -173,9 +161,9 @@ def _emit(config: RunConfig, columns: List[str], rows: Sequence[Tuple[Any, ...]]
 # ============================================================
 
 
-def cmd_partition(config: RunConfig) -> None:
-    setup = _setup_from(config)
-    points, intervals = partition(setup, config.params.nu_max)
+def cmd_partition(args: argparse.Namespace) -> None:
+    setup = _setup_from(args)
+    points, intervals = partition(setup, args.nu_max)
     columns = [
         "record",
         "nu",
@@ -199,31 +187,31 @@ def cmd_partition(config: RunConfig) -> None:
         )
         for iv in intervals
     ]
-    _emit(config, columns, rows)
+    _emit(args, columns, rows)
 
 
-def cmd_spectrum(config: RunConfig) -> None:
-    setup = _setup_from(config)
-    levels = analytic_levels(setup, config.params.alpha, config.params.count)
+def cmd_spectrum(args: argparse.Namespace) -> None:
+    setup = _setup_from(args)
+    levels = analytic_levels(setup, args.alpha, args.count)
     columns = ["index", "nu", "energy", "is_mode"]
     rows = [
         (i, nu, energy_from_nu(setup, nu), is_mode)
         for i, (nu, is_mode) in enumerate(levels, start=1)
     ]
-    _emit(config, columns, rows)
+    _emit(args, columns, rows)
 
 
-def cmd_sweep(config: RunConfig) -> None:
-    setup = _setup_from(config)
-    samples = config.params.samples
+def cmd_sweep(args: argparse.Namespace) -> None:
+    setup = _setup_from(args)
+    samples = args.samples
     if samples < 2:
         raise DomainError("--samples must be >= 2")
-    _, intervals = partition(setup, config.params.nu_max)
-    matches = [iv for iv in intervals if iv.index == config.params.interval]
+    _, intervals = partition(setup, args.nu_max)
+    matches = [iv for iv in intervals if iv.index == args.interval]
     if not matches:
         raise DomainError(
-            f"no interval with index {config.params.interval} below nu-max "
-            f"{config.params.nu_max}; raise --nu-max or check the partition table"
+            f"no interval with index {args.interval} below nu-max "
+            f"{args.nu_max}; raise --nu-max or check the partition table"
         )
     iv = matches[0]
     upper = iv.upper.nu
@@ -253,25 +241,25 @@ def cmd_sweep(config: RunConfig) -> None:
                 wavefn.rho(setup, nu),
             )
         )
-    _emit(config, ["nu", "alpha", "r", "Ex", "rho"], rows)
+    _emit(args, ["nu", "alpha", "r", "Ex", "rho"], rows)
 
 
-def _resolve_nu(setup: Setup, params: argparse.Namespace) -> float:
-    if getattr(params, "nu_mode", None) is not None:
-        return nu_n(setup, params.nu_mode)
-    if getattr(params, "nu", None) is not None:
-        return params.nu
+def _resolve_nu(setup: Setup, args: argparse.Namespace) -> float:
+    if args.nu_mode is not None:
+        return nu_n(setup, args.nu_mode)
+    if args.nu is not None:
+        return args.nu
     raise DomainError("provide --nu or --nu-mode")
 
 
-def _limit_state(setup: Setup, kind: str, p: argparse.Namespace) -> wavefn.LimitState:
+def _limit_state(setup: Setup, kind: str, args: argparse.Namespace) -> wavefn.LimitState:
     """The limit state that --limit/--kind, --nu/--nu-mode, --k, --l and --side name."""
     if kind == "hat":
-        return wavefn.limit_state(setup, kind, _resolve_nu(setup, p))
-    index, flag = (p.k, "--k") if kind == "under" else (p.l, "--l")
+        return wavefn.limit_state(setup, kind, _resolve_nu(setup, args))
+    index, flag = (args.k, "--k") if kind == "under" else (args.l, "--l")
     if index is None:
         raise DomainError(f"the {kind} limit needs {flag}")
-    return wavefn.limit_state(setup, kind, index, p.side)
+    return wavefn.limit_state(setup, kind, index, args.side)
 
 
 def _kind_label(kind: wavefn.WaveKind) -> str:
@@ -285,92 +273,86 @@ def _kind_label(kind: wavefn.WaveKind) -> str:
     return " ".join(parts)
 
 
-def cmd_wavefunction(config: RunConfig) -> None:
-    setup = _setup_from(config)
-    p = config.params
-    xs = _linspace(-setup.L / 2, setup.L / 2, p.points)
-    if p.phi:
-        if p.nu_mode is None:
+def cmd_wavefunction(args: argparse.Namespace) -> None:
+    setup = _setup_from(args)
+    xs = _linspace(-setup.L / 2, setup.L / 2, args.points)
+    if args.phi:
+        if args.nu_mode is None:
             raise DomainError("--phi needs --nu-mode")
         kind = wavefn.WaveKind(label="mode")
-        rows = [(x, phi_mode(setup, p.nu_mode, x), _kind_label(kind)) for x in xs]
-        _emit(config, ["x", "value", "kind"], rows)
+        rows = [(x, phi_mode(setup, args.nu_mode, x), _kind_label(kind)) for x in xs]
+        _emit(args, ["x", "value", "kind"], rows)
         return
-    if p.limit is not None:
-        samples = _limit_state(setup, p.limit, p).sample(xs)
+    if args.limit is not None:
+        samples = _limit_state(setup, args.limit, args).sample(xs)
     else:
-        samples = wavefn.sample_wave(setup, _resolve_nu(setup, p), xs)
+        samples = wavefn.general_state(setup, _resolve_nu(setup, args)).sample(xs)
     rows = [(s.x, s.value, _kind_label(s.kind)) for s in samples]
-    _emit(config, ["x", "value", "kind"], rows)
+    _emit(args, ["x", "value", "kind"], rows)
 
 
-def cmd_limit(config: RunConfig) -> None:
-    setup = _setup_from(config)
-    p = config.params
-    xs = _linspace(-setup.L / 2, setup.L / 2, p.points)
-    rows = [(s.x, s.value) for s in _limit_state(setup, p.kind, p).sample(xs)]
-    _emit(config, ["x", "value"], rows)
+def cmd_limit(args: argparse.Namespace) -> None:
+    setup = _setup_from(args)
+    xs = _linspace(-setup.L / 2, setup.L / 2, args.points)
+    rows = [(s.x, s.value) for s in _limit_state(setup, args.kind, args).sample(xs)]
+    _emit(args, ["x", "value"], rows)
 
 
-def cmd_fourier(config: RunConfig) -> None:
-    setup = _setup_from(config)
-    p = config.params
-    if p.limit is not None:
-        expansion = fourier_mod.coeffs_limit(_limit_state(setup, p.limit, p), p.M)
+def cmd_fourier(args: argparse.Namespace) -> None:
+    setup = _setup_from(args)
+    if args.limit is not None:
+        expansion = fourier_mod.coeffs_limit(_limit_state(setup, args.limit, args), args.M)
     else:
-        expansion = fourier_mod.coeffs_general(setup, _resolve_nu(setup, p), p.M)
-    if p.sum_points is not None:
-        xs = _linspace(-setup.L / 2, setup.L / 2, p.sum_points)
+        expansion = fourier_mod.coeffs_general(setup, _resolve_nu(setup, args), args.M)
+    if args.sum_points is not None:
+        xs = _linspace(-setup.L / 2, setup.L / 2, args.sum_points)
         rows = [(x, fourier_mod.partial_sum(expansion, x)) for x in xs]
-        _emit(config, ["x", "value"], rows)
+        _emit(args, ["x", "value"], rows)
         return
-    _emit(config, ["m", "a_m"], expansion.coefficients)
+    _emit(args, ["m", "a_m"], expansion.coefficients)
 
 
-def cmd_ratio(config: RunConfig) -> None:
-    setup = _setup_from(config)
-    p = config.params
+def cmd_ratio(args: argparse.Namespace) -> None:
+    setup = _setup_from(args)
     columns = ["nu", "r", "at_lattice"]
-    if p.nu_mode is not None:
-        value = observables.prob_ratio_at_mode(setup, p.nu_mode)
-        rows = [(nu_n(setup, p.nu_mode), value, None)]
+    if args.nu_mode is not None:
+        value = observables.prob_ratio_at_mode(setup, args.nu_mode)
+        rows = [(nu_n(setup, args.nu_mode), value, None)]
     else:
-        if p.nu is not None:
-            nus = [p.nu]
-        elif p.nu_min is None or p.nu_max is None:
+        if args.nu is not None:
+            nus = [args.nu]
+        elif args.nu_min is None or args.nu_max is None:
             raise DomainError("provide --nu, --nu-mode, or --nu-min/--nu-max")
         else:
-            nus = _linspace(p.nu_min, p.nu_max, p.points)
+            nus = _linspace(args.nu_min, args.nu_max, args.points)
         points = (observables.prob_ratio(setup, nu) for nu in nus)
         rows = [
             (pt.nu, pt.r, pt.at_lattice.kind if pt.at_lattice else None) for pt in points
         ]
-    _emit(config, columns, rows)
+    _emit(args, columns, rows)
 
 
-def cmd_expectation(config: RunConfig) -> None:
-    setup = _setup_from(config)
-    p = config.params
-    if p.nu is not None:
-        rows = [(p.nu, observables.expectation_x(setup, p.nu))]
+def cmd_expectation(args: argparse.Namespace) -> None:
+    setup = _setup_from(args)
+    if args.nu is not None:
+        rows = [(args.nu, observables.expectation_x(setup, args.nu))]
     else:
-        if p.nu_min is None or p.nu_max is None:
+        if args.nu_min is None or args.nu_max is None:
             raise DomainError("provide --nu or --nu-min/--nu-max")
         rows = []
-        for nu in _linspace(p.nu_min, p.nu_max, p.points):
+        for nu in _linspace(args.nu_min, args.nu_max, args.points):
             try:
                 rows.append((nu, observables.expectation_x(setup, nu)))
             except SingularPoint:
                 continue  # one-sided lattice points have no two-sided state
-    _emit(config, ["nu", "Ex"], rows)
+    _emit(args, ["nu", "Ex"], rows)
 
 
-def cmd_amplitude(config: RunConfig) -> None:
-    p = config.params
-    if p.n is not None:
-        ns = [p.n]
-    elif p.n_max is not None:
-        ns = list(range(1, p.n_max + 1, 2))
+def cmd_amplitude(args: argparse.Namespace) -> None:
+    if args.n is not None:
+        ns = [args.n]
+    elif args.n_max is not None:
+        ns = list(range(1, args.n_max + 1, 2))
     else:
         raise DomainError("provide --n or --n-max")
     columns = ["n", "which", "gamma_crit", "value", "bracket_lo", "bracket_hi"]
@@ -379,13 +361,12 @@ def cmd_amplitude(config: RunConfig) -> None:
         maximum, minimum = observables.amplitude_extrema(n)
         for which, ext in (("max", maximum), ("min", minimum)):
             rows.append((n, which, ext.gamma_crit, ext.value) + ext.bracket)
-    _emit(config, columns, rows)
+    _emit(args, columns, rows)
 
 
-def cmd_oracle(config: RunConfig) -> None:
-    setup = _setup_from(config)
-    p = config.params
-    report = oracle.compare(setup, p.alpha, p.grid, p.count)
+def cmd_oracle(args: argparse.Namespace) -> None:
+    setup = _setup_from(args)
+    report = oracle.compare(setup, args.alpha, args.grid, args.count)
     columns = [
         "index",
         "nu",
@@ -407,7 +388,7 @@ def cmd_oracle(config: RunConfig) -> None:
         )
         for lv in report.levels
     ]
-    _emit(config, columns, rows)
+    _emit(args, columns, rows)
 
 
 # ============================================================
@@ -529,18 +510,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = RunConfig(
-        L=args.L, c=args.c, x0=args.x0, format=args.format, output=args.output,
-        params=args,
-    )
     try:
-        args.func(config)
+        args.func(args)
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
+    except OSError as exc:  # --output names a file that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_USAGE
     return 0
 
 

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .errors import DomainError
+from .lattice import kappa_base
 from .model import Setup, check_in_box, nu_n, phi_modes
-from .wavefn import LimitState, WaveKind, general_state, limit_state
+from .wavefn import LimitState, WaveKind, general_state
 
 # Default truncation order; the 1/m**2 decay puts the sup-norm tail near
 # a few parts in M.
@@ -71,17 +72,24 @@ def _check_m(M: int) -> None:
 def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpansion:
     """Expansion of the normalized eigenfunction at branch parameter nu.
 
-    Within the limit-state window around a shared-lattice value (1e-8
-    relative, as in wavefn.general_state) the state is the continuous
-    limit state and its expansion is coeffs_upsilon_hat.  At any other
-    free-mode value (within 1e-12 relative) the state is the free mode
-    itself and the expansion is exactly one-hot.  Inside the linear window
-    (|nu| L < LINEAR_WINDOW) the state is the nu = 0 linear state.  Elsewhere
+    At a free-mode value off the shared lattice (within 1e-12 relative) the
+    state is the free mode itself and the expansion is exactly one-hot; no
+    norm is taken.  Within the limit-state window around a shared-lattice
+    value (1e-8 relative, as in wavefn.general_state) the state is the
+    continuous limit state, expanded by coeffs_limit.  Inside the linear
+    window (|nu| L < LINEAR_WINDOW) the state is the nu = 0 linear state,
+    whose closed-form prefactor needs no norm either.  Elsewhere
     a_m = c * Phi_m(x0) / D_m with the branch-dependent resonance
     denominator D_m and prefactor c; the oscillatory and evanescent branches
     differ in the sign of the nu**2/4 term and in sin versus sinh.
     """
     _check_m(M)
+    # Tested before the state is resolved; shared modes (n a multiple of
+    # kappa_base) lie in the limit window instead.
+    if nu > 0:
+        n = round(nu / nu_n(setup, 1))
+        if n % kappa_base(setup) and abs(nu - nu_n(setup, n)) <= _MODE_SNAP_RTOL * nu:
+            return _one_hot(setup, WaveKind("trig"), n, M)
     state = general_state(setup, nu)
     if isinstance(state, LimitState):
         return coeffs_limit(state, M)
@@ -90,9 +98,6 @@ def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpans
     # shift -(nu/2)**2, 0.0 or (t/2)**2 give the trig, linear and hyper
     # denominators to the last bit; the deep branch divides by t/2 instead.
     if state.branch == "trig":
-        n_guess = round(nu / nu_n(setup, 1))
-        if n_guess >= 1 and abs(nu - nu_n(setup, n_guess)) <= _MODE_SNAP_RTOL * nu:
-            return _one_hot(setup, state.kind, n_guess, M)
         pref = state.sign * (nu / (2 * state.norm)) * math.sin(nu * L / 2)
         scale, shift = 1.0, -((nu / 2) ** 2)
     elif state.branch == "linear":
@@ -154,28 +159,6 @@ def coeffs_limit(state: LimitState, M: int = DEFAULT_M) -> FourierExpansion:
             for m, f in enumerate(phi0, start=1)
         ]
     return _finish(setup, state.kind, coeffs)
-
-
-def coeffs_upsilon_hat(
-    setup: Setup, nu_hat: float, M: int = DEFAULT_M
-) -> FourierExpansion:
-    """Expansion of the continuous limit state at shared-lattice value nu_hat."""
-    return coeffs_limit(limit_state(setup, "hat", nu_hat), M)
-
-
-def coeffs_upsilon_under(
-    setup: Setup, k: int, M: int = DEFAULT_M, side: str = "below"
-) -> FourierExpansion:
-    """Expansion of the left one-sided limit state with index k.
-
-    side selects the coupling path; "above" negates every coefficient.
-    """
-    return coeffs_limit(limit_state(setup, "under", k, side), M)
-
-
-def coeffs_upsilon_over(setup: Setup, l: int, M: int = DEFAULT_M) -> FourierExpansion:
-    """Expansion of the right one-sided limit state with index l."""
-    return coeffs_limit(limit_state(setup, "over", l), M)
 
 
 # ============================================================

@@ -48,6 +48,9 @@ from .model import Setup
 ON_LATTICE_RTOL = 1e-9
 LIMIT_WINDOW_RTOL = 1e-8
 
+# Most lattice points partition builds; each costs about 350 bytes.
+_POINT_BUDGET = 2 * 10**7
+
 _CASE_BY_KINDS = {
     ("under", "under"): "A",
     ("under", "over"): "B",
@@ -184,18 +187,25 @@ def partition(setup: Setup, nu_max: float) -> tuple[list[LatticePoint], list[Int
 
     The first point strictly beyond nu_max is included as a closing point so
     the returned intervals cover (-inf, nu_max] completely.  Coincident
-    under/over points are merged into "both" points.
+    under/over points are merged into "both" points.  Raises DomainError
+    when nu_max L / (2 pi), which bounds the point count, exceeds 2e7.
     """
     if not (math.isfinite(nu_max) and nu_max > 0):
         raise DomainError(f"nu_max must be positive and finite, got {nu_max}")
+    # Up to nu_max lie at most nu_max (L/2 + x0) / (2 pi) under points and
+    # nu_max (L/2 - x0) / (2 pi) over points: nu_max L / (2 pi) in all.
+    bound = nu_max * setup.L / (2 * math.pi)
+    if bound > _POINT_BUDGET:
+        raise DomainError(
+            f"nu_max = {nu_max} allows up to {bound:.3g} lattice points, "
+            f"beyond the budget of {_POINT_BUDGET:.0e}"
+        )
     # Merge the two lattices in order: under point k lies below over point l
     # exactly when k (q - p) < l (q + p).
     left, right = setup.q - setup.p, setup.q + setup.p
     points: list[LatticePoint] = []
     k = l = 1
     while not points or points[-1].nu <= nu_max:
-        if k + l > 2 * 10**7:
-            raise RuntimeError("lattice generation runaway")
         a, b = k * left, l * right
         if a < b:
             points.append(_point(setup, k, None))

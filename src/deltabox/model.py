@@ -5,8 +5,8 @@ interaction of strength alpha located at x0 >= 0.  All formulas in the
 package are parameterized by an immutable Setup carrying the box length L,
 the interaction point x0, and the kinetic prefactor c = hbar^2/(2m).
 
-Angular wave number convention (NuBranch): a single signed real nu labels
-all three energy branches.  nu > 0 labels oscillatory states with energy
+Angular wave number convention: a single signed real nu labels all three
+energy branches.  nu > 0 labels oscillatory states with energy
 E = c (nu/2)^2, nu = 0 the zero-energy piecewise-linear state, and nu < 0
 the evanescent branch with E = -c (nu/2)^2.  The map nu -> E is continuous
 and strictly increasing on all of R.
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Union
 
 from .errors import DomainError
@@ -59,11 +58,8 @@ class RationalX0:
                 f"rational x0 = ({self.p}/{self.q})(L/2) lies outside [0, L/2)"
             )
 
-    def fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
     def value(self, L: float) -> float:
-        return float(self.fraction()) * (L / 2)
+        return self.p / self.q * (L / 2)
 
 
 @dataclass(frozen=True)
@@ -92,11 +88,10 @@ X0Spec = Union[RationalX0, RealX0]
 class Setup:
     """Immutable physical configuration; all derived lengths precomputed.
 
-    q_ratio is the sub-box length ratio (L/2 - x0)/(L/2 + x0) in (0, 1];
-    lbar and rbar are the midpoints of the left and right sub-boxes.  p/q is
-    the exact fraction of L/2 that the lattice is built from: the site's own
-    fraction for RationalX0, the simplest fraction within half an ulp of
-    x0_value for RealX0 (see site_fraction).
+    q_ratio is the sub-box length ratio (L/2 - x0)/(L/2 + x0) in (0, 1].
+    p/q is the exact fraction of L/2 that the lattice is built from: the
+    site's own fraction for RationalX0, the simplest fraction within half an
+    ulp of x0_value for RealX0 (see site_fraction).
     """
 
     L: float
@@ -104,8 +99,6 @@ class Setup:
     c: float
     x0_value: float
     q_ratio: float
-    lbar: float
-    rbar: float
     p: int
     q: int
 
@@ -118,10 +111,6 @@ class Setup:
     def width_left(self) -> float:
         """Length of the left sub-box, L/2 + x0."""
         return self.L / 2 + self.x0_value
-
-    @property
-    def is_rational(self) -> bool:
-        return isinstance(self.x0, RationalX0)
 
 
 def make_setup(L: float, x0: X0Spec, c: float) -> Setup:
@@ -140,12 +129,8 @@ def make_setup(L: float, x0: X0Spec, c: float) -> Setup:
     if not (0 <= x0_value < L / 2):
         raise DomainError(f"x0 = {x0_value} lies outside [0, L/2) for L = {L}")
     q_ratio = (L / 2 - x0_value) / (L / 2 + x0_value)
-    lbar = (-L / 2 + x0_value) / 2
-    rbar = (x0_value + L / 2) / 2
     p, q = (x0.p, x0.q) if isinstance(x0, RationalX0) else site_fraction(x0_value, L)
-    return Setup(
-        L=L, x0=x0, c=c, x0_value=x0_value, q_ratio=q_ratio, lbar=lbar, rbar=rbar, p=p, q=q
-    )
+    return Setup(L=L, x0=x0, c=c, x0_value=x0_value, q_ratio=q_ratio, p=p, q=q)
 
 
 def site_fraction(x0: float, L: float) -> tuple[int, int]:
@@ -178,29 +163,6 @@ def _simplest_between(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
         h0, k0, h1, k1 = h1, k1, f * h1 + h0, f * k1 + k0
         an, ad, bn, bd = bd, bn - f * bd, ad, an - f * ad
     return f * h1 + h0, f * k1 + k0
-
-
-# ======================================================================
-# Branch bookkeeping
-# ======================================================================
-
-
-@dataclass(frozen=True)
-class NuBranch:
-    """A signed angular wave number with its branch classification."""
-
-    nu: float
-
-    @property
-    def kind(self) -> str:
-        if self.nu > 0:
-            return "trig"
-        if self.nu == 0:
-            return "linear"
-        return "hyper"
-
-    def energy(self, setup: Setup) -> float:
-        return energy_from_nu(setup, self.nu)
 
 
 # ======================================================================

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import add, mul, sub, truediv
 from typing import Dict, List, Tuple
@@ -33,7 +32,7 @@ from typing import Dict, List, Tuple
 from .errors import ConvergenceError, DomainError, GridMismatch
 from .model import RationalX0, Setup, energy_from_nu, nu_n, phi_mode
 from .spectrum import analytic_levels
-from .wavefn import sample_wave
+from .wavefn import general_state
 
 
 @dataclass(frozen=True)
@@ -75,13 +74,13 @@ def _site_node(setup: Setup, N: int, allow_snap: bool) -> int:
     """1-based grid node carrying the interaction site."""
     if isinstance(setup.x0, RationalX0):
         p, q = setup.x0.p, setup.x0.q
-        pos = Fraction((N + 1) * (p + q), 2 * q)
-        if pos.denominator != 1:
-            g = math.gcd(p + q, 2 * q)
+        num, den = (N + 1) * (p + q), 2 * q
+        if num % den:
             raise GridMismatch(
-                f"x0 is off-grid for N={N}; choose N+1 a multiple of {2 * q // g}"
+                f"x0 is off-grid for N={N}; choose N+1 a multiple of "
+                f"{den // math.gcd(p + q, den)}"
             )
-        return int(pos)
+        return num // den
     pos = (setup.x0_value + setup.L / 2) / setup.L * (N + 1)
     j = round(pos)
     if abs(pos - j) > 1e-9 and not allow_snap:
@@ -320,7 +319,7 @@ def compare(setup: Setup, alpha: float, N: int, count: int) -> OracleComparison:
             n_mode = round(nu / nu_n(setup, 1))
             psi = [phi_mode(setup, n_mode, x) for x in xs]
         else:
-            psi = [sample.value for sample in sample_wave(setup, nu, xs)]
+            psi = [sample.value for sample in general_state(setup, nu).sample(xs)]
         sup_wave = max(map(abs, map(sub, vec, psi))) / max(map(abs, psi))
         out.append(LevelComparison(idx, nu, is_mode, energy, lam, rel_energy, sup_wave))
     return OracleComparison(

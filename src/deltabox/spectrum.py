@@ -33,7 +33,6 @@ partition interval plus the free modes on the shared lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from .errors import BracketError, DomainError, SingularPoint
@@ -52,19 +51,6 @@ from .model import Setup, nu_n
 # cot/coth terms of the dispersion function and its Newton derivative, a
 # different series that stops at nu**4 and so needs the smaller switch.
 _SERIES_THRESHOLD = 1e-4
-
-# ======================================================================
-# Types
-# ======================================================================
-
-
-@dataclass(frozen=True)
-class DispersionValue:
-    """The dispersion value 2g = alpha / c together with alpha itself."""
-
-    two_g: float
-    alpha: float
-
 
 # ======================================================================
 # Evaluation
@@ -146,12 +132,6 @@ def alpha_from_nu(setup: Setup, nu: float) -> float:
     to get the paper's dimensionless coupling scale alpha L / (2 pi c).
     """
     return setup.c * dispersion(setup, nu)
-
-
-def dispersion_value(setup: Setup, nu: float) -> DispersionValue:
-    """Bundled dispersion value and interaction strength at nu."""
-    two_g = dispersion(setup, nu)
-    return DispersionValue(two_g=two_g, alpha=setup.c * two_g)
 
 
 # ======================================================================

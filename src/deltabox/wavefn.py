@@ -13,11 +13,12 @@ on the other.
 Each state is resolved once and then sampled.  `general_state` makes the
 window and branch decision for a normalized eigenfunction at nu (the
 shared-lattice window, where it returns the hat limit state, the linear
-window, trig, hyper or deep) and computes the per-branch amplitudes, the
-sign and the norm.  `limit_state` validates a limit state (index, side,
-lattice membership) and fixes its sign and amplitude.  Both records sample
-a list of positions in one pass (`sample`) and feed `fourier`'s coefficient
-builders; the one-point functions are the one-element case.
+window, trig, hyper or deep) and computes the per-branch amplitudes and
+the sign; the norm is taken on first use.  `limit_state` validates a limit
+state (index, side, lattice membership) and fixes its sign and amplitude.
+Both records sample a list of positions in one pass (`sample`) and feed
+`fourier`'s coefficient builders; the one-point functions are the
+one-element case.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -32,6 +33,7 @@ Conventions fixed here and relied on elsewhere:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -137,15 +139,18 @@ class GeneralState(_Pieces):
 
     branch is "trig", "linear" (nu is then 0), "hyper" or "deep" (t L >=
     LOG_SWITCH with t = -nu, sampled with its exp(t L / 2) divided out).
-    sign is trig_left_sign on the trig branch and 1.0 elsewhere; norm is the
-    divisor of every value: rho, deep_rho on the deep branch, or 1.0 for
-    the unnormalized state of eval_psi.
+    sign is trig_left_sign on the trig branch and 1.0 elsewhere.
     """
 
     branch: str
     nu: float
     sign: float
-    norm: float
+
+    @functools.cached_property
+    def norm(self) -> float:
+        """The divisor of every value, rho (deep_rho on the deep branch), taken
+        on first use: the linear expansion in `fourier` never reads it."""
+        return (deep_rho if self.branch == "deep" else rho)(self.setup, self.nu)
 
 
 @dataclass
@@ -177,7 +182,7 @@ class LimitState(_Pieces):
 
 
 # ============================================================
-# Raw (unnormalized) eigenfunctions
+# Trig, linear and evanescent states
 # ============================================================
 
 
@@ -187,8 +192,8 @@ def trig_left_sign(setup: Setup, nu: float) -> float:
     return -1.0 if hardened_floor(a2 / math.pi) % 2 else 1.0
 
 
-def _direct(setup: Setup, nu: float, norm: float) -> GeneralState:
-    """The trig, linear or evanescent state at nu with every value divided by norm."""
+def _direct(setup: Setup, nu: float) -> GeneralState:
+    """The normalized trig, linear or evanescent state at nu."""
     half, w1, w2, sign = setup.L / 2, setup.width_right, setup.width_left, 1.0
     if nu > 0:
         branch, f, k = "trig", math.sin, nu / 2
@@ -201,23 +206,13 @@ def _direct(setup: Setup, nu: float, norm: float) -> GeneralState:
         t = -nu
         branch, f, k = "hyper", math.sinh, t / 2
         a, b = math.sinh(t * w1 / 2), math.sinh(t * w2 / 2)
-    return GeneralState(
+    state = GeneralState(
         setup=setup, kind=WaveKind(branch),
-        left=lambda x: a * f(k * (half + x)) / norm,
-        right=lambda x: b * f(k * (half - x)) / norm,
-        branch=branch, nu=nu, sign=sign, norm=norm,
+        left=lambda x: a * f(k * (half + x)) / state.norm,
+        right=lambda x: b * f(k * (half - x)) / state.norm,
+        branch=branch, nu=nu, sign=sign,
     )
-
-
-def eval_psi(setup: Setup, nu: float, x: float) -> WaveSample:
-    """Unnormalized eigenfunction value at x for branch parameter nu.
-
-    The amplitude convention makes the state continuous at x0 with a
-    nonnegative right piece.  Raises OverflowError for evanescent states so
-    deep that the sinh products exceed float range (|nu| L / 2 > ~709); use
-    eval_normalized for those.
-    """
-    return _direct(setup, nu, 1.0).sample([x])[0]
+    return state
 
 
 # ============================================================
@@ -330,33 +325,28 @@ def general_state(setup: Setup, nu: float) -> Union[GeneralState, LimitState]:
         nu = 0.0
     t = -nu
     if t * setup.L < LOG_SWITCH:
-        return _direct(setup, nu, rho(setup, nu))
+        return _direct(setup, nu)
     # sinh(other) sinh(arm) / rho with sinh(z) = -exp(z) expm1(-2 z) / 2 and
     # rho = exp(t L / 2) deep_rho: the exponents sum to -(t/2) |x - x0|.
-    norm = deep_rho(setup, nu)
-    half, x0, k, scale = setup.L / 2, setup.x0_value, t / 2, 4 * norm
+    half, x0, k = setup.L / 2, setup.x0_value, t / 2
     a = math.expm1(-2 * (t * setup.width_right / 2))
     b = math.expm1(-2 * (t * setup.width_left / 2))
-    return GeneralState(
+    state = GeneralState(
         setup=setup, kind=WaveKind("hyper"),
         left=lambda x: (
-            a * math.expm1(-2 * (k * (half + x))) * math.exp(-k * abs(x - x0)) / scale
+            a * math.expm1(-2 * (k * (half + x))) * math.exp(-k * abs(x - x0)) / (4 * state.norm)
         ),
         right=lambda x: (
-            b * math.expm1(-2 * (k * (half - x))) * math.exp(-k * abs(x - x0)) / scale
+            b * math.expm1(-2 * (k * (half - x))) * math.exp(-k * abs(x - x0)) / (4 * state.norm)
         ),
-        branch="deep", nu=nu, sign=1.0, norm=norm,
+        branch="deep", nu=nu, sign=1.0,
     )
+    return state
 
 
 def eval_normalized(setup: Setup, nu: float, x: float) -> WaveSample:
-    """Unit-norm eigenfunction value at x; the one-point case of sample_wave."""
-    return sample_wave(setup, nu, [x])[0]
-
-
-def sample_wave(setup: Setup, nu: float, xs: "list[float]") -> "list[WaveSample]":
-    """Normalized eigenfunction sampled on a list of positions (see general_state)."""
-    return general_state(setup, nu).sample(xs)
+    """Unit-norm eigenfunction value at x; the one-point case of general_state's sample."""
+    return general_state(setup, nu).sample([x])[0]
 
 
 # ============================================================

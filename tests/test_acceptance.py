@@ -18,19 +18,12 @@ from pathlib import Path
 import pytest
 
 from deltabox import cli, oracle
-from deltabox.fourier import (
-    coeffs_general,
-    coeffs_upsilon_hat,
-    coeffs_upsilon_over,
-    coeffs_upsilon_under,
-    parseval_defect,
-    partial_sum,
-)
+from deltabox.fourier import coeffs_general, coeffs_limit, parseval_defect, partial_sum
 from deltabox.lattice import kappa_base, overline_nu, partition, underline_nu
 from deltabox.model import RationalX0, RealX0, make_setup, nu_n
 from deltabox.observables import amplitude_extrema, expectation_x, prob_ratio
 from deltabox.spectrum import alpha_from_nu, dispersion, solve_nu
-from deltabox.wavefn import eval_normalized, jump_ratio, upsilon_hat
+from deltabox.wavefn import eval_normalized, jump_ratio, limit_state, upsilon_hat
 
 from _quad import extrapolate_to_zero, simpson
 
@@ -276,14 +269,14 @@ def test_criterion_09_fourier_expansions():
     s = setup_pq(1, 4)
     nu8 = nu_n(s, 8)
     s34 = setup_pq(3, 4)
-    hat = coeffs_upsilon_hat(s, nu8, M=64)
+    hat = coeffs_limit(limit_state(s, "hat", nu8), M=64)
     assert dict(hat.coefficients)[8] == 0.0
-    assert dict(coeffs_upsilon_hat(s34, nu_n(s34, 16), M=64).coefficients)[16] == 0.0
+    assert dict(coeffs_limit(limit_state(s34, "hat", nu_n(s34, 16)), M=64).coefficients)[16] == 0.0
 
     assert parseval_defect(coeffs_general(s, 7.3, 4096)) < 1e-3
-    assert parseval_defect(coeffs_upsilon_hat(s, nu8, 4096)) < 1e-3
-    assert parseval_defect(coeffs_upsilon_under(s, 1, 4096)) < 1e-3
-    assert parseval_defect(coeffs_upsilon_over(s, 1, 4096)) < 1e-3
+    assert parseval_defect(coeffs_limit(limit_state(s, "hat", nu8), 4096)) < 1e-3
+    assert parseval_defect(coeffs_limit(limit_state(s, "under", 1), 4096)) < 1e-3
+    assert parseval_defect(coeffs_limit(limit_state(s, "over", 1), 4096)) < 1e-3
 
     xs = [-s.L / 2 + i * s.L / 240 for i in range(241)]
     smooth = coeffs_general(s, 7.3, 2048)
@@ -293,7 +286,7 @@ def test_criterion_09_fourier_expansions():
     assert sup < 5e-4
     from deltabox.wavefn import upsilon_over
 
-    limit = coeffs_upsilon_over(s, 1, 2048)
+    limit = coeffs_limit(limit_state(s, "over", 1), 2048)
     sup = max(
         abs(partial_sum(limit, x) - upsilon_over(s, 1, x).value)
         for x in xs
@@ -302,7 +295,7 @@ def test_criterion_09_fourier_expansions():
     assert sup < 2e-3
 
     eps_list = [1e-4, 1e-5, 1e-6]
-    hat_target = dict(coeffs_upsilon_hat(s, nu8, M=12).coefficients)
+    hat_target = dict(coeffs_limit(limit_state(s, "hat", nu8), M=12).coefficients)
     for m in (1, 2, 8):
         values = [
             dict(coeffs_general(s, nu8 * (1 + e), M=12).coefficients)[m]
@@ -311,7 +304,7 @@ def test_criterion_09_fourier_expansions():
         assert extrapolate_to_zero(eps_list, values) == pytest.approx(
             hat_target[m], abs=1e-6
         )
-    over_target = dict(coeffs_upsilon_over(s, 1, M=10).coefficients)
+    over_target = dict(coeffs_limit(limit_state(s, "over", 1), M=10).coefficients)
     o1 = overline_nu(s, 1)
     for m in (1, 3):
         values = [
@@ -321,7 +314,7 @@ def test_criterion_09_fourier_expansions():
         assert extrapolate_to_zero(eps_list, values) == pytest.approx(
             over_target[m], abs=1e-6
         )
-    under_target = dict(coeffs_upsilon_under(s, 1, M=6, side="below").coefficients)
+    under_target = dict(coeffs_limit(limit_state(s, "under", 1, "below"), M=6).coefficients)
     u1 = underline_nu(s, 1)
     for m in (1, 2):
         values = [

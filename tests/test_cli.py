@@ -145,6 +145,32 @@ def test_off_grid_oracle_exits_3(capsys):
     assert "multiple of 8" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("partition", "--nu-max", "1e9"),
+        ("spectrum", "--alpha", "5", "--count", "100000000"),
+        ("sweep", "--interval", "2", "--nu-max", "1e9"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_lattice_beyond_the_point_budget_exits_3(capsys, argv):
+    """The budget is checked before any point is built, so this is quick."""
+    code = cli.main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "budget" in err
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    target = tmp_path / "no_such_dir" / "out.csv"
+    code = cli.main(["ratio", "--nu", "3.3", "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and str(target) in captured.err
+
+
 def test_one_sided_point_expectation_exits_4(capsys):
     code = cli.main(["expectation", "--nu", OVER_1])
     err = capsys.readouterr().err

@@ -6,18 +6,12 @@ import math
 import pytest
 
 from deltabox.errors import DomainError, InK, NotInK
-from deltabox.fourier import (
-    coeffs_general,
-    coeffs_upsilon_hat,
-    coeffs_upsilon_over,
-    coeffs_upsilon_under,
-    parseval_defect,
-    partial_sum,
-)
+from deltabox.fourier import coeffs_general, coeffs_limit, parseval_defect, partial_sum
 from deltabox.lattice import overline_nu, underline_nu
 from deltabox.model import RationalX0, RealX0, make_setup, nu_n, phi_mode
 from deltabox.wavefn import (
     eval_normalized,
+    limit_state,
     upsilon_hat,
     upsilon_over,
     upsilon_under,
@@ -77,17 +71,36 @@ def test_expansion_is_one_hot_at_free_modes():
     assert expansion.tail_bound == 0.0
 
 
+def test_one_hot_and_linear_expansions_take_no_norm(monkeypatch):
+    """A free mode off the shared lattice is one-hot and the linear state has
+    a closed-form prefactor, so neither calls rho; a shared mode still
+    reaches the limit window first."""
+    s = setup_pq(1, 4)  # shared modes at multiples of 8
+    linear = [coeffs_general(s, nu, M=16).coefficients for nu in (0.0, 1e-12, -1e-12)]
+
+    def no_norm(setup, nu):
+        raise AssertionError(f"rho called at nu={nu!r}")
+
+    monkeypatch.setattr("deltabox.wavefn.rho", no_norm)
+    for nu in (nu_n(s, 1), nu_n(s, 3), nu_n(s, 3) * (1 + 5e-13), nu_n(s, 9)):
+        n = round(nu / nu_n(s, 1))
+        coeffs = coeffs_general(s, nu, M=16).coefficients
+        assert coeffs == [(m, 1.0 if m == n else 0.0) for m in range(1, 17)]
+    assert [coeffs_general(s, nu, M=16).coefficients for nu in (0.0, 1e-12, -1e-12)] == linear
+    assert coeffs_general(s, nu_n(s, 8), M=16).kind.label == "limit_hat"
+
+
 def test_hat_coefficients_match_quadrature():
     s = setup_pq(3, 4)
     nu_hat = nu_n(s, 16)
-    expansion = coeffs_upsilon_hat(s, nu_hat, M=24)
+    expansion = coeffs_limit(limit_state(s, "hat", nu_hat), M=24)
     f = lambda x: upsilon_hat(s, nu_hat, x).value
     assert_coefficients_match_quadrature(expansion, f)
 
 
 def test_hat_expansion_active_mode_coefficient_is_exactly_zero():
     s = setup_pq(1, 4)
-    expansion = coeffs_upsilon_hat(s, nu_n(s, 8), M=64)
+    expansion = coeffs_limit(limit_state(s, "hat", nu_n(s, 8)), M=64)
     coeffs = dict(expansion.coefficients)
     assert coeffs[8] == 0.0
     # Every mode vanishing at x0 (multiples of the base) is also absent.
@@ -97,22 +110,22 @@ def test_hat_expansion_active_mode_coefficient_is_exactly_zero():
 
 def test_under_coefficients_match_quadrature():
     s = setup_pq(1, 4)
-    expansion = coeffs_upsilon_under(s, 2, M=16)
+    expansion = coeffs_limit(limit_state(s, "under", 2), M=16)
     f = lambda x: upsilon_under(s, 2, "below", x).value
     assert_coefficients_match_quadrature(expansion, f)
 
 
 def test_over_coefficients_match_quadrature():
     s = setup_pq(1, 4)
-    expansion = coeffs_upsilon_over(s, 2, M=16)
+    expansion = coeffs_limit(limit_state(s, "over", 2), M=16)
     f = lambda x: upsilon_over(s, 2, x).value
     assert_coefficients_match_quadrature(expansion, f)
 
 
 def test_under_sides_differ_by_overall_sign():
     s = setup_pq(1, 4)
-    below = coeffs_upsilon_under(s, 1, M=8, side="below")
-    above = coeffs_upsilon_under(s, 1, M=8, side="above")
+    below = coeffs_limit(limit_state(s, "under", 1, "below"), M=8)
+    above = coeffs_limit(limit_state(s, "under", 1, "above"), M=8)
     for (m1, a1), (m2, a2) in zip(below.coefficients, above.coefficients):
         assert m1 == m2 and a1 == -a2
 
@@ -120,11 +133,11 @@ def test_under_sides_differ_by_overall_sign():
 def test_limit_expansions_reject_wrong_lattice_membership():
     s = setup_pq(1, 4)
     with pytest.raises(InK):
-        coeffs_upsilon_under(s, 5, M=8)
+        coeffs_limit(limit_state(s, "under", 5), M=8)
     with pytest.raises(InK):
-        coeffs_upsilon_over(s, 3, M=8)
+        coeffs_limit(limit_state(s, "over", 3), M=8)
     with pytest.raises(NotInK):
-        coeffs_upsilon_hat(s, nu_n(s, 7), M=8)
+        coeffs_limit(limit_state(s, "hat", nu_n(s, 7)), M=8)
     with pytest.raises(DomainError):
         coeffs_general(s, 5.0, M=0)
 
@@ -155,9 +168,18 @@ def test_partial_sums_reconstruct_smooth_states():
 def test_partial_sums_reconstruct_limit_states_away_from_site():
     s = setup_pq(1, 4)
     cases = [
-        (coeffs_upsilon_hat(s, nu_n(s, 8), M=2048), lambda x: upsilon_hat(s, nu_n(s, 8), x).value),
-        (coeffs_upsilon_under(s, 1, M=2048), lambda x: upsilon_under(s, 1, "below", x).value),
-        (coeffs_upsilon_over(s, 1, M=2048), lambda x: upsilon_over(s, 1, x).value),
+        (
+            coeffs_limit(limit_state(s, "hat", nu_n(s, 8)), M=2048),
+            lambda x: upsilon_hat(s, nu_n(s, 8), x).value,
+        ),
+        (
+            coeffs_limit(limit_state(s, "under", 1), M=2048),
+            lambda x: upsilon_under(s, 1, "below", x).value,
+        ),
+        (
+            coeffs_limit(limit_state(s, "over", 1), M=2048),
+            lambda x: upsilon_over(s, 1, x).value,
+        ),
     ]
     for expansion, f in cases:
         err = sup_reconstruction_error(s, expansion, f, exclude_radius=s.L / 64)
@@ -192,7 +214,7 @@ def test_partial_sums_are_relatively_accurate_at_both_walls(x0):
     s = make_setup(L=1.0, x0=x0, c=1.0)
     expansions = [coeffs_general(s, nu, M=1024) for nu in (37.3, -9.0, 0.0)]
     if x0 == RationalX0(1, 4):
-        expansions.append(coeffs_upsilon_hat(s, nu_n(s, 8), M=1024))
+        expansions.append(coeffs_limit(limit_state(s, "hat", nu_n(s, 8)), M=1024))
     with mpmath.workdps(40):
         for expansion in expansions:
             for delta in (1e-3, 1e-4, 1e-6, 1e-9):
@@ -207,9 +229,9 @@ def test_partial_sums_match_direct_summation(M):
     s = setup_pq(1, 4)
     expansions = [
         coeffs_general(s, 7.3, M=M),
-        coeffs_upsilon_hat(s, nu_n(s, 8), M=M),
-        coeffs_upsilon_under(s, 2, M=M),
-        coeffs_upsilon_over(s, 2, M=M),
+        coeffs_limit(limit_state(s, "hat", nu_n(s, 8)), M=M),
+        coeffs_limit(limit_state(s, "under", 2), M=M),
+        coeffs_limit(limit_state(s, "over", 2), M=M),
     ]
     xs = [-s.L / 2 + i * s.L / 64 for i in range(65)]
     for expansion in expansions:
@@ -247,9 +269,9 @@ def test_parseval_defect_small_for_all_state_families():
         coeffs_general(s, 7.3, M=4096),
         coeffs_general(s, -9.0, M=4096),
         coeffs_general(s, 0.0, M=4096),
-        coeffs_upsilon_hat(s, nu_n(s, 8), M=4096),
-        coeffs_upsilon_under(s, 1, M=4096),
-        coeffs_upsilon_over(s, 1, M=4096),
+        coeffs_limit(limit_state(s, "hat", nu_n(s, 8)), M=4096),
+        coeffs_limit(limit_state(s, "under", 1), M=4096),
+        coeffs_limit(limit_state(s, "over", 1), M=4096),
     ]
     for expansion in expansions:
         assert abs(parseval_defect(expansion)) < 1e-3
@@ -297,7 +319,7 @@ def test_deep_evanescent_coefficients_at_every_depth(p, q):
 def test_general_coefficients_converge_to_over_limit():
     s = setup_pq(1, 4)
     o1 = overline_nu(s, 1)
-    target = dict(coeffs_upsilon_over(s, 1, M=10).coefficients)
+    target = dict(coeffs_limit(limit_state(s, "over", 1), M=10).coefficients)
     eps_list = [1e-4, 1e-5, 1e-6]
     for m in (1, 2, 3, 7):
         values = [
@@ -313,7 +335,7 @@ def test_general_coefficients_converge_to_under_limit_both_sides():
     u1 = underline_nu(s, 1)
     eps_list = [1e-4, 1e-5, 1e-6]
     for side, orient in (("below", -1), ("above", +1)):
-        target = dict(coeffs_upsilon_under(s, 1, M=6, side=side).coefficients)
+        target = dict(coeffs_limit(limit_state(s, "under", 1, side), M=6).coefficients)
         for m in (1, 2, 5):
             values = [
                 dict(coeffs_general(s, u1 * (1 + orient * e), M=6).coefficients)[m]

@@ -1,5 +1,5 @@
 """Package structure: modules share only public names, no module needs numpy,
-and importing the CLI builds no parser."""
+and importing the CLI builds no parser and loads no fractions or decimal."""
 
 import ast
 import os
@@ -27,17 +27,19 @@ def test_cli_import_leaves_numpy_unloaded():
     """The CLI imports every module; a fresh interpreter must not load numpy.
 
     Nor may the import build an argument parser: main builds it on its
-    first call, so a process that never calls main never pays for it.
+    first call, so a process that never calls main never pays for it.  Nor
+    may it load fractions or decimal: site and grid arithmetic is on ints.
     """
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     probe = (
         "import gc, sys, deltabox.cli; from argparse import ArgumentParser; "
         "print('numpy' in sys.modules, "
-        "any(isinstance(o, ArgumentParser) for o in gc.get_objects()))"
+        "any(isinstance(o, ArgumentParser) for o in gc.get_objects()), "
+        "'fractions' in sys.modules, 'decimal' in sys.modules)"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False False"
+    assert result.stdout.strip() == "False False False False"

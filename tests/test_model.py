@@ -1,4 +1,4 @@
-"""Setup construction, branch bookkeeping, and free-well modes."""
+"""Setup construction, signed energies, and free-well modes."""
 
 import math
 
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from deltabox.errors import DomainError
 from deltabox.model import (
-    NuBranch,
     RationalX0,
     RealX0,
     energy_from_nu,
@@ -27,15 +26,13 @@ def test_make_setup_populates_widths():
     assert s.width_right == pytest.approx(2.0 / 2 - 0.25)
     assert s.width_left == pytest.approx(2.0 / 2 + 0.25)
     assert s.q_ratio == pytest.approx(s.width_right / s.width_left)
-    assert s.lbar == pytest.approx((-1.0 + 0.25) / 2)
-    assert s.rbar == pytest.approx((0.25 + 1.0) / 2)
-    assert s.is_rational
+    assert isinstance(s.x0, RationalX0)
 
 
 def test_make_setup_real_site():
     s = make_setup(L=1.0, x0=RealX0(0.3), c=2.0)
     assert s.x0_value == pytest.approx(0.3)
-    assert not s.is_rational
+    assert not isinstance(s.x0, RationalX0)
     assert s.c == 2.0
 
 
@@ -72,12 +69,6 @@ def test_rational_site_rejects_out_of_range():
         RationalX0(1, 0)
     with pytest.raises(DomainError):
         RationalX0(-1, 4)
-
-
-def test_branch_kinds():
-    assert NuBranch(3.0).kind == "trig"
-    assert NuBranch(0.0).kind == "linear"
-    assert NuBranch(-3.0).kind == "hyper"
 
 
 def test_energy_is_signed_and_monotone():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from deltabox.errors import SingularPoint
 from deltabox.lattice import classify_mode, partition, singular_guard_radius
 from deltabox.model import RationalX0, RealX0, make_setup, nu_n
-from deltabox.spectrum import alpha_from_nu, dispersion, dispersion_value, solve_nu
+from deltabox.spectrum import alpha_from_nu, dispersion, solve_nu
 
 
 def setup_pq(p, q, L=1.0, c=1.0):
@@ -93,9 +93,7 @@ def test_dispersion_rejects_lattice_points():
 
 def test_dispersion_value_carries_branch_and_coupling():
     s = setup_pq(1, 4, c=2.5)
-    dv = dispersion_value(s, 5.0)
-    assert dv.alpha == pytest.approx(2.5 * dv.two_g, rel=1e-15)
-    assert alpha_from_nu(s, 5.0) == pytest.approx(dv.alpha, rel=1e-15)
+    assert alpha_from_nu(s, 5.0) == pytest.approx(2.5 * dispersion(s, 5.0), rel=1e-15)
 
 
 def test_dispersion_asymptote_down_the_evanescent_branch():

@@ -14,13 +14,12 @@ from deltabox.observables import prob_ratio
 from deltabox.wavefn import (
     compartment_masses,
     eval_normalized,
-    eval_psi,
+    general_state,
     jump_ratio,
     kappa_constants,
     limit_residual,
     limit_state,
     rho,
-    sample_wave,
     trig_left_sign,
     upsilon_hat,
     upsilon_over,
@@ -43,6 +42,27 @@ def norm_squared(setup, nu, n=4001):
     return simpson_split(f, -setup.L / 2, setup.L / 2, setup.x0_value, n)
 
 
+def raw_state(setup, nu, x):
+    """The unnormalized eigenfunction at x: the three-branch piecewise closed form.
+
+    Continuous at x0, with a nonnegative right piece and trig_left_sign on
+    the left trig piece.  The compartment masses are those of this state, so
+    the mass check integrates it rather than rescaling normalized samples.
+    """
+    half, w1, w2 = setup.L / 2, setup.width_right, setup.width_left
+    if nu > 0:
+        k = nu / 2
+        left = trig_left_sign(setup, nu) * math.sin(k * w1) * math.sin(k * (half + x))
+        right = abs(math.sin(k * w2)) * math.sin(k * (half - x))
+    elif nu == 0:
+        left, right = w1 * (half + x), w2 * (half - x)
+    else:
+        t = -nu
+        left = math.sinh(t * w1 / 2) * math.sinh(t / 2 * (half + x))
+        right = math.sinh(t * w2 / 2) * math.sinh(t / 2 * (half - x))
+    return left if x <= setup.x0_value else right
+
+
 def one_sided_jump(f, x0, h=1e-6):
     """Numerical derivative jump at a kink where f(x0) = 0.
 
@@ -61,25 +81,27 @@ def one_sided_jump(f, x0, h=1e-6):
 @pytest.mark.parametrize("nu", [5.0, 27.3, -4.0, 0.0, 1e-7])
 def test_eval_psi_continuous_at_site_and_zero_at_walls(nu):
     s = setup_pq(1, 4)
-    left = eval_psi(s, nu, s.x0_value).value
-    right = eval_psi(s, nu, s.x0_value + 1e-12).value
+    state = general_state(s, nu)
+    value = lambda x: state.sample([x])[0].value
+    left = value(s.x0_value)
+    right = value(s.x0_value + 1e-12)
     scale = max(abs(left), abs(right), 1e-30)
     assert abs(left - right) <= 1e-9 * scale
-    assert eval_psi(s, nu, -s.L / 2).value == pytest.approx(0.0, abs=1e-15 * scale)
-    assert eval_psi(s, nu, s.L / 2).value == pytest.approx(0.0, abs=1e-15 * scale)
+    assert value(-s.L / 2) == pytest.approx(0.0, abs=1e-15 * scale)
+    assert value(s.L / 2) == pytest.approx(0.0, abs=1e-15 * scale)
 
 
 def test_eval_psi_branch_tags():
     s = setup_pq(1, 4)
-    assert eval_psi(s, 3.0, 0.1).kind.label == "trig"
-    assert eval_psi(s, 0.0, 0.1).kind.label == "linear"
-    assert eval_psi(s, -3.0, 0.1).kind.label == "hyper"
+    assert general_state(s, 3.0).sample([0.1])[0].kind.label == "trig"
+    assert general_state(s, 0.0).sample([0.1])[0].kind.label == "linear"
+    assert general_state(s, -3.0).sample([0.1])[0].kind.label == "hyper"
 
 
 def test_eval_psi_rejects_positions_outside_box():
     s = setup_pq(1, 4)
     with pytest.raises(DomainError):
-        eval_psi(s, 3.0, 0.51)
+        general_state(s, 3.0).sample([0.51])
 
 
 def test_trig_left_sign_alternates_across_left_lattice():
@@ -152,7 +174,7 @@ def test_compartment_masses_match_quadrature(nu):
     """Trig, direct evanescent, deep evanescent and linear-window inputs."""
     s = setup_pq(1, 4)
     left, right, scale = compartment_masses(s, nu)
-    f = lambda x: eval_psi(s, nu, x).value ** 2
+    f = lambda x: raw_state(s, nu, x) ** 2
     half, x0 = s.L / 2, s.x0_value
     if nu < -100:
         width = 40.0 / (-nu)
@@ -207,7 +229,7 @@ def test_deep_evanescent_peak_height_at_every_depth(p, q):
     s = setup_pq(p, q)
     for e in range(3, 301):
         t = 10.0**e
-        value = sample_wave(s, -t, [s.x0_value])[0].value
+        value = general_state(s, -t).sample([s.x0_value])[0].value
         assert abs(value * value * 2 / t - 1) <= 1e-14, t
 
 
@@ -451,19 +473,19 @@ def test_window_around_shared_mode_returns_the_limit_state():
 
 @pytest.mark.parametrize("nu", [37.3, 0.0, -3.3])
 def test_sample_wave_is_the_raw_state_over_rho(nu):
-    """Trig, linear and hyper states: the normalized pass divides eval_psi by rho."""
+    """Trig, linear and hyper states: the normalized pass divides the raw state by rho."""
     s = setup_pq(1, 4)
     xs = grid_with_site_and_walls(s, n=256)
     norm = rho(s, nu)
-    samples = sample_wave(s, nu, xs)
-    assert [sample.value for sample in samples] == [eval_psi(s, nu, x).value / norm for x in xs]
+    samples = general_state(s, nu).sample(xs)
+    assert [sample.value for sample in samples] == [raw_state(s, nu, x) / norm for x in xs]
 
 
 def test_sample_wave_matches_pointwise_evaluation():
     s = setup_pq(1, 4)
     xs = [-0.5, -0.2, 0.0, 0.125, 0.3, 0.5]
     for nu in (12.0, -700.0, 1e-100):
-        samples = sample_wave(s, nu, xs)
+        samples = general_state(s, nu).sample(xs)
         for x, sample in zip(xs, samples):
             assert sample.x == x
             assert sample.value == eval_normalized(s, nu, x).value
