@@ -16,8 +16,7 @@ defined there, not merely up to sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .errors import DomainError
 from .lattice import kappa_base
@@ -33,8 +32,7 @@ DEFAULT_M = 4096
 _MODE_SNAP_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FourierExpansion:
+class FourierExpansion(NamedTuple):
     """Truncated sine-basis expansion of one state.
 
     coefficients holds (m, a_m) pairs for m = 1..M.  tail_bound estimates
@@ -43,7 +41,6 @@ class FourierExpansion:
 
     kind: WaveKind
     coefficients: List[Tuple[int, float]]
-    M: int
     setup: Setup
     tail_bound: float
 
@@ -51,12 +48,12 @@ class FourierExpansion:
 def _finish(setup: Setup, kind: WaveKind, coeffs: List[Tuple[int, float]]) -> FourierExpansion:
     envelope = max((abs(a) * m * m for m, a in coeffs), default=0.0)
     tail = math.sqrt(2 / setup.L) * envelope / max(len(coeffs), 1)
-    return FourierExpansion(kind, coeffs, len(coeffs), setup, tail)
+    return FourierExpansion(kind, coeffs, setup, tail)
 
 
 def _one_hot(setup: Setup, kind: WaveKind, n: int, M: int) -> FourierExpansion:
     coeffs = [(m, 1.0 if m == n else 0.0) for m in range(1, M + 1)]
-    return FourierExpansion(kind, coeffs, M, setup, 0.0)
+    return FourierExpansion(kind, coeffs, setup, 0.0)
 
 
 def _check_m(M: int) -> None:

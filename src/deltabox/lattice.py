@@ -39,8 +39,7 @@ shared point (tag Z).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError, NotInK
 from .model import Setup
@@ -48,8 +47,10 @@ from .model import Setup
 ON_LATTICE_RTOL = 1e-9
 LIMIT_WINDOW_RTOL = 1e-8
 
-# Most lattice points partition builds; each costs about 350 bytes.
-_POINT_BUDGET = 2 * 10**7
+# Most lattice points partition builds.  A point with its interval takes
+# about 305 bytes (tracemalloc over an 87 501-point partition), so a
+# partition at the budget holds about 300 MB.
+POINT_BUDGET = 10**6
 
 _CASE_BY_KINDS = {
     ("under", "under"): "A",
@@ -65,8 +66,7 @@ _CASE_BY_KINDS = {
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class LatticePoint:
+class LatticePoint(NamedTuple):
     """A singular wave number with its provenance.
 
     kind is "under" (left sub-box, index k), "over" (right sub-box, index l)
@@ -79,8 +79,7 @@ class LatticePoint:
     l: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class IntervalDescriptor:
+class IntervalDescriptor(NamedTuple):
     """An open interval between consecutive lattice points.
 
     lower is None for the unbounded leftmost interval.  contains_mode is the
@@ -95,8 +94,7 @@ class IntervalDescriptor:
     contains_mode: Optional[int]
 
 
-@dataclass(frozen=True)
-class ModeClassification:
+class ModeClassification(NamedTuple):
     """Placement of a free mode: either interval + case tag, or tag Z."""
 
     n: int
@@ -188,17 +186,18 @@ def partition(setup: Setup, nu_max: float) -> tuple[list[LatticePoint], list[Int
     The first point strictly beyond nu_max is included as a closing point so
     the returned intervals cover (-inf, nu_max] completely.  Coincident
     under/over points are merged into "both" points.  Raises DomainError
-    when nu_max L / (2 pi), which bounds the point count, exceeds 2e7.
+    when nu_max L / (2 pi), which bounds the point count, exceeds
+    POINT_BUDGET.
     """
     if not (math.isfinite(nu_max) and nu_max > 0):
         raise DomainError(f"nu_max must be positive and finite, got {nu_max}")
     # Up to nu_max lie at most nu_max (L/2 + x0) / (2 pi) under points and
     # nu_max (L/2 - x0) / (2 pi) over points: nu_max L / (2 pi) in all.
     bound = nu_max * setup.L / (2 * math.pi)
-    if bound > _POINT_BUDGET:
+    if bound > POINT_BUDGET:
         raise DomainError(
             f"nu_max = {nu_max} allows up to {bound:.3g} lattice points, "
-            f"beyond the budget of {_POINT_BUDGET:.0e}"
+            f"beyond the budget of {POINT_BUDGET:.0e}"
         )
     # Merge the two lattices in order: under point k lies below over point l
     # exactly when k (q - p) < l (q + p).

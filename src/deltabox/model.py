@@ -27,8 +27,7 @@ float position x0_value in both cases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Union
+from typing import List, NamedTuple, Union
 
 from .errors import DomainError
 
@@ -37,40 +36,35 @@ from .errors import DomainError
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class RationalX0:
+class RationalX0(NamedTuple("RationalX0", [("p", int), ("q", int)])):
     """x0 = (p/q) (L/2), stored in lowest terms with 0 <= p < q."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.q < 1:
-            raise DomainError(f"rational x0 needs q >= 1, got q={self.q}")
-        if self.p < 0:
-            raise DomainError(f"rational x0 needs p >= 0, got p={self.p}")
-        g = math.gcd(self.p, self.q)
-        if g > 1:
-            object.__setattr__(self, "p", self.p // g)
-            object.__setattr__(self, "q", self.q // g)
-        if self.p >= self.q:
-            raise DomainError(
-                f"rational x0 = ({self.p}/{self.q})(L/2) lies outside [0, L/2)"
-            )
+    def __new__(cls, p: int, q: int) -> "RationalX0":
+        if q < 1:
+            raise DomainError(f"rational x0 needs q >= 1, got q={q}")
+        if p < 0:
+            raise DomainError(f"rational x0 needs p >= 0, got p={p}")
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        if p >= q:
+            raise DomainError(f"rational x0 = ({p}/{q})(L/2) lies outside [0, L/2)")
+        return super().__new__(cls, p, q)
 
     def value(self, L: float) -> float:
         return self.p / self.q * (L / 2)
 
 
-@dataclass(frozen=True)
-class RealX0:
+class RealX0(NamedTuple("RealX0", [("value_abs", float)])):
     """x0 as a plain float length; its lattice uses site_fraction's p/q."""
 
-    value_abs: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value_abs) or self.value_abs < 0:
-            raise DomainError(f"real x0 must be finite and >= 0, got {self.value_abs}")
+    def __new__(cls, value_abs: float) -> "RealX0":
+        if not math.isfinite(value_abs) or value_abs < 0:
+            raise DomainError(f"real x0 must be finite and >= 0, got {value_abs}")
+        return super().__new__(cls, value_abs)
 
     def value(self, L: float) -> float:
         return self.value_abs
@@ -84,8 +78,7 @@ X0Spec = Union[RationalX0, RealX0]
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class Setup:
+class Setup(NamedTuple):
     """Immutable physical configuration; all derived lengths precomputed.
 
     q_ratio is the sub-box length ratio (L/2 - x0)/(L/2 + x0) in (0, 1].

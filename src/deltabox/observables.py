@@ -18,8 +18,7 @@ half-integer multiples of pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import BracketError, ConvergenceError, DomainError, InK, SingularPoint
 from .lattice import LatticePoint, kappa_base, lattice_point_at
@@ -28,8 +27,7 @@ from .wavefn import compartment_masses
 from ._special import LINEAR_WINDOW, LOG_SWITCH, one_minus_sinc, sinhc_minus_one
 
 
-@dataclass(frozen=True)
-class RatioPoint:
+class RatioPoint(NamedTuple):
     """Probability ratio at one branch parameter.
 
     r is the right-to-left probability ratio, math.inf at right-side lattice
@@ -41,8 +39,7 @@ class RatioPoint:
     at_lattice: Optional[LatticePoint] = None
 
 
-@dataclass(frozen=True)
-class AmplitudeExtremum:
+class AmplitudeExtremum(NamedTuple):
     """One extremum of the centered-site amplitude envelope."""
 
     n: int

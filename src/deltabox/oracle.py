@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import add, mul, sub, truediv
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import ConvergenceError, DomainError, GridMismatch
 from .model import RationalX0, Setup, energy_from_nu, nu_n, phi_mode
@@ -35,8 +34,7 @@ from .spectrum import analytic_levels
 from .wavefn import general_state
 
 
-@dataclass(frozen=True)
-class Tridiagonal:
+class Tridiagonal(NamedTuple):
     """Symmetric tridiagonal interior discretization of the Hamiltonian."""
 
     diag: List[float]
@@ -45,8 +43,7 @@ class Tridiagonal:
     dx: float
 
 
-@dataclass(frozen=True)
-class LevelComparison:
+class LevelComparison(NamedTuple):
     """Analytic level versus oracle level, with relative errors."""
 
     index: int
@@ -58,8 +55,7 @@ class LevelComparison:
     sup_wave_error: float
 
 
-@dataclass(frozen=True)
-class OracleComparison:
+class OracleComparison(NamedTuple):
     levels: List[LevelComparison]
     max_rel_energy_error: float
     max_sup_wave_error: float
@@ -70,7 +66,7 @@ class OracleComparison:
 # ============================================================
 
 
-def _site_node(setup: Setup, N: int, allow_snap: bool) -> int:
+def _site_node(setup: Setup, N: int) -> int:
     """1-based grid node carrying the interaction site."""
     if isinstance(setup.x0, RationalX0):
         p, q = setup.x0.p, setup.x0.q
@@ -83,28 +79,25 @@ def _site_node(setup: Setup, N: int, allow_snap: bool) -> int:
         return num // den
     pos = (setup.x0_value + setup.L / 2) / setup.L * (N + 1)
     j = round(pos)
-    if abs(pos - j) > 1e-9 and not allow_snap:
+    if abs(pos - j) > 1e-9:
         raise GridMismatch(
             f"x0 is off-grid for N={N} (offset {abs(pos - j):.3e} nodes); "
-            "pass allow_snap=True to accept the nearest node"
+            "choose a grid with the site on a node"
         )
     return int(j)
 
 
-def build_hamiltonian(
-    setup: Setup, alpha: float, N: int, allow_snap: bool = False
-) -> Tridiagonal:
+def build_hamiltonian(setup: Setup, alpha: float, N: int) -> Tridiagonal:
     """Interior tridiagonal matrix of the discretized Hamiltonian.
 
     Dirichlet walls are eliminated; the interaction contributes alpha/dx on
     the diagonal at the node holding x0.  The site must land on a grid node
-    (exactly for rational sites; within 1e-9 nodes for real ones unless
-    allow_snap accepts the nearest node).
+    (exactly for rational sites; within 1e-9 nodes for real ones).
     """
     if N < 16:
         raise DomainError(f"N must be >= 16, got {N!r}")
     dx = setup.L / (N + 1)
-    j = _site_node(setup, N, allow_snap)
+    j = _site_node(setup, N)
     if j < 1 or j > N:
         raise GridMismatch(f"x0 lands on a wall node for N={N}")
     diag = [2 * setup.c / dx**2] * N

@@ -37,6 +37,7 @@ from typing import List, Tuple
 
 from .errors import BracketError, DomainError, SingularPoint
 from .lattice import (
+    POINT_BUDGET,
     IntervalDescriptor,
     kappa_base,
     nearest_lattice_point,
@@ -223,8 +224,16 @@ def analytic_levels(setup: Setup, alpha: float, count: int) -> List[Tuple[float,
     An eigenvalue is either the root of the coupling equation inside one
     partition interval, or a free mode on the shared lattice, which solves
     the problem for every coupling because it vanishes at the site.
+    Raises DomainError when the lattice this needs exceeds the point budget.
     """
-    nu_max = (1.5 * count + 8) * 2 * math.pi / setup.L
+    # Up to nu_max lie at most nu_max L / (2 pi) lattice points (partition).
+    points = 1.5 * count + 8
+    if points > POINT_BUDGET:
+        raise DomainError(
+            f"count = {count} needs up to {points:.3g} lattice points, "
+            f"beyond the budget of {POINT_BUDGET:.0e}"
+        )
+    nu_max = points * 2 * math.pi / setup.L
     _, intervals = partition(setup, nu_max)
     levels = [(solve_nu(setup, alpha, iv), False) for iv in intervals]
     base = kappa_base(setup)

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import DomainError, InK
 from .lattice import (
@@ -65,8 +64,7 @@ _LN2 = math.log(2.0)
 # ============================================================
 
 
-@dataclass(frozen=True)
-class WaveKind:
+class WaveKind(NamedTuple):
     """Tag identifying which formula produced a wavefunction value.
 
     label is one of "trig", "linear", "hyper", "limit_hat", "limit_under",
@@ -81,8 +79,7 @@ class WaveKind:
     side: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class WaveSample:
+class WaveSample(NamedTuple):
     """One evaluated point of a wavefunction."""
 
     x: float
@@ -90,8 +87,7 @@ class WaveSample:
     kind: WaveKind
 
 
-@dataclass(frozen=True)
-class LimitResidualReport:
+class LimitResidualReport(NamedTuple):
     """Numerical evidence that a limit state solves its boundary problem.
 
     max_ode_residual is the largest relative second-difference defect of
@@ -109,17 +105,14 @@ class LimitResidualReport:
 # Resolved states
 # ============================================================
 
+_HalfWave = Callable[[float], float]
 
-# The state records are not frozen: the one-point functions build one per
-# call, and a frozen dataclass takes several times longer to construct.
-@dataclass
+
 class _Pieces:
     """A state's two half-waves: left(x) for x <= x0, right(x) for x > x0."""
 
-    setup: Setup
-    kind: WaveKind
-    left: Callable[[float], float]
-    right: Callable[[float], float]
+    def __init__(self, setup: Setup, kind: WaveKind, left: _HalfWave, right: _HalfWave) -> None:
+        self.setup, self.kind, self.left, self.right = setup, kind, left, right
 
     def sample(self, xs: "list[float]") -> "list[WaveSample]":
         """The state on a list of positions; DomainError for one outside the box."""
@@ -133,7 +126,6 @@ class _Pieces:
         return out
 
 
-@dataclass
 class GeneralState(_Pieces):
     """The eigenfunction at one nu, resolved once by general_state.
 
@@ -142,9 +134,12 @@ class GeneralState(_Pieces):
     sign is trig_left_sign on the trig branch and 1.0 elsewhere.
     """
 
-    branch: str
-    nu: float
-    sign: float
+    def __init__(
+        self, setup: Setup, kind: WaveKind, left: _HalfWave, right: _HalfWave,
+        branch: str, nu: float, sign: float,
+    ) -> None:
+        super().__init__(setup, kind, left, right)
+        self.branch, self.nu, self.sign = branch, nu, sign
 
     @functools.cached_property
     def norm(self) -> float:
@@ -153,7 +148,6 @@ class GeneralState(_Pieces):
         return (deep_rho if self.branch == "deep" else rho)(self.setup, self.nu)
 
 
-@dataclass
 class LimitState(_Pieces):
     """A limit state, validated once by limit_state.
 
@@ -166,11 +160,12 @@ class LimitState(_Pieces):
     left piece is -root phi_n, the right phi_n / root) and width is L.
     """
 
-    mode: int
-    sign: float
-    amp: float
-    root: float
-    width: float
+    def __init__(
+        self, setup: Setup, kind: WaveKind, left: _HalfWave, right: _HalfWave,
+        mode: int, sign: float, amp: float, root: float, width: float,
+    ) -> None:
+        super().__init__(setup, kind, left, right)
+        self.mode, self.sign, self.amp, self.root, self.width = mode, sign, amp, root, width
 
     @property
     def coeff_sign(self) -> float:

@@ -456,3 +456,16 @@ def test_criterion_12_readme_gallery_smoke():
                     assert not math.isnan(value), f"NaN in {line!r}: {row}"
                     if not marked:
                         assert math.isfinite(value), f"inf in {line!r}: {row}"
+
+
+def test_readme_library_quickstart_runs():
+    """The README's Library quickstart block runs as printed, and its
+    coupling round-trips as its comment says."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quickstart", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["alpha"] == pytest.approx(5.0, rel=1e-9)
+    for name in ("psi", "r", "mean_x"):
+        assert math.isfinite(namespace[name]), name

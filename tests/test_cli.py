@@ -146,20 +146,31 @@ def test_off_grid_oracle_exits_3(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        ("partition", "--nu-max", "1e9"),
-        ("spectrum", "--alpha", "5", "--count", "100000000"),
-        ("sweep", "--interval", "2", "--nu-max", "1e9"),
+        pytest.param(("partition", "--nu-max", "1e9"), "nu_max = 1000000000.0", id="partition"),
+        # About 1.9e7 points, several GB, were the budget not checked first.
+        pytest.param(
+            ("partition", "--nu-max", "1.2e8"), "nu_max = 120000000.0", id="partition-1.2e8"
+        ),
+        pytest.param(
+            ("spectrum", "--alpha", "5", "--count", "100000000"), "count = 100000000", id="spectrum"
+        ),
+        pytest.param(
+            ("sweep", "--interval", "2", "--nu-max", "1e9"), "nu_max = 1000000000.0", id="sweep"
+        ),
     ],
-    ids=lambda argv: argv[0],
 )
-def test_lattice_beyond_the_point_budget_exits_3(capsys, argv):
-    """The budget is checked before any point is built, so this is quick."""
+def test_lattice_beyond_the_point_budget_exits_3(capsys, argv, named):
+    """The budget is checked before any point is built, so this is quick.
+
+    The message names the option the user passed: --count for spectrum.
+    """
     code = cli.main(list(argv))
     err = capsys.readouterr().err
     assert code == 3
     assert "budget" in err
+    assert named in err
 
 
 def test_unwritable_output_exits_2(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Package structure: modules share only public names, no module needs numpy,
-and importing the CLI builds no parser and loads no fractions or decimal."""
+and importing the CLI builds no parser and loads no fractions, decimal,
+dataclasses or inspect."""
 
 import ast
 import os
@@ -29,6 +30,7 @@ def test_cli_import_leaves_numpy_unloaded():
     Nor may the import build an argument parser: main builds it on its
     first call, so a process that never calls main never pays for it.  Nor
     may it load fractions or decimal: site and grid arithmetic is on ints.
+    Nor dataclasses or inspect: the records are NamedTuples and plain classes.
     """
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
@@ -36,10 +38,11 @@ def test_cli_import_leaves_numpy_unloaded():
         "import gc, sys, deltabox.cli; from argparse import ArgumentParser; "
         "print('numpy' in sys.modules, "
         "any(isinstance(o, ArgumentParser) for o in gc.get_objects()), "
-        "'fractions' in sys.modules, 'decimal' in sys.modules)"
+        "'fractions' in sys.modules, 'decimal' in sys.modules, "
+        "'dataclasses' in sys.modules, 'inspect' in sys.modules)"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False False False False"
+    assert result.stdout.strip() == "False False False False False False"

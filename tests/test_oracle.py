@@ -39,7 +39,7 @@ def tridiag_apply(T, v):
 
 def test_site_node_lands_on_exact_grid_point():
     s = setup_pq(1, 4)
-    j = _site_node(s, 4095, allow_snap=False)
+    j = _site_node(s, 4095)
     assert j == 2560
     dx = s.L / 4096
     assert -s.L / 2 + j * dx == s.x0_value
@@ -47,7 +47,7 @@ def test_site_node_lands_on_exact_grid_point():
 
 def test_site_node_centered():
     s = setup_pq(0, 1)
-    j = _site_node(s, 4095, allow_snap=False)
+    j = _site_node(s, 4095)
     assert j == 2048
     assert -s.L / 2 + j * (s.L / 4096) == 0.0
 
@@ -58,12 +58,10 @@ def test_off_grid_rational_site_raises_grid_mismatch():
         build_hamiltonian(s, 0.0, 2046)
 
 
-def test_real_site_off_grid_requires_snap():
+def test_real_site_off_grid_raises_grid_mismatch():
     s = make_setup(L=1.0, x0=RealX0(0.1259881576697424), c=1.0)
-    with pytest.raises(GridMismatch, match="allow_snap"):
+    with pytest.raises(GridMismatch, match="choose a grid with the site on a node"):
         build_hamiltonian(s, 0.0, 511)
-    T = build_hamiltonian(s, 0.0, 511, allow_snap=True)
-    assert T.N == 511
 
 
 def test_real_site_on_grid_needs_no_snap():
@@ -302,5 +300,5 @@ def test_mode_eigenvector_vanishes_at_site():
     T = build_hamiltonian(s, 0.0, 2047)
     target = energy_from_nu(s, nu_n(s, 8))
     lam, vec = min(eig_lowest(T, 9), key=lambda p: abs(p[0] - target))
-    j = _site_node(s, 2047, allow_snap=False)
+    j = _site_node(s, 2047)
     assert abs(vec[j - 1]) < 1e-6 * float(np.max(np.abs(vec)))
