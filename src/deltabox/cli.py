@@ -15,13 +15,12 @@ points, bracket or convergence failures, overflow).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
 import math
 import sys
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from . import fourier as fourier_mod
 from . import observables, oracle, wavefn
@@ -34,7 +33,7 @@ from .errors import (
     NotInK,
     SingularPoint,
 )
-from .lattice import partition
+from .lattice import POINT_BUDGET, partition
 from .model import (
     RationalX0,
     RealX0,
@@ -117,9 +116,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _linspace(lo: float, hi: float, n: int) -> List[float]:
+def _linspace(lo: float, hi: float, n: int, option: str = "--points") -> List[float]:
+    """n evenly spaced values from lo to hi; option names n in the errors."""
     if n < 1:
         raise DomainError(f"a grid needs at least one point, got {n}")
+    if n > POINT_BUDGET:
+        raise DomainError(f"{option} = {n} is beyond the grid budget of {POINT_BUDGET:.0e}")
     if n == 1:
         return [lo]
     step = (hi - lo) / (n - 1)
@@ -131,24 +133,50 @@ def _linspace(lo: float, hi: float, n: int) -> List[float]:
 # ============================================================
 
 
-def _emit(args: argparse.Namespace, columns: List[str], rows: Sequence[Tuple[Any, ...]]) -> None:
+def _json_table(columns: List[str], rows: Iterable[Tuple[Any, ...]]) -> str:
+    """json.dumps({"columns": columns, "rows": [...]}, indent=2) + "\n", each row
+    an object of scalar cells and a non-finite float written as its repr.
+
+    json.dumps with indent falls back to the pure-Python encoder, so each
+    row goes through the C encoder on one line and is indented here.  The
+    split is safe: inside an encoded string every '"' is escaped, so ', "'
+    occurs only between the members of an object.
+    """
+    rows_text = []
+    for row in rows:
+        cells = {
+            col: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+            for col, v in zip(columns, row)
+        }
+        members = json.dumps(cells)[1:-1].replace(', "', ',\n      "')
+        rows_text.append("    {\n      " + members + "\n    }")
+    head = ",\n".join("    " + json.dumps(col) for col in columns)
+    body = "[\n" + ",\n".join(rows_text) + "\n  ]" if rows_text else "[]"
+    return '{\n  "columns": [\n' + head + '\n  ],\n  "rows": ' + body + "\n}\n"
+
+
+def _csv_table(columns: List[str], rows: Iterable[Tuple[Any, ...]]) -> str:
+    """The text csv.writer(lineterminator="\n") writes for the header and rows.
+
+    Every cell is a number, a bool, None or a label with no comma, quote or
+    line break, so no field needs quoting: a line is the cells' str() (repr
+    for a float) joined by commas, with None as an empty field.  One
+    %-format per row writes it faster than csv.writer, which copies each
+    field character by character.
+    """
+    line = ",".join(["%s"] * len(columns)) + "\n"
+    buf = io.StringIO()
+    buf.write(",".join(columns) + "\n")
+    for row in rows:
+        if None in row:
+            row = tuple(["" if v is None else v for v in row])
+        buf.write(line % row)
+    return buf.getvalue()
+
+
+def _emit(args: argparse.Namespace, columns: List[str], rows: Iterable[Tuple[Any, ...]]) -> None:
     """Write rows, each a tuple of cells in column order, as CSV or JSON."""
-    if args.format == "json":
-        payload = [
-            {
-                col: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
-                for col, v in zip(columns, row)
-            }
-            for row in rows
-        ]
-        text = json.dumps({"columns": columns, "rows": payload}, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        # csv writes None as an empty field and a float as its repr.
-        writer.writerows(rows)
-        text = buf.getvalue()
+    text = (_json_table if args.format == "json" else _csv_table)(columns, rows)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -221,26 +249,26 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         lower = iv.lower.nu
     span = upper - lower
     margin = span / (2 * samples)
-    nus = set(_linspace(lower + margin, upper - margin, samples))
+    nus = set(_linspace(lower + margin, upper - margin, samples, "--samples"))
     a_lo = alpha_from_nu(setup, lower + margin)
     a_hi = alpha_from_nu(setup, upper - margin)
-    for a in _linspace(a_lo, a_hi, samples):
+    for a in _linspace(a_lo, a_hi, samples, "--samples"):
         nus.add(solve_nu(setup, a, iv))
-    rows = []
-    prev = None
+    grid = []
     for nu in sorted(nus):
-        if prev is not None and nu - prev <= 1e-12 * max(1.0, abs(nu)):
+        if grid and nu - grid[-1] <= 1e-12 * max(1.0, abs(nu)):
             continue
-        prev = nu
-        rows.append(
-            (
-                nu,
-                alpha_from_nu(setup, nu),
-                observables.prob_ratio(setup, nu).r,
-                observables.expectation_x(setup, nu),
-                wavefn.rho(setup, nu),
-            )
-        )
+        grid.append(nu)
+    # zip draws alpha, r and Ex of one row before the next row, so a failing
+    # sweep raises at the row and cell that one call per cell would.
+    alphas = (alpha_from_nu(setup, nu) for nu in grid)
+    ratios = observables.ratio_grid(setup, grid)
+    means = observables.expectation_grid(setup, grid, skip_one_sided=False)
+    norm = wavefn.rho_kernel(setup)
+    rows = [
+        (nu, alpha, r, mean, norm(nu))
+        for nu, alpha, (_, r, _), (_, mean) in zip(grid, alphas, ratios, means)
+    ]
     _emit(args, ["nu", "alpha", "r", "Ex", "rho"], rows)
 
 
@@ -305,7 +333,7 @@ def cmd_fourier(args: argparse.Namespace) -> None:
     else:
         expansion = fourier_mod.coeffs_general(setup, _resolve_nu(setup, args), args.M)
     if args.sum_points is not None:
-        xs = _linspace(-setup.L / 2, setup.L / 2, args.sum_points)
+        xs = _linspace(-setup.L / 2, setup.L / 2, args.sum_points, "--sum-points")
         rows = [(x, fourier_mod.partial_sum(expansion, x)) for x in xs]
         _emit(args, ["x", "value"], rows)
         return
@@ -317,34 +345,27 @@ def cmd_ratio(args: argparse.Namespace) -> None:
     columns = ["nu", "r", "at_lattice"]
     if args.nu_mode is not None:
         value = observables.prob_ratio_at_mode(setup, args.nu_mode)
-        rows = [(nu_n(setup, args.nu_mode), value, None)]
+        _emit(args, columns, [(nu_n(setup, args.nu_mode), value, None)])
+        return
+    if args.nu is not None:
+        nus = [args.nu]
+    elif args.nu_min is None or args.nu_max is None:
+        raise DomainError("provide --nu, --nu-mode, or --nu-min/--nu-max")
     else:
-        if args.nu is not None:
-            nus = [args.nu]
-        elif args.nu_min is None or args.nu_max is None:
-            raise DomainError("provide --nu, --nu-mode, or --nu-min/--nu-max")
-        else:
-            nus = _linspace(args.nu_min, args.nu_max, args.points)
-        points = (observables.prob_ratio(setup, nu) for nu in nus)
-        rows = [
-            (pt.nu, pt.r, pt.at_lattice.kind if pt.at_lattice else None) for pt in points
-        ]
-    _emit(args, columns, rows)
+        nus = _linspace(args.nu_min, args.nu_max, args.points)
+    _emit(args, columns, observables.ratio_grid(setup, nus))
 
 
 def cmd_expectation(args: argparse.Namespace) -> None:
     setup = _setup_from(args)
     if args.nu is not None:
-        rows = [(args.nu, observables.expectation_x(setup, args.nu))]
+        rows = observables.expectation_grid(setup, [args.nu], skip_one_sided=False)
+    elif args.nu_min is None or args.nu_max is None:
+        raise DomainError("provide --nu or --nu-min/--nu-max")
     else:
-        if args.nu_min is None or args.nu_max is None:
-            raise DomainError("provide --nu or --nu-min/--nu-max")
-        rows = []
-        for nu in _linspace(args.nu_min, args.nu_max, args.points):
-            try:
-                rows.append((nu, observables.expectation_x(setup, nu)))
-            except SingularPoint:
-                continue  # one-sided lattice points have no two-sided state
+        # One-sided lattice points have no two-sided state; the grid skips them.
+        nus = _linspace(args.nu_min, args.nu_max, args.points)
+        rows = observables.expectation_grid(setup, nus)
     _emit(args, ["nu", "Ex"], rows)
 
 

@@ -39,7 +39,7 @@ shared point (tag Z).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, NotInK
 from .model import Setup
@@ -301,34 +301,56 @@ def _bounding_point(setup: Setup, k: int, l: int, pick) -> Optional[LatticePoint
 # ======================================================================
 
 
+def lattice_locator(
+    setup: Setup, rtol: float = ON_LATTICE_RTOL
+) -> Callable[[float], Optional[LatticePoint]]:
+    """lattice_point_at with the setup bound once: nu -> the nearest lattice
+    point when nu lies within rtol of it (relative to the point), else None.
+
+    The nearest under and over indices k and l are nu over the lattice
+    steps, rounded; ties go to the under point, and nu <= 0 has no point.
+    The shared-lattice test and the LatticePoint are made only on a hit.
+    """
+    p, q = setup.p, setup.q
+    unit = 2 * math.pi / setup.L
+    two_q, q_plus, q_minus = 2 * q, q + p, q - p
+    under_step, over_step = two_q / q_plus * unit, two_q / q_minus * unit
+
+    def locate(nu: float) -> Optional[LatticePoint]:
+        if nu <= 0:
+            return None
+        k = round(nu / under_step) or 1  # nu > 0, so round() >= 0
+        l = round(nu / over_step) or 1
+        under = (k * two_q) / q_plus * unit
+        over = (l * two_q) / q_minus * unit
+        to_under, to_over = abs(nu - under), abs(nu - over)
+        if to_over < to_under:
+            if to_over <= rtol * over:
+                return _make_point(over, over_in_shared(setup, l), l)
+        elif to_under <= rtol * under:
+            return _make_point(under, k, under_in_shared(setup, k))
+        return None
+
+    return locate
+
+
 def nearest_lattice_point(setup: Setup, nu: float) -> tuple[Optional[LatticePoint], float]:
     """Nearest lattice point to nu and its distance (None, inf for nu <= 0).
 
-    The lookup behind the pole guard and the on-lattice tests of the
-    observables (lattice_point_at); tests that only ask about the shared
-    lattice use shared_mode_near.  The returned point carries full
-    provenance, including shared-point detection.  Ties go to the under
-    point.
+    The lookup behind the pole guard; the on-lattice tests of the
+    observables use lattice_locator, and tests that only ask about the
+    shared lattice use shared_mode_near.  The returned point carries full
+    provenance, including shared-point detection.
     """
-    if nu <= 0:
+    point = lattice_locator(setup, math.inf)(nu)
+    if point is None:
         return None, math.inf
-    p, q = setup.p, setup.q
-    unit = 2 * math.pi / setup.L
-    k = max(1, round(nu / ((2 * q) / (q + p) * unit)))
-    l = max(1, round(nu / ((2 * q) / (q - p) * unit)))
-    under = (2 * k * q) / (q + p) * unit
-    over = (2 * l * q) / (q - p) * unit
-    if abs(nu - over) < abs(nu - under):
-        return _make_point(over, over_in_shared(setup, l), l), abs(nu - over)
-    return _make_point(under, k, under_in_shared(setup, k)), abs(nu - under)
+    return point, abs(nu - point.nu)
 
 
 def lattice_point_at(setup: Setup, nu: float) -> Optional[LatticePoint]:
     """The lattice point nu sits on (within ON_LATTICE_RTOL of it), else None."""
-    if nu <= 0:
-        return None
-    point, dist = nearest_lattice_point(setup, nu)
-    return point if dist <= ON_LATTICE_RTOL * point.nu else None
+    return lattice_locator(setup)(nu)
 
 
 def shared_mode_near(setup: Setup, nu: float, rtol: float) -> Optional[int]:

@@ -2,11 +2,13 @@
 and the centered-interaction amplitude envelope.
 
 Both side probabilities and the mean position are read from the two
-compartment masses of `wavefn.compartment_masses`.  The probability ratio
-r(nu) is the right mass over the left mass away from the lattice, extends
-continuously to the shared lattice with the exact value 1/q_ratio, and
-degenerates to 0 or infinity at one-sided lattice points, where the state
-empties one compartment.  The position expectation weights each
+compartment masses of `wavefn.mass_kernel`.  ratio_grid and
+expectation_grid bind the setup's lattice test and mass kernel once and
+make one row per wave number; prob_ratio and expectation_x are the same
+code at one point.  The probability ratio r(nu) is the right mass over the
+left mass away from the lattice, extends continuously to the shared
+lattice with the exact value 1/q_ratio, and degenerates to 0 or infinity
+at one-sided lattice points, where the state empties one compartment.  The position expectation weights each
 compartment's centre of mass, a closed form in its own width, by its mass,
 and collapses to exact values at distinguished points (x0 on the shared
 lattice, x0/2 for the zero-energy state).  For the centered site the
@@ -18,12 +20,12 @@ half-integer multiples of pi.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .errors import BracketError, ConvergenceError, DomainError, InK, SingularPoint
-from .lattice import LatticePoint, kappa_base, lattice_point_at
+from .lattice import LatticePoint, kappa_base, lattice_locator, lattice_point_at
 from .model import Setup
-from .wavefn import compartment_masses
+from .wavefn import mass_kernel
 from ._special import LINEAR_WINDOW, LOG_SWITCH, one_minus_sinc, sinhc_minus_one
 
 
@@ -53,22 +55,35 @@ class AmplitudeExtremum(NamedTuple):
 # ============================================================
 
 
+def ratio_grid(setup: Setup, nus: Iterable[float]) -> Iterator[Tuple[float, float, Optional[str]]]:
+    """Rows (nu, r, lattice kind or None) of prob_ratio over nus, in order.
+
+    The setup's lattice test and mass kernel are bound once for the whole
+    grid; each row is made as it is drawn.
+    """
+    locate, masses = lattice_locator(setup), mass_kernel(setup)
+    shared = 1.0 / setup.q_ratio
+    for nu in nus:
+        hit = locate(nu)
+        if hit is None:
+            left, right, _ = masses(nu)
+            yield nu, right / left, None
+        elif hit.kind == "both":
+            yield nu, shared, "both"
+        else:
+            yield nu, (0.0 if hit.kind == "under" else math.inf), hit.kind
+
+
 def prob_ratio(setup: Setup, nu: float) -> RatioPoint:
     """Right-to-left probability ratio of the normalized state at nu.
 
     Total on all inputs: lattice points return their continuous-limit
     values (1/q_ratio on the shared lattice, 0 at left-side points, inf at
     right-side points) so that parameter sweeps need no special casing.
+    The one-point case of ratio_grid.
     """
-    hit = lattice_point_at(setup, nu)
-    if hit is not None:
-        if hit.kind == "both":
-            return RatioPoint(nu, 1.0 / setup.q_ratio, hit)
-        if hit.kind == "under":
-            return RatioPoint(nu, 0.0, hit)
-        return RatioPoint(nu, math.inf, hit)
-    left, right, _ = compartment_masses(setup, nu)
-    return RatioPoint(nu, right / left)
+    _, r, kind = next(ratio_grid(setup, (nu,)))
+    return RatioPoint(nu, r, None if kind is None else lattice_point_at(setup, nu))
 
 
 def prob_ratio_at_mode(setup: Setup, n: int) -> float:
@@ -115,6 +130,37 @@ def _site_distance(nu: float, w: float) -> float:
     return (w / 2) * b * (2 + b) / sinhc_minus_one(y)
 
 
+def expectation_grid(
+    setup: Setup, nus: Iterable[float], skip_one_sided: bool = True
+) -> Iterator[Tuple[float, float]]:
+    """Rows (nu, Ex) of expectation_x over nus, in order.
+
+    One-sided lattice points have no two-sided state: their rows are left
+    out, or raise SingularPoint when skip_one_sided is False.  The setup's
+    lattice test and mass kernel are bound once for the whole grid; each
+    row is made as it is drawn.
+    """
+    locate, masses = lattice_locator(setup), mass_kernel(setup)
+    L, x0, w1, w2 = setup.L, setup.x0_value, setup.width_right, setup.width_left
+    for nu in nus:
+        hit = locate(nu)
+        if hit is not None:
+            if hit.kind == "both":
+                yield nu, x0
+            elif not skip_one_sided:
+                raise SingularPoint(
+                    f"nu={nu!r} is a one-sided lattice point; the state is not defined there"
+                )
+        elif x0 == 0.0:
+            yield nu, 0.0
+        elif abs(nu) * L < LINEAR_WINDOW:
+            yield nu, x0 / 2
+        else:
+            left, right, _ = masses(nu)
+            shift = right * _site_distance(nu, w1) - left * _site_distance(nu, w2)
+            yield nu, x0 + shift / (left + right)
+
+
 def expectation_x(setup: Setup, nu: float) -> float:
     """Mean position of the normalized state at branch parameter nu.
 
@@ -123,24 +169,9 @@ def expectation_x(setup: Setup, nu: float) -> float:
     lattice, x0/2 for the linear state (inside the linear window), 0 for a
     centered site (every state is then symmetric or antisymmetric).
     One-sided lattice points have no two-sided state and raise
-    SingularPoint.
+    SingularPoint.  The one-point case of expectation_grid.
     """
-    hit = lattice_point_at(setup, nu)
-    if hit is not None:
-        if hit.kind == "both":
-            return setup.x0_value
-        raise SingularPoint(
-            f"nu={nu!r} is a one-sided lattice point; the state is not defined there"
-        )
-    if setup.x0_value == 0.0:
-        return 0.0
-    if abs(nu) * setup.L < LINEAR_WINDOW:
-        return setup.x0_value / 2
-    left, right, _ = compartment_masses(setup, nu)
-    shift = right * _site_distance(nu, setup.width_right) - left * _site_distance(
-        nu, setup.width_left
-    )
-    return setup.x0_value + shift / (left + right)
+    return next(expectation_grid(setup, (nu,), skip_one_sided=False))[1]
 
 
 # ============================================================

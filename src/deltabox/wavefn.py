@@ -4,11 +4,11 @@ Every bound state splits at the interaction site x0 into two free half-waves
 that share the wavenumber nu/2 and vanish at the walls.  This module builds
 those piecewise states on all three energy branches (oscillatory nu > 0, the
 linear nu = 0 state, evanescent nu < 0), computes the L2 mass of each
-compartment in closed form in one place (`compartment_masses`; the norm
-and the observables follow from it), and exposes the limit states reached
-as the coupling strength diverges: a continuous state on the shared lattice
-and one-sided states that fill a single compartment and vanish identically
-on the other.
+compartment in closed form in one place (`mass_kernel`, bound to a setup
+once; the norm and the observables follow from it), and exposes the limit
+states reached as the coupling strength diverges: a continuous state on the
+shared lattice and one-sided states that fill a single compartment and
+vanish identically on the other.
 
 Each state is resolved once and then sampled.  `general_state` makes the
 window and branch decision for a normalized eigenfunction at nu (the
@@ -215,59 +215,71 @@ def _direct(setup: Setup, nu: float) -> GeneralState:
 # ============================================================
 
 
-def compartment_masses(setup: Setup, nu: float) -> "tuple[float, float, float]":
-    """L2 masses of the unnormalized eigenfunction left and right of x0.
+def mass_kernel(setup: Setup) -> Callable[[float], "tuple[float, float, float]"]:
+    """compartment_masses with the setup bound once: nu -> (left, right, scale).
 
-    Returns (left, right, scale); the masses are left * 2**scale and
-    right * 2**scale.  scale is 0 on the trig, linear and direct evanescent
-    branches.  Inside the linear window (|nu| L < LINEAR_WINDOW) the state is
-    (nu/2)**2 times the linear nu = 0 state to rounding, and scale carries
-    that factor's binary exponent exactly, so the masses neither underflow
-    nor lose digits.  Deep evanescent states (t L >= LOG_SWITCH, t = -nu)
-    carry their dominant exponential exp(t w1 + t w2) in scale and keep only
-    bounded factors in left and right.  Every observable built from the
-    masses (rho, the probability ratio, the mean position) reads them here.
+    left and right are the L2 masses of the unnormalized eigenfunction left
+    and right of x0, each times 2**-scale.  scale is 0 on the trig, linear
+    and direct evanescent branches.  Inside the linear window (|nu| L <
+    LINEAR_WINDOW) the state is (nu/2)**2 times the linear nu = 0 state to
+    rounding, and scale carries that factor's binary exponent exactly, so
+    the masses neither underflow nor lose digits.  Deep evanescent states
+    (t L >= LOG_SWITCH, t = -nu) carry their dominant exponential
+    exp(t w1 + t w2) in scale and keep only bounded factors in left and
+    right.  Every observable built from the masses (rho, the probability
+    ratio, the mean position) reads them here.
     """
-    w1 = setup.width_right
-    w2 = setup.width_left
-    if abs(nu) * setup.L < LINEAR_WINDOW:
-        left = w1 * w1 * w2**3 / 3
-        right = w2 * w2 * w1**3 / 3
-        if nu == 0:
+    L, w1, w2 = setup.L, setup.width_right, setup.width_left
+    half_w1, half_w2 = w1 / 2, w2 / 2
+    linear_left = w1 * w1 * w2**3 / 3
+    linear_right = w2 * w2 * w1**3 / 3
+
+    def masses(nu: float) -> "tuple[float, float, float]":
+        if abs(nu) * L < LINEAR_WINDOW:
+            if nu == 0:
+                return linear_left, linear_right, 0.0
+            # |nu|/2 = m * 2**(e - 1); frexp avoids the underflow of |nu|/2.
+            m, e = math.frexp(abs(nu))
+            m4 = m**4
+            return linear_left * m4, linear_right * m4, 4.0 * (e - 1)
+        if nu > 0:
+            s1 = math.sin((nu / 2) * w1)
+            s2 = math.sin((nu / 2) * w2)
+            left = s1 * s1 * half_w2 * one_minus_sinc(nu * w2)
+            right = s2 * s2 * half_w1 * one_minus_sinc(nu * w1)
             return left, right, 0.0
-        # |nu|/2 = m * 2**(e - 1); frexp avoids the underflow of |nu|/2.
-        m, e = math.frexp(abs(nu))
-        m4 = m**4
-        return left * m4, right * m4, 4.0 * (e - 1)
-    if nu > 0:
-        s1 = math.sin((nu / 2) * w1)
-        s2 = math.sin((nu / 2) * w2)
-        left = s1 * s1 * (w2 / 2) * one_minus_sinc(nu * w2)
-        right = s2 * s2 * (w1 / 2) * one_minus_sinc(nu * w1)
-        return left, right, 0.0
-    t = -nu
-    y1 = t * w1
-    y2 = t * w2
-    if t * setup.L < LOG_SWITCH:
-        sh1 = math.sinh(y1 / 2)
-        sh2 = math.sinh(y2 / 2)
-        left = sh1 * sh1 * (w2 / 2) * sinhc_minus_one(y2)
-        right = sh2 * sh2 * (w1 / 2) * sinhc_minus_one(y1)
-        return left, right, 0.0
-    left, right, k = _deep_factors(setup, t)
-    return left, right, (y1 + y2) / _LN2 + k
+        t = -nu
+        y1 = t * w1
+        y2 = t * w2
+        if t * L < LOG_SWITCH:
+            sh1 = math.sinh(y1 / 2)
+            sh2 = math.sinh(y2 / 2)
+            left = sh1 * sh1 * half_w2 * sinhc_minus_one(y2)
+            right = sh2 * sh2 * half_w1 * sinhc_minus_one(y1)
+            return left, right, 0.0
+        left, right, k = _deep_factors(w1, w2, t)
+        return left, right, (y1 + y2) / _LN2 + k
+
+    return masses
 
 
-def _deep_factors(setup: Setup, t: float) -> "tuple[float, float, int]":
+def compartment_masses(setup: Setup, nu: float) -> "tuple[float, float, float]":
+    """(left, right, scale) of mass_kernel at one nu: the masses are
+    left * 2**scale and right * 2**scale."""
+    return mass_kernel(setup)(nu)
+
+
+def _deep_factors(w1: float, w2: float, t: float) -> "tuple[float, float, int]":
     """(left, right, k): deep evanescent masses are (left, right) * 2**k * exp(t L).
 
-    sinh(y/2)**2 = exp(y) expm1(-y)**2 / 4, and the exp(y) of both
-    compartments multiply to exp(t L); left + right lies in [0.5, 1).
+    w1 and w2 are the right and left widths.  sinh(y/2)**2 = exp(y)
+    expm1(-y)**2 / 4, and the exp(y) of both compartments multiply to
+    exp(t L); left + right lies in [0.5, 1).
     """
-    y1 = t * setup.width_right
-    y2 = t * setup.width_left
-    left = math.expm1(-y1) ** 2 / 4 * (setup.width_left / 2) * _scaled_sinhc_minus_one(y2)
-    right = math.expm1(-y2) ** 2 / 4 * (setup.width_right / 2) * _scaled_sinhc_minus_one(y1)
+    y1 = t * w1
+    y2 = t * w2
+    left = math.expm1(-y1) ** 2 / 4 * (w2 / 2) * _scaled_sinhc_minus_one(y2)
+    right = math.expm1(-y2) ** 2 / 4 * (w1 / 2) * _scaled_sinhc_minus_one(y1)
     # A power-of-two rescaling keeps left + right near 1, so rho overflows
     # only where rho itself exceeds float range.
     k = math.frexp(left + right)[1]
@@ -281,16 +293,27 @@ def _scaled_sinhc_minus_one(y: float) -> float:
     return 0.5 / y
 
 
-def rho(setup: Setup, nu: float) -> float:
-    """L2 norm of the unnormalized eigenfunction, from its compartment masses.
+def rho_kernel(setup: Setup) -> Callable[[float], float]:
+    """rho with the setup bound once: nu -> the L2 norm of the unnormalized
+    eigenfunction, from its compartment masses.
 
-    Returns math.inf when the evanescent norm exceeds float range.
+    The norm is math.inf where the evanescent norm exceeds float range.
     """
-    left, right, scale = compartment_masses(setup, nu)
-    try:
-        return math.sqrt(left + right) * 2.0 ** (0.5 * scale)
-    except OverflowError:
-        return math.inf
+    masses = mass_kernel(setup)
+
+    def norm(nu: float) -> float:
+        left, right, scale = masses(nu)
+        try:
+            return math.sqrt(left + right) * 2.0 ** (0.5 * scale)
+        except OverflowError:
+            return math.inf
+
+    return norm
+
+
+def rho(setup: Setup, nu: float) -> float:
+    """rho_kernel at one nu: the L2 norm of the unnormalized eigenfunction."""
+    return rho_kernel(setup)(nu)
 
 
 def deep_rho(setup: Setup, nu: float) -> float:
@@ -298,7 +321,7 @@ def deep_rho(setup: Setup, nu: float) -> float:
 
     About (8 t)**-0.5: finite and accurate for every such t, where rho overflows.
     """
-    left, right, k = _deep_factors(setup, -nu)
+    left, right, k = _deep_factors(setup.width_right, setup.width_left, -nu)
     return math.sqrt(left + right) * 2.0 ** (0.5 * k)
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: tables, formats, exit codes, determinism."""
 
 import csv
+import io
 import json
 import math
 import shlex
@@ -11,7 +12,8 @@ import pytest
 from deltabox import cli, oracle
 from deltabox.errors import DomainError
 from deltabox.model import RationalX0, make_setup, nu_n, phi_mode
-from deltabox.observables import amplitude_extrema, prob_ratio, prob_ratio_at_mode
+from deltabox.observables import amplitude_extrema, expectation_x, prob_ratio, prob_ratio_at_mode
+from deltabox.wavefn import rho
 
 OVER_1 = "16.755160819145562"  # first one-sided point of the right compartment
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -171,6 +173,26 @@ def test_lattice_beyond_the_point_budget_exits_3(capsys, argv, named):
     assert code == 3
     assert "budget" in err
     assert named in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("ratio", "--nu-min", "0", "--nu-max", "1", "--points"), "--points"),
+        (("expectation", "--nu-min", "0", "--nu-max", "1", "--points"), "--points"),
+        (("wavefunction", "--nu", "5", "--points"), "--points"),
+        (("limit", "--kind", "over", "--l", "1", "--points"), "--points"),
+        (("fourier", "--nu", "5", "--M", "8", "--sum-points"), "--sum-points"),
+        (("sweep", "--interval", "2", "--samples"), "--samples"),
+    ],
+    ids=lambda value: value[0] if isinstance(value, tuple) else value,
+)
+def test_grid_beyond_the_point_budget_exits_3(capsys, argv, option):
+    """A grid of 10**8 rows would take several GB; it is refused before it is built."""
+    code = cli.main([*argv, "100000000"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"{option} = 100000000 is beyond the grid budget" in err
 
 
 def test_unwritable_output_exits_2(capsys, tmp_path):
@@ -518,3 +540,50 @@ def test_float_twin_former_failures_succeed(capsys, argv, twin):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert (code, out) == run_cli(capsys, *argv[:-1], twin)
+
+
+# ======================================================================
+# Table writers
+# ======================================================================
+
+WRITER_COLUMNS = ["a", "b", "c", "d"]
+WRITER_ROWS = [
+    (1.0, math.inf, None, True),
+    (2, "limit_under k=2 below", False, -0.0),
+    (None, None, None, None),
+    (math.nan, 1e-300, 5e-324, -math.inf),
+    (10**20, 1.7976931348623157e308, 0.1, "both"),
+]
+
+
+def test_csv_table_writes_the_bytes_of_csv_writer():
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(WRITER_COLUMNS)
+    writer.writerows(WRITER_ROWS)
+    assert cli._csv_table(WRITER_COLUMNS, iter(WRITER_ROWS)) == buf.getvalue()
+
+
+@pytest.mark.parametrize("rows", [WRITER_ROWS + [(0, 'a "quoted", label\\', None, 1)], []])
+def test_json_table_writes_the_bytes_of_indented_json_dumps(rows):
+    payload = [
+        {c: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+         for c, v in zip(WRITER_COLUMNS, row)}
+        for row in rows
+    ]
+    expected = json.dumps({"columns": WRITER_COLUMNS, "rows": payload}, indent=2) + "\n"
+    assert cli._json_table(WRITER_COLUMNS, iter(rows)) == expected
+
+
+@pytest.mark.parametrize("site, interval", [("rational:1/7", 0), ("rational:11/13", 5), ("real:0.125", 3)])
+def test_sweep_rows_are_the_one_point_functions(capsys, site, interval):
+    code, out = run_cli(capsys, "sweep", "--interval", str(interval), "--samples", "40", "--x0", site)
+    assert code == 0
+    s = make_setup(1.0, cli.parse_x0(site), 1.0)
+    rows = parse_csv(out)
+    assert len(rows) > 40
+    for row in rows:
+        nu = float(row["nu"])
+        assert row["r"] == repr(prob_ratio(s, nu).r)
+        assert row["Ex"] == repr(expectation_x(s, nu))
+        assert row["rho"] == repr(rho(s, nu))

@@ -4,8 +4,12 @@ import math
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from deltabox import observables
+from deltabox import lattice, observables
+from deltabox._special import LINEAR_WINDOW, LOG_SWITCH
+from deltabox.cli import parse_x0
 from deltabox.errors import (
     BracketError,
     ConvergenceError,
@@ -13,16 +17,18 @@ from deltabox.errors import (
     InK,
     SingularPoint,
 )
-from deltabox.lattice import overline_nu, underline_nu
+from deltabox.lattice import ON_LATTICE_RTOL, kappa_base, overline_nu, underline_nu
 from deltabox.model import RationalX0, RealX0, make_setup, nu_n
 from deltabox.observables import (
     amplitude_extrema,
+    expectation_grid,
     expectation_x,
     gamma_factor,
     prob_ratio,
     prob_ratio_at_mode,
+    ratio_grid,
 )
-from deltabox.wavefn import eval_normalized, rho
+from deltabox.wavefn import eval_normalized, rho, rho_kernel
 
 from _quad import simpson, simpson_peaked
 
@@ -286,3 +292,109 @@ def test_amplitude_extrema_are_deterministic():
     a1 = amplitude_extrema(7)
     a2 = amplitude_extrema(7)
     assert a1[0].value == a2[0].value and a1[1].gamma_crit == a2[1].gamma_crit
+
+
+# ======================================================================
+# Grids against one point
+# ======================================================================
+
+# A rational site, an irrational real, a float twin of rational:1/4 and the
+# centred site; L = 2 moves LOG_SWITCH and the linear window off the defaults.
+GRID_SITES = [
+    ("rational:1/7", 1.0),
+    ("real:0.07071067811865475", 1.0),
+    ("real:0.125", 1.0),
+    ("rational:0/1", 1.0),
+    ("rational:3/4", 2.0),
+]
+
+
+def _ulps_around(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+@st.composite
+def grid_nus(draw, setup):
+    """Wave numbers at and around every decision of the grid code."""
+    index = st.integers(min_value=1, max_value=40)
+    point = st.one_of(
+        index.map(lambda k: underline_nu(setup, k)),
+        index.map(lambda l: overline_nu(setup, l)),
+        st.integers(min_value=1, max_value=12).map(
+            lambda m: nu_n(setup, m * kappa_base(setup))
+        ),
+    )
+    # A lattice point p holds nu while |nu - p| <= ON_LATTICE_RTOL * p.
+    radius_edge = st.tuples(point, st.sampled_from([-1.0, 1.0])).flatmap(
+        lambda ps: st.sampled_from(_ulps_around(ps[0] + ps[1] * ON_LATTICE_RTOL * ps[0]))
+    )
+    linear_edge = LINEAR_WINDOW / setup.L
+    deep_edge = -LOG_SWITCH / setup.L
+    special = st.sampled_from(
+        [0.0, -0.0, 1e-200, -1e-200]
+        + _ulps_around(linear_edge)
+        + _ulps_around(-linear_edge)
+        + _ulps_around(deep_edge)
+    )
+    nu = st.one_of(
+        point,
+        radius_edge,
+        special,
+        st.floats(min_value=-5000.0, max_value=0.0),
+        st.floats(min_value=-60.0, max_value=400.0),
+    )
+    return draw(st.lists(nu, min_size=1, max_size=25))
+
+
+def _one_point_expectations(setup, nus):
+    rows = []
+    for nu in nus:
+        try:
+            rows.append((nu, expectation_x(setup, nu)))
+        except SingularPoint:
+            continue
+    return rows
+
+
+@given(site=st.sampled_from(GRID_SITES), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_grids_equal_the_one_point_functions_bit_for_bit(site, data):
+    spec, L = site
+    s = make_setup(L=L, x0=parse_x0(spec), c=1.0)
+    nus = data.draw(grid_nus(s))
+    # repr tells every two floats apart, -0.0 from 0.0 included.
+    ratios = []
+    for nu in nus:
+        point = prob_ratio(s, nu)
+        ratios.append((nu, point.r, point.at_lattice.kind if point.at_lattice else None))
+    assert repr(list(ratio_grid(s, nus))) == repr(ratios)
+    expected = _one_point_expectations(s, nus)
+    assert repr(list(expectation_grid(s, nus))) == repr(expected)
+    strict = []
+    try:
+        for row in expectation_grid(s, nus, skip_one_sided=False):
+            strict.append(row)
+    except SingularPoint:
+        # The strict grid stops at the first one-sided point, as expectation_x raises.
+        assert len(strict) < len(nus)
+        assert repr(_one_point_expectations(s, nus[: len(strict) + 1])) == repr(strict)
+    else:
+        assert repr(strict) == repr(expected) and len(strict) == len(nus)
+    assert repr(list(map(rho_kernel(s), nus))) == repr([rho(s, nu) for nu in nus])
+
+
+def test_grid_without_lattice_hits_builds_no_lattice_point(monkeypatch):
+    s = setup_pq(1, 4)
+    nus = [-700.0, -3.0, 0.0, 1e-200, 7.3, 22.1, 41.0]
+    assert all(prob_ratio(s, nu).at_lattice is None for nu in nus)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a LatticePoint was built")
+
+    monkeypatch.setattr(lattice, "LatticePoint", refuse)
+    assert [row[2] for row in ratio_grid(s, nus)] == [None] * len(nus)
+    assert len(list(expectation_grid(s, nus))) == len(nus)
+    assert lattice.lattice_point_at(s, 7.3) is None
+    # The patch is live: a hit does build a point.
+    with pytest.raises(RuntimeError, match="LatticePoint"):
+        list(ratio_grid(s, [underline_nu(s, 1)]))
