@@ -105,6 +105,14 @@ def _grid_size(text: str) -> int:
     return n
 
 
+def _sample_count(text: str) -> int:
+    """argparse type hook: a sweep needs at least two samples (exit 2 otherwise)."""
+    n = _grid_size(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"a sweep needs at least two samples, got {n}")
+    return n
+
+
 def _finite_float(text: str) -> float:
     """argparse type hook: a wave number or coupling must be finite (exit 2 otherwise)."""
     try:
@@ -232,8 +240,6 @@ def cmd_spectrum(args: argparse.Namespace) -> None:
 def cmd_sweep(args: argparse.Namespace) -> None:
     setup = _setup_from(args)
     samples = args.samples
-    if samples < 2:
-        raise DomainError("--samples must be >= 2")
     _, intervals = partition(setup, args.nu_max)
     matches = [iv for iv in intervals if iv.index == args.interval]
     if not matches:
@@ -451,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", parents=[common], help="coupling sweep inside one interval")
     sp.add_argument("--interval", type=int, required=True)
-    sp.add_argument("--samples", type=_grid_size, default=64)
+    sp.add_argument("--samples", type=_sample_count, default=64)
     sp.add_argument("--nu-max", type=_finite_float, default=120.0)
     sp.set_defaults(func=cmd_sweep)
 

@@ -3,15 +3,16 @@
 Discretizing the box on a uniform interior grid turns the Hamiltonian into a
 symmetric tridiagonal matrix; the point interaction becomes a single
 diagonal weight alpha/dx at the node holding x0.  The eigensolver here is
-deliberately self-contained (Sturm-sequence bisection plus inverse
-iteration, in the manner of LAPACK dstebz/dstein) so that the oracle shares
-no code path, and no third-party solver, with the analytic side it validates.
+deliberately self-contained (Sturm bisection to isolation, then bracketed
+Newton on the same recurrence, plus inverse iteration in the manner of
+LAPACK dstein) so that the oracle shares no code path, and no third-party
+solver, with the analytic side it validates.
 
 Both recurrences are inherently sequential over the N grid nodes, so they
 run on Python floats with the standard library alone; vector work goes
-through C-level builtins (map, max, math.hypot).  Each eigenvalue is bisected
-on its own and all of them share one cache of Sturm counts, so the midpoints
-common to every target are counted once.  Every eigenpair must pass a
+through C-level builtins (map, max, math.hypot).  Each eigenvalue is solved
+on its own and all of them share one cache of Sturm passes, so the
+midpoints common to every target are run once.  Every eigenpair must pass a
 residual check max|T v - lambda v| <= 1e-10 * max|diag| * max|v|, else
 ConvergenceError.
 
@@ -117,24 +118,35 @@ def _pivmin(e2: List[float]) -> float:
     return max(max(e2, default=0.0) * safmin, safmin)
 
 
-def _sturm_count(d: List[float], e2: List[float], shift: float, pivmin: float) -> int:
-    """Number of eigenvalues strictly below `shift`.
+def _sturm(d: List[float], e2: List[float], shift: float, pivmin: float) -> Tuple[int, float]:
+    """Eigenvalues strictly below `shift`, and d/dshift log|det(T - shift)|.
 
-    Runs the LDL^T pivot recurrence on Python floats; pivots with magnitude
-    below pivmin are clamped to -pivmin before they are counted or divided
-    by, which keeps the count exact in the presence of underflow.
+    Runs the LDL^T pivot recurrence q_i = d_i - shift - e2_i / q_{i-1} on
+    Python floats; pivots with magnitude below pivmin are clamped to -pivmin
+    before they are counted or divided by, which keeps the count exact in the
+    presence of underflow.  The slope s_i of each leading block follows the
+    determinant recurrence divided through by the determinant, s_i =
+    ((d_i - shift) s_{i-1} - 1 - e2_i s_{i-2} / q_{i-1}) / q_i, which unlike a
+    sum of per-pivot terms does not cancel where a pivot nears zero.  A
+    clamped pivot can overflow it to inf or nan.
     """
     q = d[0] - shift
-    if abs(q) < pivmin:
-        q = -pivmin
-    count = int(q < 0)
-    for di, e2i in zip(islice(d, 1, None), e2):
-        q = di - shift - e2i / q
-        if abs(q) < pivmin:
+    count = 0
+    if q < pivmin:
+        if q > -pivmin:
             q = -pivmin
-        if q < 0:
+        count = 1
+    slope, before = -1.0 / q, 0.0
+    for di, e2i in zip(islice(d, 1, None), e2):
+        a = di - shift
+        t = e2i / q
+        q = a - t
+        if q < pivmin:
+            if q > -pivmin:
+                q = -pivmin
             count += 1
-    return count
+        slope, before = (a * slope - 1.0 - t * before) / q, slope
+    return count, slope
 
 
 def _bisect(
@@ -144,36 +156,53 @@ def _bisect(
     k: int,
     lo: float,
     hi: float,
-    counts: Dict[float, int],
+    passes: Dict[float, Tuple[int, float]],
 ) -> float:
-    """k-th smallest eigenvalue (1-based) by Sturm bisection of [lo, hi].
+    """k-th smallest eigenvalue (1-based) of T inside [lo, hi].
 
-    Stops at relative width 1e-12 or when the midpoint can no longer split
-    the bracket.  `counts` caches the Sturm count of every shift tried, so
-    targets that share a bracket share its midpoints.
+    Bisects until lambda_k is alone in the bracket, then steps shift - 1/slope
+    (Newton on det(T - shift): Barth, Martin & Wilkinson 1967; Li & Zeng
+    1994); every pass's count still narrows the bracket.
+    A Newton step that leaves the bracket, or exceeds half the step of two
+    passes before, falls back to the midpoint.  Stops at a Newton step within
+    1e-8 of the shift (rounding level after quadratic convergence), at
+    relative width 1e-12, or when the midpoint cannot split the bracket.
+    `passes` caches the Sturm pass of every shift, so targets share midpoints.
     """
+    below_lo, below_hi = 0, len(d)
+    x = 0.5 * (lo + hi)
+    step = older = hi - lo
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        stuck = mid == lo or mid == hi
-        below = counts.get(mid)
-        if below is None:
-            below = counts[mid] = _sturm_count(d, e2, mid, pivmin)
+        if x not in passes:
+            passes[x] = _sturm(d, e2, x, pivmin)
+        below, slope = passes[x]
         if below >= k:
-            hi = mid
+            hi, below_hi = x, below
         else:
-            lo = mid
-        if stuck or hi - lo <= 1e-12 * max(abs(lo), abs(hi)):
-            return 0.5 * (lo + hi)
-    raise ConvergenceError("Sturm bisection did not converge in 200 steps")
+            lo, below_lo = x, below
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi or hi - lo <= 1e-12 * max(abs(lo), abs(hi)):
+            return mid
+        # An infinite slope (a clamped pivot) gives a zero step; it is not taken.
+        newton = -1.0 / slope if slope else math.inf
+        isolated = below_lo == k - 1 and below_hi == k
+        if isolated and 0 < abs(newton) <= 0.5 * abs(older) and lo <= x + newton <= hi:
+            if abs(newton) <= 1e-8 * abs(x):
+                return x + newton
+            older, step = step, newton
+        else:
+            older, step = step, mid - x
+        x += step
+    raise ConvergenceError(f"eigenvalue {k} did not converge in 200 Sturm passes")
 
 
 def eig_lowest(T: Tridiagonal, count: int) -> List[Tuple[float, List[float]]]:
     """Lowest `count` eigenpairs of the tridiagonal matrix.
 
-    Each eigenvalue is bisected on its own inside Gershgorin bounds to
-    relative 1e-12, counting eigenvalues below each midpoint with the scalar
-    Sturm recurrence; one count cache serves all targets, so the midpoints
-    they share are counted once and no result depends on `count`.
+    Each eigenvalue is found on its own inside Gershgorin bounds by Sturm
+    bisection to isolation, then bracketed Newton on the same recurrence
+    (`_bisect`); one cache of Sturm passes serves all targets, so the
+    midpoints they share are run once and no result depends on `count`.
     Eigenvectors come from `_inverse_iteration`, normalized so that
     sum(v**2) * dx = 1 and positive at the last node carrying appreciable
     amplitude.  A pair whose residual max|T v - lambda v| exceeds
@@ -194,8 +223,8 @@ def eig_lowest(T: Tridiagonal, count: int) -> List[Tuple[float, List[float]]]:
     hi = hi_bound + 1e-12 * width
     e2 = list(map(mul, e, e))
     pivmin = _pivmin(e2)
-    counts: Dict[float, int] = {}
-    values = [_bisect(d, e2, pivmin, k, lo, hi, counts) for k in range(1, count + 1)]
+    passes: Dict[float, Tuple[int, float]] = {}
+    values = [_bisect(d, e2, pivmin, k, lo, hi, passes) for k in range(1, count + 1)]
     residual_scale = 1e-10 * max(map(abs, d))
     pairs: List[Tuple[float, List[float]]] = []
     for lam in values:

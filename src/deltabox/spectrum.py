@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from typing import List, Tuple
 
-from .errors import BracketError, DomainError, SingularPoint
+from .errors import BracketError, ConvergenceError, DomainError, SingularPoint
 from .lattice import (
     POINT_BUDGET,
     IntervalDescriptor,
@@ -145,7 +145,9 @@ def solve_nu(setup: Setup, alpha: float, interval: IntervalDescriptor) -> float:
 
     Relative tolerance 1e-12.  The dispersion value is strictly increasing
     from -inf to +inf on each interval, so a root always exists; a
-    BracketError is raised only for a degenerate interval.  On the unbounded
+    BracketError is raised only for a degenerate interval, and a
+    ConvergenceError when 200 Newton or bisection steps leave the bracket
+    wider than the tolerance.  On the unbounded
     leftmost interval the lower bracket is found by doubling, using the
     asymptote f(nu) ~ nu far down the evanescent branch.
     """
@@ -207,7 +209,7 @@ def _safeguarded_newton(setup: Setup, target: float, lo: float, hi: float) -> fl
             hi = x
         tol = 1e-13 * max(abs(lo), abs(hi), spacing)
         if hi - lo <= tol:
-            break
+            return 0.5 * (lo + hi)
         if deriv > 0:
             step = (value - target) / deriv
             candidate = x - step
@@ -215,7 +217,9 @@ def _safeguarded_newton(setup: Setup, target: float, lo: float, hi: float) -> fl
                 x = candidate
                 continue
         x = 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
+    raise ConvergenceError(
+        f"Newton solve for alpha/c = {target!r} left bracket ({lo!r}, {hi!r}) after 200 steps"
+    )
 
 
 def analytic_levels(setup: Setup, alpha: float, count: int) -> List[Tuple[float, bool]]:

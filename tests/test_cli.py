@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from deltabox import cli, oracle
+from deltabox import cli, oracle, spectrum
 from deltabox.errors import DomainError
 from deltabox.model import RationalX0, make_setup, nu_n, phi_mode
 from deltabox.observables import amplitude_extrema, expectation_x, prob_ratio, prob_ratio_at_mode
@@ -245,6 +245,31 @@ def test_empty_grid_exits_2(capsys, argv, size):
     code = cli.main([*argv, size])
     assert code == 2
     assert "at least one point" in capsys.readouterr().err
+
+
+def test_sweep_of_one_sample_exits_2(capsys):
+    """A sweep needs two samples; one is an argument error, like zero."""
+    code = cli.main(["sweep", "--interval", "2", "--samples", "1"])
+    assert code == 2
+    assert "at least two samples" in capsys.readouterr().err
+
+
+def test_spectrum_newton_out_of_steps_exits_4(capsys, monkeypatch):
+    """A dispersion whose Newton steps creep by 1e-9 exhausts the 200-step
+    budget of solve_nu; that is a convergence failure, not a silent midpoint."""
+    monkeypatch.setattr(spectrum, "_value_and_derivative", lambda setup, nu: (-1.0, 1e10))
+    code = cli.main(["spectrum", "--alpha", "5", "--count", "3"])
+    assert code == 4
+    assert "after 200 steps" in capsys.readouterr().err
+
+
+def test_oracle_out_of_sturm_passes_exits_4(capsys, monkeypatch):
+    """An eigenvalue whose bracket never narrows to relative 1e-12 exhausts
+    the 200 Sturm passes of the oracle; that is a convergence failure."""
+    monkeypatch.setattr(oracle, "_sturm", lambda d, e2, shift, pivmin: (int(shift >= 0.0), math.nan))
+    code = cli.main(["oracle", "--alpha", "-1000", "--grid", "511", "--count", "1"])
+    assert code == 4
+    assert "200 Sturm passes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

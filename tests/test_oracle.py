@@ -4,15 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from deltabox import oracle
+from deltabox.cli import parse_x0
 from deltabox.errors import ConvergenceError, DomainError, GridMismatch
 from deltabox.model import RationalX0, RealX0, energy_from_nu, make_setup, nu_n
 from deltabox.oracle import (
     Tridiagonal,
     _pivmin,
     _site_node,
-    _sturm_count,
+    _sturm,
     build_hamiltonian,
     compare,
     eig_lowest,
@@ -99,7 +102,7 @@ def test_sturm_counts_match_dense_solver():
         ]
     )
     e2 = [e * e for e in T.offdiag]
-    counts = [_sturm_count(T.diag, e2, sh, _pivmin(e2)) for sh in shifts.tolist()]
+    counts = [_sturm(T.diag, e2, sh, _pivmin(e2))[0] for sh in shifts.tolist()]
     expected = [int((ref < sh).sum()) for sh in shifts]
     assert counts == expected
 
@@ -114,8 +117,35 @@ def test_sturm_counts_clamp_exactly_zero_pivot():
     shift = diag[0]
     assert np.min(np.abs(ref - shift)) > 1e-3
     e2 = (offdiag**2).tolist()
-    count = _sturm_count(diag.tolist(), e2, float(shift), _pivmin(e2))
+    count = _sturm(diag.tolist(), e2, float(shift), _pivmin(e2))[0]
     assert count == int((ref < shift).sum())
+
+
+@given(
+    diag=st.lists(st.floats(-10, 10), min_size=2, max_size=12),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_sturm_count_and_slope_match_dense_spectrum(diag, data):
+    """The count equals the dense count.  The slope is sum 1/(shift - lambda_i)
+    to rel 1e-9 of sum |1/(shift - lambda_i)|, the scale its rounding has;
+    it is not finite only where a pivot was clamped, that is, where the
+    shift is an eigenvalue of a leading block to rounding."""
+    n = len(diag)
+    offdiag = data.draw(st.lists(st.floats(-5, 5), min_size=n - 1, max_size=n - 1))
+    shift = data.draw(st.floats(-25, 25))
+    dense = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+    ref = np.linalg.eigvalsh(dense)
+    assume(np.min(np.abs(ref - shift)) >= 1e-3)
+    e2 = [e * e for e in offdiag]
+    count, slope = _sturm(diag, e2, shift, _pivmin(e2))
+    assert count == int((ref < shift).sum())
+    terms = 1.0 / (shift - ref)
+    if math.isfinite(slope):
+        assert abs(slope - float(np.sum(terms))) <= 1e-9 * float(np.sum(np.abs(terms)))
+    else:
+        blocks = [np.linalg.eigvalsh(dense[:i, :i]) for i in range(1, n)]
+        assert min(float(np.min(np.abs(mu - shift))) for mu in blocks) <= 1e-12 * (1 + abs(shift))
 
 
 def test_eig_lowest_matches_dense_solver():
@@ -165,6 +195,41 @@ def test_eig_lowest_prefix_is_independent_of_count():
             assert np.array_equal(v1, v2)
 
 
+@pytest.mark.parametrize("N", [1023, 4095])
+@pytest.mark.parametrize("alpha, count", [(0.0, 6), (5.0, 5), (-5.0, 4), (1000.0, 9), (-1000.0, 1), (1e6, 12)])
+def test_eig_lowest_matches_lapack_to_rounding(N, alpha, count):
+    """Every eigenvalue is within 8 eps * max|diag| of LAPACK's, on each
+    oracle site of the benchmark, at couplings from -1000 to 1e6."""
+    linalg = pytest.importorskip("scipy.linalg")
+    sites = ("rational:0/1", "rational:1/4", "rational:1/2", "rational:3/4",
+             "rational:1/8", "rational:3/8", "real:0.125")
+    for site in sites:
+        T = build_hamiltonian(make_setup(1.0, parse_x0(site), 1.0), alpha, N)
+        ref = linalg.eigh_tridiagonal(
+            np.array(T.diag), np.array(T.offdiag), eigvals_only=True,
+            select="i", select_range=(0, count - 1),
+        )
+        bound = 8 * np.finfo(float).eps * max(map(abs, T.diag))
+        found = [lam for lam, _ in eig_lowest(T, count)]
+        assert np.max(np.abs(np.array(found) - ref)) <= bound, site
+
+
+def test_eig_lowest_isolates_then_takes_newton_steps(monkeypatch):
+    """Bisection to relative 1e-12 took 256 Sturm passes for these six
+    eigenvalues; bisection to isolation plus Newton takes under 80."""
+    T = build_hamiltonian(setup_pq(1, 4), 5.0, 1023)
+    calls = []
+    sturm = oracle._sturm
+
+    def counted(*args):
+        calls.append(args[2])
+        return sturm(*args)
+
+    monkeypatch.setattr(oracle, "_sturm", counted)
+    eig_lowest(T, 6)
+    assert len(calls) <= 80
+
+
 def test_free_grid_levels_match_discrete_laplacian():
     s = setup_pq(1, 4)
     N = 4095
@@ -210,6 +275,15 @@ def test_eig_lowest_survives_exactly_singular_shift():
         assert np.all(np.isfinite(v))
         assert float(v @ v) == pytest.approx(1.0, rel=1e-12)
         assert abs(float(v @ ref)) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_eig_lowest_resolves_an_exact_zero_eigenvalue():
+    """With exact Sturm counts the bracket of eigenvalue 0 straddles 0, where
+    relative width 1e-12 is never reached; Newton must still land on it."""
+    T = Tridiagonal([-1.0, 0.0, 1.0], [0.0, 0.0], 3, 1.0)
+    values = [lam for lam, _ in eig_lowest(T, 3)]
+    assert values[0] == -1.0 and values[2] == 1.0
+    assert abs(values[1]) <= 1e-300
 
 
 def test_eig_lowest_validates_count():
