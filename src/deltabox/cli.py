@@ -340,7 +340,8 @@ def cmd_fourier(args: argparse.Namespace) -> None:
         expansion = fourier_mod.coeffs_general(setup, _resolve_nu(setup, args), args.M)
     if args.sum_points is not None:
         xs = _linspace(-setup.L / 2, setup.L / 2, args.sum_points, "--sum-points")
-        rows = [(x, fourier_mod.partial_sum(expansion, x)) for x in xs]
+        folded = fourier_mod.fold_to_grid(expansion, args.sum_points)
+        rows = [(x, fourier_mod.partial_sum(folded, x)) for x in xs]
         _emit(args, ["x", "value"], rows)
         return
     _emit(args, ["m", "a_m"], expansion.coefficients)

@@ -5,8 +5,9 @@ the box, so it expands in the free modes Phi_m.  The overlap integrals all
 collapse to closed forms proportional to Phi_m(x0) over a resonance
 denominator, so the coefficients decay like 1/m**2 and partial sums converge
 uniformly.  This module produces those coefficient lists, evaluates partial
-sums by Clenshaw's recurrence with the angle taken from the nearer wall, and
-reports a tail estimate alongside every expansion.
+sums by Clenshaw's recurrence with the angle taken from the nearer wall,
+folds an expansion onto the P - 2 terms that an equispaced grid of P points
+can tell apart, and reports a tail estimate alongside every expansion.
 
 Branches, signs and norms come from the records of `wavefn.general_state`
 and `wavefn.limit_state`, so the expansions converge to the states as
@@ -196,6 +197,28 @@ def partial_sum(expansion: FourierExpansion, x: float) -> float:
             d = a + lam * b - d
             b = d - b
     return math.sqrt(2 / setup.L) * b * math.sin(theta) + 0.0  # no -0.0 at a wall
+
+
+def fold_to_grid(expansion: FourierExpansion, points: int) -> FourierExpansion:
+    """An expansion with at most points - 2 terms that sums as this one on the grid.
+
+    On the grid x_j = -L/2 + j L / K (j = 0..K, K = points - 1) the angle
+    from the right wall is theta_j = pi (K - j) / K, so sin(m theta_j) has
+    period 2K in m: residues 0 and K vanish and residue 2K - s is minus
+    residue s (the sampled DST-I identity).  The coefficients therefore alias onto b_s = B_s - B_{2K-s},
+    s = 1..K-1, with B_r the sum (math.fsum) of the a_m with m = r mod 2K.
+    An expansion of fewer than K terms, or a grid of at most two points, is
+    returned as it is.
+    """
+    K = points - 1
+    if K < 2 or len(expansion.coefficients) < K:
+        return expansion
+    a = [a_m for _, a_m in expansion.coefficients]  # a[m - 1] = a_m
+    coeffs = [
+        (s, math.fsum(a[s - 1 :: 2 * K]) - math.fsum(a[2 * K - s - 1 :: 2 * K]))
+        for s in range(1, K)
+    ]
+    return expansion._replace(coefficients=coeffs)
 
 
 def parseval_defect(expansion: FourierExpansion) -> float:

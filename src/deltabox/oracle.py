@@ -13,8 +13,8 @@ run on Python floats with the standard library alone; vector work goes
 through C-level builtins (map, max, math.hypot).  Each eigenvalue is solved
 on its own and all of them share one cache of Sturm passes, so the
 midpoints common to every target are run once.  Every eigenpair must pass a
-residual check max|T v - lambda v| <= 1e-10 * max|diag| * max|v|, else
-ConvergenceError.
+residual check max|T v - lambda v| <= 1e-10 * max|T_ij| * max|v|, else
+ConvergenceError; max|T_ij| is max|diag| for every grid Hamiltonian.
 
 Accuracy expectations: O(dx**2) for smooth states, degrading to O(dx) when
 the interaction is on (the delta weight is a first-order approximation), so
@@ -206,8 +206,8 @@ def eig_lowest(T: Tridiagonal, count: int) -> List[Tuple[float, List[float]]]:
     Eigenvectors come from `_inverse_iteration`, normalized so that
     sum(v**2) * dx = 1 and positive at the last node carrying appreciable
     amplitude.  A pair whose residual max|T v - lambda v| exceeds
-    1e-10 * max|diag| * max|v|, or whose v has no finite nonzero norm,
-    raises ConvergenceError.
+    1e-10 * max(max|diag|, max|offdiag|) * max|v|, or whose v has no finite
+    nonzero norm, raises ConvergenceError.
     """
     if count < 1 or count > 12:
         raise DomainError(f"count must be in 1..12, got {count!r}")
@@ -225,7 +225,7 @@ def eig_lowest(T: Tridiagonal, count: int) -> List[Tuple[float, List[float]]]:
     pivmin = _pivmin(e2)
     passes: Dict[float, Tuple[int, float]] = {}
     values = [_bisect(d, e2, pivmin, k, lo, hi, passes) for k in range(1, count + 1)]
-    residual_scale = 1e-10 * max(map(abs, d))
+    residual_scale = 1e-10 * max(max(map(abs, d)), max(abs_e, default=0.0))
     pairs: List[Tuple[float, List[float]]] = []
     for lam in values:
         v = _inverse_iteration(d, e, lam)

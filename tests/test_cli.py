@@ -11,9 +11,10 @@ import pytest
 
 from deltabox import cli, oracle, spectrum
 from deltabox.errors import DomainError
+from deltabox.fourier import coeffs_general, coeffs_limit, partial_sum
 from deltabox.model import RationalX0, make_setup, nu_n, phi_mode
 from deltabox.observables import amplitude_extrema, expectation_x, prob_ratio, prob_ratio_at_mode
-from deltabox.wavefn import rho
+from deltabox.wavefn import limit_state, rho
 
 OVER_1 = "16.755160819145562"  # first one-sided point of the right compartment
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -446,6 +447,61 @@ def test_fourier_partial_sum_grid(capsys):
     assert abs(float(rows[0]["value"])) < 1e-12
     assert abs(float(rows[-1]["value"])) < 1e-12
     assert max(abs(float(r["value"])) for r in rows) > 0.5
+
+
+SITE_1_4 = make_setup(L=1.0, x0=RationalX0(1, 4), c=1.0)
+GRID_SUM_CASES = [
+    (("--nu", "7.3"), lambda M: coeffs_general(SITE_1_4, 7.3, M), 2048, 257),
+    (("--nu=-9",), lambda M: coeffs_general(SITE_1_4, -9.0, M), 2048, 65),
+    (
+        ("--limit", "hat", "--nu-mode", "8"),
+        lambda M: coeffs_limit(limit_state(SITE_1_4, "hat", nu_n(SITE_1_4, 8)), M),
+        16384,
+        65,
+    ),
+    (
+        ("--limit", "over", "--l", "1"),
+        lambda M: coeffs_limit(limit_state(SITE_1_4, "over", 1), M),
+        512,
+        129,
+    ),
+    (("--nu", "7.3"), lambda M: coeffs_general(SITE_1_4, 7.3, M), 512, 3),
+]
+
+
+def sum_rows(out, fmt):
+    """(x, value) pairs of a fourier --sum-points table in either format."""
+    if fmt == "json":
+        return [(row["x"], row["value"]) for row in json.loads(out)["rows"]]
+    return [(float(row["x"]), float(row["value"])) for row in parse_csv(out)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("state, expand, M, points", GRID_SUM_CASES)
+def test_fourier_grid_sums_match_partial_sum(capsys, fmt, state, expand, M, points):
+    """The folded grid sums equal the full partial_sum within 1e-13 of the largest value."""
+    code, out = run_cli(
+        capsys, "fourier", *state, "--M", str(M), "--sum-points", str(points), "--format", fmt
+    )
+    assert code == 0
+    rows = sum_rows(out, fmt)
+    expansion = expand(M)
+    assert [x for x, _ in rows] == cli._linspace(-0.5, 0.5, points)
+    full = [partial_sum(expansion, x) for x, _ in rows]
+    scale = max(map(abs, full))
+    assert all(abs(v - f) <= 1e-13 * scale for (_, v), f in zip(rows, full))
+
+
+@pytest.mark.parametrize("M, points", [(64, 257), (63, 65), (1, 3), (512, 2), (512, 1)])
+def test_fourier_grid_sums_without_a_fold_keep_their_bytes(capsys, M, points):
+    """With M <= P - 2, or at most two points, the table is the unfolded sum's."""
+    code, out = run_cli(
+        capsys, "fourier", "--nu", "7.3", "--M", str(M), "--sum-points", str(points)
+    )
+    assert code == 0
+    expansion = coeffs_general(SITE_1_4, 7.3, M)
+    xs = cli._linspace(-0.5, 0.5, points)
+    assert out == "x,value\n" + "".join(f"{x!r},{partial_sum(expansion, x)!r}\n" for x in xs)
 
 
 # ======================================================================

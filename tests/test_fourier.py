@@ -5,8 +5,15 @@ import math
 
 import pytest
 
+from deltabox import cli
 from deltabox.errors import DomainError, InK, NotInK
-from deltabox.fourier import coeffs_general, coeffs_limit, parseval_defect, partial_sum
+from deltabox.fourier import (
+    coeffs_general,
+    coeffs_limit,
+    fold_to_grid,
+    parseval_defect,
+    partial_sum,
+)
 from deltabox.lattice import overline_nu, underline_nu
 from deltabox.model import RationalX0, RealX0, make_setup, nu_n, phi_mode
 from deltabox.wavefn import (
@@ -197,12 +204,17 @@ def test_general_expansion_at_shared_mode_matches_eval_normalized(p, q, n):
     assert err < 4e-3
 
 
-def mp_partial_sum(expansion, x, mpmath):
-    """Sum_m a_m Phi_m(x) of the float coefficients in 40-digit arithmetic."""
+def mp_terms(expansion, x, mpmath):
+    """The terms a_m Phi_m(x) of the float coefficients at mpmath's precision."""
     L = mpmath.mpf(expansion.setup.L)
     theta = mpmath.pi * (L / 2 - mpmath.mpf(x)) / L
-    terms = (mpmath.mpf(a) * mpmath.sin(m * theta) for m, a in expansion.coefficients)
-    return mpmath.sqrt(2 / L) * mpmath.fsum(terms)
+    norm = mpmath.sqrt(2 / L)
+    return [norm * mpmath.mpf(a) * mpmath.sin(m * theta) for m, a in expansion.coefficients]
+
+
+def mp_partial_sum(expansion, x, mpmath):
+    """Sum_m a_m Phi_m(x) of the float coefficients in 40-digit arithmetic."""
+    return mpmath.fsum(mp_terms(expansion, x, mpmath))
 
 
 @pytest.mark.parametrize(
@@ -254,6 +266,92 @@ def test_partial_sum_rejects_points_outside_the_box():
     for x in (-s.L / 2 - 1e-12, s.L / 2 + 1e-12, 2 * s.L, math.nan):
         with pytest.raises(DomainError):
             partial_sum(expansion, x)
+
+
+# ======================================================================
+# Folding onto the CLI's sampling grid
+# ======================================================================
+
+
+_FOLD_SITE = setup_pq(1, 4)
+FOLD_FAMILIES = {
+    "trig": lambda M: coeffs_general(_FOLD_SITE, 7.3, M),
+    "linear": lambda M: coeffs_general(_FOLD_SITE, 0.0, M),
+    "hyper": lambda M: coeffs_general(_FOLD_SITE, -9.0, M),
+    "deep": lambda M: coeffs_general(_FOLD_SITE, -2000.0, M),
+    "one_hot": lambda M: coeffs_general(_FOLD_SITE, nu_n(_FOLD_SITE, 5), M),
+    "hat": lambda M: coeffs_limit(limit_state(_FOLD_SITE, "hat", nu_n(_FOLD_SITE, 8)), M),
+    "under": lambda M: coeffs_limit(limit_state(_FOLD_SITE, "under", 1), M),
+    "over": lambda M: coeffs_limit(limit_state(_FOLD_SITE, "over", 1), M),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def fold_expansion(family, M):
+    return FOLD_FAMILIES[family](M)
+
+
+def sum_grid(points):
+    return cli._linspace(-_FOLD_SITE.L / 2, _FOLD_SITE.L / 2, points, "--sum-points")
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 65, 257])
+@pytest.mark.parametrize("family", sorted(FOLD_FAMILIES))
+def test_folded_expansion_sums_as_the_full_one_on_the_grid(family, points):
+    """On the sum grid the fold changes only rounding, and keeps at most P - 2 terms.
+
+    It is the identity for M <= P - 2 and for grids of the two walls or
+    fewer; otherwise it keeps exactly P - 2 terms.  kind, setup and
+    tail_bound are always kept.  The values agree within 1e-13 of the
+    largest on the grid, or of 1% of sqrt(2/L) sum |a_m| if that is larger:
+    the one interior point of P = 3 is the centre, where the deep, hat and
+    over sums cancel to 1e-9 of their terms and carry rounding of the terms'
+    size in either order.
+    """
+    xs = sum_grid(points)
+    for M in sorted({M for M in (1, points - 3, points - 2, points - 1, 2048, 16384) if M >= 1}):
+        expansion = fold_expansion(family, M)
+        folded = fold_to_grid(expansion, points)
+        assert (folded.kind, folded.setup, folded.tail_bound) == (
+            expansion.kind,
+            expansion.setup,
+            expansion.tail_bound,
+        )
+        if points <= 2 or M <= points - 2:
+            assert folded.coefficients == expansion.coefficients
+        else:
+            assert [m for m, _ in folded.coefficients] == list(range(1, points - 1))
+        # At most P - 2 Clenshaw steps per point once the grid has an interior.
+        assert points <= 2 or len(folded.coefficients) <= points - 2
+        full = [partial_sum(expansion, x) for x in xs]
+        envelope = math.fsum(abs(a) for _, a in expansion.coefficients)
+        scale = max(max(map(abs, full)), math.sqrt(2 / _FOLD_SITE.L) * envelope / 100)
+        for x, value in zip(xs, full):
+            assert abs(partial_sum(folded, x) - value) <= 1e-13 * scale, (M, x)
+
+
+@pytest.mark.parametrize(
+    "family, points, M",
+    [(f, p, 2048) for f in sorted(FOLD_FAMILIES) for p in (65, 257)] + [("hat", 65, 16384)],
+)
+def test_folded_sum_is_accurate_next_to_both_walls(family, points, M):
+    """The points next to each wall are within 1e-13 relative of a 30-digit sum.
+
+    The under, over and deep states are all but zero next to one wall,
+    where the full sum cancels to 1e-9 of its terms or less; there no
+    summation order is relatively accurate, so the bound is taken relative
+    to 1% of sum |a_m Phi_m(x)| when the sum is smaller.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    expansion = fold_expansion(family, M)
+    folded = fold_to_grid(expansion, points)
+    xs = sum_grid(points)
+    with mpmath.workdps(30):
+        for x in (xs[1], xs[-2]):
+            terms = mp_terms(expansion, x, mpmath)
+            exact = mpmath.fsum(terms)
+            scale = max(abs(exact), mpmath.fsum(map(abs, terms)) / 100)
+            assert abs(partial_sum(folded, x) - exact) <= 1e-13 * scale, x
 
 
 def test_parseval_defect_shrinks_with_truncation_order():

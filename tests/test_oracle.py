@@ -286,6 +286,18 @@ def test_eig_lowest_resolves_an_exact_zero_eigenvalue():
     assert abs(values[1]) <= 1e-300
 
 
+def test_eig_lowest_checks_residuals_of_a_zero_diagonal_matrix():
+    """The residual scale takes max|offdiag| too; from max|diag| alone it is 0
+    here and rejects every eigenpair, however exact."""
+    T = Tridiagonal([0.0, 0.0, 0.0], [1.0, 1.0], 3, 1.0)
+    dense_values, dense_vectors = np.linalg.eigh(np.diag(T.offdiag, 1) + np.diag(T.offdiag, -1))
+    pairs = eig_lowest(T, 3)
+    for (lam, v), exact, w in zip(pairs, dense_values, dense_vectors.T):
+        assert lam == pytest.approx(exact, abs=1e-14)
+        assert abs(np.dot(v, w)) == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(x * x for x in v) * T.dx == pytest.approx(1.0, rel=1e-12)
+
+
 def test_eig_lowest_validates_count():
     T = build_hamiltonian(setup_pq(1, 4), 0.0, 127)
     for bad in (0, 13, -2):
