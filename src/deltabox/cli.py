@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import sys
+from itertools import chain, islice, repeat
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from . import fourier as fourier_mod
@@ -52,6 +52,8 @@ _EXIT_NUMERICAL = 4
 
 _DOMAIN_ERRORS = (DomainError, NotInK, InK, GridMismatch)
 _NUMERICAL_ERRORS = (SingularPoint, BracketError, ConvergenceError, OverflowError)
+
+_CSV_BLOCK = 64  # rows per %-format; 1024 wrote no faster and fragmented the heap
 
 
 # ============================================================
@@ -168,18 +170,18 @@ def _csv_table(columns: List[str], rows: Iterable[Tuple[Any, ...]]) -> str:
 
     Every cell is a number, a bool, None or a label with no comma, quote or
     line break, so no field needs quoting: a line is the cells' str() (repr
-    for a float) joined by commas, with None as an empty field.  One
-    %-format per row writes it faster than csv.writer, which copies each
-    field character by character.
+    for a float) joined by commas, None an empty field ('""' alone in a row).
+    One %-format of the repeated line writes each block of _CSV_BLOCK rows,
+    after a C-level dict lookup per cell blanks the None cells.
     """
-    line = ",".join(["%s"] * len(columns)) + "\n"
-    buf = io.StringIO()
-    buf.write(",".join(columns) + "\n")
-    for row in rows:
-        if None in row:
-            row = tuple(["" if v is None else v for v in row])
-        buf.write(line % row)
-    return buf.getvalue()
+    width = len(columns)
+    line = ",".join(["%s"] * width) + "\n"
+    blank = {None: '""' if width == 1 else ""}.get
+    parts = [",".join(columns) + "\n"]
+    rows = iter(rows)
+    while cells := list(chain.from_iterable(islice(rows, _CSV_BLOCK))):
+        parts.append((line * (len(cells) // width)) % tuple(map(blank, cells, cells)))
+    return "".join(parts)
 
 
 def _emit(args: argparse.Namespace, columns: List[str], rows: Iterable[Tuple[Any, ...]]) -> None:
@@ -230,10 +232,12 @@ def cmd_spectrum(args: argparse.Namespace) -> None:
     setup = _setup_from(args)
     levels = analytic_levels(setup, args.alpha, args.count)
     columns = ["index", "nu", "energy", "is_mode"]
-    rows = [
-        (i, nu, energy_from_nu(setup, nu), is_mode)
-        for i, (nu, is_mode) in enumerate(levels, start=1)
-    ]
+    rows = []
+    for i, (nu, is_mode) in enumerate(levels, start=1):
+        try:
+            rows.append((i, nu, energy_from_nu(setup, nu), is_mode))
+        except OverflowError as exc:
+            raise OverflowError(f"level {i}: {exc}") from None
     _emit(args, columns, rows)
 
 
@@ -313,23 +317,21 @@ def cmd_wavefunction(args: argparse.Namespace) -> None:
     if args.phi:
         if args.nu_mode is None:
             raise DomainError("--phi needs --nu-mode")
+        values = [phi_mode(setup, args.nu_mode, x) for x in xs]
         kind = wavefn.WaveKind(label="mode")
-        rows = [(x, phi_mode(setup, args.nu_mode, x), _kind_label(kind)) for x in xs]
-        _emit(args, ["x", "value", "kind"], rows)
-        return
-    if args.limit is not None:
-        samples = _limit_state(setup, args.limit, args).sample(xs)
     else:
-        samples = wavefn.general_state(setup, _resolve_nu(setup, args)).sample(xs)
-    rows = [(s.x, s.value, _kind_label(s.kind)) for s in samples]
-    _emit(args, ["x", "value", "kind"], rows)
+        if args.limit is not None:
+            state = _limit_state(setup, args.limit, args)
+        else:
+            state = wavefn.general_state(setup, _resolve_nu(setup, args))
+        values, kind = state.sample(xs), state.kind
+    _emit(args, ["x", "value", "kind"], zip(xs, values, repeat(_kind_label(kind))))
 
 
 def cmd_limit(args: argparse.Namespace) -> None:
     setup = _setup_from(args)
     xs = _linspace(-setup.L / 2, setup.L / 2, args.points)
-    rows = [(s.x, s.value) for s in _limit_state(setup, args.kind, args).sample(xs)]
-    _emit(args, ["x", "value"], rows)
+    _emit(args, ["x", "value"], zip(xs, _limit_state(setup, args.kind, args).sample(xs)))
 
 
 def cmd_fourier(args: argparse.Namespace) -> None:
@@ -393,30 +395,9 @@ def cmd_amplitude(args: argparse.Namespace) -> None:
 
 
 def cmd_oracle(args: argparse.Namespace) -> None:
-    setup = _setup_from(args)
-    report = oracle.compare(setup, args.alpha, args.grid, args.count)
-    columns = [
-        "index",
-        "nu",
-        "is_mode",
-        "analytic_energy",
-        "oracle_energy",
-        "rel_energy_error",
-        "sup_wave_error",
-    ]
-    rows = [
-        (
-            lv.index,
-            lv.nu,
-            lv.is_mode,
-            lv.analytic_energy,
-            lv.oracle_energy,
-            lv.rel_energy_error,
-            lv.sup_wave_error,
-        )
-        for lv in report.levels
-    ]
-    _emit(args, columns, rows)
+    report = oracle.compare(_setup_from(args), args.alpha, args.grid, args.count)
+    # Each LevelComparison is a row; its field names are the columns.
+    _emit(args, list(oracle.LevelComparison._fields), report.levels)
 
 
 # ============================================================

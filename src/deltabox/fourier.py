@@ -7,7 +7,8 @@ denominator, so the coefficients decay like 1/m**2 and partial sums converge
 uniformly.  This module produces those coefficient lists, evaluates partial
 sums by Clenshaw's recurrence with the angle taken from the nearer wall,
 folds an expansion onto the P - 2 terms that an equispaced grid of P points
-can tell apart, and reports a tail estimate alongside every expansion.
+can tell apart, and estimates the dropped tail of an expansion on request
+(`tail_bound`).
 
 Branches, signs and norms come from the records of `wavefn.general_state`
 and `wavefn.limit_state`, so the expansions converge to the states as
@@ -36,25 +37,17 @@ _MODE_SNAP_RTOL = 1e-12
 class FourierExpansion(NamedTuple):
     """Truncated sine-basis expansion of one state.
 
-    coefficients holds (m, a_m) pairs for m = 1..M.  tail_bound estimates
-    the sup-norm of the dropped tail from the measured 1/m**2 envelope.
+    coefficients holds (m, a_m) pairs for m = 1..M.
     """
 
     kind: WaveKind
     coefficients: List[Tuple[int, float]]
     setup: Setup
-    tail_bound: float
-
-
-def _finish(setup: Setup, kind: WaveKind, coeffs: List[Tuple[int, float]]) -> FourierExpansion:
-    envelope = max((abs(a) * m * m for m, a in coeffs), default=0.0)
-    tail = math.sqrt(2 / setup.L) * envelope / max(len(coeffs), 1)
-    return FourierExpansion(kind, coeffs, setup, tail)
 
 
 def _one_hot(setup: Setup, kind: WaveKind, n: int, M: int) -> FourierExpansion:
     coeffs = [(m, 1.0 if m == n else 0.0) for m in range(1, M + 1)]
-    return FourierExpansion(kind, coeffs, setup, 0.0)
+    return FourierExpansion(kind, coeffs, setup)
 
 
 def _check_m(M: int) -> None:
@@ -114,7 +107,7 @@ def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpans
         (m, pref * f / ((math.pi * m / L) ** 2 / scale + shift))
         for m, f in enumerate(phi0, start=1)
     ]
-    return _finish(setup, state.kind, coeffs)
+    return FourierExpansion(state.kind, coeffs, setup)
 
 
 # ============================================================
@@ -156,7 +149,7 @@ def coeffs_limit(state: LimitState, M: int = DEFAULT_M) -> FourierExpansion:
             (m, pref * f / (w * w * m * m - setup.L**2 * j * j))
             for m, f in enumerate(phi0, start=1)
         ]
-    return _finish(setup, state.kind, coeffs)
+    return FourierExpansion(state.kind, coeffs, setup)
 
 
 # ============================================================
@@ -219,6 +212,20 @@ def fold_to_grid(expansion: FourierExpansion, points: int) -> FourierExpansion:
         for s in range(1, K)
     ]
     return expansion._replace(coefficients=coeffs)
+
+
+def tail_bound(expansion: FourierExpansion) -> float:
+    """Estimate of the sup-norm of the tail an expansion drops after its M terms.
+
+    sqrt(2/L) * max_m |a_m| m**2 / M, from the measured 1/m**2 envelope.
+    The one-hot expansion of a free mode (a single nonzero coefficient, 1.0)
+    is exact, and its bound is 0.0.
+    """
+    coeffs = expansion.coefficients
+    if [a for _, a in coeffs if a] == [1.0]:
+        return 0.0
+    envelope = max((abs(a) * m * m for m, a in coeffs), default=0.0)
+    return math.sqrt(2 / expansion.setup.L) * envelope / max(len(coeffs), 1)
 
 
 def parseval_defect(expansion: FourierExpansion) -> float:

@@ -198,6 +198,11 @@ def phi_modes(setup: Setup, M: int, x: float) -> List[float]:
 
 
 def energy_from_nu(setup: Setup, nu: float) -> float:
-    """Signed energy: c (nu/2)^2 for nu >= 0, -c (nu/2)^2 for nu < 0."""
-    e = setup.c * (nu / 2) ** 2
+    """Signed energy c (nu/2)^2, negative for nu < 0; OverflowError naming nu beyond float range."""
+    try:
+        e = setup.c * (nu / 2) ** 2
+    except OverflowError:  # float ** raises where * returns inf
+        e = math.inf
+    if e == math.inf:
+        raise OverflowError(f"energy c (nu/2)**2 exceeds float range at nu = {nu!r}")
     return e if nu >= 0 else -e

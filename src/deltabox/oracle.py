@@ -341,7 +341,11 @@ def compare(setup: Setup, alpha: float, N: int, count: int) -> OracleComparison:
             n_mode = round(nu / nu_n(setup, 1))
             psi = [phi_mode(setup, n_mode, x) for x in xs]
         else:
-            psi = [sample.value for sample in general_state(setup, nu).sample(xs)]
+            psi = general_state(setup, nu).sample(xs)
+        # eig_lowest signs v by its last node above 1e-8 max|v|, which can lie
+        # left of a strongly coupled state's right compartment: align it to psi.
+        if sum(map(mul, vec, psi)) < 0:
+            vec = [-v for v in vec]
         sup_wave = max(map(abs, map(sub, vec, psi))) / max(map(abs, psi))
         out.append(LevelComparison(idx, nu, is_mode, energy, lam, rel_energy, sup_wave))
     return OracleComparison(

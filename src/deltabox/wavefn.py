@@ -80,7 +80,7 @@ class WaveKind(NamedTuple):
 
 
 class WaveSample(NamedTuple):
-    """One evaluated point of a wavefunction."""
+    """One evaluated point of a wavefunction, as the one-point functions return it."""
 
     x: float
     value: float
@@ -114,16 +114,17 @@ class _Pieces:
     def __init__(self, setup: Setup, kind: WaveKind, left: _HalfWave, right: _HalfWave) -> None:
         self.setup, self.kind, self.left, self.right = setup, kind, left, right
 
-    def sample(self, xs: "list[float]") -> "list[WaveSample]":
-        """The state on a list of positions; DomainError for one outside the box."""
-        setup, kind, left, right = self.setup, self.kind, self.left, self.right
-        x0 = setup.x0_value
-        out = []
-        for x in xs:
-            check_in_box(setup, x)
-            value = (left(x) if x <= x0 else right(x)) + 0.0  # no -0.0 at a wall
-            out.append(WaveSample(x, value, kind))
-        return out
+    def sample(self, xs: "list[float]") -> "list[float]":
+        """The state's values at a list of positions; DomainError for one outside the box."""
+        if xs:  # the ends decide the list; min and max can step over a NaN
+            for x in (min(xs), max(xs), *filter(math.isnan, xs)):
+                check_in_box(self.setup, x)
+        x0, left, right = self.setup.x0_value, self.left, self.right
+        return [(left(x) if x <= x0 else right(x)) + 0.0 for x in xs]  # no -0.0 at a wall
+
+
+def _sample_at(state: _Pieces, x: float) -> WaveSample:
+    return WaveSample(x, state.sample([x])[0], state.kind)
 
 
 class GeneralState(_Pieces):
@@ -364,7 +365,7 @@ def general_state(setup: Setup, nu: float) -> Union[GeneralState, LimitState]:
 
 def eval_normalized(setup: Setup, nu: float, x: float) -> WaveSample:
     """Unit-norm eigenfunction value at x; the one-point case of general_state's sample."""
-    return general_state(setup, nu).sample([x])[0]
+    return _sample_at(general_state(setup, nu), x)
 
 
 # ============================================================
@@ -467,7 +468,7 @@ def upsilon_hat(setup: Setup, nu_hat: float, x: float) -> WaveSample:
     point, identical along both coupling paths.  Raises NotInK unless nu_hat
     is on the shared lattice (lattice.shared_mode).
     """
-    return limit_state(setup, "hat", nu_hat).sample([x])[0]
+    return _sample_at(limit_state(setup, "hat", nu_hat), x)
 
 
 def upsilon_under(setup: Setup, k: int, side: str, x: float) -> WaveSample:
@@ -478,7 +479,7 @@ def upsilon_under(setup: Setup, k: int, side: str, x: float) -> WaveSample:
     give opposite overall signs.  Raises InK when the k-th left value also
     lies on the shared lattice, where the limit is upsilon_hat instead.
     """
-    return limit_state(setup, "under", k, side).sample([x])[0]
+    return _sample_at(limit_state(setup, "under", k, side), x)
 
 
 def upsilon_over(setup: Setup, l: int, x: float) -> WaveSample:
@@ -488,7 +489,7 @@ def upsilon_over(setup: Setup, l: int, x: float) -> WaveSample:
     coupling paths.  Raises InK when the l-th right value also lies on the
     shared lattice.
     """
-    return limit_state(setup, "over", l).sample([x])[0]
+    return _sample_at(limit_state(setup, "over", l), x)
 
 
 def _point_limit(setup: Setup, point: LatticePoint, side: str = "below") -> LimitState:
@@ -562,7 +563,7 @@ def limit_residual(
     energy_factor = (point.nu / 2) ** 2
     h = setup.L / grid_n
     xs = [-setup.L / 2 + i * h for i in range(grid_n + 1)]
-    values = [sample.value for sample in state.sample(xs)]
+    values = state.sample(xs)
     scale = max(abs(v) for v in values)
     max_resid = 0.0
     for i in range(1, grid_n):

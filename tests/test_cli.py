@@ -8,6 +8,8 @@ import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltabox import cli, oracle, spectrum
 from deltabox.errors import DomainError
@@ -262,6 +264,25 @@ def test_spectrum_newton_out_of_steps_exits_4(capsys, monkeypatch):
     code = cli.main(["spectrum", "--alpha", "5", "--count", "3"])
     assert code == 4
     assert "after 200 steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, nu",
+    [
+        # The deep bound state of alpha = -1e300 has nu near -1e300.
+        (("--alpha=-1e300",), "-1.0"),
+        # A finite (nu/2)**2 whose product with c exceeds float range.
+        (("--alpha", "1", "--c", "1e308"), "6.28"),
+    ],
+)
+def test_spectrum_energy_overflow_names_the_level_exits_4(capsys, argv, nu):
+    """An energy c (nu/2)**2 beyond float range is a numerical failure whose
+    message names the level and nu, never an inf in the table."""
+    code = cli.main(["spectrum", *argv, "--count", "3"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith("error: level 1: energy")
+    assert f"exceeds float range at nu = {nu}" in captured.err
 
 
 def test_oracle_out_of_sturm_passes_exits_4(capsys, monkeypatch):
@@ -643,6 +664,52 @@ def test_csv_table_writes_the_bytes_of_csv_writer():
     writer.writerow(WRITER_COLUMNS)
     writer.writerows(WRITER_ROWS)
     assert cli._csv_table(WRITER_COLUMNS, iter(WRITER_ROWS)) == buf.getvalue()
+
+
+# Every kind of cell a table holds: floats of every class, integers past
+# 64 bits, bools, None and the labels the commands print.
+CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(
+        ["point", "interval", "both", "under", "over", "A", "B", "C", "D", "E", "F",
+         "Z", "max", "min", "trig", "linear", "hyper", "mode", "limit_hat",
+         "limit_under k=2 below", "limit_under k=3 above", "limit_over l=1"]
+    ),
+)
+
+
+def _writer_text(columns, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    width=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_csv_table_writes_the_bytes_of_csv_writer_for_any_cells(width, data):
+    columns = [f"c{i}" for i in range(width)]
+    rows = data.draw(st.lists(st.tuples(*[CELLS] * width), max_size=12))
+    # None in the first, middle and last column, alone and side by side.
+    nones = data.draw(st.sampled_from([(0,), (width // 2,), (width - 1,), (0, 1), tuple(range(width))]))
+    rows.append(tuple(None if i in nones else 1.5 for i in range(width)))
+    assert cli._csv_table(columns, iter(rows)) == _writer_text(columns, rows)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("count", [0, 1, cli._CSV_BLOCK - 1, cli._CSV_BLOCK, 2 * cli._CSV_BLOCK + 5])
+def test_csv_table_blocks_join_without_seams(width, count):
+    """Row counts on both sides of the block size, the empty table among them."""
+    rows = [tuple(None if (i + j) % 3 == 0 else i * 0.1 + j for j in range(width)) for i in range(count)]
+    assert cli._csv_table(["h"] * width, iter(rows)) == _writer_text(["h"] * width, rows)
 
 
 @pytest.mark.parametrize("rows", [WRITER_ROWS + [(0, 'a "quoted", label\\', None, 1)], []])

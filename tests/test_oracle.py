@@ -357,6 +357,16 @@ def test_weak_coupling_matches_analytic_levels():
     assert energies == sorted(energies)
 
 
+@pytest.mark.parametrize("alpha", [1e10, 1e12])
+def test_strong_coupling_levels_match_the_closed_forms_in_sign(alpha):
+    """At these couplings the right compartment of levels 3 and 4 holds
+    below 1e-10 of their peak, under eig_lowest's 1e-8 sign cutoff; the
+    comparison aligns the sign of the eigenvector to the closed form's."""
+    s = setup_pq(1, 4)
+    result = compare(s, alpha, 1023, 4)
+    assert result.max_sup_wave_error < 1e-10
+
+
 def test_deep_attractive_bound_state():
     s = setup_pq(1, 4)
     result = compare(s, -1000.0 * s.c, 4095, 1)

@@ -82,7 +82,7 @@ def one_sided_jump(f, x0, h=1e-6):
 def test_eval_psi_continuous_at_site_and_zero_at_walls(nu):
     s = setup_pq(1, 4)
     state = general_state(s, nu)
-    value = lambda x: state.sample([x])[0].value
+    value = lambda x: state.sample([x])[0]
     left = value(s.x0_value)
     right = value(s.x0_value + 1e-12)
     scale = max(abs(left), abs(right), 1e-30)
@@ -93,15 +93,23 @@ def test_eval_psi_continuous_at_site_and_zero_at_walls(nu):
 
 def test_eval_psi_branch_tags():
     s = setup_pq(1, 4)
-    assert general_state(s, 3.0).sample([0.1])[0].kind.label == "trig"
-    assert general_state(s, 0.0).sample([0.1])[0].kind.label == "linear"
-    assert general_state(s, -3.0).sample([0.1])[0].kind.label == "hyper"
+    assert general_state(s, 3.0).kind.label == "trig"
+    assert general_state(s, 0.0).kind.label == "linear"
+    assert general_state(s, -3.0).kind.label == "hyper"
 
 
 def test_eval_psi_rejects_positions_outside_box():
     s = setup_pq(1, 4)
     with pytest.raises(DomainError):
         general_state(s, 3.0).sample([0.51])
+
+
+@pytest.mark.parametrize("xs", [[-0.2, -0.51, 0.1], [-0.2, math.nan, 0.1], [math.nan, 0.1]])
+def test_sample_rejects_any_position_outside_box_in_a_list(xs):
+    """sample checks a list by its ends, and a NaN anywhere in it."""
+    s = setup_pq(1, 4)
+    with pytest.raises(DomainError):
+        general_state(s, 3.0).sample(xs)
 
 
 def test_trig_left_sign_alternates_across_left_lattice():
@@ -229,7 +237,7 @@ def test_deep_evanescent_peak_height_at_every_depth(p, q):
     s = setup_pq(p, q)
     for e in range(3, 301):
         t = 10.0**e
-        value = general_state(s, -t).sample([s.x0_value])[0].value
+        value = general_state(s, -t).sample([s.x0_value])[0]
         assert abs(value * value * 2 / t - 1) <= 1e-14, t
 
 
@@ -327,10 +335,11 @@ def test_limit_list_sampler_matches_one_point_functions(x0, kind, index, side):
         one_point = lambda x: upsilon_under(s, index, side, x)
     else:
         one_point = lambda x: upsilon_over(s, index, x)
-    listed = limit_state(s, kind, index, side).sample(xs)
-    assert [sample.x for sample in listed] == xs
-    assert [sample.value for sample in listed] == [one_point(x).value for x in xs]
-    assert all(sample.kind == one_point(0.0).kind for sample in listed)
+    state = limit_state(s, kind, index, side)
+    listed = state.sample(xs)
+    assert len(listed) == len(xs)
+    assert listed == [one_point(x).value for x in xs]
+    assert state.kind == one_point(0.0).kind
 
 
 def test_one_sided_states_reject_shared_indices():
@@ -478,7 +487,7 @@ def test_sample_wave_is_the_raw_state_over_rho(nu):
     xs = grid_with_site_and_walls(s, n=256)
     norm = rho(s, nu)
     samples = general_state(s, nu).sample(xs)
-    assert [sample.value for sample in samples] == [raw_state(s, nu, x) / norm for x in xs]
+    assert samples == [raw_state(s, nu, x) / norm for x in xs]
 
 
 def test_sample_wave_matches_pointwise_evaluation():
@@ -486,6 +495,6 @@ def test_sample_wave_matches_pointwise_evaluation():
     xs = [-0.5, -0.2, 0.0, 0.125, 0.3, 0.5]
     for nu in (12.0, -700.0, 1e-100):
         samples = general_state(s, nu).sample(xs)
-        for x, sample in zip(xs, samples):
-            assert sample.x == x
-            assert sample.value == eval_normalized(s, nu, x).value
+        assert len(samples) == len(xs)
+        for x, value in zip(xs, samples):
+            assert value == eval_normalized(s, nu, x).value
