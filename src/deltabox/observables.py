@@ -1,18 +1,19 @@
 """Physical observables of the eigenstates: side probabilities, mean position,
 and the centered-interaction amplitude envelope.
 
-Both side probabilities and the mean position are read from the two
-compartment masses of `wavefn.mass_kernel`.  ratio_grid and
-expectation_grid bind the setup's lattice test and mass kernel once and
-make one row per wave number; prob_ratio and expectation_x are the same
-code at one point.  The probability ratio r(nu) is the right mass over the
-left mass away from the lattice, extends continuously to the shared
-lattice with the exact value 1/q_ratio, and degenerates to 0 or infinity
-at one-sided lattice points, where the state empties one compartment.  The position expectation weights each
-compartment's centre of mass, a closed form in its own width, by its mass,
-and collapses to exact values at distinguished points (x0 on the shared
-lattice, x0/2 for the zero-energy state).  For the centered site the
-normalized amplitude is governed by a single scalar envelope
+The side probabilities are read from the two compartment masses of
+`wavefn.mass_kernel`, the mean position from the masses and first moments
+of `wavefn.moment_kernel`.  ratio_grid and expectation_grid bind the
+setup's lattice test and kernel once and make one row per wave number;
+prob_ratio and expectation_x are the same code at one point.  The
+probability ratio r(nu) is the right mass over the left mass away from the
+lattice, extends continuously to the shared lattice with the exact value
+1/q_ratio, and degenerates to 0 or infinity at one-sided lattice points,
+where the state empties one compartment.  The position expectation weights
+each compartment's centre of mass, a closed form in its own width, by its
+mass, and collapses to exact values at distinguished points (x0 on the
+shared lattice, x0/2 for the zero-energy state).  For the centered site
+the normalized amplitude is governed by a single scalar envelope
 gamma -> 1/sqrt(1 - sin(gamma)/gamma) whose extrema interlace the
 half-integer multiples of pi.
 """
@@ -25,8 +26,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 from .errors import BracketError, ConvergenceError, DomainError, InK, SingularPoint
 from .lattice import LatticePoint, kappa_base, lattice_locator, lattice_point_at
 from .model import Setup
-from .wavefn import mass_kernel
-from ._special import LINEAR_WINDOW, LOG_SWITCH, one_minus_sinc, sinhc_minus_one
+from .wavefn import mass_kernel, moment_kernel
+from ._special import LINEAR_WINDOW, one_minus_sinc
 
 
 class RatioPoint(NamedTuple):
@@ -112,24 +113,6 @@ def prob_ratio_at_mode(setup: Setup, n: int) -> float:
 # ============================================================
 
 
-def _site_distance(nu: float, w: float) -> float:
-    """Mean distance from x0 of the mass in a compartment of width w.
-
-    The compartment's density is sin**2 (sinh**2 for nu < 0) of (nu/2) u,
-    u the distance from its wall.  With y = |nu| w the mean of w - u is
-    (w/2) (1 - sinc(y/2)**2) / (1 - sinc(y)), or its sinh analogue, which
-    equals w/y = 1/|nu| to rounding once y reaches LOG_SWITCH.
-    """
-    y = abs(nu) * w
-    if nu > 0:
-        a = one_minus_sinc(y / 2)
-        return (w / 2) * a * (2 - a) / one_minus_sinc(y)
-    if y >= LOG_SWITCH:
-        return w / y
-    b = sinhc_minus_one(y / 2)
-    return (w / 2) * b * (2 + b) / sinhc_minus_one(y)
-
-
 def expectation_grid(
     setup: Setup, nus: Iterable[float], skip_one_sided: bool = True
 ) -> Iterator[Tuple[float, float]]:
@@ -137,11 +120,11 @@ def expectation_grid(
 
     One-sided lattice points have no two-sided state: their rows are left
     out, or raise SingularPoint when skip_one_sided is False.  The setup's
-    lattice test and mass kernel are bound once for the whole grid; each
-    row is made as it is drawn.
+    lattice test and moment kernel are bound once for the whole grid; each
+    row is made as it is drawn, as x0 + offset / (left + right).
     """
-    locate, masses = lattice_locator(setup), mass_kernel(setup)
-    L, x0, w1, w2 = setup.L, setup.x0_value, setup.width_right, setup.width_left
+    locate, moments = lattice_locator(setup), moment_kernel(setup)
+    L, x0 = setup.L, setup.x0_value
     for nu in nus:
         hit = locate(nu)
         if hit is not None:
@@ -156,9 +139,8 @@ def expectation_grid(
         elif abs(nu) * L < LINEAR_WINDOW:
             yield nu, x0 / 2
         else:
-            left, right, _ = masses(nu)
-            shift = right * _site_distance(nu, w1) - left * _site_distance(nu, w2)
-            yield nu, x0 + shift / (left + right)
+            left, right, _, offset = moments(nu)
+            yield nu, x0 + offset / (left + right)
 
 
 def expectation_x(setup: Setup, nu: float) -> float:

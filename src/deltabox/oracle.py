@@ -149,6 +149,12 @@ def _sturm(d: List[float], e2: List[float], shift: float, pivmin: float) -> Tupl
     return count, slope
 
 
+# Passes allowed to _bisect's Newton phase on top of its halvings.  Once an
+# eigenvalue is isolated Newton converges quadratically; no oracle test or
+# benchmark request takes more than 20 steps.
+_NEWTON_PASSES = 64
+
+
 def _bisect(
     d: List[float],
     e2: List[float],
@@ -157,6 +163,7 @@ def _bisect(
     lo: float,
     hi: float,
     passes: Dict[float, Tuple[int, float]],
+    budget: int,
 ) -> float:
     """k-th smallest eigenvalue (1-based) of T inside [lo, hi].
 
@@ -168,11 +175,12 @@ def _bisect(
     1e-8 of the shift (rounding level after quadratic convergence), at
     relative width 1e-12, or when the midpoint cannot split the bracket.
     `passes` caches the Sturm pass of every shift, so targets share midpoints.
+    More than `budget` passes raise ConvergenceError.
     """
     below_lo, below_hi = 0, len(d)
     x = 0.5 * (lo + hi)
     step = older = hi - lo
-    for _ in range(200):
+    for _ in range(budget):
         if x not in passes:
             passes[x] = _sturm(d, e2, x, pivmin)
         below, slope = passes[x]
@@ -193,7 +201,7 @@ def _bisect(
         else:
             older, step = step, mid - x
         x += step
-    raise ConvergenceError(f"eigenvalue {k} did not converge in 200 Sturm passes")
+    raise ConvergenceError(f"eigenvalue {k} did not converge in {budget} Sturm passes")
 
 
 def eig_lowest(T: Tridiagonal, count: int) -> List[Tuple[float, List[float]]]:
@@ -223,8 +231,12 @@ def eig_lowest(T: Tridiagonal, count: int) -> List[Tuple[float, List[float]]]:
     hi = hi_bound + 1e-12 * width
     e2 = list(map(mul, e, e))
     pivmin = _pivmin(e2)
+    # Bisection halves the bracket at most until its width reaches the
+    # spacing of doubles at the Gershgorin bound nearer zero.
+    spacing = min(math.ulp(lo_bound), math.ulp(hi_bound))
+    budget = max(math.frexp(hi - lo)[1] - math.frexp(spacing)[1], 0) + _NEWTON_PASSES
     passes: Dict[float, Tuple[int, float]] = {}
-    values = [_bisect(d, e2, pivmin, k, lo, hi, passes) for k in range(1, count + 1)]
+    values = [_bisect(d, e2, pivmin, k, lo, hi, passes, budget) for k in range(1, count + 1)]
     residual_scale = 1e-10 * max(max(map(abs, d)), max(abs_e, default=0.0))
     pairs: List[Tuple[float, List[float]]] = []
     for lam in values:

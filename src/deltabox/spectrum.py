@@ -143,7 +143,9 @@ def alpha_from_nu(setup: Setup, nu: float) -> float:
 def solve_nu(setup: Setup, alpha: float, interval: IntervalDescriptor) -> float:
     """The unique nu in the interval with alpha_from_nu(nu) = alpha.
 
-    Relative tolerance 1e-12.  The dispersion value is strictly increasing
+    Relative tolerance 1e-12; the solve also stops at a Newton step that
+    no longer moves nu (its correction is below half an ulp), as
+    Newton-bisection hybrids do.  The dispersion value is strictly increasing
     from -inf to +inf on each interval, so a root always exists; a
     BracketError is raised only for a degenerate interval, and a
     ConvergenceError when 200 Newton or bisection steps leave the bracket
@@ -198,7 +200,9 @@ def _shrink_toward_pole(
 
 def _safeguarded_newton(setup: Setup, target: float, lo: float, hi: float) -> float:
     # Invariant: f(lo) < target < f(hi).  Newton steps are taken only when
-    # they land strictly inside the bracket; otherwise bisect.
+    # they land strictly inside the bracket; otherwise bisect.  A step that
+    # rounds back to x ends the solve: the bisections that would follow only
+    # shrink the far side of the bracket, and its midpoint is no better.
     x = 0.5 * (lo + hi)
     spacing = underline_nu(setup, 1)
     for _ in range(200):
@@ -213,6 +217,8 @@ def _safeguarded_newton(setup: Setup, target: float, lo: float, hi: float) -> fl
         if deriv > 0:
             step = (value - target) / deriv
             candidate = x - step
+            if candidate == x:
+                return x
             if lo < candidate < hi:
                 x = candidate
                 continue

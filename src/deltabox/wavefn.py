@@ -5,10 +5,12 @@ that share the wavenumber nu/2 and vanish at the walls.  This module builds
 those piecewise states on all three energy branches (oscillatory nu > 0, the
 linear nu = 0 state, evanescent nu < 0), computes the L2 mass of each
 compartment in closed form in one place (`mass_kernel`, bound to a setup
-once; the norm and the observables follow from it), and exposes the limit
-states reached as the coupling strength diverges: a continuous state on the
-shared lattice and one-sided states that fill a single compartment and
-vanish identically on the other.
+once; the norm and the probability ratio follow from it) and the first
+moments beside the masses (`moment_kernel`, which reads its sines from the
+mass evaluation; the mean position follows from it), and exposes the
+limit states reached as the coupling strength diverges: a continuous state
+on the shared lattice and one-sided states that fill a single compartment
+and vanish identically on the other.
 
 Each state is resolved once and then sampled.  `general_state` makes the
 window and branch decision for a normalized eigenfunction at nu (the
@@ -51,6 +53,7 @@ from .model import Setup, check_in_box, nu_n
 from ._special import (
     LINEAR_WINDOW,
     LOG_SWITCH,
+    SERIES_SWITCH,
     hardened_floor,
     one_minus_sinc,
     sinhc_minus_one,
@@ -228,7 +231,8 @@ def mass_kernel(setup: Setup) -> Callable[[float], "tuple[float, float, float]"]
     (t L >= LOG_SWITCH, t = -nu) carry their dominant exponential
     exp(t w1 + t w2) in scale and keep only bounded factors in left and
     right.  Every observable built from the masses (rho, the probability
-    ratio, the mean position) reads them here.
+    ratio) reads them here; the mean position reads them, with the first
+    moments, from moment_kernel.
     """
     L, w1, w2 = setup.L, setup.width_right, setup.width_left
     half_w1, half_w2 = w1 / 2, w2 / 2
@@ -258,10 +262,85 @@ def mass_kernel(setup: Setup) -> Callable[[float], "tuple[float, float, float]"]
             left = sh1 * sh1 * half_w2 * sinhc_minus_one(y2)
             right = sh2 * sh2 * half_w1 * sinhc_minus_one(y1)
             return left, right, 0.0
-        left, right, k = _deep_factors(w1, w2, t)
+        left, right, k = _deep_factors(w1, w2, y1, y2)
         return left, right, (y1 + y2) / _LN2 + k
 
     return masses
+
+
+def moment_kernel(setup: Setup) -> Callable[[float], "tuple[float, float, float, float]"]:
+    """mass_kernel with the first moment: nu -> (left, right, scale, offset).
+
+    left, right and scale are mass_kernel's, bit for bit.  offset is
+    right * d_right - left * d_left in the same 2**scale units, d being a
+    compartment's mean distance from x0, so the mean position is x0 +
+    offset / (left + right).  With y = |nu| w, d = (w/2) (1 - sinc(y/2)**2)
+    / (1 - sinc(y)) on the trig branch, its sinh analogue for nu < 0 (w/y
+    to rounding once y reaches LOG_SWITCH) and w/4 in the linear window.
+    On the trig and direct evanescent branches the moment reads every sine
+    from the mass evaluation: (nu/2) w equals (nu w)/2 bit for bit, so the
+    mass's sin(nu w/2) is the sine inside 1 - sinc(nu w/2), and 1 - sinc(nu
+    w) is the mass's own factor.  The series windows of both sincs still
+    go through `_special`.
+    """
+    L, w1, w2 = setup.L, setup.width_right, setup.width_left
+    half_w1, half_w2 = w1 / 2, w2 / 2
+    masses = mass_kernel(setup)
+
+    def moments(nu: float) -> "tuple[float, float, float, float]":
+        if abs(nu) * L < LINEAR_WINDOW:
+            left, right, scale = masses(nu)
+            return left, right, scale, right * (w1 / 4) - left * (w2 / 4)
+        if nu > 0:
+            z1 = (nu / 2) * w1
+            z2 = (nu / 2) * w2
+            y1 = nu * w1
+            y2 = nu * w2
+            s1 = math.sin(z1)
+            s2 = math.sin(z2)
+            m1 = 1.0 - math.sin(y1) / y1 if y1 >= SERIES_SWITCH else one_minus_sinc(y1)
+            m2 = 1.0 - math.sin(y2) / y2 if y2 >= SERIES_SWITCH else one_minus_sinc(y2)
+            a1 = 1.0 - s1 / z1 if z1 >= SERIES_SWITCH else one_minus_sinc(z1)
+            a2 = 1.0 - s2 / z2 if z2 >= SERIES_SWITCH else one_minus_sinc(z2)
+            left = s1 * s1 * half_w2 * m2
+            right = s2 * s2 * half_w1 * m1
+            d1 = half_w1 * a1 * (2 - a1) / m1
+            d2 = half_w2 * a2 * (2 - a2) / m2
+            return left, right, 0.0, right * d1 - left * d2
+        t = -nu
+        y1 = t * w1
+        y2 = t * w2
+        if t * L < LOG_SWITCH:
+            z1 = y1 / 2
+            z2 = y2 / 2
+            sh1 = math.sinh(z1)
+            sh2 = math.sinh(z2)
+            m1 = math.sinh(y1) / y1 - 1.0 if y1 >= SERIES_SWITCH else sinhc_minus_one(y1)
+            m2 = math.sinh(y2) / y2 - 1.0 if y2 >= SERIES_SWITCH else sinhc_minus_one(y2)
+            b1 = sh1 / z1 - 1.0 if z1 >= SERIES_SWITCH else sinhc_minus_one(z1)
+            b2 = sh2 / z2 - 1.0 if z2 >= SERIES_SWITCH else sinhc_minus_one(z2)
+            left = sh1 * sh1 * half_w2 * m2
+            right = sh2 * sh2 * half_w1 * m1
+            d1 = half_w1 * b1 * (2 + b1) / m1
+            d2 = half_w2 * b2 * (2 + b2) / m2
+            return left, right, 0.0, right * d1 - left * d2
+        left, right, k = _deep_factors(w1, w2, y1, y2)
+        d1, d2 = _deep_distance(w1, y1), _deep_distance(w2, y2)
+        return left, right, (y1 + y2) / _LN2 + k, right * d1 - left * d2
+
+    return moments
+
+
+def _deep_distance(w: float, y: float) -> float:
+    """Mean distance from x0 of a deep evanescent compartment's mass (y = t w).
+
+    (w/2) b (2 + b) / (sinh(y)/y - 1) with b = sinh(y/2)/(y/2) - 1, which
+    equals w/y to rounding once y reaches LOG_SWITCH.
+    """
+    if y >= LOG_SWITCH:
+        return w / y
+    b = sinhc_minus_one(y / 2)
+    return (w / 2) * b * (2 + b) / sinhc_minus_one(y)
 
 
 def compartment_masses(setup: Setup, nu: float) -> "tuple[float, float, float]":
@@ -270,15 +349,13 @@ def compartment_masses(setup: Setup, nu: float) -> "tuple[float, float, float]":
     return mass_kernel(setup)(nu)
 
 
-def _deep_factors(w1: float, w2: float, t: float) -> "tuple[float, float, int]":
+def _deep_factors(w1: float, w2: float, y1: float, y2: float) -> "tuple[float, float, int]":
     """(left, right, k): deep evanescent masses are (left, right) * 2**k * exp(t L).
 
-    w1 and w2 are the right and left widths.  sinh(y/2)**2 = exp(y)
-    expm1(-y)**2 / 4, and the exp(y) of both compartments multiply to
-    exp(t L); left + right lies in [0.5, 1).
+    w1 and w2 are the right and left widths, y1 = t w1 and y2 = t w2.
+    sinh(y/2)**2 = exp(y) expm1(-y)**2 / 4, and the exp(y) of both
+    compartments multiply to exp(t L); left + right lies in [0.5, 1).
     """
-    y1 = t * w1
-    y2 = t * w2
     left = math.expm1(-y1) ** 2 / 4 * (w2 / 2) * _scaled_sinhc_minus_one(y2)
     right = math.expm1(-y2) ** 2 / 4 * (w1 / 2) * _scaled_sinhc_minus_one(y1)
     # A power-of-two rescaling keeps left + right near 1, so rho overflows
@@ -322,7 +399,8 @@ def deep_rho(setup: Setup, nu: float) -> float:
 
     About (8 t)**-0.5: finite and accurate for every such t, where rho overflows.
     """
-    left, right, k = _deep_factors(setup.width_right, setup.width_left, -nu)
+    t, w1, w2 = -nu, setup.width_right, setup.width_left
+    left, right, k = _deep_factors(w1, w2, t * w1, t * w2)
     return math.sqrt(left + right) * 2.0 ** (0.5 * k)
 
 

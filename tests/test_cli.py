@@ -269,8 +269,8 @@ def test_spectrum_newton_out_of_steps_exits_4(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, nu",
     [
-        # The deep bound state of alpha = -1e300 has nu near -1e300.
-        (("--alpha=-1e300",), "-1.0"),
+        # The deep bound state of alpha = -1e300 has nu = -1e300.
+        (("--alpha=-1e300",), "-1e+300"),
         # A finite (nu/2)**2 whose product with c exceeds float range.
         (("--alpha", "1", "--c", "1e308"), "6.28"),
     ],
@@ -285,13 +285,32 @@ def test_spectrum_energy_overflow_names_the_level_exits_4(capsys, argv, nu):
     assert f"exceeds float range at nu = {nu}" in captured.err
 
 
+def test_spectrum_deep_bound_state_is_the_converged_newton_root(capsys):
+    """At alpha = -1e8 the bound state's nu is -1e8 to rounding; bisecting on
+    past a converged Newton step would print -100000000.00000285."""
+    assert cli.main(["spectrum", "--alpha=-1e8", "--count", "1"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[1][1] == "-100000000.0"
+
+
+def test_oracle_isolates_levels_across_a_wide_gershgorin_bracket(capsys):
+    """At alpha = -1e100 the Gershgorin bracket spans about 1e103, and
+    isolating level 2 takes about 340 halvings, which the pass budget
+    derived from that bracket allows."""
+    assert cli.main(["oracle", "--alpha=-1e100", "--grid", "1023", "--count", "3"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [row[0] for row in rows[1:]] == ["1", "2", "3"]
+
+
 def test_oracle_out_of_sturm_passes_exits_4(capsys, monkeypatch):
     """An eigenvalue whose bracket never narrows to relative 1e-12 exhausts
-    the 200 Sturm passes of the oracle; that is a convergence failure."""
+    the oracle's Sturm passes: 54 halvings of the Gershgorin width down to
+    the spacing of doubles at its bounds, plus 64 for Newton.  That is a
+    convergence failure."""
     monkeypatch.setattr(oracle, "_sturm", lambda d, e2, shift, pivmin: (int(shift >= 0.0), math.nan))
     code = cli.main(["oracle", "--alpha", "-1000", "--grid", "511", "--count", "1"])
     assert code == 4
-    assert "200 Sturm passes" in capsys.readouterr().err
+    assert "eigenvalue 1 did not converge in 118 Sturm passes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltabox import lattice, observables
-from deltabox._special import LINEAR_WINDOW, LOG_SWITCH
+from deltabox._special import LINEAR_WINDOW, LOG_SWITCH, one_minus_sinc, sinhc_minus_one
 from deltabox.cli import parse_x0
 from deltabox.errors import (
     BracketError,
@@ -28,7 +28,7 @@ from deltabox.observables import (
     prob_ratio_at_mode,
     ratio_grid,
 )
-from deltabox.wavefn import eval_normalized, rho, rho_kernel
+from deltabox.wavefn import eval_normalized, mass_kernel, moment_kernel, rho, rho_kernel
 
 from _quad import simpson, simpson_peaked
 
@@ -381,6 +381,65 @@ def test_grids_equal_the_one_point_functions_bit_for_bit(site, data):
     else:
         assert repr(strict) == repr(expected) and len(strict) == len(nus)
     assert repr(list(map(rho_kernel(s), nus))) == repr([rho(s, nu) for nu in nus])
+
+
+def _site_distance(nu, w):
+    """Mean distance from x0 of a compartment's mass, as computed on its own
+    before the moment kernel took the sines from the mass evaluation."""
+    y = abs(nu) * w
+    if nu > 0:
+        a = one_minus_sinc(y / 2)
+        return (w / 2) * a * (2 - a) / one_minus_sinc(y)
+    if y >= LOG_SWITCH:
+        return w / y
+    b = sinhc_minus_one(y / 2)
+    return (w / 2) * b * (2 + b) / sinhc_minus_one(y)
+
+
+@st.composite
+def kernel_nus(draw, setup):
+    """grid_nus, plus both series windows of the sincs (|nu| w < 1)."""
+    series = st.floats(min_value=-2.0 / setup.L, max_value=2.0 / setup.L)
+    return draw(grid_nus(setup)) + draw(st.lists(series, max_size=10))
+
+
+@given(site=st.sampled_from(GRID_SITES), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_moment_kernel_extends_the_mass_kernel_bit_for_bit(site, data):
+    spec, L = site
+    s = make_setup(L=L, x0=parse_x0(spec), c=1.0)
+    masses, moments = mass_kernel(s), moment_kernel(s)
+    w1, w2 = s.width_right, s.width_left
+    for nu in data.draw(kernel_nus(s)):
+        left, right, scale, offset = moments(nu)
+        assert repr((left, right, scale)) == repr(masses(nu))
+        if abs(nu) * L < LINEAR_WINDOW:
+            # The linear state: each compartment's mean distance is w/4.
+            assert offset == right * (w1 / 4) - left * (w2 / 4)
+        else:
+            shift = right * _site_distance(nu, w1) - left * _site_distance(nu, w2)
+            assert repr(offset) == repr(shift)
+
+
+@given(site=st.sampled_from(GRID_SITES), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_expectation_rows_equal_the_separate_distance_form_bit_for_bit(site, data):
+    spec, L = site
+    s = make_setup(L=L, x0=parse_x0(spec), c=1.0)
+    masses, x0 = mass_kernel(s), s.x0_value
+    for nu, mean in expectation_grid(s, data.draw(kernel_nus(s))):
+        if lattice.lattice_point_at(s, nu) is not None:
+            assert mean == x0
+            continue
+        if x0 == 0.0:
+            expected = 0.0
+        elif abs(nu) * L < LINEAR_WINDOW:
+            expected = x0 / 2
+        else:
+            left, right, _ = masses(nu)
+            d1, d2 = _site_distance(nu, s.width_right), _site_distance(nu, s.width_left)
+            expected = x0 + (right * d1 - left * d2) / (left + right)
+        assert repr(mean) == repr(expected)
 
 
 def test_grid_without_lattice_hits_builds_no_lattice_point(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltabox import spectrum
 from deltabox.errors import SingularPoint
 from deltabox.lattice import classify_mode, partition, singular_guard_radius
 from deltabox.model import RationalX0, RealX0, make_setup, nu_n
@@ -152,6 +153,26 @@ def test_solve_roundtrip_randomized():
                 alpha = alpha_from_nu(s, nu_true)
                 nu_back = solve_nu(s, alpha, iv)
                 assert nu_back == pytest.approx(nu_true, rel=1e-10)
+
+
+def test_solve_stops_once_newton_has_converged(monkeypatch):
+    """By the 6th evaluation the Newton correction is below half an ulp of
+    nu; the solve returns there instead of bisecting the far end of its
+    bracket for another 35 evaluations."""
+    s = setup_pq(1, 7)
+    _, intervals = partition(s, nu_max=60.0)
+    calls = []
+    evaluate = spectrum._value_and_derivative
+
+    def counted(setup, nu):
+        calls.append(nu)
+        return evaluate(setup, nu)
+
+    monkeypatch.setattr(spectrum, "_value_and_derivative", counted)
+    nu = solve_nu(s, 5.0, intervals[1])
+    assert len(calls) <= 12
+    monkeypatch.undo()
+    assert alpha_from_nu(s, nu) == pytest.approx(5.0, rel=1e-13)
 
 
 def test_solve_zero_coupling_recovers_free_modes():
