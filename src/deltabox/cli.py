@@ -8,8 +8,9 @@ repr's shortest round-trip form, CSV uses LF line endings, and the package
 draws no random numbers.
 
 Exit codes: 0 success, 2 argument parsing, 3 domain errors (invalid inputs,
-wrong lattice membership, off-grid sites), 4 numerical failures (singular
-points, bracket or convergence failures, overflow).
+sizes beyond the point budget, wrong lattice membership, off-grid sites), 4
+numerical failures (singular points, bracket or convergence failures,
+overflow, and divisions by a quantity that underflowed to zero).
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ _EXIT_DOMAIN = 3
 _EXIT_NUMERICAL = 4
 
 _DOMAIN_ERRORS = (DomainError, NotInK, InK, GridMismatch)
-_NUMERICAL_ERRORS = (SingularPoint, BracketError, ConvergenceError, OverflowError)
+# ArithmeticError: an overflow, or a division by a quantity that underflowed to 0.
+_NUMERICAL_ERRORS = (SingularPoint, BracketError, ConvergenceError, ArithmeticError)
 
 _CSV_BLOCK = 64  # rows per %-format; 1024 wrote no faster and fragmented the heap
 
@@ -382,6 +384,8 @@ def cmd_amplitude(args: argparse.Namespace) -> None:
     if args.n is not None:
         ns = [args.n]
     elif args.n_max is not None:
+        if args.n_max > POINT_BUDGET:
+            raise DomainError(f"--n-max = {args.n_max} is beyond the budget of {POINT_BUDGET:.0e}")
         ns = list(range(1, args.n_max + 1, 2))
     else:
         raise DomainError("provide --n or --n-max")

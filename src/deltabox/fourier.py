@@ -21,7 +21,7 @@ import math
 from typing import List, NamedTuple, Tuple
 
 from .errors import DomainError
-from .lattice import kappa_base
+from .lattice import POINT_BUDGET, kappa_base
 from .model import Setup, check_in_box, nu_n, phi_modes
 from .wavefn import LimitState, WaveKind, general_state
 
@@ -53,6 +53,8 @@ def _one_hot(setup: Setup, kind: WaveKind, n: int, M: int) -> FourierExpansion:
 def _check_m(M: int) -> None:
     if M < 1:
         raise DomainError(f"truncation order must be >= 1, got {M!r}")
+    if M > POINT_BUDGET:
+        raise DomainError(f"truncation order M = {M} is beyond the budget of {POINT_BUDGET:.0e}")
 
 
 # ============================================================

@@ -1,10 +1,10 @@
 """Physical observables of the eigenstates: side probabilities, mean position,
 and the centered-interaction amplitude envelope.
 
-The side probabilities are read from the two compartment masses of
-`wavefn.mass_kernel`, the mean position from the masses and first moments
-of `wavefn.moment_kernel`.  ratio_grid and expectation_grid bind the
-setup's lattice test and kernel once and make one row per wave number;
+The side probabilities and the mean position are read from the
+compartment masses and first moments of `wavefn.moment_kernel`.
+ratio_grid and expectation_grid bind the setup's lattice test and the
+kernel once and make one row per wave number;
 prob_ratio and expectation_x are the same code at one point.  The
 probability ratio r(nu) is the right mass over the left mass away from the
 lattice, extends continuously to the shared lattice with the exact value
@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 from .errors import BracketError, ConvergenceError, DomainError, InK, SingularPoint
 from .lattice import LatticePoint, kappa_base, lattice_locator, lattice_point_at
 from .model import Setup
-from .wavefn import mass_kernel, moment_kernel
+from .wavefn import moment_kernel
 from ._special import LINEAR_WINDOW, one_minus_sinc
 
 
@@ -59,15 +59,15 @@ class AmplitudeExtremum(NamedTuple):
 def ratio_grid(setup: Setup, nus: Iterable[float]) -> Iterator[Tuple[float, float, Optional[str]]]:
     """Rows (nu, r, lattice kind or None) of prob_ratio over nus, in order.
 
-    The setup's lattice test and mass kernel are bound once for the whole
-    grid; each row is made as it is drawn.
+    The setup's lattice test and compartment kernel are bound once for the
+    whole grid; each row is made as it is drawn.
     """
-    locate, masses = lattice_locator(setup), mass_kernel(setup)
+    locate, moments = lattice_locator(setup), moment_kernel(setup)
     shared = 1.0 / setup.q_ratio
     for nu in nus:
         hit = locate(nu)
         if hit is None:
-            left, right, _ = masses(nu)
+            left, right, _, _ = moments(nu)
             yield nu, right / left, None
         elif hit.kind == "both":
             yield nu, shared, "both"

@@ -30,6 +30,7 @@ from operator import add, mul, sub, truediv
 from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import ConvergenceError, DomainError, GridMismatch
+from .lattice import POINT_BUDGET
 from .model import RationalX0, Setup, energy_from_nu, nu_n, phi_mode
 from .spectrum import analytic_levels
 from .wavefn import general_state
@@ -97,6 +98,8 @@ def build_hamiltonian(setup: Setup, alpha: float, N: int) -> Tridiagonal:
     """
     if N < 16:
         raise DomainError(f"N must be >= 16, got {N!r}")
+    if N > POINT_BUDGET:
+        raise DomainError(f"grid size N (--grid) = {N} is beyond the budget of {POINT_BUDGET:.0e}")
     dx = setup.L / (N + 1)
     j = _site_node(setup, N)
     if j < 1 or j > N:

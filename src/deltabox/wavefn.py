@@ -3,14 +3,13 @@
 Every bound state splits at the interaction site x0 into two free half-waves
 that share the wavenumber nu/2 and vanish at the walls.  This module builds
 those piecewise states on all three energy branches (oscillatory nu > 0, the
-linear nu = 0 state, evanescent nu < 0), computes the L2 mass of each
-compartment in closed form in one place (`mass_kernel`, bound to a setup
-once; the norm and the probability ratio follow from it) and the first
-moments beside the masses (`moment_kernel`, which reads its sines from the
-mass evaluation; the mean position follows from it), and exposes the
-limit states reached as the coupling strength diverges: a continuous state
-on the shared lattice and one-sided states that fill a single compartment
-and vanish identically on the other.
+linear nu = 0 state, evanescent nu < 0), computes the L2 mass and the
+first moment of each compartment in closed form in one place
+(`moment_kernel`, bound to a setup once; the norm, the probability ratio
+and the mean position follow from it), and exposes the limit states
+reached as the coupling strength diverges: a continuous state on the
+shared lattice and one-sided states that fill a single compartment and
+vanish identically on the other.
 
 Each state is resolved once and then sampled.  `general_state` makes the
 window and branch decision for a normalized eigenfunction at nu (the
@@ -215,81 +214,39 @@ def _direct(setup: Setup, nu: float) -> GeneralState:
 
 
 # ============================================================
-# Normalization
+# Compartment kernel
 # ============================================================
 
 
-def mass_kernel(setup: Setup) -> Callable[[float], "tuple[float, float, float]"]:
-    """compartment_masses with the setup bound once: nu -> (left, right, scale).
+def moment_kernel(setup: Setup) -> Callable[[float], "tuple[float, float, float, float]"]:
+    """The compartment kernel, setup bound once: nu -> (left, right, scale, offset).
 
     left and right are the L2 masses of the unnormalized eigenfunction left
-    and right of x0, each times 2**-scale.  scale is 0 on the trig, linear
-    and direct evanescent branches.  Inside the linear window (|nu| L <
-    LINEAR_WINDOW) the state is (nu/2)**2 times the linear nu = 0 state to
-    rounding, and scale carries that factor's binary exponent exactly, so
-    the masses neither underflow nor lose digits.  Deep evanescent states
-    (t L >= LOG_SWITCH, t = -nu) carry their dominant exponential
-    exp(t w1 + t w2) in scale and keep only bounded factors in left and
-    right.  Every observable built from the masses (rho, the probability
-    ratio) reads them here; the mean position reads them, with the first
-    moments, from moment_kernel.
+    and right of x0 times 2**-scale; offset is right d_right - left d_left in
+    the same units, d being a compartment's mean distance from x0, so the
+    mean position is x0 + offset / (left + right).  rho and the probability
+    ratio read the first three values.  scale is 0 except in the linear
+    window (|nu| L < LINEAR_WINDOW), where the state is (nu/2)**2 times the
+    nu = 0 state to rounding and scale is that factor's exact binary
+    exponent, and on the deep branch (t L >= LOG_SWITCH, t = -nu), where it
+    carries exp(t L) (`_deep_compartments`).  With y = |nu| w, d =
+    (w/2) (1 - sinc(y/2)**2) / (1 - sinc(y)) on the trig branch, its sinh
+    analogue for nu < 0 and w/4 in the linear window.  Mass and distance share their
+    sines: (nu/2) w equals (nu w)/2 bit for bit, and 1 - sinc(nu w) is a
+    factor of both.
     """
     L, w1, w2 = setup.L, setup.width_right, setup.width_left
     half_w1, half_w2 = w1 / 2, w2 / 2
     linear_left = w1 * w1 * w2**3 / 3
     linear_right = w2 * w2 * w1**3 / 3
 
-    def masses(nu: float) -> "tuple[float, float, float]":
-        if abs(nu) * L < LINEAR_WINDOW:
-            if nu == 0:
-                return linear_left, linear_right, 0.0
-            # |nu|/2 = m * 2**(e - 1); frexp avoids the underflow of |nu|/2.
-            m, e = math.frexp(abs(nu))
-            m4 = m**4
-            return linear_left * m4, linear_right * m4, 4.0 * (e - 1)
-        if nu > 0:
-            s1 = math.sin((nu / 2) * w1)
-            s2 = math.sin((nu / 2) * w2)
-            left = s1 * s1 * half_w2 * one_minus_sinc(nu * w2)
-            right = s2 * s2 * half_w1 * one_minus_sinc(nu * w1)
-            return left, right, 0.0
-        t = -nu
-        y1 = t * w1
-        y2 = t * w2
-        if t * L < LOG_SWITCH:
-            sh1 = math.sinh(y1 / 2)
-            sh2 = math.sinh(y2 / 2)
-            left = sh1 * sh1 * half_w2 * sinhc_minus_one(y2)
-            right = sh2 * sh2 * half_w1 * sinhc_minus_one(y1)
-            return left, right, 0.0
-        left, right, k = _deep_factors(w1, w2, y1, y2)
-        return left, right, (y1 + y2) / _LN2 + k
-
-    return masses
-
-
-def moment_kernel(setup: Setup) -> Callable[[float], "tuple[float, float, float, float]"]:
-    """mass_kernel with the first moment: nu -> (left, right, scale, offset).
-
-    left, right and scale are mass_kernel's, bit for bit.  offset is
-    right * d_right - left * d_left in the same 2**scale units, d being a
-    compartment's mean distance from x0, so the mean position is x0 +
-    offset / (left + right).  With y = |nu| w, d = (w/2) (1 - sinc(y/2)**2)
-    / (1 - sinc(y)) on the trig branch, its sinh analogue for nu < 0 (w/y
-    to rounding once y reaches LOG_SWITCH) and w/4 in the linear window.
-    On the trig and direct evanescent branches the moment reads every sine
-    from the mass evaluation: (nu/2) w equals (nu w)/2 bit for bit, so the
-    mass's sin(nu w/2) is the sine inside 1 - sinc(nu w/2), and 1 - sinc(nu
-    w) is the mass's own factor.  The series windows of both sincs still
-    go through `_special`.
-    """
-    L, w1, w2 = setup.L, setup.width_right, setup.width_left
-    half_w1, half_w2 = w1 / 2, w2 / 2
-    masses = mass_kernel(setup)
-
     def moments(nu: float) -> "tuple[float, float, float, float]":
         if abs(nu) * L < LINEAR_WINDOW:
-            left, right, scale = masses(nu)
+            # |nu|/2 = m * 2**(e - 1); frexp avoids the underflow of |nu|/2.
+            # At nu = 0, m = 1 and e = 1 give the nu = 0 masses and scale 0.
+            m, e = math.frexp(abs(nu)) if nu else (1.0, 1)
+            m4 = m**4
+            left, right, scale = linear_left * m4, linear_right * m4, 4.0 * (e - 1)
             return left, right, scale, right * (w1 / 4) - left * (w2 / 4)
         if nu > 0:
             z1 = (nu / 2) * w1
@@ -324,51 +281,43 @@ def moment_kernel(setup: Setup) -> Callable[[float], "tuple[float, float, float,
             d1 = half_w1 * b1 * (2 + b1) / m1
             d2 = half_w2 * b2 * (2 + b2) / m2
             return left, right, 0.0, right * d1 - left * d2
-        left, right, k = _deep_factors(w1, w2, y1, y2)
-        d1, d2 = _deep_distance(w1, y1), _deep_distance(w2, y2)
+        left, right, k, d1, d2 = _deep_compartments(w1, w2, y1, y2)
         return left, right, (y1 + y2) / _LN2 + k, right * d1 - left * d2
 
     return moments
 
 
-def _deep_distance(w: float, y: float) -> float:
-    """Mean distance from x0 of a deep evanescent compartment's mass (y = t w).
+def _deep_compartments(
+    w1: float, w2: float, y1: float, y2: float
+) -> "tuple[float, float, int, float, float]":
+    """(left, right, k, d1, d2) of a deep evanescent state (t L >= LOG_SWITCH).
 
-    (w/2) b (2 + b) / (sinh(y)/y - 1) with b = sinh(y/2)/(y/2) - 1, which
-    equals w/y to rounding once y reaches LOG_SWITCH.
+    With y1 = t w1 and y2 = t w2 (right and left widths) the masses are
+    (left, right) * 2**k * exp(t L), left + right in [0.5, 1), as sinh(y/2)**2
+    = exp(y) expm1(-y)**2 / 4; d1 and d2 are the mean distances.  m =
+    sinh(y)/y - 1 feeds a compartment's mass factor exp(-y) m and its
+    distance; from y = LOG_SWITCH on these are 0.5/y and w/y to rounding.
     """
-    if y >= LOG_SWITCH:
-        return w / y
-    b = sinhc_minus_one(y / 2)
-    return (w / 2) * b * (2 + b) / sinhc_minus_one(y)
-
-
-def compartment_masses(setup: Setup, nu: float) -> "tuple[float, float, float]":
-    """(left, right, scale) of mass_kernel at one nu: the masses are
-    left * 2**scale and right * 2**scale."""
-    return mass_kernel(setup)(nu)
-
-
-def _deep_factors(w1: float, w2: float, y1: float, y2: float) -> "tuple[float, float, int]":
-    """(left, right, k): deep evanescent masses are (left, right) * 2**k * exp(t L).
-
-    w1 and w2 are the right and left widths, y1 = t w1 and y2 = t w2.
-    sinh(y/2)**2 = exp(y) expm1(-y)**2 / 4, and the exp(y) of both
-    compartments multiply to exp(t L); left + right lies in [0.5, 1).
-    """
-    left = math.expm1(-y1) ** 2 / 4 * (w2 / 2) * _scaled_sinhc_minus_one(y2)
-    right = math.expm1(-y2) ** 2 / 4 * (w1 / 2) * _scaled_sinhc_minus_one(y1)
+    if y1 < LOG_SWITCH:
+        z1 = y1 / 2
+        m1 = math.sinh(y1) / y1 - 1.0 if y1 >= SERIES_SWITCH else sinhc_minus_one(y1)
+        b1 = math.sinh(z1) / z1 - 1.0 if z1 >= SERIES_SWITCH else sinhc_minus_one(z1)
+        e1, d1 = math.exp(-y1) * m1, (w1 / 2) * b1 * (2 + b1) / m1
+    else:
+        e1, d1 = 0.5 / y1, w1 / y1
+    if y2 < LOG_SWITCH:
+        z2 = y2 / 2
+        m2 = math.sinh(y2) / y2 - 1.0 if y2 >= SERIES_SWITCH else sinhc_minus_one(y2)
+        b2 = math.sinh(z2) / z2 - 1.0 if z2 >= SERIES_SWITCH else sinhc_minus_one(z2)
+        e2, d2 = math.exp(-y2) * m2, (w2 / 2) * b2 * (2 + b2) / m2
+    else:
+        e2, d2 = 0.5 / y2, w2 / y2
+    left = math.expm1(-y1) ** 2 / 4 * (w2 / 2) * e2
+    right = math.expm1(-y2) ** 2 / 4 * (w1 / 2) * e1
     # A power-of-two rescaling keeps left + right near 1, so rho overflows
     # only where rho itself exceeds float range.
     k = math.frexp(left + right)[1]
-    return math.ldexp(left, -k), math.ldexp(right, -k), k
-
-
-def _scaled_sinhc_minus_one(y: float) -> float:
-    """exp(-y) * (sinh(y)/y - 1), finite for every y > 0."""
-    if y < LOG_SWITCH:
-        return math.exp(-y) * sinhc_minus_one(y)
-    return 0.5 / y
+    return math.ldexp(left, -k), math.ldexp(right, -k), k, d1, d2
 
 
 def rho_kernel(setup: Setup) -> Callable[[float], float]:
@@ -377,10 +326,10 @@ def rho_kernel(setup: Setup) -> Callable[[float], float]:
 
     The norm is math.inf where the evanescent norm exceeds float range.
     """
-    masses = mass_kernel(setup)
+    moments = moment_kernel(setup)
 
     def norm(nu: float) -> float:
-        left, right, scale = masses(nu)
+        left, right, scale, _ = moments(nu)
         try:
             return math.sqrt(left + right) * 2.0 ** (0.5 * scale)
         except OverflowError:
@@ -400,7 +349,7 @@ def deep_rho(setup: Setup, nu: float) -> float:
     About (8 t)**-0.5: finite and accurate for every such t, where rho overflows.
     """
     t, w1, w2 = -nu, setup.width_right, setup.width_left
-    left, right, k = _deep_factors(w1, w2, t * w1, t * w2)
+    left, right, k, _, _ = _deep_compartments(w1, w2, t * w1, t * w2)
     return math.sqrt(left + right) * 2.0 ** (0.5 * k)
 
 

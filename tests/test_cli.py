@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from deltabox import cli, oracle, spectrum
 from deltabox.errors import DomainError
 from deltabox.fourier import coeffs_general, coeffs_limit, partial_sum
+from deltabox.lattice import POINT_BUDGET
 from deltabox.model import RationalX0, make_setup, nu_n, phi_mode
 from deltabox.observables import amplitude_extrema, expectation_x, prob_ratio, prob_ratio_at_mode
 from deltabox.wavefn import limit_state, rho
@@ -198,6 +199,24 @@ def test_grid_beyond_the_point_budget_exits_3(capsys, argv, option):
     assert f"{option} = 100000000 is beyond the grid budget" in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("fourier", "--nu", "5", "--M"), "truncation order M"),
+        (("oracle", "--alpha", "0", "--x0", "rational:0/1", "--grid"), "grid size N (--grid)"),
+        (("amplitude", "--n-max"), "--n-max"),
+    ],
+    ids=["fourier", "oracle", "amplitude"],
+)
+def test_size_beyond_the_point_budget_exits_3(capsys, argv, named):
+    """A truncation order, grid size or mode count one past the budget is
+    refused before any list of that size is built."""
+    code = cli.main([*argv, str(POINT_BUDGET + 1)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert f"{named} = {POINT_BUDGET + 1} is beyond the budget of 1e+06" in captured.err
+
+
 def test_unwritable_output_exits_2(capsys, tmp_path):
     target = tmp_path / "no_such_dir" / "out.csv"
     code = cli.main(["ratio", "--nu", "3.3", "--output", str(target)])
@@ -283,6 +302,23 @@ def test_spectrum_energy_overflow_names_the_level_exits_4(capsys, argv, nu):
     assert code == 4 and captured.out == ""
     assert captured.err.startswith("error: level 1: energy")
     assert f"exceeds float range at nu = {nu}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # L**2/4 - x0**2 underflows to 0 in the dispersion's nu -> 0 limit.
+        ("sweep", "--interval", "0", "--samples", "4", "--L", "1e-300"),
+        # dx**2 underflows to 0 in the grid Hamiltonian.
+        ("oracle", "--alpha", "0", "--grid", "1023", "--count", "4", "--L", "1e-300"),
+    ],
+    ids=["sweep", "oracle"],
+)
+def test_division_by_an_underflowed_length_exits_4(capsys, argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_spectrum_deep_bound_state_is_the_converged_newton_root(capsys):

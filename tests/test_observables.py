@@ -28,7 +28,7 @@ from deltabox.observables import (
     prob_ratio_at_mode,
     ratio_grid,
 )
-from deltabox.wavefn import eval_normalized, mass_kernel, moment_kernel, rho, rho_kernel
+from deltabox.wavefn import eval_normalized, moment_kernel, rho, rho_kernel
 
 from _quad import simpson, simpson_peaked
 
@@ -330,11 +330,14 @@ def grid_nus(draw, setup):
     )
     linear_edge = LINEAR_WINDOW / setup.L
     deep_edge = -LOG_SWITCH / setup.L
+    # Each compartment's own deep switch, where y = t w reaches LOG_SWITCH.
     special = st.sampled_from(
         [0.0, -0.0, 1e-200, -1e-200]
         + _ulps_around(linear_edge)
         + _ulps_around(-linear_edge)
         + _ulps_around(deep_edge)
+        + _ulps_around(-LOG_SWITCH / setup.width_right)
+        + _ulps_around(-LOG_SWITCH / setup.width_left)
     )
     nu = st.one_of(
         point,
@@ -383,6 +386,37 @@ def test_grids_equal_the_one_point_functions_bit_for_bit(site, data):
     assert repr(list(map(rho_kernel(s), nus))) == repr([rho(s, nu) for nu in nus])
 
 
+def _reference_masses(setup, nu):
+    """(left, right, scale) from the mass formulas alone, written apart from
+    the kernel: the reference its masses must equal bit for bit."""
+    L, w1, w2 = setup.L, setup.width_right, setup.width_left
+    if abs(nu) * L < LINEAR_WINDOW:
+        left, right = w1 * w1 * w2**3 / 3, w2 * w2 * w1**3 / 3
+        if nu == 0:
+            return left, right, 0.0
+        m, e = math.frexp(abs(nu))
+        return left * m**4, right * m**4, 4.0 * (e - 1)
+    if nu > 0:
+        s1, s2 = math.sin((nu / 2) * w1), math.sin((nu / 2) * w2)
+        left = s1 * s1 * (w2 / 2) * one_minus_sinc(nu * w2)
+        right = s2 * s2 * (w1 / 2) * one_minus_sinc(nu * w1)
+        return left, right, 0.0
+    t = -nu
+    y1, y2 = t * w1, t * w2
+    if t * L < LOG_SWITCH:
+        sh1, sh2 = math.sinh(y1 / 2), math.sinh(y2 / 2)
+        left = sh1 * sh1 * (w2 / 2) * sinhc_minus_one(y2)
+        right = sh2 * sh2 * (w1 / 2) * sinhc_minus_one(y1)
+        return left, right, 0.0
+    # Deep: sinh(y/2)**2 = exp(y) expm1(-y)**2 / 4, the exp(y) of both
+    # compartments carried in scale, rescaled by a power of two.
+    scaled = lambda y: math.exp(-y) * sinhc_minus_one(y) if y < LOG_SWITCH else 0.5 / y
+    left = math.expm1(-y1) ** 2 / 4 * (w2 / 2) * scaled(y2)
+    right = math.expm1(-y2) ** 2 / 4 * (w1 / 2) * scaled(y1)
+    k = math.frexp(left + right)[1]
+    return math.ldexp(left, -k), math.ldexp(right, -k), (y1 + y2) / math.log(2.0) + k
+
+
 def _site_distance(nu, w):
     """Mean distance from x0 of a compartment's mass, as computed on its own
     before the moment kernel took the sines from the mass evaluation."""
@@ -405,14 +439,14 @@ def kernel_nus(draw, setup):
 
 @given(site=st.sampled_from(GRID_SITES), data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_moment_kernel_extends_the_mass_kernel_bit_for_bit(site, data):
+def test_moment_kernel_equals_the_separate_formulas_bit_for_bit(site, data):
     spec, L = site
     s = make_setup(L=L, x0=parse_x0(spec), c=1.0)
-    masses, moments = mass_kernel(s), moment_kernel(s)
+    moments = moment_kernel(s)
     w1, w2 = s.width_right, s.width_left
     for nu in data.draw(kernel_nus(s)):
         left, right, scale, offset = moments(nu)
-        assert repr((left, right, scale)) == repr(masses(nu))
+        assert repr((left, right, scale)) == repr(_reference_masses(s, nu))
         if abs(nu) * L < LINEAR_WINDOW:
             # The linear state: each compartment's mean distance is w/4.
             assert offset == right * (w1 / 4) - left * (w2 / 4)
@@ -426,7 +460,7 @@ def test_moment_kernel_extends_the_mass_kernel_bit_for_bit(site, data):
 def test_expectation_rows_equal_the_separate_distance_form_bit_for_bit(site, data):
     spec, L = site
     s = make_setup(L=L, x0=parse_x0(spec), c=1.0)
-    masses, x0 = mass_kernel(s), s.x0_value
+    x0 = s.x0_value
     for nu, mean in expectation_grid(s, data.draw(kernel_nus(s))):
         if lattice.lattice_point_at(s, nu) is not None:
             assert mean == x0
@@ -436,7 +470,7 @@ def test_expectation_rows_equal_the_separate_distance_form_bit_for_bit(site, dat
         elif abs(nu) * L < LINEAR_WINDOW:
             expected = x0 / 2
         else:
-            left, right, _ = masses(nu)
+            left, right, _ = _reference_masses(s, nu)
             d1, d2 = _site_distance(nu, s.width_right), _site_distance(nu, s.width_left)
             expected = x0 + (right * d1 - left * d2) / (left + right)
         assert repr(mean) == repr(expected)

@@ -12,13 +12,13 @@ from deltabox.model import RationalX0, RealX0, make_setup, nu_n, phi_mode
 from deltabox.spectrum import dispersion
 from deltabox.observables import prob_ratio
 from deltabox.wavefn import (
-    compartment_masses,
     eval_normalized,
     general_state,
     jump_ratio,
     kappa_constants,
     limit_residual,
     limit_state,
+    moment_kernel,
     rho,
     trig_left_sign,
     upsilon_hat,
@@ -177,12 +177,18 @@ def test_rho_scales_quadratically_near_zero():
     assert ratio == pytest.approx(100.0, rel=1e-4)
 
 
-@pytest.mark.parametrize("nu", [12.0, -12.0, -700.0, 1e-10])
+@pytest.mark.parametrize("nu", [12.0, -12.0, -700.0, -1200.0, 1e-10])
 def test_compartment_masses_match_quadrature(nu):
-    """Trig, direct evanescent, deep evanescent and linear-window inputs."""
+    """Trig, direct evanescent, deep evanescent and linear-window inputs.
+
+    At nu = -1200 the right compartment (y = 450) is below LOG_SWITCH and
+    the left one (y = 750) beyond it.  The state is scaled by 2**(-scale/2)
+    before it is squared, so the integrand stays in float range.
+    """
     s = setup_pq(1, 4)
-    left, right, scale = compartment_masses(s, nu)
-    f = lambda x: raw_state(s, nu, x) ** 2
+    left, right, scale, _ = moment_kernel(s)(nu)
+    unit = 2.0 ** (-scale / 2)
+    f = lambda x: (raw_state(s, nu, x) * unit) ** 2
     half, x0 = s.L / 2, s.x0_value
     if nu < -100:
         width = 40.0 / (-nu)
@@ -191,10 +197,9 @@ def test_compartment_masses_match_quadrature(nu):
     else:
         quad_left = simpson_split(f, -half, x0, x0)
         quad_right = simpson_split(f, x0, half, x0)
-    unit = 2.0**scale
-    assert left * unit == pytest.approx(quad_left, rel=1e-8, abs=0)
-    assert right * unit == pytest.approx(quad_right, rel=1e-8, abs=0)
-    assert rho(s, nu) ** 2 == pytest.approx((left + right) * unit, rel=1e-14, abs=0)
+    assert left == pytest.approx(quad_left, rel=1e-8, abs=0)
+    assert right == pytest.approx(quad_right, rel=1e-8, abs=0)
+    assert (rho(s, nu) * unit) ** 2 == pytest.approx(left + right, rel=1e-14, abs=0)
     assert prob_ratio(s, nu).r == right / left
 
 
