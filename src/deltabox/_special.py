@@ -51,15 +51,3 @@ def sinhc_minus_one(y: float) -> float:
         return _even_series(y, 1.0)
     return math.sinh(y) / y - 1.0
 
-
-def hardened_floor(y: float) -> int:
-    """floor(y) with arguments within 1e-12 of an integer snapped first.
-
-    Sign-factor exponents flip exactly at lattice points, where evaluation
-    is guarded anyway; snapping keeps the factor stable against the last-ulp
-    noise of arguments that are meant to be integers.
-    """
-    r = round(y)
-    if abs(y - r) < 1e-12:
-        return int(r)
-    return math.floor(y)

@@ -146,25 +146,11 @@ def _linspace(lo: float, hi: float, n: int, option: str = "--points") -> List[fl
 
 
 def _json_table(columns: List[str], rows: Iterable[Tuple[Any, ...]]) -> str:
-    """json.dumps({"columns": columns, "rows": [...]}, indent=2) + "\n", each row
-    an object of scalar cells and a non-finite float written as its repr.
-
-    json.dumps with indent falls back to the pure-Python encoder, so each
-    row goes through the C encoder on one line and is indented here.  The
-    split is safe: inside an encoded string every '"' is escaped, so ', "'
-    occurs only between the members of an object.
-    """
-    rows_text = []
-    for row in rows:
-        cells = {
-            col: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
-            for col, v in zip(columns, row)
-        }
-        members = json.dumps(cells)[1:-1].replace(', "', ',\n      "')
-        rows_text.append("    {\n      " + members + "\n    }")
-    head = ",\n".join("    " + json.dumps(col) for col in columns)
-    body = "[\n" + ",\n".join(rows_text) + "\n  ]" if rows_text else "[]"
-    return '{\n  "columns": [\n' + head + '\n  ],\n  "rows": ' + body + "\n}\n"
+    """The table as indented JSON: columns, then rows as objects of scalar
+    cells, a non-finite float written as its repr."""
+    cell = lambda v: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+    payload = [{col: cell(v) for col, v in zip(columns, row)} for row in rows]
+    return json.dumps({"columns": columns, "rows": payload}, indent=2) + "\n"
 
 
 def _csv_table(columns: List[str], rows: Iterable[Tuple[Any, ...]]) -> str:

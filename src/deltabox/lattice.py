@@ -20,8 +20,9 @@ division rounds correctly.
 Three radii around lattice points, each with its own job:
 
 * ON_LATTICE_RTOL (1e-9, relative to the point): nu counts as sitting on the
-  point.  The observables return their limit values there, and a shared
-  value passed to the continuous limit state is accepted.
+  point (lattice_locator, bound to a setup once).  The observables' grids
+  return their limit values there, and a shared value passed to the
+  continuous limit state is accepted.
 * LIMIT_WINDOW_RTOL (1e-8, relative to the point): around a shared point the
   normalized eigenfunction and its sine expansion are replaced by the
   continuous limit state, because the norm collapses and the direct quotient
@@ -216,32 +217,29 @@ def partition(setup: Setup, nu_max: float) -> tuple[list[LatticePoint], list[Int
             points.append(_point(setup, k, l))
             k += 1
             l += 1
-    return points, _intervals_from_points(setup, points)
+    lowers = [None, *points[:-1]]
+    return points, [_interval(setup, i, *bounds) for i, bounds in enumerate(zip(lowers, points))]
 
 
-def _intervals_from_points(setup: Setup, points: list[LatticePoint]) -> list[IntervalDescriptor]:
-    intervals: list[IntervalDescriptor] = []
-    lower: Optional[LatticePoint] = None
-    for i, upper in enumerate(points):
-        if lower is None:
-            tag = "G"
-        else:
-            tag = _CASE_BY_KINDS.get((lower.kind, upper.kind))
-            if tag is None:
-                raise RuntimeError(f"impossible bounding kinds {(lower.kind, upper.kind)}")
-        # The largest integer strictly below the upper position is the mode
-        # inside when it also lies above the lower position.
-        hi_num, hi_den = _position(setup, upper)
-        n = (hi_num - 1) // hi_den
-        lo_num, lo_den = _position(setup, lower) if lower is not None else (0, 1)
-        inside = n >= 1 and lo_num < n * lo_den
-        intervals.append(
-            IntervalDescriptor(
-                index=i, lower=lower, upper=upper, case_tag=tag, contains_mode=n if inside else None
-            )
-        )
-        lower = upper
-    return intervals
+def _interval(
+    setup: Setup, index: int, lower: Optional[LatticePoint], upper: LatticePoint
+) -> IntervalDescriptor:
+    # The open interval between consecutive points: its case tag from the
+    # bounding kinds, and the mode inside, which is the largest integer
+    # strictly below the upper position when it also lies above the lower.
+    if lower is None:
+        tag = "G"
+    else:
+        tag = _CASE_BY_KINDS.get((lower.kind, upper.kind))
+        if tag is None:
+            raise RuntimeError(f"impossible bounding kinds {(lower.kind, upper.kind)}")
+    hi_num, hi_den = _position(setup, upper)
+    n = (hi_num - 1) // hi_den
+    lo_num, lo_den = _position(setup, lower) if lower is not None else (0, 1)
+    inside = n >= 1 and lo_num < n * lo_den
+    return IntervalDescriptor(
+        index=index, lower=lower, upper=upper, case_tag=tag, contains_mode=n if inside else None
+    )
 
 
 # ======================================================================
@@ -267,15 +265,8 @@ def classify_mode(setup: Setup, n: int) -> ModeClassification:
     l_hat = (n * (q - p)) // (2 * q)
     lower = _bounding_point(setup, k_hat, l_hat, max)
     upper = _bounding_point(setup, k_hat + 1, l_hat + 1, min)
-    if lower is None:
-        tag = "G"
-    else:
-        tag = _CASE_BY_KINDS.get((lower.kind, upper.kind))
-        if tag is None:
-            raise RuntimeError(f"impossible bounding kinds {(lower.kind, upper.kind)}")
-    index = k_hat + l_hat - (n - 1) // base
-    interval = IntervalDescriptor(index=index, lower=lower, upper=upper, case_tag=tag, contains_mode=n)
-    return ModeClassification(n=n, case_tag=tag, interval=interval)
+    interval = _interval(setup, k_hat + l_hat - (n - 1) // base, lower, upper)
+    return ModeClassification(n=n, case_tag=interval.case_tag, interval=interval)
 
 
 def _bounding_point(setup: Setup, k: int, l: int, pick) -> Optional[LatticePoint]:
@@ -304,8 +295,8 @@ def _bounding_point(setup: Setup, k: int, l: int, pick) -> Optional[LatticePoint
 def lattice_locator(
     setup: Setup, rtol: float = ON_LATTICE_RTOL
 ) -> Callable[[float], Optional[LatticePoint]]:
-    """lattice_point_at with the setup bound once: nu -> the nearest lattice
-    point when nu lies within rtol of it (relative to the point), else None.
+    """The on-lattice test, setup bound once: nu -> the nearest lattice point
+    when nu lies within rtol of it (relative to the point), else None.
 
     The nearest under and over indices k and l are nu over the lattice
     steps, rounded; ties go to the under point, and nu <= 0 has no point.
@@ -346,11 +337,6 @@ def nearest_lattice_point(setup: Setup, nu: float) -> tuple[Optional[LatticePoin
     if point is None:
         return None, math.inf
     return point, abs(nu - point.nu)
-
-
-def lattice_point_at(setup: Setup, nu: float) -> Optional[LatticePoint]:
-    """The lattice point nu sits on (within ON_LATTICE_RTOL of it), else None."""
-    return lattice_locator(setup)(nu)
 
 
 def shared_mode_near(setup: Setup, nu: float, rtol: float) -> Optional[int]:

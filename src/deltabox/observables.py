@@ -4,8 +4,8 @@ and the centered-interaction amplitude envelope.
 The side probabilities and the mean position are read from the
 compartment masses and first moments of `wavefn.moment_kernel`.
 ratio_grid and expectation_grid bind the setup's lattice test and the
-kernel once and make one row per wave number;
-prob_ratio and expectation_x are the same code at one point.  The
+kernel once and make one row per wave number; a one-element grid,
+next(ratio_grid(setup, (nu,))), answers at one point.  The
 probability ratio r(nu) is the right mass over the left mass away from the
 lattice, extends continuously to the shared lattice with the exact value
 1/q_ratio, and degenerates to 0 or infinity at one-sided lattice points,
@@ -24,22 +24,10 @@ import math
 from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .errors import BracketError, ConvergenceError, DomainError, InK, SingularPoint
-from .lattice import LatticePoint, kappa_base, lattice_locator, lattice_point_at
+from .lattice import kappa_base, lattice_locator
 from .model import Setup
 from .wavefn import moment_kernel
 from ._special import LINEAR_WINDOW, one_minus_sinc
-
-
-class RatioPoint(NamedTuple):
-    """Probability ratio at one branch parameter.
-
-    r is the right-to-left probability ratio, math.inf at right-side lattice
-    points.  at_lattice carries the lattice point when nu sits on one.
-    """
-
-    nu: float
-    r: float
-    at_lattice: Optional[LatticePoint] = None
 
 
 class AmplitudeExtremum(NamedTuple):
@@ -57,10 +45,13 @@ class AmplitudeExtremum(NamedTuple):
 
 
 def ratio_grid(setup: Setup, nus: Iterable[float]) -> Iterator[Tuple[float, float, Optional[str]]]:
-    """Rows (nu, r, lattice kind or None) of prob_ratio over nus, in order.
+    """Rows (nu, r, lattice kind or None) over nus, in order, r the
+    right-to-left probability ratio at nu.
 
-    The setup's lattice test and compartment kernel are bound once for the
-    whole grid; each row is made as it is drawn.
+    Total on all inputs: a lattice point gives its continuous-limit value
+    (1/q_ratio, 0 or inf) and its kind.  The setup's lattice test and
+    compartment kernel are bound once for the whole grid; each row is made
+    as it is drawn.
     """
     locate, moments = lattice_locator(setup), moment_kernel(setup)
     shared = 1.0 / setup.q_ratio
@@ -73,18 +64,6 @@ def ratio_grid(setup: Setup, nus: Iterable[float]) -> Iterator[Tuple[float, floa
             yield nu, shared, "both"
         else:
             yield nu, (0.0 if hit.kind == "under" else math.inf), hit.kind
-
-
-def prob_ratio(setup: Setup, nu: float) -> RatioPoint:
-    """Right-to-left probability ratio of the normalized state at nu.
-
-    Total on all inputs: lattice points return their continuous-limit
-    values (1/q_ratio on the shared lattice, 0 at left-side points, inf at
-    right-side points) so that parameter sweeps need no special casing.
-    The one-point case of ratio_grid.
-    """
-    _, r, kind = next(ratio_grid(setup, (nu,)))
-    return RatioPoint(nu, r, None if kind is None else lattice_point_at(setup, nu))
 
 
 def prob_ratio_at_mode(setup: Setup, n: int) -> float:
@@ -116,12 +95,15 @@ def prob_ratio_at_mode(setup: Setup, n: int) -> float:
 def expectation_grid(
     setup: Setup, nus: Iterable[float], skip_one_sided: bool = True
 ) -> Iterator[Tuple[float, float]]:
-    """Rows (nu, Ex) of expectation_x over nus, in order.
+    """Rows (nu, Ex) over nus, in order, Ex the mean position at nu.
 
-    One-sided lattice points have no two-sided state: their rows are left
-    out, or raise SingularPoint when skip_one_sided is False.  The setup's
-    lattice test and moment kernel are bound once for the whole grid; each
-    row is made as it is drawn, as x0 + offset / (left + right).
+    Exact shortcuts: x0 on the shared lattice, x0/2 for the linear state
+    (inside the linear window), 0 for a centered site (every state is then
+    symmetric or antisymmetric).  One-sided lattice points have no
+    two-sided state: their rows are left out, or raise SingularPoint when
+    skip_one_sided is False.  The setup's lattice test and moment kernel
+    are bound once for the whole grid; each row is made as it is drawn, as
+    x0 + offset / (left + right).
     """
     locate, moments = lattice_locator(setup), moment_kernel(setup)
     L, x0 = setup.L, setup.x0_value
@@ -141,19 +123,6 @@ def expectation_grid(
         else:
             left, right, _, offset = moments(nu)
             yield nu, x0 + offset / (left + right)
-
-
-def expectation_x(setup: Setup, nu: float) -> float:
-    """Mean position of the normalized state at branch parameter nu.
-
-    The mass-weighted mean of the two compartments' centres of mass, each a
-    closed form in its own width.  Exact shortcuts: x0 on the shared
-    lattice, x0/2 for the linear state (inside the linear window), 0 for a
-    centered site (every state is then symmetric or antisymmetric).
-    One-sided lattice points have no two-sided state and raise
-    SingularPoint.  The one-point case of expectation_grid.
-    """
-    return next(expectation_grid(setup, (nu,), skip_one_sided=False))[1]
 
 
 # ============================================================

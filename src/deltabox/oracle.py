@@ -104,6 +104,8 @@ def build_hamiltonian(setup: Setup, alpha: float, N: int) -> Tridiagonal:
     j = _site_node(setup, N)
     if j < 1 or j > N:
         raise GridMismatch(f"x0 lands on a wall node for N={N}")
+    if dx**2 == 0.0:
+        raise ZeroDivisionError(f"the squared grid spacing dx**2 underflows to 0 at L = {setup.L!r}")
     diag = [2 * setup.c / dx**2] * N
     diag[j - 1] += alpha / dx
     offdiag = [-setup.c / dx**2] * (N - 1)

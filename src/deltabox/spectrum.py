@@ -67,7 +67,10 @@ def _check_not_singular(setup: Setup, nu: float) -> None:
 
 
 def _two_g_zero(setup: Setup) -> float:
-    return -setup.L / (setup.L**2 / 4 - setup.x0_value**2)
+    try:
+        return -setup.L / (setup.L**2 / 4 - setup.x0_value**2)
+    except ZeroDivisionError:
+        raise ZeroDivisionError(f"L**2/4 - x0**2 underflows to 0 at L = {setup.L!r}") from None
 
 
 def _series_value(setup: Setup, nu: float) -> float:

@@ -24,8 +24,9 @@ one-element case.
 Conventions fixed here and relied on elsewhere:
 
 * the right piece of a trig state carries amplitude |sin(a2)| >= 0, the left
-  piece carries (-1)**floor(a2/pi) * sin(a1), which keeps the state continuous
-  at x0 and pins its sign for the coefficient formulas in `fourier`;
+  piece carries sign(sin(a2)) * sin(a1) (`trig_left_sign`), which keeps the
+  state continuous at x0 and pins its sign for the coefficient formulas in
+  `fourier`;
 * limit states are normalized to 1 and signed so that they are the pointwise
   limits of the normalized eigenfunctions along the attractive and repulsive
   coupling paths (the one-sided pair differ by an overall sign between the
@@ -53,7 +54,6 @@ from ._special import (
     LINEAR_WINDOW,
     LOG_SWITCH,
     SERIES_SWITCH,
-    hardened_floor,
     one_minus_sinc,
     sinhc_minus_one,
 )
@@ -185,9 +185,14 @@ class LimitState(_Pieces):
 
 
 def trig_left_sign(setup: Setup, nu: float) -> float:
-    """Sign factor (-1)**floor(a2/pi) carried by the left trig piece."""
-    a2 = (nu / 2) * setup.width_left
-    return -1.0 if hardened_floor(a2 / math.pi) % 2 else 1.0
+    """Sign of sin(a2), a2 = (nu/2) (L/2 + x0), carried by the left trig piece.
+
+    The right piece has amplitude |sin(a2)|, so this sign keeps the state
+    continuous at x0.  It is (-1)**floor(a2/pi) and flips at the under
+    points; being read from the very sine of the right amplitude, it
+    cannot disagree with that amplitude next to one.
+    """
+    return math.copysign(1.0, math.sin((nu / 2) * setup.width_left))
 
 
 def _direct(setup: Setup, nu: float) -> GeneralState:
@@ -195,8 +200,9 @@ def _direct(setup: Setup, nu: float) -> GeneralState:
     half, w1, w2, sign = setup.L / 2, setup.width_right, setup.width_left, 1.0
     if nu > 0:
         branch, f, k = "trig", math.sin, nu / 2
-        sign = trig_left_sign(setup, nu)
-        a, b = sign * math.sin(k * w1), abs(math.sin(k * w2))
+        s2 = math.sin(k * w2)
+        sign = math.copysign(1.0, s2)  # trig_left_sign, from the sine b needs
+        a, b = sign * math.sin(k * w1), abs(s2)
     elif nu == 0:
         # w1 (L/2 + x) and w2 (L/2 - x): float is the identity here.
         branch, f, k, a, b = "linear", float, 1.0, w1, w2

@@ -21,7 +21,7 @@ from deltabox import cli, oracle
 from deltabox.fourier import coeffs_general, coeffs_limit, parseval_defect, partial_sum
 from deltabox.lattice import kappa_base, overline_nu, partition, underline_nu
 from deltabox.model import RationalX0, RealX0, make_setup, nu_n
-from deltabox.observables import amplitude_extrema, expectation_x, prob_ratio
+from deltabox.observables import amplitude_extrema, expectation_grid, ratio_grid
 from deltabox.spectrum import alpha_from_nu, dispersion, solve_nu
 from deltabox.wavefn import eval_normalized, jump_ratio, limit_state, upsilon_hat
 
@@ -32,6 +32,14 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def setup_pq(p, q, L=1.0, c=1.0):
     return make_setup(L=L, x0=RationalX0(p, q), c=c)
+
+
+def ratio_at(setup, nu):
+    return next(ratio_grid(setup, (nu,)))[1]
+
+
+def mean_at(setup, nu):
+    return next(expectation_grid(setup, (nu,), skip_one_sided=False))[1]
 
 
 # ======================================================================
@@ -150,14 +158,14 @@ def test_criterion_05_probability_ratios():
     its inverse exactly; r(-50) = 1 (1e-6); and the site (m-1)/(m+1) puts
     r at the (m+1)-th mode exactly at m, for m = 2..12 (1e-9)."""
     s = setup_pq(1, 4)
-    assert prob_ratio(s, 0.0).r == pytest.approx(s.q_ratio, rel=1e-12)
-    hit = prob_ratio(s, nu_n(s, 8))
-    assert hit.at_lattice is not None and hit.at_lattice.kind == "both"
-    assert hit.r == 1.0 / s.q_ratio
-    assert prob_ratio(s, -50.0).r == pytest.approx(1.0, abs=1e-6)
+    assert ratio_at(s, 0.0) == pytest.approx(s.q_ratio, rel=1e-12)
+    _, r, kind = next(ratio_grid(s, (nu_n(s, 8),)))
+    assert kind == "both"
+    assert r == 1.0 / s.q_ratio
+    assert ratio_at(s, -50.0) == pytest.approx(1.0, abs=1e-6)
     for m in range(2, 13):
         site = setup_pq(m - 1, m + 1)
-        assert prob_ratio(site, nu_n(site, m + 1)).r == pytest.approx(
+        assert ratio_at(site, nu_n(site, m + 1)) == pytest.approx(
             float(m), abs=1e-9
         )
 
@@ -179,11 +187,11 @@ def test_criterion_06_expectation_values():
     the site at nu = 0 (1e-12), the site again at nu = -50 (1e-3), and the
     closed forms against quadrature at 1e-8."""
     s = setup_pq(1, 4)
-    assert expectation_x(s, nu_n(s, 8)) == pytest.approx(s.x0_value, abs=1e-10)
-    assert expectation_x(s, 0.0) == pytest.approx(s.x0_value / 2, abs=1e-12)
-    assert expectation_x(s, -50.0) == pytest.approx(s.x0_value, abs=1e-3)
+    assert mean_at(s, nu_n(s, 8)) == pytest.approx(s.x0_value, abs=1e-10)
+    assert mean_at(s, 0.0) == pytest.approx(s.x0_value / 2, abs=1e-12)
+    assert mean_at(s, -50.0) == pytest.approx(s.x0_value, abs=1e-3)
     for nu in (0.9, 7.3, 22.1, -2.0, -9.0, -60.0, 0.0, 1e-6):
-        assert expectation_x(s, nu) == pytest.approx(
+        assert mean_at(s, nu) == pytest.approx(
             quadrature_expectation(s, nu), abs=1e-8
         )
 
@@ -204,7 +212,7 @@ def test_criterion_07_interior_ratio():
     """Two thirds of the way from the 7th mode to the next under point,
     the right/left ratio sits at 1.28 within 0.02."""
     s, check_nu = scenario_site_and_nu()
-    assert prob_ratio(s, check_nu).r == pytest.approx(1.28, abs=0.02)
+    assert ratio_at(s, check_nu) == pytest.approx(1.28, abs=0.02)
 
 
 def test_criterion_07_coupling_scale():

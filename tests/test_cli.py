@@ -16,7 +16,7 @@ from deltabox.errors import DomainError
 from deltabox.fourier import coeffs_general, coeffs_limit, partial_sum
 from deltabox.lattice import POINT_BUDGET
 from deltabox.model import RationalX0, make_setup, nu_n, phi_mode
-from deltabox.observables import amplitude_extrema, expectation_x, prob_ratio, prob_ratio_at_mode
+from deltabox.observables import amplitude_extrema, expectation_grid, prob_ratio_at_mode, ratio_grid
 from deltabox.wavefn import limit_state, rho
 
 OVER_1 = "16.755160819145562"  # first one-sided point of the right compartment
@@ -33,6 +33,14 @@ def parse_csv(text):
     rows = list(csv.reader(text.splitlines()))
     header, body = rows[0], rows[1:]
     return [dict(zip(header, row)) for row in body]
+
+
+def ratio_at(setup, nu):
+    return next(ratio_grid(setup, (nu,)))[1]
+
+
+def mean_at(setup, nu):
+    return next(expectation_grid(setup, (nu,), skip_one_sided=False))[1]
 
 
 # ======================================================================
@@ -305,20 +313,21 @@ def test_spectrum_energy_overflow_names_the_level_exits_4(capsys, argv, nu):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, quantity",
     [
         # L**2/4 - x0**2 underflows to 0 in the dispersion's nu -> 0 limit.
-        ("sweep", "--interval", "0", "--samples", "4", "--L", "1e-300"),
+        (("sweep", "--interval", "0", "--samples", "4", "--L", "1e-300"), "L**2/4 - x0**2"),
         # dx**2 underflows to 0 in the grid Hamiltonian.
-        ("oracle", "--alpha", "0", "--grid", "1023", "--count", "4", "--L", "1e-300"),
+        (("oracle", "--alpha", "0", "--grid", "1023", "--count", "4", "--L", "1e-300"), "dx**2"),
     ],
     ids=["sweep", "oracle"],
 )
-def test_division_by_an_underflowed_length_exits_4(capsys, argv):
+def test_division_by_an_underflowed_length_exits_4(capsys, argv, quantity):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
     assert captured.err.startswith("error: ")
+    assert f"{quantity} underflows to 0 at L = 1e-300" in captured.err
 
 
 def test_spectrum_deep_bound_state_is_the_converged_newton_root(capsys):
@@ -590,7 +599,7 @@ def test_ratio_forms_agree(capsys):
     code, out = run_cli(capsys, "ratio", "--nu", "7.3")
     assert code == 0
     row = parse_csv(out)[0]
-    assert float(row["r"]) == pytest.approx(prob_ratio(s, 7.3).r, rel=1e-15)
+    assert float(row["r"]) == pytest.approx(ratio_at(s, 7.3), rel=1e-15)
     assert row["at_lattice"] == ""
     code, out = run_cli(capsys, "ratio", "--nu-mode", "3")
     row = parse_csv(out)[0]
@@ -787,6 +796,6 @@ def test_sweep_rows_are_the_one_point_functions(capsys, site, interval):
     assert len(rows) > 40
     for row in rows:
         nu = float(row["nu"])
-        assert row["r"] == repr(prob_ratio(s, nu).r)
-        assert row["Ex"] == repr(expectation_x(s, nu))
+        assert row["r"] == repr(ratio_at(s, nu))
+        assert row["Ex"] == repr(mean_at(s, nu))
         assert row["rho"] == repr(rho(s, nu))

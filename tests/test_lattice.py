@@ -18,11 +18,19 @@ from deltabox.lattice import (
     underline_nu,
 )
 from deltabox.model import RationalX0, RealX0, make_setup, nu_n, phi_mode
-from deltabox.observables import expectation_x, prob_ratio
+from deltabox.observables import expectation_grid, ratio_grid
 
 
 def setup_pq(p, q, L=1.0, c=1.0):
     return make_setup(L=L, x0=RationalX0(p, q), c=c)
+
+
+def ratio_at(setup, nu):
+    return next(ratio_grid(setup, (nu,)))[1]
+
+
+def mean_at(setup, nu):
+    return next(expectation_grid(setup, (nu,), skip_one_sided=False))[1]
 
 
 def brute_force_shared(p, q, limit=200):
@@ -267,8 +275,8 @@ def test_float_twin_of_one_quarter_sees_the_shared_point():
     nu = 16 * math.pi
     point, _ = nearest_lattice_point(s, nu)
     assert point.kind == "both" and (point.k, point.l) == (5, 3)
-    assert prob_ratio(s, nu).r == pytest.approx(5 / 3, rel=1e-15)
-    assert expectation_x(s, nu) == 0.125
+    assert ratio_at(s, nu) == pytest.approx(5 / 3, rel=1e-15)
+    assert mean_at(s, nu) == 0.125
     assert classify_mode(s, 8).case_tag == "Z"
 
 
@@ -298,8 +306,9 @@ def test_float_twin_agrees_with_rational_site(pq, data):
         )
     )
     assert nearest_lattice_point(twin, nu) == nearest_lattice_point(exact, nu)
-    assert _outcome(prob_ratio, twin, nu) == _outcome(prob_ratio, exact, nu)
-    assert _outcome(expectation_x, twin, nu) == _outcome(expectation_x, exact, nu)
+    ratio_row = lambda setup: next(ratio_grid(setup, (nu,)))
+    assert _outcome(ratio_row, twin) == _outcome(ratio_row, exact)
+    assert _outcome(mean_at, twin, nu) == _outcome(mean_at, exact, nu)
     n = data.draw(st.integers(min_value=1, max_value=120))
     assert classify_mode(twin, n) == classify_mode(exact, n)
     assert partition(twin, 200.0) == partition(exact, 200.0)

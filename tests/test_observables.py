@@ -22,9 +22,7 @@ from deltabox.model import RationalX0, RealX0, make_setup, nu_n
 from deltabox.observables import (
     amplitude_extrema,
     expectation_grid,
-    expectation_x,
     gamma_factor,
-    prob_ratio,
     prob_ratio_at_mode,
     ratio_grid,
 )
@@ -35,6 +33,14 @@ from _quad import simpson, simpson_peaked
 
 def setup_pq(p, q, L=1.0, c=1.0):
     return make_setup(L=L, x0=RationalX0(p, q), c=c)
+
+
+def ratio_at(setup, nu):
+    return next(ratio_grid(setup, (nu,)))[1]
+
+
+def mean_at(setup, nu):
+    return next(expectation_grid(setup, (nu,), skip_one_sided=False))[1]
 
 
 def quadrature_ratio(setup, nu, n=4001):
@@ -62,50 +68,50 @@ def quadrature_expectation(setup, nu, n=4001):
 @pytest.mark.parametrize("nu", [0.9, 7.3, 22.1, 41.0, -2.0, -9.0, -60.0])
 def test_ratio_matches_quadrature(nu):
     s = setup_pq(1, 4)
-    assert prob_ratio(s, nu).r == pytest.approx(quadrature_ratio(s, nu), rel=1e-7)
+    assert ratio_at(s, nu) == pytest.approx(quadrature_ratio(s, nu), rel=1e-7)
 
 
 def test_ratio_matches_quadrature_other_sites():
     for s in (setup_pq(3, 4), make_setup(L=2.0, x0=RealX0(0.29), c=1.0)):
         for nu in (3.7, -5.1):
-            assert prob_ratio(s, nu).r == pytest.approx(
+            assert ratio_at(s, nu) == pytest.approx(
                 quadrature_ratio(s, nu), rel=1e-7
             )
 
 
 def test_ratio_special_values():
     s = setup_pq(1, 4)
-    assert prob_ratio(s, 0.0).r == pytest.approx(s.q_ratio, rel=1e-14)
-    point = prob_ratio(s, nu_n(s, 8))
-    assert point.r == 1.0 / s.q_ratio
-    assert point.at_lattice is not None and point.at_lattice.kind == "both"
-    under = prob_ratio(s, underline_nu(s, 1))
-    assert under.r == 0.0 and under.at_lattice.kind == "under"
-    over = prob_ratio(s, overline_nu(s, 1))
-    assert over.r == math.inf and over.at_lattice.kind == "over"
-    assert prob_ratio(s, 7.3).at_lattice is None
+    assert ratio_at(s, 0.0) == pytest.approx(s.q_ratio, rel=1e-14)
+    _, r, kind = next(ratio_grid(s, (nu_n(s, 8),)))
+    assert r == 1.0 / s.q_ratio
+    assert kind == "both"
+    _, r, kind = next(ratio_grid(s, (underline_nu(s, 1),)))
+    assert r == 0.0 and kind == "under"
+    _, r, kind = next(ratio_grid(s, (overline_nu(s, 1),)))
+    assert r == math.inf and kind == "over"
+    assert next(ratio_grid(s, (7.3,)))[2] is None
 
 
 def test_ratio_is_one_for_centered_site():
     s = setup_pq(0, 1)
     for nu in (0.0, 3.3, 9.9, -4.4):
-        assert prob_ratio(s, nu).r == pytest.approx(1.0, rel=1e-12)
+        assert ratio_at(s, nu) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_ratio_deep_evanescent_tends_to_one():
     """Far down the evanescent branch the state forgets the walls."""
     for s in (setup_pq(0, 1), setup_pq(1, 4)):
-        assert prob_ratio(s, -50.0).r == pytest.approx(1.0, rel=1e-6, abs=1e-6)
-    values = [abs(prob_ratio(setup_pq(1, 4), nu).r - 1.0) for nu in (-20.0, -40.0, -80.0)]
+        assert ratio_at(s, -50.0) == pytest.approx(1.0, rel=1e-6, abs=1e-6)
+    values = [abs(ratio_at(setup_pq(1, 4), nu) - 1.0) for nu in (-20.0, -40.0, -80.0)]
     assert values[0] > values[1] > values[2]
 
 
 def test_ratio_log_path_agrees_with_direct_path():
     s = setup_pq(1, 4)
-    direct = prob_ratio(s, -599.0).r
-    logged = prob_ratio(s, -601.0).r
+    direct = ratio_at(s, -599.0)
+    logged = ratio_at(s, -601.0)
     assert logged == pytest.approx(direct, rel=1e-2)
-    assert prob_ratio(s, -5000.0).r == pytest.approx(1.0, rel=1e-8, abs=1e-8)
+    assert ratio_at(s, -5000.0) == pytest.approx(1.0, rel=1e-8, abs=1e-8)
 
 
 @pytest.mark.parametrize("p", [1, 3])
@@ -116,8 +122,8 @@ def test_tiny_nu_gives_the_linear_state(p, nu):
     """Below the linear window every observable is that of the nu = 0 state."""
     s = setup_pq(p, 4)
     close = lambda ref: pytest.approx(ref, rel=1e-14, abs=0)
-    assert prob_ratio(s, nu).r == close(prob_ratio(s, 0.0).r)
-    assert expectation_x(s, nu) == close(expectation_x(s, 0.0))
+    assert ratio_at(s, nu) == close(ratio_at(s, 0.0))
+    assert mean_at(s, nu) == close(mean_at(s, 0.0))
     for x in (-0.3, 0.1, 0.4):
         assert eval_normalized(s, nu, x).value == close(eval_normalized(s, 0.0, x).value)
     scale = (nu / 2) ** 2
@@ -129,7 +135,7 @@ def test_tiny_nu_gives_the_linear_state(p, nu):
 def test_ratio_at_mode_above_shared_point_counts_compartment_waves(m):
     """With x0 = ((m-1)/(m+1))(L/2) the mode m+1 ratio equals m exactly."""
     s = setup_pq(m - 1, m + 1)
-    assert prob_ratio(s, nu_n(s, m + 1)).r == pytest.approx(float(m), rel=1e-12)
+    assert ratio_at(s, nu_n(s, m + 1)) == pytest.approx(float(m), rel=1e-12)
 
 
 def test_ratio_at_mode_formula_matches_general_path():
@@ -137,7 +143,7 @@ def test_ratio_at_mode_formula_matches_general_path():
     for n in (1, 2, 3, 7, 9, 50):
         direct = prob_ratio_at_mode(s, n)
         assert direct == pytest.approx(quadrature_ratio(s, nu_n(s, n)), rel=1e-7)
-        assert direct == pytest.approx(prob_ratio(s, nu_n(s, n)).r, rel=1e-10)
+        assert direct == pytest.approx(ratio_at(s, nu_n(s, n)), rel=1e-10)
     with pytest.raises(InK):
         prob_ratio_at_mode(s, 8)
     with pytest.raises(DomainError):
@@ -151,7 +157,7 @@ def test_ratio_near_centered_site_stays_near_one():
         s = make_setup(L=1.0, x0=RealX0(x0_abs), c=1.0)
         top = underline_nu(s, 1)
         grid = [top * (i + 0.5) / 200 for i in range(199)]
-        sups.append(max(abs(prob_ratio(s, nu).r - 1.0) for nu in grid))
+        sups.append(max(abs(ratio_at(s, nu) - 1.0) for nu in grid))
     assert sups[0] < 0.5
     assert sups[2] < 0.05
     assert sups[0] > sups[1] > sups[2]
@@ -170,7 +176,7 @@ def test_ratio_near_wall_obeys_envelope_bounds():
         # r legitimately collapses to zero.
         nu = top * (i + 0.5) / 120
         shape = math.sin(nu * w2 / 2) ** 2 / (1 - math.sin(nu * w2) / (nu * w2))
-        gains.append(prob_ratio(s, nu).r / (q * shape))
+        gains.append(ratio_at(s, nu) / (q * shape))
     assert all(2 / 3 * (1 - 1e-9) <= g <= 1 + 1e-9 for g in gains)
     # Both envelope edges are approached at the ends of the sweep.
     assert gains[0] < 0.68
@@ -185,7 +191,7 @@ def test_ratio_near_wall_obeys_envelope_bounds():
 @pytest.mark.parametrize("nu", [0.9, 7.3, 22.1, -2.0, -9.0, -60.0, 0.0, 1e-6])
 def test_expectation_matches_quadrature(nu):
     s = setup_pq(1, 4)
-    assert expectation_x(s, nu) == pytest.approx(
+    assert mean_at(s, nu) == pytest.approx(
         quadrature_expectation(s, nu), abs=1e-8
     )
 
@@ -193,38 +199,38 @@ def test_expectation_matches_quadrature(nu):
 def test_expectation_matches_quadrature_other_sites():
     for s in (setup_pq(3, 4), make_setup(L=2.0, x0=RealX0(0.29), c=1.0)):
         for nu in (3.7, -5.1):
-            assert expectation_x(s, nu) == pytest.approx(
+            assert mean_at(s, nu) == pytest.approx(
                 quadrature_expectation(s, nu), abs=1e-8
             )
 
 
 def test_expectation_special_values():
     s = setup_pq(1, 4)
-    assert expectation_x(s, 0.0) == s.x0_value / 2
-    assert expectation_x(s, nu_n(s, 8)) == s.x0_value
-    assert expectation_x(setup_pq(0, 1), 5.43) == 0.0
+    assert mean_at(s, 0.0) == s.x0_value / 2
+    assert mean_at(s, nu_n(s, 8)) == s.x0_value
+    assert mean_at(setup_pq(0, 1), 5.43) == 0.0
     with pytest.raises(SingularPoint):
-        expectation_x(s, underline_nu(s, 1))
+        mean_at(s, underline_nu(s, 1))
     with pytest.raises(SingularPoint):
-        expectation_x(s, overline_nu(s, 2))
+        mean_at(s, overline_nu(s, 2))
 
 
 def test_expectation_deep_evanescent_localizes_at_site():
     s = setup_pq(1, 4)
-    assert expectation_x(s, -50.0) == pytest.approx(s.x0_value, abs=1e-6)
-    assert expectation_x(s, -700.0) == pytest.approx(s.x0_value, abs=1e-9)
-    assert expectation_x(s, -700.0) == pytest.approx(
+    assert mean_at(s, -50.0) == pytest.approx(s.x0_value, abs=1e-6)
+    assert mean_at(s, -700.0) == pytest.approx(s.x0_value, abs=1e-9)
+    assert mean_at(s, -700.0) == pytest.approx(
         quadrature_expectation(s, -700.0), abs=1e-9
     )
-    direct = expectation_x(s, -599.0)
-    scaled = expectation_x(s, -601.0)
+    direct = mean_at(s, -599.0)
+    scaled = mean_at(s, -601.0)
     assert scaled == pytest.approx(direct, abs=1e-6)
 
 
 def test_expectation_at_free_modes_of_centered_site_is_zero():
     s = setup_pq(0, 1)
     for n in (1, 3, 5):
-        assert expectation_x(s, nu_n(s, n)) == pytest.approx(0.0, abs=1e-15)
+        assert mean_at(s, nu_n(s, n)) == pytest.approx(0.0, abs=1e-15)
 
 
 # ======================================================================
@@ -353,7 +359,7 @@ def _one_point_expectations(setup, nus):
     rows = []
     for nu in nus:
         try:
-            rows.append((nu, expectation_x(setup, nu)))
+            rows.append((nu, mean_at(setup, nu)))
         except SingularPoint:
             continue
     return rows
@@ -366,10 +372,7 @@ def test_grids_equal_the_one_point_functions_bit_for_bit(site, data):
     s = make_setup(L=L, x0=parse_x0(spec), c=1.0)
     nus = data.draw(grid_nus(s))
     # repr tells every two floats apart, -0.0 from 0.0 included.
-    ratios = []
-    for nu in nus:
-        point = prob_ratio(s, nu)
-        ratios.append((nu, point.r, point.at_lattice.kind if point.at_lattice else None))
+    ratios = [next(ratio_grid(s, (nu,))) for nu in nus]
     assert repr(list(ratio_grid(s, nus))) == repr(ratios)
     expected = _one_point_expectations(s, nus)
     assert repr(list(expectation_grid(s, nus))) == repr(expected)
@@ -378,7 +381,7 @@ def test_grids_equal_the_one_point_functions_bit_for_bit(site, data):
         for row in expectation_grid(s, nus, skip_one_sided=False):
             strict.append(row)
     except SingularPoint:
-        # The strict grid stops at the first one-sided point, as expectation_x raises.
+        # The strict grid stops at the first one-sided point, as mean_at raises.
         assert len(strict) < len(nus)
         assert repr(_one_point_expectations(s, nus[: len(strict) + 1])) == repr(strict)
     else:
@@ -462,7 +465,7 @@ def test_expectation_rows_equal_the_separate_distance_form_bit_for_bit(site, dat
     s = make_setup(L=L, x0=parse_x0(spec), c=1.0)
     x0 = s.x0_value
     for nu, mean in expectation_grid(s, data.draw(kernel_nus(s))):
-        if lattice.lattice_point_at(s, nu) is not None:
+        if lattice.lattice_locator(s)(nu) is not None:
             assert mean == x0
             continue
         if x0 == 0.0:
@@ -479,7 +482,7 @@ def test_expectation_rows_equal_the_separate_distance_form_bit_for_bit(site, dat
 def test_grid_without_lattice_hits_builds_no_lattice_point(monkeypatch):
     s = setup_pq(1, 4)
     nus = [-700.0, -3.0, 0.0, 1e-200, 7.3, 22.1, 41.0]
-    assert all(prob_ratio(s, nu).at_lattice is None for nu in nus)
+    assert all(next(ratio_grid(s, (nu,)))[2] is None for nu in nus)
 
     def refuse(*args, **kwargs):
         raise RuntimeError("a LatticePoint was built")
@@ -487,7 +490,7 @@ def test_grid_without_lattice_hits_builds_no_lattice_point(monkeypatch):
     monkeypatch.setattr(lattice, "LatticePoint", refuse)
     assert [row[2] for row in ratio_grid(s, nus)] == [None] * len(nus)
     assert len(list(expectation_grid(s, nus))) == len(nus)
-    assert lattice.lattice_point_at(s, 7.3) is None
+    assert lattice.lattice_locator(s)(7.3) is None
     # The patch is live: a hit does build a point.
     with pytest.raises(RuntimeError, match="LatticePoint"):
         list(ratio_grid(s, [underline_nu(s, 1)]))

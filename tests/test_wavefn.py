@@ -7,10 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltabox.errors import DomainError, InK, NotInK
-from deltabox.lattice import nearest_lattice_point, overline_nu, partition, underline_nu
+from deltabox.cli import parse_x0
+from deltabox.lattice import (
+    nearest_lattice_point,
+    overline_nu,
+    partition,
+    under_in_shared,
+    underline_nu,
+)
 from deltabox.model import RationalX0, RealX0, make_setup, nu_n, phi_mode
 from deltabox.spectrum import dispersion
-from deltabox.observables import prob_ratio
+from deltabox.observables import ratio_grid
 from deltabox.wavefn import (
     eval_normalized,
     general_state,
@@ -32,6 +39,10 @@ from _quad import simpson_peaked, simpson_split
 
 def setup_pq(p, q, L=1.0, c=1.0):
     return make_setup(L=L, x0=RationalX0(p, q), c=c)
+
+
+def ratio_at(setup, nu):
+    return next(ratio_grid(setup, (nu,)))[1]
 
 
 def norm_squared(setup, nu, n=4001):
@@ -119,6 +130,26 @@ def test_trig_left_sign_alternates_across_left_lattice():
     assert trig_left_sign(s, u1 * 0.5) == 1.0
 
 
+@pytest.mark.parametrize("site", ["rational:1/4", "rational:1/7", "rational:3/5", "real:0.29"])
+def test_left_piece_near_an_under_point_has_the_limit_sign(site):
+    """Just below an under point the state tends to the "below" limit state,
+    just above it to the "above" one, and the left piece keeps that sign
+    down to a few ulps from the point: the sign is read from sin(a2)."""
+    s = make_setup(L=1.0, x0=parse_x0(site), c=1.0)
+    for k in range(1, 9):
+        if under_in_shared(s, k) is not None:
+            continue
+        # The first antinode of the left compartment.
+        x = -s.L / 2 + s.width_left / (2 * k)
+        point = underline_nu(s, k)
+        for n in (4, 5, 10, 100, 1000, 10**4):
+            for steps, side in ((-n, "below"), (n, "above")):
+                nu = point + steps * math.ulp(point)
+                limit = limit_state(s, "under", k, side)
+                (value,) = general_state(s, nu).sample([x])
+                assert math.copysign(1.0, value) == limit.sign, (k, n, side)
+
+
 @pytest.mark.parametrize(
     "nu",
     [0.7, 4.2, 11.0, 19.9, 33.0, 47.5, -0.3, -8.0, -60.0, 0.0, 3e-7, -2e-7],
@@ -200,7 +231,7 @@ def test_compartment_masses_match_quadrature(nu):
     assert left == pytest.approx(quad_left, rel=1e-8, abs=0)
     assert right == pytest.approx(quad_right, rel=1e-8, abs=0)
     assert (rho(s, nu) * unit) ** 2 == pytest.approx(left + right, rel=1e-14, abs=0)
-    assert prob_ratio(s, nu).r == right / left
+    assert ratio_at(s, nu) == right / left
 
 
 def taylor_reference(y, sign):
