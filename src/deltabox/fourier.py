@@ -22,7 +22,7 @@ from typing import List, NamedTuple, Tuple
 
 from .errors import DomainError
 from .lattice import POINT_BUDGET, kappa_base
-from .model import Setup, check_in_box, nu_n, phi_modes
+from .model import Setup, check_in_box, nu_n, site_modes
 from .wavefn import LimitState, WaveKind, general_state
 
 # Default truncation order; the 1/m**2 decay puts the sup-norm tail near
@@ -104,10 +104,10 @@ def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpans
         # t / 2 moves into the denominator, which would overflow near t**2.
         pref = -math.expm1(-t * L) / (2 * state.norm)
         scale = shift = t / 2
-    phi0 = phi_modes(setup, M, setup.x0_value)
-    coeffs = [
-        (m, pref * f / ((math.pi * m / L) ** 2 / scale + shift))
-        for m, f in enumerate(phi0, start=1)
+    pi = math.pi
+    coeffs = [  # + 0.0: a node of Phi_m prints 0.0, never -0.0
+        (m, pref * f / ((pi * m / L) ** 2 / scale + shift) + 0.0)
+        for m, f in enumerate(site_modes(setup, M), start=1)
     ]
     return FourierExpansion(state.kind, coeffs, setup)
 
@@ -130,7 +130,7 @@ def coeffs_limit(state: LimitState, M: int = DEFAULT_M) -> FourierExpansion:
     """
     _check_m(M)
     setup, j = state.setup, state.mode
-    phi0 = phi_modes(setup, M, setup.x0_value)
+    phi0 = site_modes(setup, M)
     if state.kind.label == "limit_hat":
         pref = (
             math.cos((j * math.pi / setup.L) * (setup.L / 2 - setup.x0_value))
@@ -140,15 +140,16 @@ def coeffs_limit(state: LimitState, M: int = DEFAULT_M) -> FourierExpansion:
             * setup.L ** 1.5
             / (math.pi * math.sqrt(setup.L**2 - 4 * setup.x0_value**2))
         )
-        coeffs = [
-            (m, 0.0 if m == j else pref * f / (m * m - j * j))
+        j2 = j * j
+        coeffs = [  # + 0.0: a node of Phi_m prints 0.0, never -0.0
+            (m, 0.0 if m == j else pref * f / (m * m - j2) + 0.0)
             for m, f in enumerate(phi0, start=1)
         ]
     else:
-        w = state.width
+        w2, lj2 = state.width * state.width, setup.L**2 * j * j
         pref = state.coeff_sign * j * setup.L**2 * state.root / math.pi
         coeffs = [
-            (m, pref * f / (w * w * m * m - setup.L**2 * j * j))
+            (m, pref * f / (w2 * m * m - lj2) + 0.0)
             for m, f in enumerate(phi0, start=1)
         ]
     return FourierExpansion(state.kind, coeffs, setup)

@@ -21,7 +21,9 @@ lies within half an ulp of the float: a float that is exactly a simple
 fraction of the box (0.125 = L/8 at L = 1) gets that fraction, while a
 generic float gets a denominator near 1e8 or more, whose shared lattice
 begins far beyond any wave number of interest.  The closed forms use the
-float position x0_value in both cases.
+float position x0_value in both cases, except for the free modes at the
+site: Phi_m(x0) is taken from p/q in integer arithmetic (site_modes), so a
+mode with a node at x0 is exactly 0.0 there, for `real:` sites too.
 """
 
 from __future__ import annotations
@@ -180,21 +182,49 @@ def check_in_box(setup: Setup, x: float) -> None:
 def phi_mode(setup: Setup, n: int, x: float) -> float:
     """Normalized free-well eigenfunction sqrt(2/L) sin((nu_n/2)(L/2 - x)).
 
-    Vanishes at both walls and has unit L^2 norm.  Raises DomainError for x
-    outside the box.
+    Vanishes at both walls and has unit L^2 norm.  At the site itself
+    (x == x0_value) the value is site_modes', exactly 0.0 at a node.  Raises
+    DomainError for x outside the box.
     """
     if n < 1:
         raise DomainError(f"mode index must be >= 1, got n={n}")
     check_in_box(setup, x)
+    if x == setup.x0_value:
+        return _site_sines(setup, n, n + 1)[0]
     half_nu = n * math.pi / setup.L
     return math.sqrt(2 / setup.L) * math.sin(half_nu * (setup.L / 2 - x))
 
 
-def phi_modes(setup: Setup, M: int, x: float) -> List[float]:
-    """[Phi_1(x), ..., Phi_M(x)], each bit equal to phi_mode's, one domain check."""
-    check_in_box(setup, x)
-    L, norm, arm = setup.L, math.sqrt(2 / setup.L), setup.L / 2 - x
-    return [norm * math.sin(m * math.pi / L * arm) for m in range(1, M + 1)]
+def site_modes(setup: Setup, M: int) -> List[float]:
+    """[Phi_1(x0), ..., Phi_M(x0)] (M >= 1) from the site's exact fraction p/q.
+
+    With x0 = (p/q)(L/2) the phase of Phi_m at x0 is pi t / (2 q) with
+    t = m (q - p).  Reducing t mod 4q in integers and folding it into
+    [-q, q] leaves the sine unchanged and its argument within pi/2 (the
+    sinPi of IEEE 754-2019 9.2), so every node, m (q - p) = 0 mod 2q, is
+    exactly 0.0 and every other value is within a few ulps.  A `real:` site
+    uses its site_fraction, which moves the phase by at most
+    m pi ulp(x0) / (2 L), below the rounding of a float phase.  The values
+    repeat with period 4q in m: one period is computed and tiled.
+    """
+    period = _site_sines(setup, 1, min(M, 4 * setup.q) + 1)
+    reps, rest = divmod(M, len(period))
+    return period * reps + period[:rest]
+
+
+def _site_sines(setup: Setup, start: int, stop: int) -> List[float]:
+    # Phi_m(x0) for start <= m < stop.  With u = m (q - p) + q and
+    # r = u mod 4q, t = r - q (r < 2q) or 3q - r (r >= 2q) is m (q - p)
+    # mod 4q folded into [-q, q], where pi t / (2 q) has the same sine.
+    # t / (2 q) is a correctly rounded int quotient, whatever the size of q.
+    p, q = setup.p, setup.q
+    two_q, three_q, four_q = 2 * q, 3 * q, 4 * q
+    norm, pi, sin = math.sqrt(2 / setup.L), math.pi, math.sin
+    us = range(start * (q - p) + q, stop * (q - p) + q, q - p)
+    return [
+        norm * sin(pi * ((r - q if (r := u % four_q) < two_q else three_q - r) / two_q))
+        for u in us
+    ]
 
 
 def energy_from_nu(setup: Setup, nu: float) -> float:

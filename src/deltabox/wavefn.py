@@ -49,7 +49,7 @@ from .lattice import (
     under_floor,
     under_in_shared,
 )
-from .model import Setup, check_in_box, nu_n
+from .model import Setup, check_in_box, nu_n, phi_mode
 from ._special import (
     LINEAR_WINDOW,
     LOG_SWITCH,
@@ -453,11 +453,10 @@ def limit_state(setup: Setup, kind: str, index: float, side: str = "below") -> L
     if kind == "hat":
         n = shared_mode(setup, index)
         amp, root = math.sqrt(2 / setup.L), math.sqrt(setup.q_ratio)
-        h = n * math.pi / setup.L
         return LimitState(
             setup=setup, kind=WaveKind("limit_hat"),
-            left=lambda x: -root * (amp * math.sin(h * (half - x))),
-            right=lambda x: amp * math.sin(h * (half - x)) / root,
+            left=lambda x: -root * phi_mode(setup, n, x),
+            right=lambda x: phi_mode(setup, n, x) / root,
             mode=n, sign=1.0, amp=amp, root=root, width=setup.L,
         )
     if kind not in ("under", "over"):

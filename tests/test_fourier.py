@@ -15,8 +15,8 @@ from deltabox.fourier import (
     partial_sum,
     tail_bound,
 )
-from deltabox.lattice import overline_nu, underline_nu
-from deltabox.model import RationalX0, RealX0, make_setup, nu_n, phi_mode
+from deltabox.lattice import kappa_base, over_in_shared, overline_nu, under_in_shared, underline_nu
+from deltabox.model import RationalX0, RealX0, make_setup, nu_n, phi_mode, site_modes
 from deltabox.wavefn import (
     eval_normalized,
     limit_state,
@@ -401,9 +401,102 @@ def test_deep_evanescent_coefficients_at_every_depth(p, q):
     s = setup_pq(p, q)
     for e in range(10, 301):
         t = 10.0**e
-        for m, a in coeffs_general(s, -t, M=3).coefficients:
-            expected = 2 * math.sqrt(2 / t) * phi_mode(s, m, s.x0_value)
-            assert abs(a / expected - 1) <= 1e-14, (t, m)
+        for (m, a), phi0 in zip(coeffs_general(s, -t, M=3).coefficients, site_modes(s, 3)):
+            expected = 2 * math.sqrt(2 / t) * phi0
+            assert abs(a - expected) <= 1e-14 * abs(expected), (t, m)  # a node: both 0.0
+
+
+# ======================================================================
+# Exact zeros at the site's nodes
+# ======================================================================
+
+# General states on the trig, linear, hyper and deep branches.
+_BRANCH_NUS = ("7.3", "0", "-5", "-3000")
+
+
+def _limit_argvs(s):
+    """fourier arguments of the hat limit state of s and of its first under
+    and over limit states off the shared lattice, where those exist."""
+    argvs = [("--limit", "hat", "--nu-mode", str(kappa_base(s)))]
+    k = next((k for k in range(1, 50) if under_in_shared(s, k) is None), None)
+    l = next((l for l in range(1, 50) if over_in_shared(s, l) is None), None)
+    if k is not None:
+        argvs += [("--limit", "under", "--k", str(k), "--side", side) for side in ("below", "above")]
+    if l is not None:
+        argvs.append(("--limit", "over", "--l", str(l)))
+    return argvs
+
+
+def _coefficient_fields(capsys, *argv):
+    assert cli.main(["fourier", *argv]) == 0
+    return [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+
+
+@pytest.mark.parametrize(
+    "site, x0",
+    [
+        ("rational:0/1", RationalX0(0, 1)),
+        ("rational:1/4", RationalX0(1, 4)),
+        ("rational:1/7", RationalX0(1, 7)),
+        ("rational:2/5", RationalX0(2, 5)),
+        ("rational:1/2", RationalX0(1, 2)),
+        ("real:0.125", RealX0(0.125)),
+    ],
+)
+def test_nodes_of_the_site_print_exactly_zero(capsys, site, x0):
+    """a_m is proportional to Phi_m(x0): every m with m (q - p) = 0 mod 2q
+    prints 0.0 (never -0.0 or rounding noise), on every branch and limit."""
+    s = make_setup(L=1.0, x0=x0, c=1.0)
+    argvs = [("--nu=" + nu,) for nu in _BRANCH_NUS] + _limit_argvs(s)
+    assert {argv[1] for argv in argvs[4:]} >= ({"hat"} if s.p == 0 else {"hat", "under"})
+    for argv in argvs:
+        rows = _coefficient_fields(capsys, "--x0", site, "--M", "64", *argv)
+        assert [int(m) for m, _ in rows] == list(range(1, 65))
+        for m, a in rows:
+            node = int(m) * (s.q - s.p) % (2 * s.q) == 0
+            assert (a == "0.0") == node, (argv, m, a)
+
+
+def test_every_third_coefficient_is_zero_at_one_third(capsys):
+    rows = _coefficient_fields(capsys, "--x0", "rational:1/3", "--nu", "7.3", "--M", "4096")
+    zeros = [int(m) for m, a in rows if a == "0.0"]
+    assert zeros == list(range(3, 4097, 3)) and len(zeros) == 1365
+
+
+def _float_phase_modes(setup, M):
+    # The float phase m pi / L (L/2 - x0) that Phi_m(x0) was formed from before
+    # the site's fraction was used.
+    norm, arm = math.sqrt(2 / setup.L), setup.L / 2 - setup.x0_value
+    return [norm * math.sin(m * math.pi / setup.L * arm) for m in range(1, M + 1)]
+
+
+@pytest.mark.parametrize("p, q", [(0, 1), (1, 4), (1, 7), (2, 5), (1, 500)])
+def test_coefficients_closer_to_40_digits_than_float_phases(monkeypatch, p, q):
+    """Summed over each table, |a_m - reference| is no larger than with
+    float phases.  The reference runs the same prefactor and denominators
+    on 40-digit Phi_m(x0), so only the site values differ among the three."""
+    mpmath = pytest.importorskip("mpmath")
+    s = setup_pq(p, q)
+    M = 512
+    builds = [lambda nu=nu: coeffs_general(s, nu, M) for nu in (37.3, -5.0, -3000.0)]
+    builds.append(lambda: coeffs_limit(limit_state(s, "hat", nu_n(s, kappa_base(s))), M))
+    if p:
+        builds.append(lambda: coeffs_limit(limit_state(s, "over", 1), M))
+
+    def exact_modes(setup, M):
+        return [mpmath.sqrt(2) * mpmath.sinpi(mpmath.mpf(m * (q - p)) / (2 * q)) for m in range(1, M + 1)]
+
+    with mpmath.workdps(40):
+        for build in builds:
+            new = build().coefficients
+            monkeypatch.setattr("deltabox.fourier.site_modes", _float_phase_modes)
+            old = build().coefficients
+            monkeypatch.setattr("deltabox.fourier.site_modes", exact_modes)
+            reference = build().coefficients
+            monkeypatch.undo()
+            new_error = mpmath.fsum(abs(a - r) for (_, a), (_, r) in zip(new, reference))
+            old_error = mpmath.fsum(abs(a - r) for (_, a), (_, r) in zip(old, reference))
+            assert new_error <= old_error, (new[0], float(new_error), float(old_error))
 
 
 # ======================================================================

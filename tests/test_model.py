@@ -1,6 +1,7 @@
 """Setup construction, signed energies, and free-well modes."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from deltabox.model import (
     make_setup,
     nu_n,
     phi_mode,
-    phi_modes,
+    site_modes,
 )
 
 from _quad import simpson
@@ -105,14 +106,41 @@ def test_mode_function_normalized_and_vanishes_at_walls(n):
     "L, x0",
     [(1.0, RationalX0(1, 4)), (1.0, RationalX0(0, 1)), (2.5, RationalX0(3, 4)), (1.0, RealX0(0.3))],
 )
-def test_phi_modes_is_phi_mode_bit_for_bit(L, x0):
+def test_site_modes_are_phi_mode_at_the_site(L, x0):
+    """site_modes is phi_mode at x0 bit for bit, and within the float phase's
+    own rounding, about m eps absolute, of sqrt(2/L) sin(m pi / L (L/2 - x0))."""
     s = make_setup(L=L, x0=x0, c=1.0)
     M = 16384
-    for x in (s.x0_value, -s.L / 2, s.L / 2):
-        assert phi_modes(s, M, x) == [phi_mode(s, m, x) for m in range(1, M + 1)]
-    for x in (-s.L / 2 - 1e-12, 1.5 * s.L, math.nan):
-        with pytest.raises(DomainError):
-            phi_modes(s, M, x)
+    values = site_modes(s, M)
+    assert values == [phi_mode(s, m, s.x0_value) for m in range(1, M + 1)]
+    norm, arm, eps = math.sqrt(2 / s.L), s.L / 2 - s.x0_value, sys.float_info.epsilon
+    for m, value in enumerate(values, start=1):
+        float_phase = norm * math.sin(m * math.pi / s.L * arm)
+        assert abs(value - float_phase) <= 2 * m * eps * norm, m
+
+
+@pytest.mark.parametrize("p, q", [(0, 1), (1, 4), (1, 7), (2, 5), (1, 500)])
+def test_site_modes_against_40_digits(p, q):
+    """Every value within 2e-15 relative of sqrt(2/L) sin(pi m (q - p) / (2 q)),
+    and exactly 0.0 at every node, m (q - p) = 0 mod 2q."""
+    mpmath = pytest.importorskip("mpmath")
+    s = make_setup(L=1.0, x0=RationalX0(p, q), c=1.0)
+    with mpmath.workdps(40):
+        for m, value in enumerate(site_modes(s, 16384), start=1):
+            if m * (q - p) % (2 * q) == 0:
+                assert value == 0.0 and math.copysign(1.0, value) == 1.0, m
+                continue
+            exact = mpmath.sqrt(2) * mpmath.sinpi(mpmath.mpf(m * (q - p)) / (2 * q))
+            assert abs(value - exact) <= 2e-15 * abs(exact), m
+
+
+def test_site_modes_next_to_the_centre():
+    """A float site a few ulps from the centre has a fraction whose q is beyond
+    float range; its values stay finite, at the centre's to within 1e-300."""
+    s = make_setup(L=1.0, x0=RealX0(5e-324), c=1.0)
+    assert s.q > 1e308
+    centre = site_modes(make_setup(L=1.0, x0=RationalX0(0, 1), c=1.0), 8)
+    assert site_modes(s, 8) == pytest.approx(centre, abs=1e-300)
 
 
 @given(
