@@ -334,7 +334,7 @@ def cmd_fourier(args: argparse.Namespace) -> None:
         rows = [(x, fourier_mod.partial_sum(folded, x)) for x in xs]
         _emit(args, ["x", "value"], rows)
         return
-    _emit(args, ["m", "a_m"], expansion.coefficients)
+    _emit(args, ["m", "a_m"], enumerate(expansion.values, 1))
 
 
 def cmd_ratio(args: argparse.Namespace) -> None:

@@ -4,10 +4,11 @@ Every normalized eigenfunction and every limit state is square-integrable on
 the box, so it expands in the free modes Phi_m.  The overlap integrals all
 collapse to closed forms proportional to Phi_m(x0) over a resonance
 denominator, so the coefficients decay like 1/m**2 and partial sums converge
-uniformly.  This module produces those coefficient lists, evaluates partial
-sums by Clenshaw's recurrence with the angle taken from the nearer wall,
-folds an expansion onto the P - 2 terms that an equispaced grid of P points
-can tell apart, and estimates the dropped tail of an expansion on request
+uniformly.  This module produces those coefficients, kept as one flat list
+of floats per expansion (`FourierExpansion.values`), evaluates partial sums
+by Clenshaw's recurrence with the angle taken from the nearer wall, folds an
+expansion onto the P - 2 terms that an equispaced grid of P points can tell
+apart, and estimates the dropped tail of an expansion on request
 (`tail_bound`).
 
 Branches, signs and norms come from the records of `wavefn.general_state`
@@ -37,17 +38,22 @@ _MODE_SNAP_RTOL = 1e-12
 class FourierExpansion(NamedTuple):
     """Truncated sine-basis expansion of one state.
 
-    coefficients holds (m, a_m) pairs for m = 1..M.
+    values is one flat list of floats, values[m - 1] = a_m for m = 1..M.
+    coefficients builds the (m, a_m) pairs from it on each access; no code
+    here reads them, they stay for the benchmark's fourier.terms counter.
     """
 
     kind: WaveKind
-    coefficients: List[Tuple[int, float]]
+    values: List[float]
     setup: Setup
+
+    @property
+    def coefficients(self) -> List[Tuple[int, float]]:
+        return list(enumerate(self.values, 1))
 
 
 def _one_hot(setup: Setup, kind: WaveKind, n: int, M: int) -> FourierExpansion:
-    coeffs = [(m, 1.0 if m == n else 0.0) for m in range(1, M + 1)]
-    return FourierExpansion(kind, coeffs, setup)
+    return FourierExpansion(kind, [1.0 if m == n else 0.0 for m in range(1, M + 1)], setup)
 
 
 def _check_m(M: int) -> None:
@@ -105,11 +111,11 @@ def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpans
         pref = -math.expm1(-t * L) / (2 * state.norm)
         scale = shift = t / 2
     pi = math.pi
-    coeffs = [  # + 0.0: a node of Phi_m prints 0.0, never -0.0
-        (m, pref * f / ((pi * m / L) ** 2 / scale + shift) + 0.0)
+    values = [  # + 0.0: a node of Phi_m prints 0.0, never -0.0
+        pref * f / ((pi * m / L) ** 2 / scale + shift) + 0.0
         for m, f in enumerate(site_modes(setup, M), start=1)
     ]
-    return FourierExpansion(state.kind, coeffs, setup)
+    return FourierExpansion(state.kind, values, setup)
 
 
 # ============================================================
@@ -141,18 +147,15 @@ def coeffs_limit(state: LimitState, M: int = DEFAULT_M) -> FourierExpansion:
             / (math.pi * math.sqrt(setup.L**2 - 4 * setup.x0_value**2))
         )
         j2 = j * j
-        coeffs = [  # + 0.0: a node of Phi_m prints 0.0, never -0.0
-            (m, 0.0 if m == j else pref * f / (m * m - j2) + 0.0)
+        values = [  # + 0.0: a node of Phi_m prints 0.0, never -0.0
+            0.0 if m == j else pref * f / (m * m - j2) + 0.0
             for m, f in enumerate(phi0, start=1)
         ]
     else:
         w2, lj2 = state.width * state.width, setup.L**2 * j * j
         pref = state.coeff_sign * j * setup.L**2 * state.root / math.pi
-        coeffs = [
-            (m, pref * f / (w2 * m * m - lj2) + 0.0)
-            for m, f in enumerate(phi0, start=1)
-        ]
-    return FourierExpansion(state.kind, coeffs, setup)
+        values = [pref * f / (w2 * m * m - lj2) + 0.0 for m, f in enumerate(phi0, start=1)]
+    return FourierExpansion(state.kind, values, setup)
 
 
 # ============================================================
@@ -182,14 +185,14 @@ def partial_sum(expansion: FourierExpansion, x: float) -> float:
     two_cos = math.copysign(2 * math.cos(theta), x)  # 2 cos(theta_R)
     b = d = 0.0
     if theta >= math.pi / 3:
-        for _, a in reversed(expansion.coefficients):
+        for a in reversed(expansion.values):
             b, d = a + two_cos * b - d, b  # d holds b_{m+2}
     elif x >= 0:
-        for _, a in reversed(expansion.coefficients):
+        for a in reversed(expansion.values):
             d += a - lam * b
             b += d
     else:
-        for _, a in reversed(expansion.coefficients):
+        for a in reversed(expansion.values):
             d = a + lam * b - d
             b = d - b
     return math.sqrt(2 / setup.L) * b * math.sin(theta) + 0.0  # no -0.0 at a wall
@@ -207,14 +210,13 @@ def fold_to_grid(expansion: FourierExpansion, points: int) -> FourierExpansion:
     returned as it is.
     """
     K = points - 1
-    if K < 2 or len(expansion.coefficients) < K:
+    a = expansion.values
+    if K < 2 or len(a) < K:
         return expansion
-    a = [a_m for _, a_m in expansion.coefficients]  # a[m - 1] = a_m
-    coeffs = [
-        (s, math.fsum(a[s - 1 :: 2 * K]) - math.fsum(a[2 * K - s - 1 :: 2 * K]))
-        for s in range(1, K)
+    folded = [
+        math.fsum(a[s - 1 :: 2 * K]) - math.fsum(a[2 * K - s - 1 :: 2 * K]) for s in range(1, K)
     ]
-    return expansion._replace(coefficients=coeffs)
+    return expansion._replace(values=folded)
 
 
 def tail_bound(expansion: FourierExpansion) -> float:
@@ -224,13 +226,13 @@ def tail_bound(expansion: FourierExpansion) -> float:
     The one-hot expansion of a free mode (a single nonzero coefficient, 1.0)
     is exact, and its bound is 0.0.
     """
-    coeffs = expansion.coefficients
-    if [a for _, a in coeffs if a] == [1.0]:
+    values = expansion.values
+    if [a for a in values if a] == [1.0]:
         return 0.0
-    envelope = max((abs(a) * m * m for m, a in coeffs), default=0.0)
-    return math.sqrt(2 / expansion.setup.L) * envelope / max(len(coeffs), 1)
+    envelope = max((abs(a) * m * m for m, a in enumerate(values, 1)), default=0.0)
+    return math.sqrt(2 / expansion.setup.L) * envelope / max(len(values), 1)
 
 
 def parseval_defect(expansion: FourierExpansion) -> float:
     """1 - sum a_m**2, the truncated mass deficit of a unit-norm state."""
-    return 1.0 - math.fsum(a * a for _, a in expansion.coefficients)
+    return 1.0 - math.fsum(a * a for a in expansion.values)

@@ -281,7 +281,8 @@ def _inverse_iteration(d: List[float], e: List[float], sigma: float) -> List[flo
     u0: List[float] = []
     u1: List[float] = []
     u2: List[float] = []
-    steps: List[Tuple[bool, float]] = []  # (row swap, multiplier) per elimination
+    swaps: List[bool] = []  # per elimination: row swap or not,
+    mults: List[float] = []  # and the multiplier
     # Current row i of the reduced system: (b, c1, 0); row i+1 below it is
     # (a, d_next - sigma, c1_next).  The row with the larger lead pivots.
     b = d[0] - sigma
@@ -303,7 +304,8 @@ def _inverse_iteration(d: List[float], e: List[float], sigma: float) -> List[flo
             u1.append(c1)
             u2.append(0.0)
             b, c1 = b_next - m * c1, c1_next
-        steps.append((swap, m))
+        swaps.append(swap)
+        mults.append(m)
     u0.append(b if b != 0.0 else 1e-300)
     u1.append(0.0)
     u2.append(0.0)
@@ -313,7 +315,7 @@ def _inverse_iteration(d: List[float], e: List[float], sigma: float) -> List[flo
             # Step 2's right-hand side: the factorization's eliminations.
             y = []
             carry = x[0]
-            for (swap, m), nxt in zip(steps, islice(x, 1, None)):
+            for swap, m, nxt in zip(swaps, mults, islice(x, 1, None)):
                 if swap:
                     carry, nxt = nxt, carry
                 y.append(carry)

@@ -480,7 +480,11 @@ def limit_state(setup: Setup, kind: str, index: float, side: str = "below") -> L
         wave_kind = WaveKind("limit_over", l=index)
     amp, phase = sign * (2.0 / root), index * math.pi
     if kind == "under":
-        left = lambda x: amp * math.sin(phase * (half + x) / width)
+        # Past mid-compartment sin(k pi u) = (-1)**(k+1) sin(k pi (1 - u)), with
+        # the phase taken from the site: x0 - x is exact next to it, 0 at x0.
+        x0, far = setup.x0_value, (amp if index % 2 else -amp)
+        left = lambda x: (far * math.sin(phase * (x0 - x) / width) if 2 * (half + x) > width
+                          else amp * math.sin(phase * (half + x) / width))
         right = lambda x: 0.0
     else:
         left = lambda x: 0.0

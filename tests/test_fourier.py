@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from deltabox import cli
+from deltabox import cli, fourier as fourier_mod
+from deltabox.cli import parse_x0
 from deltabox.errors import DomainError, InK, NotInK
 from deltabox.fourier import (
     coeffs_general,
@@ -497,6 +498,54 @@ def test_coefficients_closer_to_40_digits_than_float_phases(monkeypatch, p, q):
             new_error = mpmath.fsum(abs(a - r) for (_, a), (_, r) in zip(new, reference))
             old_error = mpmath.fsum(abs(a - r) for (_, a), (_, r) in zip(old, reference))
             assert new_error <= old_error, (new[0], float(new_error), float(old_error))
+
+
+# ======================================================================
+# One flat list of floats per expansion
+# ======================================================================
+
+
+def _fourier_run(monkeypatch, capsys, *argv):
+    """The fourier command's output and the expansion it built."""
+    built = []
+    for name in ("coeffs_general", "coeffs_limit"):
+        build = getattr(fourier_mod, name)
+        monkeypatch.setattr(fourier_mod, name, lambda *a, _b=build: built.append(_b(*a)) or built[-1])
+    assert cli.main(["fourier", *argv]) == 0
+    monkeypatch.undo()
+    return capsys.readouterr().out, built[-1]
+
+
+@pytest.mark.parametrize("site", ["rational:1/4", "rational:1/7", "real:0.125"])
+def test_values_are_one_flat_list_and_the_table_its_pairs(monkeypatch, capsys, site):
+    """values holds a_m at index m - 1 as M floats; coefficients is that
+    list as (m, a_m) pairs, and the CSV and JSON tables are written from
+    them.  Trig, linear, hyper and deep states, a free mode, and the hat,
+    under (both sides) and over limits."""
+    s = make_setup(L=1.0, x0=parse_x0(site), c=1.0)
+    argvs = [("--nu=" + nu,) for nu in _BRANCH_NUS] + [("--nu-mode", "3")] + _limit_argvs(s)
+    assert {argv[1] for argv in argvs[5:]} == {"hat", "under", "over"}
+    for argv in argvs:
+        args = ("--x0", site, "--M", "70", *argv)
+        csv_text, expansion = _fourier_run(monkeypatch, capsys, *args)
+        values = expansion.values
+        assert type(values) is list and len(values) == 70
+        assert all(type(a) is float for a in values), argv
+        assert expansion.coefficients == list(enumerate(values, 1))
+        assert csv_text == cli._csv_table(["m", "a_m"], expansion.coefficients)
+        json_text, again = _fourier_run(monkeypatch, capsys, "--format", "json", *args)
+        assert again.values == values
+        assert json_text == cli._json_table(["m", "a_m"], expansion.coefficients)
+        for points in (2, 17, 65):
+            folded = fold_to_grid(expansion, points).values
+            assert type(folded) is list and all(type(a) is float for a in folded)
+            assert len(folded) == (70 if points == 2 else points - 2)
+
+
+def test_one_hot_beyond_the_truncation_is_all_zeros():
+    s = setup_pq(1, 4)
+    assert coeffs_general(s, nu_n(s, 3), M=2).values == [0.0, 0.0]
+    assert coeffs_general(s, nu_n(s, 3), M=3).values == [0.0, 0.0, 1.0]
 
 
 # ======================================================================

@@ -329,6 +329,43 @@ def test_under_state_support_norm_and_sides():
     assert total == pytest.approx(1.0, rel=1e-9)
 
 
+_UNDER_SITES = [RationalX0(1, 4), RationalX0(1, 7), RationalX0(2, 5), RealX0(0.125)]
+
+
+def _under_states(x0):
+    """The under limit states k = 1..8 of x0 off the shared lattice, both sides."""
+    s = make_setup(L=1.0, x0=x0, c=1.0)
+    ks = [k for k in range(1, 9) if under_in_shared(s, k) is None]
+    assert len(ks) >= 4
+    return s, [limit_state(s, "under", k, side) for k in ks for side in ("below", "above")]
+
+
+@pytest.mark.parametrize("x0", _UNDER_SITES)
+def test_under_piece_is_exactly_zero_at_the_site(x0):
+    s, states = _under_states(x0)
+    for state in states:
+        assert state.left(s.x0_value) == 0.0, state.kind
+        assert repr(state.sample([s.x0_value])[0]) == "0.0", state.kind
+
+
+@pytest.mark.parametrize("x0", _UNDER_SITES)
+def test_under_piece_next_to_the_site_against_40_digits(x0):
+    """Down to the float next to x0 the under piece keeps its relative
+    accuracy: amp sin(k pi (L/2 + x) / (L/2 + x0)) within 1e-15.  The
+    points stay closer to x0 than any interior node of k <= 8."""
+    mpmath = pytest.importorskip("mpmath")
+    s, states = _under_states(x0)
+    site = s.x0_value
+    xs = [math.nextafter(site, -1.0)] + [site - d for d in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3)]
+    xs += [site - f * s.width_left for f in (0.01, 0.05, 0.1)]
+    with mpmath.workdps(40):
+        half = mpmath.mpf(s.L) / 2
+        for state in states:
+            for x in xs:
+                exact = state.amp * mpmath.sin(state.mode * mpmath.pi * (half + x) / (half + site))
+                assert abs(state.left(x) - exact) <= 1e-15 * abs(exact), (state.kind, x)
+
+
 def test_over_state_support_and_norm():
     s = setup_pq(1, 4)
     f = lambda x: upsilon_over(s, 1, x).value
