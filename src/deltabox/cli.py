@@ -262,10 +262,10 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     alphas = (alpha_from_nu(setup, nu) for nu in grid)
     ratios = observables.ratio_grid(setup, grid)
     means = observables.expectation_grid(setup, grid, skip_one_sided=False)
-    norm = wavefn.rho_kernel(setup)
+    norms = wavefn.rho_grid(setup, grid)
     rows = [
-        (nu, alpha, r, mean, norm(nu))
-        for nu, alpha, (_, r, _), (_, mean) in zip(grid, alphas, ratios, means)
+        (nu, alpha, r, mean, norm)
+        for nu, alpha, (_, r, _), (_, mean), norm in zip(grid, alphas, ratios, means, norms)
     ]
     _emit(args, ["nu", "alpha", "r", "Ex", "rho"], rows)
 
@@ -500,13 +500,30 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count", type=int, default=6)
     sp.set_defaults(func=cmd_oracle)
 
+    parser.commands = sub.choices  # main's subparser of a named command
     return parser
+
+
+def _parse(parser: argparse.ArgumentParser, argv: List[str]) -> argparse.Namespace:
+    """The arguments of argv, parsed once when argv[0] names a command.
+
+    Its subparser then reads argv[1:] alone.  No command, -h, an unknown
+    command and leftover arguments take the top-level parse, which gives
+    the same namespace and argparse's own messages and exit codes.
+    """
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -106,8 +106,9 @@ def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpans
         pref = (t / (2 * state.norm)) * math.sinh(t * L / 2)
         scale, shift = 1.0, (t / 2) ** 2
     else:
-        # sinh(t L / 2) / rho = -expm1(-t L) / (2 deep_rho); the factor
-        # t / 2 moves into the denominator, which would overflow near t**2.
+        # sinh(t L / 2) / rho = -expm1(-t L) / (2 norm), the deep norm being
+        # rho exp(-t L / 2); the factor t / 2 moves into the denominator,
+        # which would overflow near t**2.
         pref = -math.expm1(-t * L) / (2 * state.norm)
         scale = shift = t / 2
     pi = math.pi

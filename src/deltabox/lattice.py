@@ -20,9 +20,9 @@ division rounds correctly.
 Three radii around lattice points, each with its own job:
 
 * ON_LATTICE_RTOL (1e-9, relative to the point): nu counts as sitting on the
-  point (lattice_locator, bound to a setup once).  The observables' grids
-  return their limit values there, and a shared value passed to the
-  continuous limit state is accepted.
+  point (lattice_locator, bound to a setup once, and inline in the
+  observables' row loop).  The grids return their limit values there, and
+  a shared value passed to the continuous limit state is accepted.
 * LIMIT_WINDOW_RTOL (1e-8, relative to the point): around a shared point the
   normalized eigenfunction and its sine expansion are replaced by the
   continuous limit state, because the norm collapses and the direct quotient
@@ -301,6 +301,7 @@ def lattice_locator(
     The nearest under and over indices k and l are nu over the lattice
     steps, rounded; ties go to the under point, and nu <= 0 has no point.
     The shared-lattice test and the LatticePoint are made only on a hit.
+    wavefn.compartment_rows repeats it inline; tests hold the two equal.
     """
     p, q = setup.p, setup.q
     unit = 2 * math.pi / setup.L
@@ -328,8 +329,8 @@ def lattice_locator(
 def nearest_lattice_point(setup: Setup, nu: float) -> tuple[Optional[LatticePoint], float]:
     """Nearest lattice point to nu and its distance (None, inf for nu <= 0).
 
-    The lookup behind the pole guard; the on-lattice tests of the
-    observables use lattice_locator, and tests that only ask about the
+    The lookup behind the pole guard; the observables' grids run
+    lattice_locator's test inline, and tests that only ask about the
     shared lattice use shared_mode_near.  The returned point carries full
     provenance, including shared-point detection.
     """

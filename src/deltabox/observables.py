@@ -2,9 +2,10 @@
 and the centered-interaction amplitude envelope.
 
 The side probabilities and the mean position are read from the
-compartment masses and first moments of `wavefn.moment_kernel`.
-ratio_grid and expectation_grid bind the setup's lattice test and the
-kernel once and make one row per wave number; a one-element grid,
+compartment masses and first moments of `wavefn.compartment_rows`, one
+loop over a grid of wave numbers that runs the lattice test and the
+compartment formulas inline; ratio_grid and expectation_grid are its
+"ratio" and "mean" readouts, and a one-element grid,
 next(ratio_grid(setup, (nu,))), answers at one point.  The
 probability ratio r(nu) is the right mass over the left mass away from the
 lattice, extends continuously to the shared lattice with the exact value
@@ -23,11 +24,11 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
-from .errors import BracketError, ConvergenceError, DomainError, InK, SingularPoint
-from .lattice import kappa_base, lattice_locator
+from .errors import BracketError, ConvergenceError, DomainError, InK
+from .lattice import kappa_base
 from .model import Setup
-from .wavefn import moment_kernel
-from ._special import LINEAR_WINDOW, one_minus_sinc
+from .wavefn import compartment_rows
+from ._special import one_minus_sinc
 
 
 class AmplitudeExtremum(NamedTuple):
@@ -49,21 +50,10 @@ def ratio_grid(setup: Setup, nus: Iterable[float]) -> Iterator[Tuple[float, floa
     right-to-left probability ratio at nu.
 
     Total on all inputs: a lattice point gives its continuous-limit value
-    (1/q_ratio, 0 or inf) and its kind.  The setup's lattice test and
-    compartment kernel are bound once for the whole grid; each row is made
-    as it is drawn.
+    (1/q_ratio, 0 or inf) and its kind.  The rows are compartment_rows'
+    "ratio" readout: one loop over the grid, each row made as it is drawn.
     """
-    locate, moments = lattice_locator(setup), moment_kernel(setup)
-    shared = 1.0 / setup.q_ratio
-    for nu in nus:
-        hit = locate(nu)
-        if hit is None:
-            left, right, _, _ = moments(nu)
-            yield nu, right / left, None
-        elif hit.kind == "both":
-            yield nu, shared, "both"
-        else:
-            yield nu, (0.0 if hit.kind == "under" else math.inf), hit.kind
+    return compartment_rows(setup, nus, "ratio")
 
 
 def prob_ratio_at_mode(setup: Setup, n: int) -> float:
@@ -78,8 +68,11 @@ def prob_ratio_at_mode(setup: Setup, n: int) -> float:
         raise DomainError(f"mode number must be >= 1, got {n!r}")
     if n % kappa_base(setup) == 0:
         raise InK(f"mode n={n} lies on the shared lattice")
-    ratio_arg_right = n * math.pi * (1 - 2 * setup.x0_value / setup.L)
-    ratio_arg_left = n * math.pi * (1 + 2 * setup.x0_value / setup.L)
+    # n pi (1 -/+ 2 x0 / L) = pi n (q -/+ p) / q, the quotient of integers
+    # rounded once, so no rounding of x0 or 2 x0 / L reaches the phases.
+    p, q = setup.p, setup.q
+    ratio_arg_right = math.pi * ((n * (q - p)) / q)
+    ratio_arg_left = math.pi * ((n * (q + p)) / q)
     return (
         setup.q_ratio
         * one_minus_sinc(ratio_arg_right)
@@ -101,28 +94,11 @@ def expectation_grid(
     (inside the linear window), 0 for a centered site (every state is then
     symmetric or antisymmetric).  One-sided lattice points have no
     two-sided state: their rows are left out, or raise SingularPoint when
-    skip_one_sided is False.  The setup's lattice test and moment kernel
-    are bound once for the whole grid; each row is made as it is drawn, as
-    x0 + offset / (left + right).
+    skip_one_sided is False.  The rows are compartment_rows' "mean"
+    readout: one loop over the grid, each row made as it is drawn, as
+    x0 + (right d_right - left d_left) / (left + right).
     """
-    locate, moments = lattice_locator(setup), moment_kernel(setup)
-    L, x0 = setup.L, setup.x0_value
-    for nu in nus:
-        hit = locate(nu)
-        if hit is not None:
-            if hit.kind == "both":
-                yield nu, x0
-            elif not skip_one_sided:
-                raise SingularPoint(
-                    f"nu={nu!r} is a one-sided lattice point; the state is not defined there"
-                )
-        elif x0 == 0.0:
-            yield nu, 0.0
-        elif abs(nu) * L < LINEAR_WINDOW:
-            yield nu, x0 / 2
-        else:
-            left, right, _, offset = moments(nu)
-            yield nu, x0 + offset / (left + right)
+    return compartment_rows(setup, nus, "mean", skip_one_sided)
 
 
 # ============================================================

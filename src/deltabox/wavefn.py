@@ -5,8 +5,9 @@ that share the wavenumber nu/2 and vanish at the walls.  This module builds
 those piecewise states on all three energy branches (oscillatory nu > 0, the
 linear nu = 0 state, evanescent nu < 0), computes the L2 mass and the
 first moment of each compartment in closed form in one place
-(`moment_kernel`, bound to a setup once; the norm, the probability ratio
-and the mean position follow from it), and exposes the limit states
+(`compartment_rows`, one loop over a grid of nu with the lattice test
+inline, whose "ratio", "mean" and "norm" readouts give the probability
+ratio, the mean position and the norm), and exposes the limit states
 reached as the coupling strength diverges: a continuous state on the
 shared lattice and one-sided states that fill a single compartment and
 vanish identically on the other.
@@ -37,12 +38,14 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
-from .errors import DomainError, InK
+from .errors import DomainError, InK, SingularPoint
 from .lattice import (
     LIMIT_WINDOW_RTOL,
+    ON_LATTICE_RTOL,
     LatticePoint,
+    lattice_locator,
     over_in_shared,
     shared_mode,
     shared_mode_near,
@@ -146,9 +149,13 @@ class GeneralState(_Pieces):
 
     @functools.cached_property
     def norm(self) -> float:
-        """The divisor of every value, rho (deep_rho on the deep branch), taken
-        on first use: the linear expansion in `fourier` never reads it."""
-        return (deep_rho if self.branch == "deep" else rho)(self.setup, self.nu)
+        """The divisor of every value, taken on first use (the linear expansion
+        in `fourier` never reads it): rho, and on the deep branch rho exp(-t L
+        / 2), about (8 t)**-0.5, which stays finite where rho overflows."""
+        if self.branch != "deep":
+            return rho(self.setup, self.nu)
+        mass, _, scale = next(compartment_rows(self.setup, (self.nu,), "norm"))
+        return math.sqrt(mass) * 2.0 ** (0.5 * scale)
 
 
 class LimitState(_Pieces):
@@ -220,41 +227,77 @@ def _direct(setup: Setup, nu: float) -> GeneralState:
 
 
 # ============================================================
-# Compartment kernel
+# Compartment rows
 # ============================================================
 
 
-def moment_kernel(setup: Setup) -> Callable[[float], "tuple[float, float, float, float]"]:
-    """The compartment kernel, setup bound once: nu -> (left, right, scale, offset).
+def compartment_rows(
+    setup: Setup, nus: Iterable[float], readout: str, skip_one_sided: bool = True
+) -> Iterator[tuple]:
+    """Rows over nus, in order, each made as it is drawn, from the L2 masses
+    left and right of the unnormalized eigenfunction on either side of x0
+    and each compartment's mean distance d from x0.  readout is fixed:
 
-    left and right are the L2 masses of the unnormalized eigenfunction left
-    and right of x0 times 2**-scale; offset is right d_right - left d_left in
-    the same units, d being a compartment's mean distance from x0, so the
-    mean position is x0 + offset / (left + right).  rho and the probability
-    ratio read the first three values.  scale is 0 except in the linear
-    window (|nu| L < LINEAR_WINDOW), where the state is (nu/2)**2 times the
-    nu = 0 state to rounding and scale is that factor's exact binary
-    exponent, and on the deep branch (t L >= LOG_SWITCH, t = -nu), where it
-    carries exp(t L) (`_deep_compartments`).  With y = |nu| w, d =
-    (w/2) (1 - sinc(y/2)**2) / (1 - sinc(y)) on the trig branch, its sinh
-    analogue for nu < 0 and w/4 in the linear window.  Mass and distance share their
-    sines: (nu/2) w equals (nu w)/2 bit for bit, and 1 - sinc(nu w) is a
-    factor of both.
+    * "ratio": (nu, right / left, None), the probability ratio; on a lattice
+      point (nu, 1/q_ratio, "both"), (nu, 0.0, "under") or (nu, inf, "over").
+    * "mean": (nu, x0 + (right d_right - left d_left) / (left + right)); x0
+      on the shared lattice, 0.0 at a centered site, x0/2 in the linear
+      window.  A one-sided point's row is left out, or raises SingularPoint
+      when skip_one_sided is False.
+    * "norm": (left + right, deep, scale) for every nu, no lattice test.
+
+    Only "mean" computes distances.  For nu > 0 lattice_locator's test runs
+    inline; the point is built only on a hit.  The masses carry 2**-(deep +
+    scale): deep = log2 exp(t L) on the deep branch (t = -nu, t L >=
+    LOG_SWITCH), where the power of two scale keeps left + right in [0.5,
+    1); in the linear window (|nu| L < LINEAR_WINDOW) the state is (nu/2)**2
+    times the nu = 0 state to rounding and scale is that factor's exact
+    binary exponent; both are 0 elsewhere.  With y = |nu| w, d = (w/2) (1 -
+    sinc(y/2)**2) / (1 - sinc(y)) for nu > 0 and its sinh analogue for nu <
+    0; mass and distance share their sines, (nu/2) w being (nu w)/2 exactly.
     """
-    L, w1, w2 = setup.L, setup.width_right, setup.width_left
+    if readout not in ("ratio", "mean", "norm"):
+        raise DomainError(f"unknown readout {readout!r}")
+    ratio, mean, on_lattice = readout == "ratio", readout == "mean", readout != "norm"
+    L, x0, w1, w2 = setup.L, setup.x0_value, setup.width_right, setup.width_left
     half_w1, half_w2 = w1 / 2, w2 / 2
     linear_left = w1 * w1 * w2**3 / 3
     linear_right = w2 * w2 * w1**3 / 3
-
-    def moments(nu: float) -> "tuple[float, float, float, float]":
-        if abs(nu) * L < LINEAR_WINDOW:
+    locate, shared = lattice_locator(setup), 1.0 / setup.q_ratio
+    unit = 2 * math.pi / L
+    two_q, q_plus, q_minus = 2 * setup.q, setup.q + setup.p, setup.q - setup.p
+    under_step, over_step = two_q / q_plus * unit, two_q / q_minus * unit
+    for nu in nus:
+        if on_lattice and not nu <= 0:  # a NaN reaches round(), as in locate
+            under = ((round(nu / under_step) or 1) * two_q) / q_plus * unit
+            over = ((round(nu / over_step) or 1) * two_q) / q_minus * unit
+            to_under, to_over = abs(nu - under), abs(nu - over)
+            if (to_over <= ON_LATTICE_RTOL * over if to_over < to_under
+                    else to_under <= ON_LATTICE_RTOL * under):
+                kind = locate(nu).kind
+                if kind == "both":
+                    yield (nu, shared, kind) if ratio else (nu, x0)
+                elif ratio:
+                    yield nu, (0.0 if kind == "under" else math.inf), kind
+                elif not skip_one_sided:
+                    raise SingularPoint(
+                        f"nu={nu!r} is a one-sided lattice point; the state is not defined there"
+                    )
+                continue
+        linear = abs(nu) * L < LINEAR_WINDOW
+        if mean and (linear or x0 == 0.0):
+            # x0/2 for the linear state; 0.0 at a centered site, whose
+            # states are all symmetric or antisymmetric.
+            yield nu, (x0 / 2 if x0 else 0.0)
+            continue
+        deep = scale = 0.0
+        if linear:
             # |nu|/2 = m * 2**(e - 1); frexp avoids the underflow of |nu|/2.
             # At nu = 0, m = 1 and e = 1 give the nu = 0 masses and scale 0.
             m, e = math.frexp(abs(nu)) if nu else (1.0, 1)
             m4 = m**4
             left, right, scale = linear_left * m4, linear_right * m4, 4.0 * (e - 1)
-            return left, right, scale, right * (w1 / 4) - left * (w2 / 4)
-        if nu > 0:
+        elif nu > 0:
             z1 = (nu / 2) * w1
             z2 = (nu / 2) * w2
             y1 = nu * w1
@@ -263,100 +306,79 @@ def moment_kernel(setup: Setup) -> Callable[[float], "tuple[float, float, float,
             s2 = math.sin(z2)
             m1 = 1.0 - math.sin(y1) / y1 if y1 >= SERIES_SWITCH else one_minus_sinc(y1)
             m2 = 1.0 - math.sin(y2) / y2 if y2 >= SERIES_SWITCH else one_minus_sinc(y2)
-            a1 = 1.0 - s1 / z1 if z1 >= SERIES_SWITCH else one_minus_sinc(z1)
-            a2 = 1.0 - s2 / z2 if z2 >= SERIES_SWITCH else one_minus_sinc(z2)
             left = s1 * s1 * half_w2 * m2
             right = s2 * s2 * half_w1 * m1
-            d1 = half_w1 * a1 * (2 - a1) / m1
-            d2 = half_w2 * a2 * (2 - a2) / m2
-            return left, right, 0.0, right * d1 - left * d2
-        t = -nu
-        y1 = t * w1
-        y2 = t * w2
-        if t * L < LOG_SWITCH:
+            if mean:
+                a1 = 1.0 - s1 / z1 if z1 >= SERIES_SWITCH else one_minus_sinc(z1)
+                a2 = 1.0 - s2 / z2 if z2 >= SERIES_SWITCH else one_minus_sinc(z2)
+                d1 = half_w1 * a1 * (2 - a1) / m1
+                d2 = half_w2 * a2 * (2 - a2) / m2
+        else:
+            t = -nu
+            y1 = t * w1
+            y2 = t * w2
             z1 = y1 / 2
             z2 = y2 / 2
-            sh1 = math.sinh(z1)
-            sh2 = math.sinh(z2)
-            m1 = math.sinh(y1) / y1 - 1.0 if y1 >= SERIES_SWITCH else sinhc_minus_one(y1)
-            m2 = math.sinh(y2) / y2 - 1.0 if y2 >= SERIES_SWITCH else sinhc_minus_one(y2)
-            b1 = sh1 / z1 - 1.0 if z1 >= SERIES_SWITCH else sinhc_minus_one(z1)
-            b2 = sh2 / z2 - 1.0 if z2 >= SERIES_SWITCH else sinhc_minus_one(z2)
-            left = sh1 * sh1 * half_w2 * m2
-            right = sh2 * sh2 * half_w1 * m1
-            d1 = half_w1 * b1 * (2 + b1) / m1
-            d2 = half_w2 * b2 * (2 + b2) / m2
-            return left, right, 0.0, right * d1 - left * d2
-        left, right, k, d1, d2 = _deep_compartments(w1, w2, y1, y2)
-        return left, right, (y1 + y2) / _LN2 + k, right * d1 - left * d2
-
-    return moments
-
-
-def _deep_compartments(
-    w1: float, w2: float, y1: float, y2: float
-) -> "tuple[float, float, int, float, float]":
-    """(left, right, k, d1, d2) of a deep evanescent state (t L >= LOG_SWITCH).
-
-    With y1 = t w1 and y2 = t w2 (right and left widths) the masses are
-    (left, right) * 2**k * exp(t L), left + right in [0.5, 1), as sinh(y/2)**2
-    = exp(y) expm1(-y)**2 / 4; d1 and d2 are the mean distances.  m =
-    sinh(y)/y - 1 feeds a compartment's mass factor exp(-y) m and its
-    distance; from y = LOG_SWITCH on these are 0.5/y and w/y to rounding.
-    """
-    if y1 < LOG_SWITCH:
-        z1 = y1 / 2
-        m1 = math.sinh(y1) / y1 - 1.0 if y1 >= SERIES_SWITCH else sinhc_minus_one(y1)
-        b1 = math.sinh(z1) / z1 - 1.0 if z1 >= SERIES_SWITCH else sinhc_minus_one(z1)
-        e1, d1 = math.exp(-y1) * m1, (w1 / 2) * b1 * (2 + b1) / m1
-    else:
-        e1, d1 = 0.5 / y1, w1 / y1
-    if y2 < LOG_SWITCH:
-        z2 = y2 / 2
-        m2 = math.sinh(y2) / y2 - 1.0 if y2 >= SERIES_SWITCH else sinhc_minus_one(y2)
-        b2 = math.sinh(z2) / z2 - 1.0 if z2 >= SERIES_SWITCH else sinhc_minus_one(z2)
-        e2, d2 = math.exp(-y2) * m2, (w2 / 2) * b2 * (2 + b2) / m2
-    else:
-        e2, d2 = 0.5 / y2, w2 / y2
-    left = math.expm1(-y1) ** 2 / 4 * (w2 / 2) * e2
-    right = math.expm1(-y2) ** 2 / 4 * (w1 / 2) * e1
-    # A power-of-two rescaling keeps left + right near 1, so rho overflows
-    # only where rho itself exceeds float range.
-    k = math.frexp(left + right)[1]
-    return math.ldexp(left, -k), math.ldexp(right, -k), k, d1, d2
+            if t * L < LOG_SWITCH:
+                sh1 = math.sinh(z1)
+                sh2 = math.sinh(z2)
+                m1 = math.sinh(y1) / y1 - 1.0 if y1 >= SERIES_SWITCH else sinhc_minus_one(y1)
+                m2 = math.sinh(y2) / y2 - 1.0 if y2 >= SERIES_SWITCH else sinhc_minus_one(y2)
+                left = sh1 * sh1 * half_w2 * m2
+                right = sh2 * sh2 * half_w1 * m1
+                if mean:
+                    b1 = sh1 / z1 - 1.0 if z1 >= SERIES_SWITCH else sinhc_minus_one(z1)
+                    b2 = sh2 / z2 - 1.0 if z2 >= SERIES_SWITCH else sinhc_minus_one(z2)
+                    d1 = half_w1 * b1 * (2 + b1) / m1
+                    d2 = half_w2 * b2 * (2 + b2) / m2
+            else:
+                # sinh(y/2)**2 = exp(y) expm1(-y)**2 / 4, so a compartment's
+                # mass factor is exp(-y) m with m = sinh(y)/y - 1; from y =
+                # LOG_SWITCH on, it and the distance are 0.5/y and w/y to rounding.
+                if y1 < LOG_SWITCH:
+                    m1 = math.sinh(y1) / y1 - 1.0 if y1 >= SERIES_SWITCH else sinhc_minus_one(y1)
+                    e1 = math.exp(-y1) * m1
+                    if mean:
+                        b1 = math.sinh(z1) / z1 - 1.0 if z1 >= SERIES_SWITCH else sinhc_minus_one(z1)
+                        d1 = half_w1 * b1 * (2 + b1) / m1
+                else:
+                    e1, d1 = 0.5 / y1, w1 / y1
+                if y2 < LOG_SWITCH:
+                    m2 = math.sinh(y2) / y2 - 1.0 if y2 >= SERIES_SWITCH else sinhc_minus_one(y2)
+                    e2 = math.exp(-y2) * m2
+                    if mean:
+                        b2 = math.sinh(z2) / z2 - 1.0 if z2 >= SERIES_SWITCH else sinhc_minus_one(z2)
+                        d2 = half_w2 * b2 * (2 + b2) / m2
+                else:
+                    e2, d2 = 0.5 / y2, w2 / y2
+                left = math.expm1(-y1) ** 2 / 4 * half_w2 * e2
+                right = math.expm1(-y2) ** 2 / 4 * half_w1 * e1
+                # A power-of-two rescaling keeps left + right near 1, so rho
+                # overflows only where rho itself exceeds float range.
+                k = math.frexp(left + right)[1]
+                left, right = math.ldexp(left, -k), math.ldexp(right, -k)
+                deep, scale = (y1 + y2) / _LN2, k
+        if ratio:
+            yield nu, right / left, None
+        elif mean:
+            yield nu, x0 + (right * d1 - left * d2) / (left + right)
+        else:
+            yield left + right, deep, scale
 
 
-def rho_kernel(setup: Setup) -> Callable[[float], float]:
-    """rho with the setup bound once: nu -> the L2 norm of the unnormalized
-    eigenfunction, from its compartment masses.
-
-    The norm is math.inf where the evanescent norm exceeds float range.
-    """
-    moments = moment_kernel(setup)
-
-    def norm(nu: float) -> float:
-        left, right, scale, _ = moments(nu)
+def rho_grid(setup: Setup, nus: Iterable[float]) -> Iterator[float]:
+    """The L2 norm of the unnormalized eigenfunction at each nu, in order,
+    from its compartment masses; math.inf where it exceeds float range."""
+    for mass, deep, scale in compartment_rows(setup, nus, "norm"):
         try:
-            return math.sqrt(left + right) * 2.0 ** (0.5 * scale)
+            yield math.sqrt(mass) * 2.0 ** (0.5 * (deep + scale))
         except OverflowError:
-            return math.inf
-
-    return norm
+            yield math.inf
 
 
 def rho(setup: Setup, nu: float) -> float:
-    """rho_kernel at one nu: the L2 norm of the unnormalized eigenfunction."""
-    return rho_kernel(setup)(nu)
-
-
-def deep_rho(setup: Setup, nu: float) -> float:
-    """rho * exp(-t L / 2) of a deep evanescent state (t = -nu, t L >= LOG_SWITCH).
-
-    About (8 t)**-0.5: finite and accurate for every such t, where rho overflows.
-    """
-    t, w1, w2 = -nu, setup.width_right, setup.width_left
-    left, right, k, _, _ = _deep_compartments(w1, w2, t * w1, t * w2)
-    return math.sqrt(left + right) * 2.0 ** (0.5 * k)
+    """rho_grid at one nu: the L2 norm of the unnormalized eigenfunction."""
+    return next(rho_grid(setup, (nu,)))
 
 
 def general_state(setup: Setup, nu: float) -> Union[GeneralState, LimitState]:
@@ -379,7 +401,7 @@ def general_state(setup: Setup, nu: float) -> Union[GeneralState, LimitState]:
     if t * setup.L < LOG_SWITCH:
         return _direct(setup, nu)
     # sinh(other) sinh(arm) / rho with sinh(z) = -exp(z) expm1(-2 z) / 2 and
-    # rho = exp(t L / 2) deep_rho: the exponents sum to -(t/2) |x - x0|.
+    # rho = exp(t L / 2) norm: the exponents sum to -(t/2) |x - x0|.
     half, x0, k = setup.L / 2, setup.x0_value, t / 2
     a = math.expm1(-2 * (t * setup.width_right / 2))
     b = math.expm1(-2 * (t * setup.width_left / 2))
@@ -479,16 +501,18 @@ def limit_state(setup: Setup, kind: str, index: float, side: str = "below") -> L
         sign, root, width = 1.0, math.sqrt(setup.L - 2 * setup.x0_value), setup.width_right
         wave_kind = WaveKind("limit_over", l=index)
     amp, phase = sign * (2.0 / root), index * math.pi
+    # In the half next to the site sin(j pi u) = (-1)**(j+1) sin(j pi (1 - u)),
+    # u the distance from the wall over the width, with the phase taken from
+    # the site: x0 - x is exact next to it, 0 at x0.
+    x0, near = setup.x0_value, (amp if index % 2 else -amp)
     if kind == "under":
-        # Past mid-compartment sin(k pi u) = (-1)**(k+1) sin(k pi (1 - u)), with
-        # the phase taken from the site: x0 - x is exact next to it, 0 at x0.
-        x0, far = setup.x0_value, (amp if index % 2 else -amp)
-        left = lambda x: (far * math.sin(phase * (x0 - x) / width) if 2 * (half + x) > width
+        left = lambda x: (near * math.sin(phase * (x0 - x) / width) if 2 * (half + x) > width
                           else amp * math.sin(phase * (half + x) / width))
         right = lambda x: 0.0
     else:
         left = lambda x: 0.0
-        right = lambda x: amp * math.sin(phase * (half - x) / width)
+        right = lambda x: (near * math.sin(phase * (x - x0) / width) if 2 * (half - x) > width
+                           else amp * math.sin(phase * (half - x) / width))
     return LimitState(
         setup=setup, kind=wave_kind, left=left, right=right,
         mode=index, sign=sign, amp=amp, root=root, width=width,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltabox import cli, oracle, spectrum
+from deltabox import cli, observables, oracle, spectrum, wavefn
 from deltabox.errors import DomainError
 from deltabox.fourier import coeffs_general, coeffs_limit, partial_sum
 from deltabox.lattice import POINT_BUDGET
@@ -106,6 +106,30 @@ def test_one_parser_parses_like_fresh_parsers():
     for argv in PARSE_SEQUENCE:
         fresh = cli._build_parser.__wrapped__()
         assert parser.parse_args(argv) == fresh.parse_args(argv), argv
+
+
+def test_a_named_command_parses_once_like_the_top_level_parse(capsys, monkeypatch):
+    """argv naming a command is read by that command's subparser alone, into
+    the namespace the top-level parse gives; every other argv (no command,
+    -h, an unknown command, leftover arguments) takes the top-level parse,
+    with its messages and exit codes."""
+    parser = cli._build_parser()
+    for argv in PARSE_SEQUENCE:
+        assert cli._parse(parser, list(argv)) == parser.parse_args(argv), argv
+    for argv in ([], ["-h"], ["no-such-command"], ["ratio", "--nu", "3", "x"], ["ratio", "--bogus"]):
+        with pytest.raises(SystemExit) as once:
+            cli._parse(parser, argv)
+        printed = capsys.readouterr()
+        with pytest.raises(SystemExit) as top:
+            parser.parse_args(argv)
+        assert (once.value.code, printed) == (top.value.code, capsys.readouterr()), argv
+    assert "deltabox: error: unrecognized arguments: --bogus" in printed.err
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setattr(parser, "parse_args", refuse)
+    assert cli._parse(parser, ["ratio", "--nu", "3.3"]).command == "ratio"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -799,3 +823,46 @@ def test_sweep_rows_are_the_one_point_functions(capsys, site, interval):
         assert row["r"] == repr(ratio_at(s, nu))
         assert row["Ex"] == repr(mean_at(s, nu))
         assert row["rho"] == repr(rho(s, nu))
+
+
+SWEEP_CELLS = ("alpha", "r", "Ex", "rho")
+
+
+@pytest.mark.parametrize("row", [0, 5])
+@pytest.mark.parametrize("cell", SWEEP_CELLS)
+def test_sweep_fails_at_the_row_and_cell_of_one_call_per_cell(capsys, monkeypatch, row, cell):
+    """A sweep draws alpha, r, Ex and rho of one row before the next row, so a
+    failing cell raises at its own row and cell, after the cells before it
+    and before any after it, as one call per cell would."""
+    drawn = []
+
+    def draw(name, i):
+        drawn.append((i, name))
+        if (i, name) == (row, cell):
+            raise ZeroDivisionError(f"{name} of row {i}")
+
+    def tap(name, grid):
+        def tapped(setup, nus, *args, **kwargs):
+            for i, value in enumerate(grid(setup, nus, *args, **kwargs)):
+                draw(name, i)
+                yield value
+        return tapped
+
+    alpha_from_nu, calls = cli.alpha_from_nu, []
+
+    def alpha(setup, nu):
+        calls.append(nu)
+        if len(calls) > 2:  # the first two place the sampled couplings' ends
+            draw("alpha", len(calls) - 3)
+        return alpha_from_nu(setup, nu)
+
+    monkeypatch.setattr(cli, "alpha_from_nu", alpha)
+    monkeypatch.setattr(observables, "ratio_grid", tap("r", observables.ratio_grid))
+    monkeypatch.setattr(observables, "expectation_grid", tap("Ex", observables.expectation_grid))
+    monkeypatch.setattr(wavefn, "rho_grid", tap("rho", wavefn.rho_grid))
+    code = cli.main(["sweep", "--interval", "2", "--samples", "8"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == f"error: {cell} of row {row}\n"
+    cells = [(i, name) for i in range(row + 1) for name in SWEEP_CELLS]
+    assert drawn == cells[: cells.index((row, cell)) + 1]

@@ -26,7 +26,7 @@ from deltabox.observables import (
     prob_ratio_at_mode,
     ratio_grid,
 )
-from deltabox.wavefn import eval_normalized, moment_kernel, rho, rho_kernel
+from deltabox.wavefn import compartment_rows, eval_normalized, rho, rho_grid
 
 from _quad import simpson, simpson_peaked
 
@@ -148,6 +148,22 @@ def test_ratio_at_mode_formula_matches_general_path():
         prob_ratio_at_mode(s, 8)
     with pytest.raises(DomainError):
         prob_ratio_at_mode(s, 0)
+
+
+@pytest.mark.parametrize("p, q", [(1, 4), (1, 7), (1, 500), (11, 13), (2, 5)])
+def test_ratio_at_mode_against_40_digits(p, q):
+    """The phases are pi n (q -/+ p) / q from the site's exact fraction;
+    with them the ratio stays within 1e-15 of 40-digit mpmath up to n = 10**6."""
+    mpmath = pytest.importorskip("mpmath")
+    s = setup_pq(p, q)
+    ns = [n for n in (*range(1, 130), 10**4 + 1, 10**6 + 3) if n % kappa_base(s)]
+    with mpmath.workdps(40):
+        for n in ns:
+            right, left = (n * mpmath.pi * (q - p) / q, n * mpmath.pi * (q + p) / q)
+            exact = mpmath.mpf(q - p) / (q + p) * (1 - mpmath.sin(right) / right) / (
+                1 - mpmath.sin(left) / left
+            )
+            assert abs(prob_ratio_at_mode(s, n) - exact) <= 1e-15 * exact, n
 
 
 def test_ratio_near_centered_site_stays_near_one():
@@ -386,12 +402,12 @@ def test_grids_equal_the_one_point_functions_bit_for_bit(site, data):
         assert repr(_one_point_expectations(s, nus[: len(strict) + 1])) == repr(strict)
     else:
         assert repr(strict) == repr(expected) and len(strict) == len(nus)
-    assert repr(list(map(rho_kernel(s), nus))) == repr([rho(s, nu) for nu in nus])
+    assert repr(list(rho_grid(s, nus))) == repr([rho(s, nu) for nu in nus])
 
 
 def _reference_masses(setup, nu):
     """(left, right, scale) from the mass formulas alone, written apart from
-    the kernel: the reference its masses must equal bit for bit."""
+    the row loop: the reference its masses must equal bit for bit."""
     L, w1, w2 = setup.L, setup.width_right, setup.width_left
     if abs(nu) * L < LINEAR_WINDOW:
         left, right = w1 * w1 * w2**3 / 3, w2 * w2 * w1**3 / 3
@@ -422,7 +438,7 @@ def _reference_masses(setup, nu):
 
 def _site_distance(nu, w):
     """Mean distance from x0 of a compartment's mass, as computed on its own
-    before the moment kernel took the sines from the mass evaluation."""
+    before the row loop took the sines from the mass evaluation."""
     y = abs(nu) * w
     if nu > 0:
         a = one_minus_sinc(y / 2)
@@ -435,27 +451,63 @@ def _site_distance(nu, w):
 
 @st.composite
 def kernel_nus(draw, setup):
-    """grid_nus, plus both series windows of the sincs (|nu| w < 1)."""
+    """grid_nus, plus both series windows of the sincs (|nu| w < 1) and the
+    positive twin of the deep edge."""
     series = st.floats(min_value=-2.0 / setup.L, max_value=2.0 / setup.L)
-    return draw(grid_nus(setup)) + draw(st.lists(series, max_size=10))
+    edge = st.sampled_from(_ulps_around(LOG_SWITCH / setup.L))
+    return draw(grid_nus(setup)) + draw(st.lists(st.one_of(series, edge), max_size=10))
 
 
 @given(site=st.sampled_from(GRID_SITES), data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_moment_kernel_equals_the_separate_formulas_bit_for_bit(site, data):
+def test_row_loop_readouts_equal_the_separate_formulas_bit_for_bit(site, data):
+    """Each readout of compartment_rows over one grid equals the masses and
+    distances written apart from it, and on a lattice hit the kind of
+    lattice_locator's point and its limit value; the strict mean readout
+    raises at the first one-sided point, after the rows before it."""
     spec, L = site
     s = make_setup(L=L, x0=parse_x0(spec), c=1.0)
-    moments = moment_kernel(s)
-    w1, w2 = s.width_right, s.width_left
-    for nu in data.draw(kernel_nus(s)):
-        left, right, scale, offset = moments(nu)
-        assert repr((left, right, scale)) == repr(_reference_masses(s, nu))
-        if abs(nu) * L < LINEAR_WINDOW:
-            # The linear state: each compartment's mean distance is w/4.
-            assert offset == right * (w1 / 4) - left * (w2 / 4)
+    nus = data.draw(kernel_nus(s))
+    locate, x0 = lattice.lattice_locator(s), s.x0_value
+    limits = {"both": 1.0 / s.q_ratio, "under": 0.0, "over": math.inf}
+    ratios, means, stop = [], [], None
+    for nu in nus:
+        left, right, scale = _reference_masses(s, nu)
+        hit = locate(nu)
+        if hit is not None:
+            ratios.append((nu, limits[hit.kind], hit.kind))
+            if hit.kind == "both":
+                means.append((nu, x0))
+            elif stop is None:
+                stop = len(means)
+            continue
+        ratios.append((nu, right / left, None))
+        if x0 == 0.0:
+            means.append((nu, 0.0))
+        elif abs(nu) * L < LINEAR_WINDOW:
+            means.append((nu, x0 / 2))
         else:
-            shift = right * _site_distance(nu, w1) - left * _site_distance(nu, w2)
-            assert repr(offset) == repr(shift)
+            d1, d2 = _site_distance(nu, s.width_right), _site_distance(nu, s.width_left)
+            means.append((nu, x0 + (right * d1 - left * d2) / (left + right)))
+    # repr tells every two floats apart, -0.0 from 0.0 included.
+    assert repr(list(compartment_rows(s, nus, "ratio"))) == repr(ratios)
+    assert repr(list(compartment_rows(s, nus, "mean"))) == repr(means)
+    norms = [(left + right, scale) for left, right, scale in (_reference_masses(s, nu) for nu in nus)]
+    rows = [(mass, deep + scale) for mass, deep, scale in compartment_rows(s, nus, "norm")]
+    assert repr(rows) == repr(norms)
+    strict, grid = [], compartment_rows(s, nus, "mean", skip_one_sided=False)
+    if stop is None:
+        assert repr(list(grid)) == repr(means)
+    else:
+        with pytest.raises(SingularPoint, match="one-sided lattice point"):
+            for row in grid:
+                strict.append(row)
+        assert repr(strict) == repr(means[:stop])
+
+
+def test_row_loop_refuses_an_unknown_readout():
+    with pytest.raises(DomainError, match="readout"):
+        next(compartment_rows(setup_pq(1, 4), [7.3], "offset"))
 
 
 @given(site=st.sampled_from(GRID_SITES), data=st.data())

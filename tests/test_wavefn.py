@@ -10,6 +10,7 @@ from deltabox.errors import DomainError, InK, NotInK
 from deltabox.cli import parse_x0
 from deltabox.lattice import (
     nearest_lattice_point,
+    over_in_shared,
     overline_nu,
     partition,
     under_in_shared,
@@ -19,13 +20,13 @@ from deltabox.model import RationalX0, RealX0, make_setup, nu_n, phi_mode
 from deltabox.spectrum import dispersion
 from deltabox.observables import ratio_grid
 from deltabox.wavefn import (
+    compartment_rows,
     eval_normalized,
     general_state,
     jump_ratio,
     kappa_constants,
     limit_residual,
     limit_state,
-    moment_kernel,
     rho,
     trig_left_sign,
     upsilon_hat,
@@ -213,12 +214,16 @@ def test_compartment_masses_match_quadrature(nu):
     """Trig, direct evanescent, deep evanescent and linear-window inputs.
 
     At nu = -1200 the right compartment (y = 450) is below LOG_SWITCH and
-    the left one (y = 750) beyond it.  The state is scaled by 2**(-scale/2)
-    before it is squared, so the integrand stays in float range.
+    the left one (y = 750) beyond it.  The masses come from one-element
+    grids, their sum from the "norm" readout and their quotient from the
+    "ratio" readout.  The state is scaled by 2**(-(deep + scale)/2) before
+    it is squared, so the integrand stays in float range.
     """
     s = setup_pq(1, 4)
-    left, right, scale, _ = moment_kernel(s)(nu)
-    unit = 2.0 ** (-scale / 2)
+    ((mass, deep, scale),) = compartment_rows(s, (nu,), "norm")
+    ((_, r, _),) = compartment_rows(s, (nu,), "ratio")
+    left, right = mass / (1 + r), mass * r / (1 + r)
+    unit = 2.0 ** (-(deep + scale) / 2)
     f = lambda x: (raw_state(s, nu, x) * unit) ** 2
     half, x0 = s.L / 2, s.x0_value
     if nu < -100:
@@ -230,8 +235,8 @@ def test_compartment_masses_match_quadrature(nu):
         quad_right = simpson_split(f, x0, half, x0)
     assert left == pytest.approx(quad_left, rel=1e-8, abs=0)
     assert right == pytest.approx(quad_right, rel=1e-8, abs=0)
-    assert (rho(s, nu) * unit) ** 2 == pytest.approx(left + right, rel=1e-14, abs=0)
-    assert ratio_at(s, nu) == right / left
+    assert (rho(s, nu) * unit) ** 2 == pytest.approx(mass, rel=1e-14, abs=0)
+    assert ratio_at(s, nu) == r
 
 
 def taylor_reference(y, sign):
@@ -364,6 +369,31 @@ def test_under_piece_next_to_the_site_against_40_digits(x0):
             for x in xs:
                 exact = state.amp * mpmath.sin(state.mode * mpmath.pi * (half + x) / (half + site))
                 assert abs(state.left(x) - exact) <= 1e-15 * abs(exact), (state.kind, x)
+
+
+_OVER_SITES = [RationalX0(1, 4), RationalX0(1, 7), RationalX0(1, 500), RealX0(0.125)]
+
+
+@pytest.mark.parametrize("x0", _OVER_SITES)
+def test_over_piece_next_to_the_site_against_40_digits(x0):
+    """Down to the float next to x0 the over piece keeps its relative
+    accuracy: amp sin(l pi (L/2 - x) / (L/2 - x0)) within 1e-15, and 0.0
+    at x0 itself.  The points stay closer to x0 than any interior node of
+    l <= 8."""
+    mpmath = pytest.importorskip("mpmath")
+    s = make_setup(L=1.0, x0=x0, c=1.0)
+    states = [limit_state(s, "over", l) for l in range(1, 9) if over_in_shared(s, l) is None]
+    assert len(states) >= 4
+    site = s.x0_value
+    xs = [math.nextafter(site, 1.0)] + [site + d for d in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3)]
+    xs += [site + f * s.width_right for f in (0.01, 0.05, 0.1)]
+    with mpmath.workdps(40):
+        half = mpmath.mpf(s.L) / 2
+        for state in states:
+            assert state.right(site) == 0.0, state.kind
+            for x in xs:
+                exact = state.amp * mpmath.sin(state.mode * mpmath.pi * (half - x) / (half - site))
+                assert abs(state.right(x) - exact) <= 1e-15 * abs(exact), (state.kind, x)
 
 
 def test_over_state_support_and_norm():
