@@ -85,17 +85,16 @@ def parse_x0(spec: str) -> X0Spec:
     raise DomainError(f"site spec {spec!r} must start with 'rational:' or 'real:'")
 
 
-def _x0_spec(spec: str) -> str:
-    """argparse type hook: validate the grammar at parse time, keep the string."""
+def _x0_spec(spec: str) -> X0Spec:
+    """argparse type hook: the site parsed once, at parse time (exit 2 on error)."""
     try:
-        parse_x0(spec)
+        return parse_x0(spec)
     except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    return spec
 
 
 def _setup_from(args: argparse.Namespace) -> Setup:
-    return make_setup(args.L, parse_x0(args.x0), args.c)
+    return make_setup(args.L, args.x0, args.c)
 
 
 def _grid_size(text: str) -> int:

@@ -20,9 +20,9 @@ division rounds correctly.
 Three radii around lattice points, each with its own job:
 
 * ON_LATTICE_RTOL (1e-9, relative to the point): nu counts as sitting on the
-  point (lattice_locator, bound to a setup once, and inline in the
-  observables' row loop).  The grids return their limit values there, and
-  a shared value passed to the continuous limit state is accepted.
+  point (lattice_locator, bound to a setup once, the only on-lattice test).
+  The compartment rows return their limit values there, and a value that
+  it places on a shared point is accepted by the continuous limit state.
 * LIMIT_WINDOW_RTOL (1e-8, relative to the point): around a shared point the
   normalized eigenfunction and its sine expansion are replaced by the
   continuous limit state, because the norm collapses and the direct quotient
@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Optional
 
-from .errors import DomainError, NotInK
+from .errors import DomainError
 from .model import Setup
 
 ON_LATTICE_RTOL = 1e-9
@@ -301,7 +301,6 @@ def lattice_locator(
     The nearest under and over indices k and l are nu over the lattice
     steps, rounded; ties go to the under point, and nu <= 0 has no point.
     The shared-lattice test and the LatticePoint are made only on a hit.
-    wavefn.compartment_rows repeats it inline; tests hold the two equal.
     """
     p, q = setup.p, setup.q
     unit = 2 * math.pi / setup.L
@@ -329,10 +328,8 @@ def lattice_locator(
 def nearest_lattice_point(setup: Setup, nu: float) -> tuple[Optional[LatticePoint], float]:
     """Nearest lattice point to nu and its distance (None, inf for nu <= 0).
 
-    The lookup behind the pole guard; the observables' grids run
-    lattice_locator's test inline, and tests that only ask about the
-    shared lattice use shared_mode_near.  The returned point carries full
-    provenance, including shared-point detection.
+    The lookup behind the pole guard: lattice_locator with no radius.  The
+    returned point carries full provenance, including shared-point detection.
     """
     point = lattice_locator(setup, math.inf)(nu)
     if point is None:
@@ -340,8 +337,9 @@ def nearest_lattice_point(setup: Setup, nu: float) -> tuple[Optional[LatticePoin
     return point, abs(nu - point.nu)
 
 
-def shared_mode_near(setup: Setup, nu: float, rtol: float) -> Optional[int]:
-    """Mode number n if nu lies within rtol * nu_n of a shared point nu_n, else None.
+def shared_mode_near(setup: Setup, nu: float) -> Optional[int]:
+    """Mode number n if nu lies within LIMIT_WINDOW_RTOL * nu_n of a shared
+    point nu_n, else None: the limit window of wavefn.general_state.
 
     The shared points are the free modes whose index is a multiple of
     kappa_base, so this needs no search of the two one-sided lattices.
@@ -350,17 +348,9 @@ def shared_mode_near(setup: Setup, nu: float, rtol: float) -> Optional[int]:
         return None
     unit = 2 * math.pi / setup.L
     n = round(nu / unit)
-    if n >= 1 and n % kappa_base(setup) == 0 and abs(nu - n * unit) <= rtol * n * unit:
+    if n >= 1 and n % kappa_base(setup) == 0 and abs(nu - n * unit) <= LIMIT_WINDOW_RTOL * n * unit:
         return n
     return None
-
-
-def shared_mode(setup: Setup, nu: float) -> int:
-    """Mode number n of the shared point nu_n on which nu sits; else NotInK."""
-    n = shared_mode_near(setup, nu, ON_LATTICE_RTOL)
-    if n is None:
-        raise NotInK(f"nu={nu!r} is not a shared-lattice value")
-    return n
 
 
 def singular_guard_radius(setup: Setup) -> float:

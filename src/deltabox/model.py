@@ -59,14 +59,17 @@ class RationalX0(NamedTuple("RationalX0", [("p", int), ("q", int)])):
 
 
 class RealX0(NamedTuple("RealX0", [("value_abs", float)])):
-    """x0 as a plain float length; its lattice uses site_fraction's p/q."""
+    """x0 as a plain float length; its lattice uses site_fraction's p/q.
+
+    -0.0 is stored as 0.0, so no sign of zero reaches the tables.
+    """
 
     __slots__ = ()
 
     def __new__(cls, value_abs: float) -> "RealX0":
         if not math.isfinite(value_abs) or value_abs < 0:
             raise DomainError(f"real x0 must be finite and >= 0, got {value_abs}")
-        return super().__new__(cls, value_abs)
+        return super().__new__(cls, value_abs + 0.0)
 
     def value(self, L: float) -> float:
         return self.value_abs
@@ -182,17 +185,21 @@ def check_in_box(setup: Setup, x: float) -> None:
 def phi_mode(setup: Setup, n: int, x: float) -> float:
     """Normalized free-well eigenfunction sqrt(2/L) sin((nu_n/2)(L/2 - x)).
 
-    Vanishes at both walls and has unit L^2 norm.  At the site itself
-    (x == x0_value) the value is site_modes', exactly 0.0 at a node.  Raises
-    DomainError for x outside the box.
+    Vanishes at both walls, exactly 0.0 on them, and has unit L^2 norm.
+    Left of the centre the phase is taken from the left wall, (-1)**(n+1)
+    sin((nu_n/2)(L/2 + x)), so that it is exact there and never -0.0.  At
+    the site itself (x == x0_value) the value is site_modes', exactly 0.0
+    at a node.  Raises DomainError for x outside the box.
     """
     if n < 1:
         raise DomainError(f"mode index must be >= 1, got n={n}")
     check_in_box(setup, x)
     if x == setup.x0_value:
         return _site_sines(setup, n, n + 1)[0]
-    half_nu = n * math.pi / setup.L
-    return math.sqrt(2 / setup.L) * math.sin(half_nu * (setup.L / 2 - x))
+    half_nu, amp = n * math.pi / setup.L, math.sqrt(2 / setup.L)
+    if x < 0:
+        return (amp if n % 2 else -amp) * math.sin(half_nu * (setup.L / 2 + x)) + 0.0
+    return amp * math.sin(half_nu * (setup.L / 2 - x))
 
 
 def site_modes(setup: Setup, M: int) -> List[float]:

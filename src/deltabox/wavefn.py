@@ -5,12 +5,12 @@ that share the wavenumber nu/2 and vanish at the walls.  This module builds
 those piecewise states on all three energy branches (oscillatory nu > 0, the
 linear nu = 0 state, evanescent nu < 0), computes the L2 mass and the
 first moment of each compartment in closed form in one place
-(`compartment_rows`, one loop over a grid of nu with the lattice test
-inline, whose "ratio", "mean" and "norm" readouts give the probability
-ratio, the mean position and the norm), and exposes the limit states
-reached as the coupling strength diverges: a continuous state on the
-shared lattice and one-sided states that fill a single compartment and
-vanish identically on the other.
+(`compartment_rows`, one loop over a grid of nu that asks
+lattice.lattice_locator about each nu > 0, whose "ratio", "mean" and
+"norm" readouts give the probability ratio, the mean position and the
+norm), and exposes the limit states reached as the coupling strength
+diverges: a continuous state on the shared lattice and one-sided states
+that fill a single compartment and vanish identically on the other.
 
 Each state is resolved once and then sampled.  `general_state` makes the
 window and branch decision for a normalized eigenfunction at nu (the
@@ -40,14 +40,11 @@ import functools
 import math
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
-from .errors import DomainError, InK, SingularPoint
+from .errors import DomainError, InK, NotInK, SingularPoint
 from .lattice import (
-    LIMIT_WINDOW_RTOL,
-    ON_LATTICE_RTOL,
     LatticePoint,
     lattice_locator,
     over_in_shared,
-    shared_mode,
     shared_mode_near,
     under_floor,
     under_in_shared,
@@ -246,44 +243,43 @@ def compartment_rows(
       when skip_one_sided is False.
     * "norm": (left + right, deep, scale) for every nu, no lattice test.
 
-    Only "mean" computes distances.  For nu > 0 lattice_locator's test runs
-    inline; the point is built only on a hit.  The masses carry 2**-(deep +
+    Only "mean" computes distances.  Each nu > 0 is put to lattice_locator,
+    which builds a point only on a hit.  The masses carry 2**-(deep +
     scale): deep = log2 exp(t L) on the deep branch (t = -nu, t L >=
     LOG_SWITCH), where the power of two scale keeps left + right in [0.5,
     1); in the linear window (|nu| L < LINEAR_WINDOW) the state is (nu/2)**2
-    times the nu = 0 state to rounding and scale is that factor's exact
-    binary exponent; both are 0 elsewhere.  With y = |nu| w, d = (w/2) (1 -
-    sinc(y/2)**2) / (1 - sinc(y)) for nu > 0 and its sinh analogue for nu <
-    0; mass and distance share their sines, (nu/2) w being (nu w)/2 exactly.
+    times the nu = 0 state to rounding, whose masses scale as L**5 and
+    would underflow for a small L: they are taken with the widths over
+    2**e_L, e_L the even part of frexp(L)[1] when that is negative and 0
+    otherwise, and scale is 5 e_L plus the factor's exact binary exponent
+    (both even, so the norm's square root stays exact); both are 0
+    elsewhere.  With y = |nu| w, d = (w/2) (1 - sinc(y/2)**2) / (1 -
+    sinc(y)) for nu > 0 and its sinh analogue for nu < 0; mass and distance
+    share their sines, (nu/2) w being (nu w)/2 exactly.
     """
     if readout not in ("ratio", "mean", "norm"):
         raise DomainError(f"unknown readout {readout!r}")
     ratio, mean, on_lattice = readout == "ratio", readout == "mean", readout != "norm"
     L, x0, w1, w2 = setup.L, setup.x0_value, setup.width_right, setup.width_left
     half_w1, half_w2 = w1 / 2, w2 / 2
-    linear_left = w1 * w1 * w2**3 / 3
-    linear_right = w2 * w2 * w1**3 / 3
+    e_L = min(0, math.frexp(L)[1] & -2)
+    v1, v2 = math.ldexp(w1, -e_L), math.ldexp(w2, -e_L)
+    linear_left = v1 * v1 * v2**3 / 3
+    linear_right = v2 * v2 * v1**3 / 3
     locate, shared = lattice_locator(setup), 1.0 / setup.q_ratio
-    unit = 2 * math.pi / L
-    two_q, q_plus, q_minus = 2 * setup.q, setup.q + setup.p, setup.q - setup.p
-    under_step, over_step = two_q / q_plus * unit, two_q / q_minus * unit
     for nu in nus:
-        if on_lattice and not nu <= 0:  # a NaN reaches round(), as in locate
-            under = ((round(nu / under_step) or 1) * two_q) / q_plus * unit
-            over = ((round(nu / over_step) or 1) * two_q) / q_minus * unit
-            to_under, to_over = abs(nu - under), abs(nu - over)
-            if (to_over <= ON_LATTICE_RTOL * over if to_over < to_under
-                    else to_under <= ON_LATTICE_RTOL * under):
-                kind = locate(nu).kind
-                if kind == "both":
-                    yield (nu, shared, kind) if ratio else (nu, x0)
-                elif ratio:
-                    yield nu, (0.0 if kind == "under" else math.inf), kind
-                elif not skip_one_sided:
-                    raise SingularPoint(
-                        f"nu={nu!r} is a one-sided lattice point; the state is not defined there"
-                    )
-                continue
+        # not nu <= 0: a NaN reaches locate's round() and raises there.
+        if on_lattice and not nu <= 0 and (point := locate(nu)) is not None:
+            kind = point.kind
+            if kind == "both":
+                yield (nu, shared, kind) if ratio else (nu, x0)
+            elif ratio:
+                yield nu, (0.0 if kind == "under" else math.inf), kind
+            elif not skip_one_sided:
+                raise SingularPoint(
+                    f"nu={nu!r} is a one-sided lattice point; the state is not defined there"
+                )
+            continue
         linear = abs(nu) * L < LINEAR_WINDOW
         if mean and (linear or x0 == 0.0):
             # x0/2 for the linear state; 0.0 at a centered site, whose
@@ -293,10 +289,11 @@ def compartment_rows(
         deep = scale = 0.0
         if linear:
             # |nu|/2 = m * 2**(e - 1); frexp avoids the underflow of |nu|/2.
-            # At nu = 0, m = 1 and e = 1 give the nu = 0 masses and scale 0.
+            # At nu = 0, m = 1 and e = 1 give the nu = 0 masses and scale 5 e_L.
             m, e = math.frexp(abs(nu)) if nu else (1.0, 1)
             m4 = m**4
-            left, right, scale = linear_left * m4, linear_right * m4, 4.0 * (e - 1)
+            left, right = linear_left * m4, linear_right * m4
+            scale = 4.0 * (e - 1) + 5 * e_L
         elif nu > 0:
             z1 = (nu / 2) * w1
             z2 = (nu / 2) * w2
@@ -392,7 +389,7 @@ def general_state(setup: Setup, nu: float) -> Union[GeneralState, LimitState]:
     (t L >= LOG_SWITCH, t = -nu), whose sinh products overflow, are rescaled
     by exp(-t L / 2) in closed form: every factor stays bounded.
     """
-    n = shared_mode_near(setup, nu, LIMIT_WINDOW_RTOL)
+    n = shared_mode_near(setup, nu)
     if n is not None:
         return limit_state(setup, "hat", nu_n(setup, n))
     if abs(nu) * setup.L < LINEAR_WINDOW:
@@ -473,7 +470,10 @@ def limit_state(setup: Setup, kind: str, index: float, side: str = "below") -> L
     """
     half = setup.L / 2
     if kind == "hat":
-        n = shared_mode(setup, index)
+        point = lattice_locator(setup)(index)
+        if point is None or point.kind != "both":
+            raise NotInK(f"nu={index!r} is not a shared-lattice value")
+        n = point.k + point.l  # the mode at a shared point: 2kq/(q+p) = k + l
         amp, root = math.sqrt(2 / setup.L), math.sqrt(setup.q_ratio)
         return LimitState(
             setup=setup, kind=WaveKind("limit_hat"),
@@ -526,7 +526,7 @@ def upsilon_hat(setup: Setup, nu_hat: float, x: float) -> WaveSample:
     right of it, where n is the box mode sitting at nu_hat.  This is the
     two-sided limit of the normalized eigenfunctions through the lattice
     point, identical along both coupling paths.  Raises NotInK unless nu_hat
-    is on the shared lattice (lattice.shared_mode).
+    is a shared-lattice point of lattice_locator.
     """
     return _sample_at(limit_state(setup, "hat", nu_hat), x)
 

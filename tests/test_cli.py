@@ -491,6 +491,14 @@ def test_wavefunction_phi_flag_emits_bare_mode(capsys):
         )
 
 
+def test_phi_flag_prints_zero_at_the_left_wall(capsys):
+    code, out = run_cli(capsys, "wavefunction", "--nu-mode", "3", "--phi", "--points", "3")
+    assert code == 0
+    assert [(r["x"], r["value"]) for r in parse_csv(out)] == [
+        ("-0.5", "0.0"), ("0.0", "-1.4142135623730951"), ("0.5", "0.0")
+    ]
+
+
 def test_phi_flag_requires_mode_index(capsys):
     code = cli.main(["wavefunction", "--phi", "--nu", "3.0"])
     capsys.readouterr()
@@ -642,6 +650,23 @@ def test_ratio_at_tiny_nu_is_the_linear_ratio(capsys):
     assert float(parse_csv(out)[0]["r"]) == pytest.approx(s.q_ratio, rel=1e-14, abs=0)
 
 
+def test_linear_window_at_a_tiny_box(capsys):
+    """The linear masses scale as L**5; at L = 1e-70 they are taken at the
+    scale of L, so the rows stay finite and r is the L = 1e-50 ratio."""
+    rows = {}
+    for L in ("1e-50", "1e-70"):
+        code, out = run_cli(capsys, "ratio", "--nu", "5", "--L", L)
+        assert code == 0
+        rows[L] = parse_csv(out)[0]["r"]
+    assert rows["1e-70"] == rows["1e-50"] == "0.6000000000000001"
+    code, out = run_cli(capsys, "wavefunction", "--nu", "0", "--L", "1e-70", "--points", "3")
+    assert code == 0
+    values = [float(r["value"]) for r in parse_csv(out)]
+    assert values[0] == values[2] == 0.0
+    # The nu = 0 state at x = 0 is (L/2) / (L/2 + x0) sqrt(3 / L), x0 = L/8.
+    assert values[1] == pytest.approx(0.8 * math.sqrt(3 / 1e-70), rel=1e-14)
+
+
 def test_ratio_at_shared_point_reports_lattice_kind(capsys):
     code, out = run_cli(capsys, "ratio", "--nu", repr(16 * math.pi))
     assert code == 0
@@ -660,6 +685,23 @@ def test_expectation_sweep_skips_one_sided_points(capsys):
     rows = parse_csv(out)
     # The middle grid point is the one-sided lattice point: dropped.
     assert [float(r["nu"]) for r in rows] == [lo, hi]
+
+
+def test_real_negative_zero_site_prints_the_tables_of_zero(capsys):
+    argv = ("expectation", "--nu", "12.566370614359172", "--x0")
+    code, out = run_cli(capsys, *argv, "real:-0.0")
+    assert code == 0
+    assert parse_csv(out)[0]["Ex"] == "0.0"
+    assert run_cli(capsys, *argv, "real:0.0") == (code, out)
+
+
+def test_site_is_parsed_once(capsys, monkeypatch):
+    assert cli._build_parser().parse_args(["ratio"]).x0 == RationalX0(1, 4)
+    calls = []
+    parse = cli.parse_x0
+    monkeypatch.setattr(cli, "parse_x0", lambda spec: calls.append(spec) or parse(spec))
+    code, out = run_cli(capsys, "ratio", "--nu", "3.3", "--x0", "rational:1/7")
+    assert code == 0 and calls == ["rational:1/7"]
 
 
 def test_amplitude_table(capsys):

@@ -102,6 +102,35 @@ def test_mode_function_normalized_and_vanishes_at_walls(n):
     assert phi_mode(s, n, s.L / 2) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("L", [1.0, 1.7, 2.0, 1e-3])
+def test_mode_function_is_positive_zero_at_both_walls(L):
+    s = make_setup(L=L, x0=RationalX0(1, 4), c=1.0)
+    for n in range(1, 400):
+        for x in (-L / 2, L / 2):
+            value = phi_mode(s, n, x)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0, (n, x)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 255, 1024, 1999, 2000])
+def test_mode_function_left_half_against_40_digits(n):
+    """Left of the centre the phase runs from the left wall, so the error
+    stays within about n eps of the amplitude up to the wall."""
+    mpmath = pytest.importorskip("mpmath")
+    s = make_setup(L=1.0, x0=RationalX0(1, 4), c=1.0)
+    xs = [-0.5 + i / 1024 for i in range(512)] + [-0.5 + i * 0.001 for i in range(500)]
+    amp, eps = math.sqrt(2 / s.L), sys.float_info.epsilon
+    with mpmath.workdps(40):
+        for x in xs:
+            exact = mpmath.sqrt(2) * mpmath.sin(n * mpmath.pi * (mpmath.mpf(0.5) - mpmath.mpf(x)))
+            assert abs(phi_mode(s, n, x) - exact) <= 2 * (n + 4) * eps * amp, x
+
+
+def test_real_site_stores_negative_zero_as_zero():
+    x0 = RealX0(-0.0)
+    assert math.copysign(1.0, x0.value_abs) == 1.0
+    assert math.copysign(1.0, make_setup(L=1.0, x0=x0, c=1.0).x0_value) == 1.0
+
+
 @pytest.mark.parametrize(
     "L, x0",
     [(1.0, RationalX0(1, 4)), (1.0, RationalX0(0, 1)), (2.5, RationalX0(3, 4)), (1.0, RealX0(0.3))],

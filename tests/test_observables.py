@@ -321,13 +321,15 @@ def test_amplitude_extrema_are_deterministic():
 # ======================================================================
 
 # A rational site, an irrational real, a float twin of rational:1/4 and the
-# centred site; L = 2 moves LOG_SWITCH and the linear window off the defaults.
+# centred site; L = 2 moves LOG_SWITCH and the linear window off the defaults,
+# and L = 1e-70 takes the linear masses, of order L**5, below float range.
 GRID_SITES = [
     ("rational:1/7", 1.0),
     ("real:0.07071067811865475", 1.0),
     ("real:0.125", 1.0),
     ("rational:0/1", 1.0),
     ("rational:3/4", 2.0),
+    ("rational:1/4", 1e-70),
 ]
 
 
@@ -410,11 +412,15 @@ def _reference_masses(setup, nu):
     the row loop: the reference its masses must equal bit for bit."""
     L, w1, w2 = setup.L, setup.width_right, setup.width_left
     if abs(nu) * L < LINEAR_WINDOW:
-        left, right = w1 * w1 * w2**3 / 3, w2 * w2 * w1**3 / 3
+        # Masses of order L**5, taken with the widths over an even power of
+        # two at or below L (1 from L = 0.5 up) and that power carried in scale.
+        e_L = min(0, math.frexp(L)[1] & -2)
+        v1, v2 = math.ldexp(w1, -e_L), math.ldexp(w2, -e_L)
+        left, right = v1 * v1 * v2**3 / 3, v2 * v2 * v1**3 / 3
         if nu == 0:
-            return left, right, 0.0
+            return left, right, 5.0 * e_L
         m, e = math.frexp(abs(nu))
-        return left * m**4, right * m**4, 4.0 * (e - 1)
+        return left * m**4, right * m**4, 4.0 * (e - 1) + 5 * e_L
     if nu > 0:
         s1, s2 = math.sin((nu / 2) * w1), math.sin((nu / 2) * w2)
         left = s1 * s1 * (w2 / 2) * one_minus_sinc(nu * w2)

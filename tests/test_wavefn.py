@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from deltabox.errors import DomainError, InK, NotInK
 from deltabox.cli import parse_x0
 from deltabox.lattice import (
+    ON_LATTICE_RTOL,
+    kappa_base,
+    lattice_locator,
     nearest_lattice_point,
     over_in_shared,
     overline_nu,
@@ -318,6 +321,54 @@ def test_hat_state_requires_shared_lattice_value():
     s_irr = make_setup(L=1.0, x0=RealX0(0.123456), c=1.0)
     with pytest.raises(NotInK):
         upsilon_hat(s_irr, 10.0, 0.0)
+
+
+# Sites with shared points below 1e15: rational, centred, a float twin, L = 2.
+_HAT_SITES = [
+    (RationalX0(0, 1), 1.0),
+    (RationalX0(1, 4), 1.0),
+    (RationalX0(1, 7), 1.0),
+    (RationalX0(11, 13), 1.0),
+    (RationalX0(3, 4), 2.0),
+    (RealX0(0.125), 1.0),
+]
+
+
+@st.composite
+def _near_shared_points(draw, setup):
+    """A shared point below 1e15, moved by up to 1.2e-9 of itself, or to
+    the float at either edge of the 1e-9 on-lattice radius."""
+    base = kappa_base(setup)
+    top = int(1e15 * setup.L / (2 * math.pi)) // base
+    m = draw(st.one_of(st.integers(1, 64), st.integers(1, top)))
+    point = nu_n(setup, m * base)
+    edge = point + draw(st.sampled_from([-1.0, 1.0])) * ON_LATTICE_RTOL * point
+    return draw(st.one_of(
+        st.floats(-1.2e-9, 1.2e-9).map(lambda rel: point + rel * point),
+        st.sampled_from([math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]),
+    ))
+
+
+@given(site=st.sampled_from(_HAT_SITES), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_hat_state_accepts_exactly_the_locators_shared_points(site, data):
+    """limit_state(s, "hat", nu) is built exactly where lattice_locator puts
+    nu on a shared point: its nearest lattice point is shared and within
+    ON_LATTICE_RTOL of it.  The state's mode is that point's k + l."""
+    x0, L = site
+    s = make_setup(L=L, x0=x0, c=1.0)
+    nu = data.draw(_near_shared_points(s))
+    point = lattice_locator(s)(nu)
+    nearest, distance = nearest_lattice_point(s, nu)
+    on_shared = nearest.kind == "both" and distance <= ON_LATTICE_RTOL * nearest.nu
+    assert (point is not None and point.kind == "both") == on_shared
+    if on_shared:
+        state = limit_state(s, "hat", nu)
+        assert state.mode == point.k + point.l and state.mode % kappa_base(s) == 0
+        assert nu_n(s, state.mode) == pytest.approx(point.nu, rel=1e-15)
+    else:
+        with pytest.raises(NotInK, match=f"nu={nu!r} is not a shared-lattice value"):
+            limit_state(s, "hat", nu)
 
 
 def test_under_state_support_norm_and_sides():
