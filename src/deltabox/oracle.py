@@ -31,7 +31,7 @@ from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import ConvergenceError, DomainError, GridMismatch
 from .lattice import POINT_BUDGET
-from .model import RationalX0, Setup, energy_from_nu, nu_n, phi_mode
+from .model import Setup, energy_from_nu, nu_n, phi_mode
 from .spectrum import analytic_levels
 from .wavefn import general_state
 
@@ -69,24 +69,15 @@ class OracleComparison(NamedTuple):
 
 
 def _site_node(setup: Setup, N: int) -> int:
-    """1-based grid node carrying the interaction site."""
-    if isinstance(setup.x0, RationalX0):
-        p, q = setup.x0.p, setup.x0.q
-        num, den = (N + 1) * (p + q), 2 * q
-        if num % den:
-            raise GridMismatch(
-                f"x0 is off-grid for N={N}; choose N+1 a multiple of "
-                f"{den // math.gcd(p + q, den)}"
-            )
-        return num // den
-    pos = (setup.x0_value + setup.L / 2) / setup.L * (N + 1)
-    j = round(pos)
-    if abs(pos - j) > 1e-9:
+    """1-based grid node carrying the interaction site, from its exact fraction."""
+    p, q = setup.p, setup.q
+    num, den = (N + 1) * (p + q), 2 * q
+    if num % den:
         raise GridMismatch(
-            f"x0 is off-grid for N={N} (offset {abs(pos - j):.3e} nodes); "
-            "choose a grid with the site on a node"
+            f"x0 is off-grid for N={N}; choose a grid with the site on a node: "
+            f"N+1 a multiple of {den // math.gcd(p + q, den)}"
         )
-    return int(j)
+    return num // den
 
 
 def build_hamiltonian(setup: Setup, alpha: float, N: int) -> Tridiagonal:
@@ -94,7 +85,7 @@ def build_hamiltonian(setup: Setup, alpha: float, N: int) -> Tridiagonal:
 
     Dirichlet walls are eliminated; the interaction contributes alpha/dx on
     the diagonal at the node holding x0.  The site must land on a grid node
-    (exactly for rational sites; within 1e-9 nodes for real ones).
+    exactly, by its fraction p/q (site_fraction's for a real site).
     """
     if N < 16:
         raise DomainError(f"N must be >= 16, got {N!r}")

@@ -16,8 +16,8 @@ in nu takes over below |nu| w2 / 2 = 1e-4, where the cotangents would
 cancel catastrophically against each other.  f is continuous across nu = 0,
 strictly increasing on every lattice interval, and maps each interval onto
 all of R, which makes alpha -> nu on a fixed interval a well-posed root
-finding problem solved here by safeguarded Newton inside a shrinking
-bisection bracket.
+finding problem solved here by safeguarded Newton inside the bracket of
+the interval's own poles.
 
 f equals the eigenfunction's derivative-jump ratio at x0 (the weak form of
 the point interaction), which is pinned by a dedicated test; the returned
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from typing import List, Tuple
 
-from .errors import BracketError, ConvergenceError, DomainError, SingularPoint
+from .errors import ConvergenceError, DomainError, SingularPoint
 from .lattice import (
     POINT_BUDGET,
     IntervalDescriptor,
@@ -66,29 +66,6 @@ def _check_not_singular(setup: Setup, nu: float) -> None:
         raise SingularPoint(f"nu = {nu} is within guard radius of a lattice point")
 
 
-def _two_g_zero(setup: Setup) -> float:
-    try:
-        return -setup.L / (setup.L**2 / 4 - setup.x0_value**2)
-    except ZeroDivisionError:
-        raise ZeroDivisionError(f"L**2/4 - x0**2 underflows to 0 at L = {setup.L!r}") from None
-
-
-def _series_value(setup: Setup, nu: float) -> float:
-    # Even series around nu = 0, valid on both branches: the quadratic term
-    # changes sign with the branch, the quartic does not.
-    w1, w2 = setup.width_right, setup.width_left
-    s3 = w1**3 + w2**3
-    sign = 1.0 if nu >= 0 else -1.0
-    return _two_g_zero(setup) + sign * nu**2 * setup.L / 12 + nu**4 * s3 / 720
-
-
-def _series_derivative(setup: Setup, nu: float) -> float:
-    w1, w2 = setup.width_right, setup.width_left
-    s3 = w1**3 + w2**3
-    sign = 1.0 if nu >= 0 else -1.0
-    return sign * nu * setup.L / 6 + nu**3 * s3 / 180
-
-
 def _coth(z: float) -> float:
     return 1.0 / math.tanh(z)
 
@@ -102,7 +79,16 @@ def _csch2(z: float) -> float:
 def _value_and_derivative(setup: Setup, nu: float) -> tuple[float, float]:
     w1, w2 = setup.width_right, setup.width_left
     if abs(nu) * w2 / 2 < _SERIES_THRESHOLD:
-        return _series_value(setup, nu), _series_derivative(setup, nu)
+        # Even series around nu = 0, valid on both branches: the quadratic
+        # term changes sign with the branch, the quartic does not.
+        try:
+            g0 = -setup.L / (setup.L**2 / 4 - setup.x0_value**2)
+        except ZeroDivisionError:
+            raise ZeroDivisionError(f"L**2/4 - x0**2 underflows to 0 at L = {setup.L!r}") from None
+        s3 = w1**3 + w2**3
+        sign = 1.0 if nu >= 0 else -1.0
+        value = g0 + sign * nu**2 * setup.L / 12 + nu**4 * s3 / 720
+        return value, sign * nu * setup.L / 6 + nu**3 * s3 / 180
     if nu > 0:
         a1, a2 = nu / 2 * w1, nu / 2 * w2
         cot1, cot2 = 1 / math.tan(a1), 1 / math.tan(a2)
@@ -146,66 +132,31 @@ def alpha_from_nu(setup: Setup, nu: float) -> float:
 def solve_nu(setup: Setup, alpha: float, interval: IntervalDescriptor) -> float:
     """The unique nu in the interval with alpha_from_nu(nu) = alpha.
 
-    Relative tolerance 1e-12; the solve also stops at a Newton step that
-    no longer moves nu (its correction is below half an ulp), as
-    Newton-bisection hybrids do.  The dispersion value is strictly increasing
-    from -inf to +inf on each interval, so a root always exists; a
-    BracketError is raised only for a degenerate interval, and a
-    ConvergenceError when 200 Newton or bisection steps leave the bracket
-    wider than the tolerance.  On the unbounded
-    leftmost interval the lower bracket is found by doubling, using the
-    asymptote f(nu) ~ nu far down the evanescent branch.
+    The dispersion value rises from -inf to +inf between the interval's two
+    poles, so they bracket the root as they stand (as in Bunch, Nielsen &
+    Sorensen's secular equation and LAPACK dlaed4).  The solve stops once
+    the bracket is 4e-16 relative wide, a few ulps, however close to a pole
+    the root lies; it also stops at a
+    Newton step that no longer moves nu (its correction is below half an
+    ulp), as Newton-bisection hybrids do.  A ConvergenceError is raised when
+    200 Newton or bisection steps leave the bracket wider than that.  On the
+    unbounded leftmost interval the lower end is min(1.5 alpha/c,
+    -underline_nu(setup, 1)): below the first pole coth > 1 gives
+    f(nu) < nu, so f is below alpha/c there, and the start scales with L.
     """
     target = alpha / setup.c
-    guard = singular_guard_radius(setup)
-    upper = interval.upper.nu
-
-    if interval.lower is None:
-        hi = _shrink_toward_pole(setup, target, upper, -1.0, guard, span=upper)
-        lo = min(-1.0, 1.5 * target)
-        for _ in range(200):
-            if _value_and_derivative(setup, lo)[0] < target:
-                break
-            lo *= 2
-        else:
-            raise BracketError(f"could not bracket target {target} below {upper}")
-    else:
-        lower = interval.lower.nu
-        if not (upper > lower + 4 * guard):
-            raise BracketError(f"degenerate interval ({lower}, {upper})")
-        span = upper - lower
-        lo = _shrink_toward_pole(setup, target, lower, +1.0, guard, span)
-        hi = _shrink_toward_pole(setup, target, upper, -1.0, guard, span)
-        if lo >= hi:
-            # The root is closer to a pole than float spacing can resolve.
-            return lo
-
-    return _safeguarded_newton(setup, target, lo, hi)
-
-
-def _shrink_toward_pole(
-    setup: Setup, target: float, pole: float, side: float, guard: float, span: float
-) -> float:
-    # Walk a bracket endpoint toward the pole (side=+1 from above, -1 from
-    # below) until the dispersion value passes the target.  Near the pole f
-    # blows up to -inf (from above) or +inf (from below), so this terminates
-    # unless the root itself is inside the guarded zone, in which case the
-    # closest admissible point is returned.
-    offset = span / 4
-    while offset > 2 * guard:
-        x = pole + side * offset
-        value = _value_and_derivative(setup, x)[0]
-        if (value < target) if side > 0 else (value > target):
-            return x
-        offset /= 16
-    return pole + side * 2 * guard
+    lower = interval.lower
+    lo = min(1.5 * target, -underline_nu(setup, 1)) if lower is None else lower.nu
+    return _safeguarded_newton(setup, target, lo, interval.upper.nu)
 
 
 def _safeguarded_newton(setup: Setup, target: float, lo: float, hi: float) -> float:
-    # Invariant: f(lo) < target < f(hi).  Newton steps are taken only when
-    # they land strictly inside the bracket; otherwise bisect.  A step that
-    # rounds back to x ends the solve: the bisections that would follow only
-    # shrink the far side of the bracket, and its midpoint is no better.
+    # Invariant: f(lo) < target < f(hi), where an end may be a pole and f
+    # its limit there; f is never evaluated at an end.  Newton steps are
+    # taken only when they land strictly inside the bracket; otherwise
+    # bisect.  A step that rounds back to x ends the solve: the bisections
+    # that would follow only shrink the far side of the bracket, and its
+    # midpoint is no better.
     x = 0.5 * (lo + hi)
     spacing = underline_nu(setup, 1)
     for _ in range(200):
@@ -214,7 +165,7 @@ def _safeguarded_newton(setup: Setup, target: float, lo: float, hi: float) -> fl
             lo = x
         else:
             hi = x
-        tol = 1e-13 * max(abs(lo), abs(hi), spacing)
+        tol = 4e-16 * max(abs(lo), abs(hi), spacing)
         if hi - lo <= tol:
             return 0.5 * (lo + hi)
         if deriv > 0:

@@ -183,6 +183,30 @@ def test_off_grid_oracle_exits_3(capsys):
     assert "multiple of 8" in err
 
 
+NEAR_TWIN = ("--alpha", "1000", "--count", "9", "--x0", "real:0.12500000000000003")
+
+
+def test_near_twin_site_spectrum_exits_0(capsys):
+    """One ulp off 1/4, the shared point 16 pi of 1/4 splits into an under
+    and an over point 7e-15 apart.  The interval between them is solved, not
+    refused as degenerate, and its level 8 lies between the two."""
+    code, out = run_cli(capsys, "spectrum", *NEAR_TWIN)
+    assert code == 0
+    level_8 = out.splitlines()[8].split(",")
+    assert level_8[0] == "8"
+    assert 50.26548245743668 <= float(level_8[1]) <= 50.26548245743669
+
+
+def test_near_twin_site_oracle_exits_3(capsys):
+    """The oracle places the site by its exact fraction, whose denominator
+    no grid of 1023 nodes divides: a grid mismatch, not a snap onto the node
+    of 1/4."""
+    code = cli.main(["oracle", "--grid", "1023", *NEAR_TWIN])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "choose a grid with the site on a node" in err
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [

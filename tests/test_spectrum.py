@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from deltabox import spectrum
 from deltabox.errors import SingularPoint
 from deltabox.lattice import classify_mode, partition, singular_guard_radius
 from deltabox.model import RationalX0, RealX0, make_setup, nu_n
-from deltabox.spectrum import alpha_from_nu, dispersion, solve_nu
+from deltabox.spectrum import alpha_from_nu, analytic_levels, dispersion, solve_nu
 
 
 def setup_pq(p, q, L=1.0, c=1.0):
@@ -222,3 +223,94 @@ def test_solve_then_evaluate_is_identity(alpha, index):
     iv = intervals[index]
     nu = solve_nu(s, alpha, iv)
     assert alpha_from_nu(s, nu) == pytest.approx(alpha, rel=1e-9, abs=1e-9)
+
+
+# ======================================================================
+# Roots next to a pole
+# ======================================================================
+
+# Level 3 at site 1/4: as alpha -> +inf it rises to under_2 = 20.106...,
+# and as alpha -> -inf it falls to the interval's lower pole 16.755...
+# Roots by 400-digit bisection of the dispersion.
+STRONG_LEVEL_3 = (
+    (1e13, "20.10619298297145973528"),
+    (1e15, "20.10619298297464455625"),
+    (1e300, "20.10619298297467672616"),
+    (-1e100, "16.75516081914556393847"),
+)
+
+
+def test_strong_coupling_levels_are_within_two_ulps_of_their_roots():
+    """The poles bracket the root as they stand, so a level a few ulps
+    below its pole is resolved, not clamped at a guard short of it."""
+    s = setup_pq(1, 4)
+    levels = [analytic_levels(s, alpha, 3)[2][0] for alpha, _ in STRONG_LEVEL_3]
+    assert len(set(levels)) == len(levels)
+    for nu, (_, root) in zip(levels, STRONG_LEVEL_3):
+        assert abs(Fraction(nu) - Fraction(root)) <= 2 * Fraction(math.ulp(nu))
+
+
+@given(
+    site=st.sampled_from([(1, 4), (1, 7), (2, 5), (0, 1), "real"]),
+    L=st.floats(min_value=0.25, max_value=4.0),
+    alpha=st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False).filter(
+        lambda a: a == 0 or abs(a) > 1e-290
+    ),
+    count=st.integers(min_value=1, max_value=8),
+    j=st.integers(min_value=-10, max_value=10),
+)
+@settings(max_examples=60, deadline=None)
+def test_levels_scale_with_the_box_bit_for_bit(site, L, alpha, count, j):
+    """At (4**j L, alpha 4**-j) every level is 4**-j times the level at
+    (L, alpha): the scale is an exact power of two and every start of the
+    solve scales with L."""
+
+    def levels(length, coupling):
+        x0 = RealX0(0.3 * length) if site == "real" else RationalX0(*site)
+        return analytic_levels(make_setup(L=length, x0=x0, c=1.0), coupling, count)
+
+    scale = 4.0**j
+    expected = [(nu / scale, is_mode) for nu, is_mode in levels(L, alpha)]
+    assert levels(L * scale, alpha / scale) == expected
+
+
+def test_solve_lands_within_two_ulps_of_the_mpmath_root():
+    """Random intervals and couplings of the tables' range (|alpha| <= 1e3)
+    against a 50-digit bisection of the dispersion of the same setup.  The
+    leftmost interval takes |alpha| >= 1e2: nearer f(0) its root sits by
+    the stationary point nu = 0, where no float solve reaches 2 ulps."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    rng = random.Random(20261019)
+    sites = [
+        setup_pq(1, 4),
+        setup_pq(1, 7),
+        setup_pq(2, 5),
+        setup_pq(0, 1),
+        make_setup(L=1.0, x0=RealX0(1 / (10 * math.sqrt(2))), c=1.0),
+    ]
+    for _ in range(40):
+        s = rng.choice(sites)
+        _, intervals = partition(s, nu_max=90.0)
+        index = rng.randrange(8)
+        iv = intervals[index]
+        alpha = rng.choice((-1, 1)) * 10 ** rng.uniform(-2 if index else 2, 3)
+        nu = solve_nu(s, alpha, iv)
+
+        w1, w2 = mp.mpf(s.width_right), mp.mpf(s.width_left)
+
+        def f(x):
+            if x > 0:
+                return -(x / 2) * (mp.cot(x * w1 / 2) + mp.cot(x * w2 / 2))
+            return (x / 2) * (mp.coth(-x * w1 / 2) + mp.coth(-x * w2 / 2))
+
+        lo = mp.mpf(-2 * abs(alpha) - 10) if iv.lower is None else mp.mpf(iv.lower.nu)
+        hi = mp.mpf(iv.upper.nu)
+        while hi - lo > mp.mpf(10) ** -25 * abs(hi):
+            mid = (lo + hi) / 2
+            if f(mid) < alpha:
+                lo = mid
+            else:
+                hi = mid
+        root = (lo + hi) / 2
+        assert abs(mp.mpf(nu) - root) <= 2 * math.ulp(nu), (s.x0, index, alpha)
