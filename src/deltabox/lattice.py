@@ -15,7 +15,8 @@ under point is 2kq/(q+p) and the l-th over point is 2lq/(q-p).  Every
 coincidence and ordering question is decided in integer arithmetic (under
 point k and over point l coincide when k(q-p) = l(q+p)), and positions
 become floats only as (2kq)/(q+p) * (2 pi / L), where Python's int/int
-division rounds correctly.
+division rounds correctly (partition makes each point and its interval from
+them in one walk).
 
 Three radii around lattice points, each with its own job:
 
@@ -23,6 +24,7 @@ Three radii around lattice points, each with its own job:
   point (lattice_locator, bound to a setup once, the only on-lattice test).
   The compartment rows return their limit values there, and a value that
   it places on a shared point is accepted by the continuous limit state.
+  A locator keeps the gap around its last miss: a sweep searches once a gap.
 * LIMIT_WINDOW_RTOL (1e-8, relative to the point): around a shared point the
   normalized eigenfunction and its sine expansion are replaced by the
   continuous limit state, because the norm collapses and the direct quotient
@@ -159,21 +161,16 @@ def under_floor(setup: Setup, k: int) -> int:
     return (2 * k * setup.q) // (setup.q + setup.p)
 
 
-def _point(setup: Setup, k: Optional[int], l: Optional[int]) -> LatticePoint:
-    # The point with under index k and/or over index l (the other None).
-    return _make_point(underline_nu(setup, k) if k is not None else overline_nu(setup, l), k, l)
+def _point(setup: Setup, k: Optional[int], l: Optional[int]) -> tuple[LatticePoint, int, int]:
+    # The point with under index k and/or over index l (the other None) and
+    # its exact position num/den in units of 2 pi / L.
+    num, den = 2 * (k or l) * setup.q, (setup.q + setup.p if k else setup.q - setup.p)
+    return _make_point(num / den * (2 * math.pi / setup.L), k, l), num, den
 
 
 def _make_point(nu: float, k: Optional[int], l: Optional[int]) -> LatticePoint:
     kind = "over" if k is None else ("under" if l is None else "both")
     return LatticePoint(nu=nu, kind=kind, k=k, l=l)
-
-
-def _position(setup: Setup, pt: LatticePoint) -> tuple[int, int]:
-    # Exact position (numerator, denominator) in units of 2 pi / L.
-    if pt.k is not None:
-        return 2 * pt.k * setup.q, setup.q + setup.p
-    return 2 * pt.l * setup.q, setup.q - setup.p
 
 
 # ======================================================================
@@ -202,40 +199,43 @@ def partition(setup: Setup, nu_max: float) -> tuple[list[LatticePoint], list[Int
         )
     # Merge the two lattices in order: under point k lies below over point l
     # exactly when k (q - p) < l (q + p).
-    left, right = setup.q - setup.p, setup.q + setup.p
-    points: list[LatticePoint] = []
+    q, left, right, unit = setup.q, setup.q - setup.p, setup.q + setup.p, 2 * math.pi / setup.L
+    points, intervals = [], []
+    lower, lo_num, lo_den = None, 0, 1
     k = l = 1
-    while not points or points[-1].nu <= nu_max:
+    while lower is None or lower.nu <= nu_max:
         a, b = k * left, l * right
-        if a < b:
-            points.append(_point(setup, k, None))
-            k += 1
-        elif a > b:
-            points.append(_point(setup, None, l))
+        if a > b:
+            num, den = 2 * l * q, left
+            point = LatticePoint(num / den * unit, "over", None, l)
             l += 1
-        else:
-            points.append(_point(setup, k, l))
+        else:  # under, or shared (a == b) with its float from k, as in _point
+            num, den = 2 * k * q, right
+            kind, point_l = ("under", None) if a < b else ("both", l)
+            point = LatticePoint(num / den * unit, kind, k, point_l)
             k += 1
-            l += 1
-    lowers = [None, *points[:-1]]
-    return points, [_interval(setup, i, *bounds) for i, bounds in enumerate(zip(lowers, points))]
+            l += a == b
+        points.append(point)
+        intervals.append(_interval(len(intervals), lower, lo_num, lo_den, point, num, den))
+        lower, lo_num, lo_den = point, num, den
+    return points, intervals
 
 
 def _interval(
-    setup: Setup, index: int, lower: Optional[LatticePoint], upper: LatticePoint
+    index: int, lower: Optional[LatticePoint], lo_num: int, lo_den: int,
+    upper: LatticePoint, hi_num: int, hi_den: int,
 ) -> IntervalDescriptor:
-    # The open interval between consecutive points: its case tag from the
-    # bounding kinds, and the mode inside, which is the largest integer
-    # strictly below the upper position when it also lies above the lower.
+    # The open interval between consecutive points at exact positions lo_num/
+    # lo_den (0/1 for None) and hi_num/hi_den: its case tag from the bounding
+    # kinds, and the mode inside, the largest integer strictly below the
+    # upper position when it also lies above the lower.
     if lower is None:
         tag = "G"
     else:
         tag = _CASE_BY_KINDS.get((lower.kind, upper.kind))
         if tag is None:
             raise RuntimeError(f"impossible bounding kinds {(lower.kind, upper.kind)}")
-    hi_num, hi_den = _position(setup, upper)
     n = (hi_num - 1) // hi_den
-    lo_num, lo_den = _position(setup, lower) if lower is not None else (0, 1)
     inside = n >= 1 and lo_num < n * lo_den
     return IntervalDescriptor(
         index=index, lower=lower, upper=upper, case_tag=tag, contains_mode=n if inside else None
@@ -265,16 +265,16 @@ def classify_mode(setup: Setup, n: int) -> ModeClassification:
     l_hat = (n * (q - p)) // (2 * q)
     lower = _bounding_point(setup, k_hat, l_hat, max)
     upper = _bounding_point(setup, k_hat + 1, l_hat + 1, min)
-    interval = _interval(setup, k_hat + l_hat - (n - 1) // base, lower, upper)
+    interval = _interval(k_hat + l_hat - (n - 1) // base, *lower, *upper)
     return ModeClassification(n=n, case_tag=interval.case_tag, interval=interval)
 
 
-def _bounding_point(setup: Setup, k: int, l: int, pick) -> Optional[LatticePoint]:
-    # The lattice point bounding a mode: pick=max of the candidates below it
-    # (k-th under, l-th over), pick=min of those above it.  Index 0 means no
-    # candidate of that kind.
+def _bounding_point(setup: Setup, k: int, l: int, pick) -> tuple[Optional[LatticePoint], int, int]:
+    # The lattice point bounding a mode and its position: pick=max of the
+    # candidates below it (k-th under, l-th over), pick=min of those above
+    # it.  Index 0 means no candidate of that kind.
     if k < 1 and l < 1:
-        return None
+        return None, 0, 1
     if l < 1:
         return _point(setup, k, None)
     if k < 1:
@@ -301,14 +301,20 @@ def lattice_locator(
     The nearest under and over indices k and l are nu over the lattice
     steps, rounded; ties go to the under point, and nu <= 0 has no point.
     The shared-lattice test and the LatticePoint are made only on a hit.
+    A miss keeps the gap between the points around nu, each end widened by
+    2 rtol of itself, and a later nu strictly inside it misses at once;
+    every other nu takes the test.  Point floats rise with their exact
+    positions, so no point lies in the gap; with rtol = inf nothing misses.
     """
     p, q = setup.p, setup.q
     unit = 2 * math.pi / setup.L
     two_q, q_plus, q_minus = 2 * q, q + p, q - p
     under_step, over_step = two_q / q_plus * unit, two_q / q_minus * unit
+    gap_lo = gap_hi = 0.0
 
     def locate(nu: float) -> Optional[LatticePoint]:
-        if nu <= 0:
+        nonlocal gap_lo, gap_hi
+        if gap_lo < nu < gap_hi or nu <= 0:
             return None
         k = round(nu / under_step) or 1  # nu > 0, so round() >= 0
         l = round(nu / over_step) or 1
@@ -320,6 +326,10 @@ def lattice_locator(
                 return _make_point(over, over_in_shared(setup, l), l)
         elif to_under <= rtol * under:
             return _make_point(under, k, under_in_shared(setup, k))
+        k, l = k - (under > nu), l - (over > nu)  # the points at or below nu
+        below = max((k * two_q) / q_plus * unit, (l * two_q) / q_minus * unit)
+        above = min(((k + 1) * two_q) / q_plus * unit, ((l + 1) * two_q) / q_minus * unit)
+        gap_lo, gap_hi = below * (1 + 2 * rtol), above * (1 - 2 * rtol)
         return None
 
     return locate

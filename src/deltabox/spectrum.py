@@ -141,12 +141,13 @@ def solve_nu(setup: Setup, alpha: float, interval: IntervalDescriptor) -> float:
     ulp), as Newton-bisection hybrids do.  A ConvergenceError is raised when
     200 Newton or bisection steps leave the bracket wider than that.  On the
     unbounded leftmost interval the lower end is min(1.5 alpha/c,
-    -underline_nu(setup, 1)): below the first pole coth > 1 gives
-    f(nu) < nu, so f is below alpha/c there, and the start scales with L.
+    -underline_nu(setup, 1)), at least -sys.float_info.max: below the first
+    pole coth > 1 gives f(nu) < nu, so f < alpha/c there; it scales with L.
     """
     target = alpha / setup.c
     lower = interval.lower
     lo = min(1.5 * target, -underline_nu(setup, 1)) if lower is None else lower.nu
+    lo = max(lo, math.nextafter(-math.inf, 0.0))  # 1.5 alpha/c may overflow
     return _safeguarded_newton(setup, target, lo, interval.upper.nu)
 
 

@@ -247,15 +247,16 @@ def compartment_rows(
     which builds a point only on a hit.  The masses carry 2**-(deep +
     scale): deep = log2 exp(t L) on the deep branch (t = -nu, t L >=
     LOG_SWITCH), where the power of two scale keeps left + right in [0.5,
-    1); in the linear window (|nu| L < LINEAR_WINDOW) the state is (nu/2)**2
-    times the nu = 0 state to rounding, whose masses scale as L**5 and
-    would underflow for a small L: they are taken with the widths over
-    2**e_L, e_L the even part of frexp(L)[1] when that is negative and 0
-    otherwise, and scale is 5 e_L plus the factor's exact binary exponent
-    (both even, so the norm's square root stays exact); both are 0
-    elsewhere.  With y = |nu| w, d = (w/2) (1 - sinc(y/2)**2) / (1 -
-    sinc(y)) for nu > 0 and its sinh analogue for nu < 0; mass and distance
-    share their sines, (nu/2) w being (nu w)/2 exactly.
+    1), except on ratio rows, whose quotient it leaves exact.  In the
+    linear window (|nu| L < LINEAR_WINDOW) the state is (nu/2)**2 times the
+    nu = 0 state to rounding, whose masses scale as L**5 and would
+    underflow for a small L: they are taken with the widths over 2**e_L,
+    e_L the even part of frexp(L)[1] when that is negative and 0 otherwise,
+    and scale is 5 e_L plus the factor's exact binary exponent (both even,
+    so the norm's square root stays exact); both are 0 elsewhere.  With
+    y = |nu| w, d = (w/2) (1 - sinc(y/2)**2) / (1 - sinc(y)) for nu > 0 and
+    its sinh analogue for nu < 0; mass and distance share their sines,
+    (nu/2) w being (nu w)/2 exactly.
     """
     if readout not in ("ratio", "mean", "norm"):
         raise DomainError(f"unknown readout {readout!r}")
@@ -267,6 +268,8 @@ def compartment_rows(
     linear_left = v1 * v1 * v2**3 / 3
     linear_right = v2 * v2 * v1**3 / 3
     locate, shared = lattice_locator(setup), 1.0 / setup.q_ratio
+    sin, sinh, exp, expm1 = math.sin, math.sinh, math.exp, math.expm1
+    series, log_switch, linear_window = SERIES_SWITCH, LOG_SWITCH, LINEAR_WINDOW
     for nu in nus:
         # not nu <= 0: a NaN reaches locate's round() and raises there.
         if on_lattice and not nu <= 0 and (point := locate(nu)) is not None:
@@ -280,7 +283,7 @@ def compartment_rows(
                     f"nu={nu!r} is a one-sided lattice point; the state is not defined there"
                 )
             continue
-        linear = abs(nu) * L < LINEAR_WINDOW
+        linear = abs(nu) * L < linear_window
         if mean and (linear or x0 == 0.0):
             # x0/2 for the linear state; 0.0 at a centered site, whose
             # states are all symmetric or antisymmetric.
@@ -299,15 +302,15 @@ def compartment_rows(
             z2 = (nu / 2) * w2
             y1 = nu * w1
             y2 = nu * w2
-            s1 = math.sin(z1)
-            s2 = math.sin(z2)
-            m1 = 1.0 - math.sin(y1) / y1 if y1 >= SERIES_SWITCH else one_minus_sinc(y1)
-            m2 = 1.0 - math.sin(y2) / y2 if y2 >= SERIES_SWITCH else one_minus_sinc(y2)
+            s1 = sin(z1)
+            s2 = sin(z2)
+            m1 = 1.0 - sin(y1) / y1 if y1 >= series else one_minus_sinc(y1)
+            m2 = 1.0 - sin(y2) / y2 if y2 >= series else one_minus_sinc(y2)
             left = s1 * s1 * half_w2 * m2
             right = s2 * s2 * half_w1 * m1
             if mean:
-                a1 = 1.0 - s1 / z1 if z1 >= SERIES_SWITCH else one_minus_sinc(z1)
-                a2 = 1.0 - s2 / z2 if z2 >= SERIES_SWITCH else one_minus_sinc(z2)
+                a1 = 1.0 - s1 / z1 if z1 >= series else one_minus_sinc(z1)
+                a2 = 1.0 - s2 / z2 if z2 >= series else one_minus_sinc(z2)
                 d1 = half_w1 * a1 * (2 - a1) / m1
                 d2 = half_w2 * a2 * (2 - a2) / m2
         else:
@@ -316,45 +319,46 @@ def compartment_rows(
             y2 = t * w2
             z1 = y1 / 2
             z2 = y2 / 2
-            if t * L < LOG_SWITCH:
-                sh1 = math.sinh(z1)
-                sh2 = math.sinh(z2)
-                m1 = math.sinh(y1) / y1 - 1.0 if y1 >= SERIES_SWITCH else sinhc_minus_one(y1)
-                m2 = math.sinh(y2) / y2 - 1.0 if y2 >= SERIES_SWITCH else sinhc_minus_one(y2)
+            if t * L < log_switch:
+                sh1 = sinh(z1)
+                sh2 = sinh(z2)
+                m1 = sinh(y1) / y1 - 1.0 if y1 >= series else sinhc_minus_one(y1)
+                m2 = sinh(y2) / y2 - 1.0 if y2 >= series else sinhc_minus_one(y2)
                 left = sh1 * sh1 * half_w2 * m2
                 right = sh2 * sh2 * half_w1 * m1
                 if mean:
-                    b1 = sh1 / z1 - 1.0 if z1 >= SERIES_SWITCH else sinhc_minus_one(z1)
-                    b2 = sh2 / z2 - 1.0 if z2 >= SERIES_SWITCH else sinhc_minus_one(z2)
+                    b1 = sh1 / z1 - 1.0 if z1 >= series else sinhc_minus_one(z1)
+                    b2 = sh2 / z2 - 1.0 if z2 >= series else sinhc_minus_one(z2)
                     d1 = half_w1 * b1 * (2 + b1) / m1
                     d2 = half_w2 * b2 * (2 + b2) / m2
             else:
                 # sinh(y/2)**2 = exp(y) expm1(-y)**2 / 4, so a compartment's
                 # mass factor is exp(-y) m with m = sinh(y)/y - 1; from y =
                 # LOG_SWITCH on, it and the distance are 0.5/y and w/y to rounding.
-                if y1 < LOG_SWITCH:
-                    m1 = math.sinh(y1) / y1 - 1.0 if y1 >= SERIES_SWITCH else sinhc_minus_one(y1)
-                    e1 = math.exp(-y1) * m1
+                if y1 < log_switch:
+                    m1 = sinh(y1) / y1 - 1.0 if y1 >= series else sinhc_minus_one(y1)
+                    e1 = exp(-y1) * m1
                     if mean:
-                        b1 = math.sinh(z1) / z1 - 1.0 if z1 >= SERIES_SWITCH else sinhc_minus_one(z1)
+                        b1 = sinh(z1) / z1 - 1.0 if z1 >= series else sinhc_minus_one(z1)
                         d1 = half_w1 * b1 * (2 + b1) / m1
                 else:
                     e1, d1 = 0.5 / y1, w1 / y1
-                if y2 < LOG_SWITCH:
-                    m2 = math.sinh(y2) / y2 - 1.0 if y2 >= SERIES_SWITCH else sinhc_minus_one(y2)
-                    e2 = math.exp(-y2) * m2
+                if y2 < log_switch:
+                    m2 = sinh(y2) / y2 - 1.0 if y2 >= series else sinhc_minus_one(y2)
+                    e2 = exp(-y2) * m2
                     if mean:
-                        b2 = math.sinh(z2) / z2 - 1.0 if z2 >= SERIES_SWITCH else sinhc_minus_one(z2)
+                        b2 = sinh(z2) / z2 - 1.0 if z2 >= series else sinhc_minus_one(z2)
                         d2 = half_w2 * b2 * (2 + b2) / m2
                 else:
                     e2, d2 = 0.5 / y2, w2 / y2
-                left = math.expm1(-y1) ** 2 / 4 * half_w2 * e2
-                right = math.expm1(-y2) ** 2 / 4 * half_w1 * e1
-                # A power-of-two rescaling keeps left + right near 1, so rho
-                # overflows only where rho itself exceeds float range.
-                k = math.frexp(left + right)[1]
-                left, right = math.ldexp(left, -k), math.ldexp(right, -k)
-                deep, scale = (y1 + y2) / _LN2, k
+                left = expm1(-y1) ** 2 / 4 * half_w2 * e2
+                right = expm1(-y2) ** 2 / 4 * half_w1 * e1
+                if not ratio:
+                    # A power of two keeps left + right near 1: rho overflows only
+                    # beyond float range, and the mean's d products do not underflow.
+                    k = math.frexp(left + right)[1]
+                    left, right = math.ldexp(left, -k), math.ldexp(right, -k)
+                    deep, scale = (y1 + y2) / _LN2, k
         if ratio:
             yield nu, right / left, None
         elif mean:

@@ -348,6 +348,9 @@ def test_spectrum_newton_out_of_steps_exits_4(capsys, monkeypatch):
         (("--alpha=-1e300",), "-1e+300"),
         # A finite (nu/2)**2 whose product with c exceeds float range.
         (("--alpha", "1", "--c", "1e308"), "6.28"),
+        # 1.5 alpha/c overflows: the leftmost bracket starts at the most
+        # negative float, so the root is finite and named.
+        (("--alpha=-1.7e308",), "-1.7e+308"),
     ],
 )
 def test_spectrum_energy_overflow_names_the_level_exits_4(capsys, argv, nu):

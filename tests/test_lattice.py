@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from deltabox.errors import DomainError, SingularPoint
 from deltabox.lattice import (
+    IntervalDescriptor,
+    LatticePoint,
     classify_mode,
     kappa_base,
+    lattice_locator,
     nearest_lattice_point,
     overline_nu,
     partition,
@@ -312,3 +315,112 @@ def test_float_twin_agrees_with_rational_site(pq, data):
     n = data.draw(st.integers(min_value=1, max_value=120))
     assert classify_mode(twin, n) == classify_mode(exact, n)
     assert partition(twin, 200.0) == partition(exact, 200.0)
+
+
+# ======================================================================
+# The bound locator's gap and partition's walk, against fresh references
+# ======================================================================
+
+# The large-q real sites of the benchmark workloads (q from 1.7e8 to 5e8).
+LARGE_Q_SITES = (0.1259881576697424, 0.07071067811865475, 0.4225771273642583)
+
+
+@st.composite
+def lattice_sites(draw):
+    """A rational site p/q (p = 0 included) or a large-q real site."""
+    if draw(st.booleans()):
+        return make_setup(L=1.0, x0=RealX0(draw(st.sampled_from(LARGE_Q_SITES))), c=1.0)
+    q = draw(st.integers(min_value=1, max_value=60))
+    return setup_pq(draw(st.integers(min_value=0, max_value=q - 1)), q)
+
+
+@given(s=lattice_sites(), rtol=st.sampled_from([1e-9, math.inf]), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_bound_locator_answers_as_a_fresh_one_in_any_order(s, rtol, data):
+    """One locator kept across calls in ascending, descending and shuffled
+    order answers each nu as a fresh locate does: within 1e8 ulps of under,
+    over and shared points, at the edges of the rtol window and of the
+    2 rtol gap, and anywhere between points."""
+    index = st.integers(min_value=1, max_value=60)
+    anchor = st.one_of(
+        index.map(lambda k: underline_nu(s, k)),
+        index.map(lambda l: overline_nu(s, l)),
+        index.map(lambda m: nu_n(s, m * kappa_base(s))),
+    )
+
+    def near(point):
+        ulp = math.ulp(point)
+        edges = [round(w * point / ulp) for w in (1e-9, 2e-9)]
+        offset = st.one_of(
+            st.integers(min_value=-(10**8), max_value=10**8),
+            st.sampled_from(edges).flatmap(
+                lambda e: st.integers(min_value=-3, max_value=3).map(lambda d: e + d)
+            ),
+        )
+        sign = st.sampled_from([-1, 1])
+        return st.tuples(sign, offset).map(lambda so: point + so[0] * so[1] * ulp)
+
+    nus = data.draw(
+        st.lists(
+            st.one_of(anchor.flatmap(near), st.floats(min_value=0.0, max_value=400.0)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    expected = {nu: lattice_locator(s, rtol)(nu) for nu in nus}
+    shuffled = data.draw(st.permutations(nus))
+    for order in (sorted(nus), sorted(nus, reverse=True), shuffled):
+        locate = lattice_locator(s, rtol)
+        assert [locate(nu) for nu in order] == [expected[nu] for nu in order]
+
+
+_TAGS = {
+    ("under", "under"): "A",
+    ("under", "over"): "B",
+    ("over", "under"): "C",
+    ("both", "both"): "D",
+    ("both", "under"): "E",
+    ("under", "both"): "F",
+}
+
+
+def _reference_partition(s, nu_max):
+    """partition rebuilt from Fraction positions in units of 2 pi / L."""
+    under, over = Fraction(2 * s.q, s.q + s.p), Fraction(2 * s.q, s.q - s.p)
+    indices = {}
+    k = 1
+    while underline_nu(s, k) <= nu_max:
+        k += 1
+    for j in range(1, k + 1):
+        indices.setdefault(j * under, [None, None])[0] = j
+    l = 1
+    while overline_nu(s, l) <= nu_max:
+        l += 1
+    for j in range(1, l + 1):
+        indices.setdefault(j * over, [None, None])[1] = j
+    points, positions = [], []
+    for position in sorted(indices):
+        k, l = indices[position]
+        kind = "both" if k and l else ("under" if k else "over")
+        nu = underline_nu(s, k) if k else overline_nu(s, l)
+        points.append(LatticePoint(nu, kind, k, l))
+        positions.append(position)
+        if nu > nu_max:
+            break
+    intervals = []
+    for i, (upper, hi) in enumerate(zip(points, positions)):
+        lower, lo = (points[i - 1], positions[i - 1]) if i else (None, Fraction(0))
+        modes = [n for n in range(math.floor(lo) + 1, math.ceil(hi)) if lo < n < hi]
+        assert len(modes) <= 1
+        tag = "G" if lower is None else _TAGS[(lower.kind, upper.kind)]
+        intervals.append(IntervalDescriptor(i, lower, upper, tag, modes[0] if modes else None))
+    return points, intervals
+
+
+@given(s=lattice_sites(), nu_max=st.floats(min_value=0.01, max_value=300.0))
+@settings(max_examples=80, deadline=None)
+def test_partition_matches_a_fraction_reference(s, nu_max):
+    """Points (floats as underline_nu/overline_nu make them, kinds, indices)
+    and intervals (case tags, contained modes) of partition equal those
+    built independently from exact Fraction positions."""
+    assert partition(s, nu_max) == _reference_partition(s, nu_max)
