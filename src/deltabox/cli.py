@@ -43,7 +43,7 @@ from .model import (
     energy_from_nu,
     make_setup,
     nu_n,
-    phi_mode,
+    phi_mode_grid,
 )
 from .spectrum import alpha_from_nu, analytic_levels, solve_nu
 
@@ -304,7 +304,7 @@ def cmd_wavefunction(args: argparse.Namespace) -> None:
     if args.phi:
         if args.nu_mode is None:
             raise DomainError("--phi needs --nu-mode")
-        values = [phi_mode(setup, args.nu_mode, x) for x in xs]
+        values = phi_mode_grid(setup, args.nu_mode, xs)
         kind = wavefn.WaveKind(label="mode")
     else:
         if args.limit is not None:

@@ -182,24 +182,44 @@ def check_in_box(setup: Setup, x: float) -> None:
         raise DomainError(f"x = {x!r} lies outside the box [{-half}, {half}]")
 
 
-def phi_mode(setup: Setup, n: int, x: float) -> float:
-    """Normalized free-well eigenfunction sqrt(2/L) sin((nu_n/2)(L/2 - x)).
+def check_all_in_box(setup: Setup, xs: List[float]) -> None:
+    """check_in_box for every x of a list, read from its ends; min and max
+    can step over a NaN, which the sum of the list carries."""
+    if xs:
+        check_in_box(setup, min(xs))
+        check_in_box(setup, max(xs))
+        total = sum(xs)
+        if total != total:
+            check_in_box(setup, total)
+
+
+def phi_mode_grid(setup: Setup, n: int, xs: List[float]) -> List[float]:
+    """Normalized free-well eigenfunction sqrt(2/L) sin((nu_n/2)(L/2 - x)) at each x.
 
     Vanishes at both walls, exactly 0.0 on them, and has unit L^2 norm.
     Left of the centre the phase is taken from the left wall, (-1)**(n+1)
     sin((nu_n/2)(L/2 + x)), so that it is exact there and never -0.0.  At
     the site itself (x == x0_value) the value is site_modes', exactly 0.0
-    at a node.  Raises DomainError for x outside the box.
+    at a node.  Raises DomainError for an x outside the box.
     """
     if n < 1:
         raise DomainError(f"mode index must be >= 1, got n={n}")
-    check_in_box(setup, x)
-    if x == setup.x0_value:
-        return _site_sines(setup, n, n + 1)[0]
-    half_nu, amp = n * math.pi / setup.L, math.sqrt(2 / setup.L)
-    if x < 0:
-        return (amp if n % 2 else -amp) * math.sin(half_nu * (setup.L / 2 + x)) + 0.0
-    return amp * math.sin(half_nu * (setup.L / 2 - x))
+    check_all_in_box(setup, xs)
+    x0, half = setup.x0_value, setup.L / 2
+    half_nu, amp, sin = n * math.pi / setup.L, math.sqrt(2 / setup.L), math.sin
+    left_amp = amp if n % 2 else -amp
+    site = _site_sines(setup, n, n + 1)[0]
+    return [
+        site if x == x0
+        else left_amp * sin(half_nu * (half + x)) + 0.0 if x < 0
+        else amp * sin(half_nu * (half - x))
+        for x in xs
+    ]
+
+
+def phi_mode(setup: Setup, n: int, x: float) -> float:
+    """phi_mode_grid at one x."""
+    return phi_mode_grid(setup, n, [x])[0]
 
 
 def site_modes(setup: Setup, M: int) -> List[float]:

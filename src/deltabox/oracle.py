@@ -3,7 +3,7 @@
 Discretizing the box on a uniform interior grid turns the Hamiltonian into a
 symmetric tridiagonal matrix; the point interaction becomes a single
 diagonal weight alpha/dx at the node holding x0.  The eigensolver here is
-deliberately self-contained (Sturm bisection to isolation, then bracketed
+deliberately self-contained (Sturm counts to isolation, then bracketed
 Newton on the same recurrence, plus inverse iteration in the manner of
 LAPACK dstein) so that the oracle shares no code path, and no third-party
 solver, with the analytic side it validates.
@@ -11,10 +11,13 @@ solver, with the analytic side it validates.
 Both recurrences are inherently sequential over the N grid nodes, so they
 run on Python floats with the standard library alone; vector work goes
 through C-level builtins (map, max, math.hypot).  Each eigenvalue is solved
-on its own and all of them share one cache of Sturm passes, so the
-midpoints common to every target are run once.  Every eigenpair must pass a
-residual check max|T v - lambda v| <= 1e-10 * max|T_ij| * max|v|, else
-ConvergenceError; max|T_ij| is max|diag| for every grid Hamiltonian.
+on its own, in order, and all of them share one table of Sturm counts.  A
+count-only pass (the pivot recurrence without its slope, about half a full
+pass) serves every pass that is read only for its count: each eigenvalue
+is isolated with such passes, and only the Newton steps that follow run
+the full pass.  Every eigenpair must pass a residual check
+max|T v - lambda v| <= 1e-10 * max|T_ij| * max|v|, else ConvergenceError;
+max|T_ij| is max|diag| for every grid Hamiltonian.
 
 Accuracy expectations: O(dx**2) for smooth states, degrading to O(dx) when
 the interaction is on (the delta weight is a first-order approximation), so
@@ -26,12 +29,12 @@ from __future__ import annotations
 import math
 import sys
 from itertools import chain, islice, repeat
-from operator import add, mul, sub, truediv
+from operator import add, mul, neg, sub, truediv
 from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import ConvergenceError, DomainError, GridMismatch
 from .lattice import POINT_BUDGET
-from .model import Setup, energy_from_nu, nu_n, phi_mode
+from .model import Setup, energy_from_nu, nu_n, phi_mode_grid
 from .spectrum import analytic_levels
 from .wavefn import general_state
 
@@ -85,7 +88,8 @@ def build_hamiltonian(setup: Setup, alpha: float, N: int) -> Tridiagonal:
 
     Dirichlet walls are eliminated; the interaction contributes alpha/dx on
     the diagonal at the node holding x0.  The site must land on a grid node
-    exactly, by its fraction p/q (site_fraction's for a real site).
+    exactly, by its fraction p/q (site_fraction's for a real site).  An
+    alpha/dx beyond float range raises OverflowError.
     """
     if N < 16:
         raise DomainError(f"N must be >= 16, got {N!r}")
@@ -97,8 +101,13 @@ def build_hamiltonian(setup: Setup, alpha: float, N: int) -> Tridiagonal:
         raise GridMismatch(f"x0 lands on a wall node for N={N}")
     if dx**2 == 0.0:
         raise ZeroDivisionError(f"the squared grid spacing dx**2 underflows to 0 at L = {setup.L!r}")
+    weight = alpha / dx
+    if math.isinf(weight):
+        raise OverflowError(
+            f"alpha/dx exceeds float range at alpha (--alpha) = {alpha!r}, dx = {dx!r}"
+        )
     diag = [2 * setup.c / dx**2] * N
-    diag[j - 1] += alpha / dx
+    diag[j - 1] += weight
     offdiag = [-setup.c / dx**2] * (N - 1)
     return Tridiagonal(diag, offdiag, N, dx)
 
@@ -124,13 +133,15 @@ def _sturm(d: List[float], e2: List[float], shift: float, pivmin: float) -> Tupl
     determinant recurrence divided through by the determinant, s_i =
     ((d_i - shift) s_{i-1} - 1 - e2_i s_{i-2} / q_{i-1}) / q_i, which unlike a
     sum of per-pivot terms does not cancel where a pivot nears zero.  A
-    clamped pivot can overflow it to inf or nan.
+    clamped pivot makes the slope nan: the shift is then an eigenvalue of a
+    leading block to rounding, where the recurrence gives no slope of T.
     """
     q = d[0] - shift
     count = 0
+    clamped = False
     if q < pivmin:
         if q > -pivmin:
-            q = -pivmin
+            q, clamped = -pivmin, True
         count = 1
     slope, before = -1.0 / q, 0.0
     for di, e2i in zip(islice(d, 1, None), e2):
@@ -139,10 +150,29 @@ def _sturm(d: List[float], e2: List[float], shift: float, pivmin: float) -> Tupl
         q = a - t
         if q < pivmin:
             if q > -pivmin:
-                q = -pivmin
+                q, clamped = -pivmin, True
             count += 1
         slope, before = (a * slope - 1.0 - t * before) / q, slope
-    return count, slope
+    return count, math.nan if clamped else slope
+
+
+def _sturm_count(d: List[float], e2: List[float], shift: float, pivmin: float) -> int:
+    """Eigenvalues strictly below `shift`: `_sturm`'s pivot recurrence and
+    pivmin clamp without the slope, for the passes read only for their count
+    (about half the cost of a full pass)."""
+    q = d[0] - shift
+    count = 0
+    if q < pivmin:
+        if q > -pivmin:
+            q = -pivmin
+        count = 1
+    for di, e2i in zip(islice(d, 1, None), e2):
+        q = di - shift - e2i / q
+        if q < pivmin:
+            if q > -pivmin:
+                q = -pivmin
+            count += 1
+    return count
 
 
 # Passes allowed to _bisect's Newton phase on top of its halvings.  Once an
@@ -156,46 +186,134 @@ def _bisect(
     e2: List[float],
     pivmin: float,
     k: int,
-    lo: float,
-    hi: float,
-    passes: Dict[float, Tuple[int, float]],
+    counts: Dict[float, int],
+    bounds: Tuple[float, float],
+    rounding: float,
     budget: int,
 ) -> float:
-    """k-th smallest eigenvalue (1-based) of T inside [lo, hi].
+    """k-th smallest eigenvalue (1-based) of T, from the Sturm counts known so far.
 
-    Bisects until lambda_k is alone in the bracket, then steps shift - 1/slope
-    (Newton on det(T - shift): Barth, Martin & Wilkinson 1967; Li & Zeng
-    1994); every pass's count still narrows the bracket.
-    A Newton step that leaves the bracket, or exceeds half the step of two
-    passes before, falls back to the midpoint.  Stops at a Newton step within
-    1e-8 of the shift (rounding level after quadratic convergence), at
-    relative width 1e-12, or when the midpoint cannot split the bracket.
-    `passes` caches the Sturm pass of every shift, so targets share midpoints.
-    More than `budget` passes raise ConvergenceError.
+    `counts` maps each shift passed so far to its count; with the Gershgorin
+    `bounds` (counts 0 and N) its nearest shifts with count below k and with
+    count at least k bracket lambda_k.  Count-only passes (`_sturm_count`)
+    narrow the bracket until lambda_k is alone in it.  Each split aims at
+    the gap next to lambda_k that is not yet bracketed, with the level
+    index interpolated linearly in sqrt(shift - lower bound), because the
+    k-th level of a second-difference operator grows like k**2 (Weyl's
+    law); a split that did not halve the bracket is followed by the
+    midpoint.  A bracket that the midpoint cannot split, or as narrow as
+    `rounding` (eps times T's rows with the largest left out, see
+    `eig_lowest`), ends the solve at its midpoint: it holds a cluster, or a
+    level no further pass resolves.
+
+    From the estimate of lambda_k it then steps shift - 1/slope with full
+    passes (`_sturm`; Newton on det(T - shift): Barth, Martin & Wilkinson
+    1967; Li & Zeng 1994), whose counts still narrow the bracket.  A Newton
+    step that leaves the bracket, or exceeds half the step of two passes
+    before, falls back to the midpoint, or to the middle of the exponent
+    range for ends of one sign far apart.  It stops at a Newton step within
+    1e-8 of the shift whose predicted error, step**3 / (previous step)**2,
+    is within `rounding`; at a step within `rounding` that shrank
+    less than fourfold (linear convergence into a cluster); at a step onto
+    a shift with a clamped pivot, or past it within `rounding`; at relative
+    width eps, or at width `rounding` once a Newton step was taken; or when
+    the midpoint cannot split the bracket.
+    Every pass's count enters `counts`, so later targets start from the
+    tightest bracket known.  More than `budget` passes raise ConvergenceError.
     """
-    below_lo, below_hi = 0, len(d)
+    origin, top = bounds
+    hi, below_hi = min(((x, c) for x, c in counts.items() if c >= k), default=(top, len(d)))
+    lo, below_lo = max(
+        ((x, c) for x, c in counts.items() if c < k and x < hi), default=(origin, 0)
+    )
+
+    def at(level: float) -> float:
+        # The shift at a level index, linear in sqrt(shift - origin) between
+        # the ends: a shift with count c lies in the gap at index c + 1/2,
+        # and the bounds at 0 and N + 1.
+        j_lo = below_lo + 0.5 if lo > origin else 0.0
+        j_hi = below_hi + 0.5 if hi < top else len(d) + 1.0
+        root_lo, root_hi = math.sqrt(lo - origin), math.sqrt(hi - origin)
+        root = root_lo + (root_hi - root_lo) * (level - j_lo) / (j_hi - j_lo)
+        return origin + root * root
+
     x = 0.5 * (lo + hi)
-    step = older = hi - lo
-    for _ in range(budget):
-        if x not in passes:
-            passes[x] = _sturm(d, e2, x, pivmin)
-        below, slope = passes[x]
+    passes, before = 0, math.inf
+    while True:
+        mid = 0.5 * (lo + hi)
+        # A bracket as narrow as the rounding of T holds a cluster no shift splits.
+        if mid in (lo, hi) or hi - lo <= rounding:
+            return mid
+        if below_lo == k - 1 and below_hi == k:
+            break
+        if passes == budget:
+            raise ConvergenceError(f"eigenvalue {k} did not converge in {budget} Sturm passes")
+        x = mid
+        if hi - lo <= 0.5 * before:
+            # The gap below lambda_k while that is not bracketed, else the gap above.
+            guess = at(k - 0.5 if below_lo < k - 1 else k + 0.5)
+            if lo < guess < hi:
+                x = guess
+        before = hi - lo
+        passes += 1
+        below = counts[x] = _sturm_count(d, e2, x, pivmin)
         if below >= k:
             hi, below_hi = x, below
         else:
             lo, below_lo = x, below
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi or hi - lo <= 1e-12 * max(abs(lo), abs(hi)):
-            return mid
-        # An infinite slope (a clamped pivot) gives a zero step; it is not taken.
-        newton = -1.0 / slope if slope else math.inf
-        isolated = below_lo == k - 1 and below_hi == k
-        if isolated and 0 < abs(newton) <= 0.5 * abs(older) and lo <= x + newton <= hi:
-            if abs(newton) <= 1e-8 * abs(x):
-                return x + newton
-            older, step = step, newton
+    guess = at(k)  # Newton starts at lambda_k's estimate, else at the last split
+    if lo < guess < hi:
+        x = guess
+    step = older = hi - lo
+    converging = stepped = False  # whether step, and any step, was a Newton step
+    pinned = math.nan
+    while passes < budget:
+        passes += 1
+        below, slope = _sturm(d, e2, x, pivmin)
+        counts[x] = below
+        if below >= k:
+            hi = x
         else:
-            older, step = step, mid - x
+            lo = x
+        mid = 0.5 * (lo + hi)
+        width = hi - lo
+        # Once Newton has stepped, the rounding of T ends it as in isolation.
+        if mid in (lo, hi) or width <= sys.float_info.epsilon * max(abs(lo), abs(hi)) or (
+            stepped and width <= rounding
+        ):
+            return mid
+        # An infinite slope gives a zero step and a nan one (a clamped pivot)
+        # no step; neither is taken.
+        newton = -1.0 / slope if slope else math.inf
+        target = x + newton
+        # A pass with a clamped pivot pins its shift as an eigenvalue of a
+        # leading block; a step from the other end onto it, or past it by no
+        # more than the rounding of T, ends there (as at a root 0.0).
+        if slope != slope:
+            pinned = x
+        elif pinned == hi and x == lo and hi <= target <= hi + rounding:
+            return hi
+        elif pinned == lo and x == hi and lo - rounding <= target <= lo:
+            return lo
+        if 0 < abs(newton) <= 0.5 * abs(older) and lo < target < hi:
+            # After a Newton step, newton**3 / step**2 predicts the error of
+            # this one; a step no smaller than a quarter of the last is
+            # converging linearly, as into a cluster.
+            predicted = abs(newton * newton * newton)  # times step**-2
+            if converging and (
+                (abs(newton) <= 1e-8 * abs(x) and predicted <= rounding * step * step)
+                or (4 * abs(newton) > abs(step) and abs(newton) <= rounding)
+            ):
+                return target
+            older, step, converging = step, newton, True
+            stepped = True
+        else:
+            if 0.0 < 256.0 * lo < hi or lo < 256.0 * hi < 0.0:
+                # Ends of one sign, far apart: split their exponent range,
+                # as near a level many decades closer to zero than the rest.
+                exponent = (math.frexp(lo)[1] + math.frexp(hi)[1]) // 2
+                mid = math.ldexp(math.copysign(1.0, hi), exponent)
+            older, step, converging = step, mid - x, False
         x += step
     raise ConvergenceError(f"eigenvalue {k} did not converge in {budget} Sturm passes")
 
@@ -203,10 +321,11 @@ def _bisect(
 def eig_lowest(T: Tridiagonal, count: int) -> List[Tuple[float, List[float]]]:
     """Lowest `count` eigenpairs of the tridiagonal matrix.
 
-    Each eigenvalue is found on its own inside Gershgorin bounds by Sturm
-    bisection to isolation, then bracketed Newton on the same recurrence
-    (`_bisect`); one cache of Sturm passes serves all targets, so the
-    midpoints they share are run once and no result depends on `count`.
+    Each eigenvalue is found on its own inside Gershgorin bounds, isolated
+    by count-only Sturm passes and then refined by bracketed Newton on the
+    full pass (`_bisect`).  The targets run in order and share one table of
+    Sturm counts, so each starts from the tightest bracket the lower ones
+    left, and no result depends on `count`.
     Eigenvectors come from `_inverse_iteration`, normalized so that
     sum(v**2) * dx = 1 and positive at the last node carrying appreciable
     amplitude.  A pair whose residual max|T v - lambda v| exceeds
@@ -225,14 +344,23 @@ def eig_lowest(T: Tridiagonal, count: int) -> List[Tuple[float, List[float]]]:
     width = hi_bound - lo_bound
     lo = lo_bound - 1e-12 * width
     hi = hi_bound + 1e-12 * width
+    # The rounding of T, with its largest row left out: one outlying row,
+    # such as a huge coupling weight, moves the levels it carries relative
+    # to their own size, and leaves the others' resolution as it was.
+    rows = list(map(add, map(abs, d), radius))
+    largest = max(rows)
+    rows.remove(largest)
+    rounding = sys.float_info.epsilon * max(rows, default=largest)
     e2 = list(map(mul, e, e))
     pivmin = _pivmin(e2)
     # Bisection halves the bracket at most until its width reaches the
     # spacing of doubles at the Gershgorin bound nearer zero.
     spacing = min(math.ulp(lo_bound), math.ulp(hi_bound))
     budget = max(math.frexp(hi - lo)[1] - math.frexp(spacing)[1], 0) + _NEWTON_PASSES
-    passes: Dict[float, Tuple[int, float]] = {}
-    values = [_bisect(d, e2, pivmin, k, lo, hi, passes, budget) for k in range(1, count + 1)]
+    counts: Dict[float, int] = {}
+    values = [
+        _bisect(d, e2, pivmin, k, counts, (lo, hi), rounding, budget) for k in range(1, count + 1)
+    ]
     residual_scale = 1e-10 * max(max(map(abs, d)), max(abs_e, default=0.0))
     pairs: List[Tuple[float, List[float]]] = []
     for lam in values:
@@ -241,8 +369,7 @@ def eig_lowest(T: Tridiagonal, count: int) -> List[Tuple[float, List[float]]]:
         # (T - lam I) v in one pass: e[i-1] v[i-1] + (d[i] - lam) v[i] + e[i] v[i+1].
         below = chain((0.0,), map(mul, e, v))
         above = chain(map(mul, e, islice(v, 1, None)), (0.0,))
-        on = map(mul, map(sub, d, repeat(lam)), v)
-        residual = max(map(abs, map(add, map(add, below, on), above)))
+        residual = max([abs(b + (di - lam) * vi + a) for b, di, vi, a in zip(below, d, v, above)])
         # hypot carries a nan or inf of v into norm; max, above, may skip a nan.
         norm = math.hypot(*v) * math.sqrt(T.dx)
         if not (residual <= residual_scale * vmax and 0.0 < norm < math.inf):
@@ -256,6 +383,30 @@ def eig_lowest(T: Tridiagonal, count: int) -> List[Tuple[float, List[float]]]:
     return pairs
 
 
+# How far a back-substituted entry may grow before it is scaled down.
+_GROWTH = 2.0**500
+
+
+def _scaled_solve(y: List[float], u0: List[float], u1: List[float], u2: List[float]) -> List[float]:
+    """U x = s y from the last row up (x reversed) for a power of two s <= 1:
+    wherever a quotient would pass _GROWTH, the entries solved so far and s
+    are scaled down first, as LAPACK dlatrs does; inverse iteration needs
+    only the direction of x."""
+    solved: List[float] = []
+    x1 = x2 = 0.0
+    scale = 0
+    for yi, p0, p1, p2 in zip(reversed(y), reversed(u0), reversed(u1), reversed(u2)):
+        num = math.ldexp(yi, scale) - p1 * x1 - p2 * x2
+        if abs(num) > _GROWTH * abs(p0):
+            drop = math.frexp(p0)[1] - math.frexp(num)[1]
+            solved = [math.ldexp(v, drop) for v in solved]
+            x1, x2, num = math.ldexp(x1, drop), math.ldexp(x2, drop), math.ldexp(num, drop)
+            scale += drop
+        x1, x2 = num / p0, x1
+        solved.append(x1)
+    return solved
+
+
 def _inverse_iteration(d: List[float], e: List[float], sigma: float) -> List[float]:
     """Two steps of inverse iteration with T - sigma*I, with 0.5 <= max|x| < 1.
 
@@ -267,7 +418,8 @@ def _inverse_iteration(d: List[float], e: List[float], sigma: float) -> List[flo
     U x = (1, ..., 1), Wilkinson's start as in EISPACK tinvit; step 2 solves
     (T - sigma*I) x' = x in full.  After each step x is rescaled by a power
     of two to 0.5 <= max|x| < 1, so the entries near 1e300 of an exactly
-    singular shift cannot overflow.
+    singular shift cannot overflow; where tiny pivots overflow the
+    back-substitution itself, `_scaled_solve` takes it again.
     """
     u0: List[float] = []
     u1: List[float] = []
@@ -318,6 +470,8 @@ def _inverse_iteration(d: List[float], e: List[float], sigma: float) -> List[flo
         for yi, p0, p1, p2 in zip(reversed(x), reversed(u0), reversed(u1), reversed(u2)):
             x1, x2 = (yi - p1 * x1 - p2 * x2) / p0, x1
             solved.append(x1)
+        if not math.isfinite(sum(solved)):
+            solved = _scaled_solve(x, u0, u1, u2)
         solved.reverse()
         # An exact power-of-two rescaling: dividing by max|x| itself rounds
         # every entry and measurably doubles the error of near-degenerate pairs.
@@ -341,21 +495,20 @@ def compare(setup: Setup, alpha: float, N: int, count: int) -> OracleComparison:
     T = build_hamiltonian(setup, alpha, N)
     pairs = eig_lowest(T, count)
     levels = analytic_levels(setup, alpha, count)
-    xs = [-setup.L / 2 + (i + 1) * T.dx for i in range(N)]
+    xs = list(map(add, repeat(-setup.L / 2, N), map(mul, range(1, N + 1), repeat(T.dx))))
     out: List[LevelComparison] = []
     for idx, ((nu, is_mode), (lam, vec)) in enumerate(zip(levels, pairs), start=1):
         energy = energy_from_nu(setup, nu)
         scale = max(abs(energy), abs(lam), setup.c * (math.pi / setup.L) ** 2)
         rel_energy = abs(lam - energy) / scale
         if is_mode:
-            n_mode = round(nu / nu_n(setup, 1))
-            psi = [phi_mode(setup, n_mode, x) for x in xs]
+            psi = phi_mode_grid(setup, round(nu / nu_n(setup, 1)), xs)
         else:
             psi = general_state(setup, nu).sample(xs)
         # eig_lowest signs v by its last node above 1e-8 max|v|, which can lie
         # left of a strongly coupled state's right compartment: align it to psi.
         if sum(map(mul, vec, psi)) < 0:
-            vec = [-v for v in vec]
+            vec = list(map(neg, vec))
         sup_wave = max(map(abs, map(sub, vec, psi))) / max(map(abs, psi))
         out.append(LevelComparison(idx, nu, is_mode, energy, lam, rel_energy, sup_wave))
     return OracleComparison(

@@ -33,7 +33,7 @@ partition interval plus the free modes on the shared lattice.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 from .errors import ConvergenceError, DomainError, SingularPoint
 from .lattice import (
@@ -143,8 +143,13 @@ def solve_nu(setup: Setup, alpha: float, interval: IntervalDescriptor) -> float:
     unbounded leftmost interval the lower end is min(1.5 alpha/c,
     -underline_nu(setup, 1)), at least -sys.float_info.max: below the first
     pole coth > 1 gives f(nu) < nu, so f < alpha/c there; it scales with L.
+    An alpha/c beyond float range raises OverflowError.
     """
     target = alpha / setup.c
+    if math.isinf(target):
+        raise OverflowError(
+            f"alpha/c exceeds float range at alpha (--alpha) = {alpha!r}, c (--c) = {setup.c!r}"
+        )
     lower = interval.lower
     lo = min(1.5 * target, -underline_nu(setup, 1)) if lower is None else lower.nu
     lo = max(lo, math.nextafter(-math.inf, 0.0))  # 1.5 alpha/c may overflow
@@ -188,7 +193,11 @@ def analytic_levels(setup: Setup, alpha: float, count: int) -> List[Tuple[float,
 
     An eigenvalue is either the root of the coupling equation inside one
     partition interval, or a free mode on the shared lattice, which solves
-    the problem for every coupling because it vanishes at the site.
+    the problem for every coupling because it vanishes at the site.  The
+    intervals and the modes are walked in order, a mode before any root
+    above it, and the walk stops at `count` levels: an interval is solved
+    only once every mode below its lower end is taken.  A mode on that end
+    waits for the root, which a huge |alpha| can round onto it.
     Raises DomainError when the lattice this needs exceeds the point budget.
     """
     # Up to nu_max lie at most nu_max L / (2 pi) lattice points (partition).
@@ -200,13 +209,26 @@ def analytic_levels(setup: Setup, alpha: float, count: int) -> List[Tuple[float,
         )
     nu_max = points * 2 * math.pi / setup.L
     _, intervals = partition(setup, nu_max)
-    levels = [(solve_nu(setup, alpha, iv), False) for iv in intervals]
     base = kappa_base(setup)
-    n = base
-    while nu_n(setup, n) <= nu_max:
-        levels.append((nu_n(setup, n), True))
-        n += base
-    levels.sort(key=lambda item: item[0])
+
+    def walk() -> Iterator[Tuple[float, bool]]:
+        n = base
+        for iv in intervals:
+            lower = -math.inf if iv.lower is None else iv.lower.nu
+            while (mode := nu_n(setup, n)) < lower:
+                yield mode, True
+                n += base
+            nu = solve_nu(setup, alpha, iv)
+            while (mode := nu_n(setup, n)) < nu:
+                yield mode, True
+                n += base
+            yield nu, False
+        while (mode := nu_n(setup, n)) <= nu_max:
+            yield mode, True
+            n += base
+
+    # zip draws from range first, so walk stops at the count-th level.
+    levels = [level for _, level in zip(range(count), walk())]
     if len(levels) < count:
         raise DomainError(f"internal level budget too small for count={count}")
-    return levels[:count]
+    return levels

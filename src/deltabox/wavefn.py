@@ -18,9 +18,11 @@ shared-lattice window, where it returns the hat limit state, the linear
 window, trig, hyper or deep) and computes the per-branch amplitudes and
 the sign; the norm is taken on first use.  `limit_state` validates a limit
 state (index, side, lattice membership) and fixes its sign and amplitude.
-Both records sample a list of positions in one pass (`sample`) and feed
-`fourier`'s coefficient builders; the one-point functions are the
-one-element case.
+Both records feed `fourier`'s coefficient builders and sample a list of
+positions (`sample`): each half-wave is a list function, one comprehension
+over the positions on its side of x0, with no call per position (the hat
+state's pieces read `model.phi_mode_grid`); the one-point functions are
+the one-element case.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Union
 
 from .errors import DomainError, InK, NotInK, SingularPoint
 from .lattice import (
@@ -49,7 +51,7 @@ from .lattice import (
     under_floor,
     under_in_shared,
 )
-from .model import Setup, check_in_box, nu_n, phi_mode
+from .model import Setup, check_all_in_box, nu_n, phi_mode_grid
 from ._special import (
     LINEAR_WINDOW,
     LOG_SWITCH,
@@ -107,22 +109,39 @@ class LimitResidualReport(NamedTuple):
 # Resolved states
 # ============================================================
 
-_HalfWave = Callable[[float], float]
+# A half-wave as a list function: its values at a list of positions, each
+# plus 0.0, so that no -0.0 reaches a table.
+_HalfWave = Callable[[List[float]], List[float]]
 
 
 class _Pieces:
-    """A state's two half-waves: left(x) for x <= x0, right(x) for x > x0."""
+    """A state's two half-waves: left(xs) for x <= x0, right(xs) for x > x0."""
 
     def __init__(self, setup: Setup, kind: WaveKind, left: _HalfWave, right: _HalfWave) -> None:
         self.setup, self.kind, self.left, self.right = setup, kind, left, right
 
-    def sample(self, xs: "list[float]") -> "list[float]":
-        """The state's values at a list of positions; DomainError for one outside the box."""
-        if xs:  # the ends decide the list; min and max can step over a NaN
-            for x in (min(xs), max(xs), *filter(math.isnan, xs)):
-                check_in_box(self.setup, x)
-        x0, left, right = self.setup.x0_value, self.left, self.right
-        return [(left(x) if x <= x0 else right(x)) + 0.0 for x in xs]  # no -0.0 at a wall
+    def sample(self, xs: List[float]) -> List[float]:
+        """The state's values at a list of positions; DomainError for one outside the box.
+
+        A list whose positions up to x0 all come before the others (an
+        ascending grid) is cut in two and each half goes to its piece;
+        any other order is merged back from the two pieces' values.
+        """
+        check_all_in_box(self.setup, xs)
+        x0 = self.setup.x0_value
+        cut, end = 0, len(xs)  # bisect for the first position past x0
+        while cut < end:
+            mid = (cut + end) // 2
+            if xs[mid] <= x0:
+                cut = mid + 1
+            else:
+                end = mid
+        head, tail = xs[:cut], xs[cut:]
+        if max(head, default=x0) <= x0 < min(tail, default=math.inf):
+            return self.left(head) + self.right(tail)
+        lefts = iter(self.left([x for x in xs if x <= x0]))
+        rights = iter(self.right([x for x in xs if x > x0]))
+        return [next(lefts) if x <= x0 else next(rights) for x in xs]
 
 
 def _sample_at(state: _Pieces, x: float) -> WaveSample:
@@ -214,12 +233,16 @@ def _direct(setup: Setup, nu: float) -> GeneralState:
         t = -nu
         branch, f, k = "hyper", math.sinh, t / 2
         a, b = math.sinh(t * w1 / 2), math.sinh(t * w2 / 2)
-    state = GeneralState(
-        setup=setup, kind=WaveKind(branch),
-        left=lambda x: a * f(k * (half + x)) / state.norm,
-        right=lambda x: b * f(k * (half - x)) / state.norm,
-        branch=branch, nu=nu, sign=sign,
-    )
+
+    def left(xs: List[float]) -> List[float]:
+        norm = state.norm
+        return [a * f(k * (half + x)) / norm + 0.0 for x in xs]
+
+    def right(xs: List[float]) -> List[float]:
+        norm = state.norm
+        return [b * f(k * (half - x)) / norm + 0.0 for x in xs]
+
+    state = GeneralState(setup, WaveKind(branch), left, right, branch, nu, sign)
     return state
 
 
@@ -406,16 +429,17 @@ def general_state(setup: Setup, nu: float) -> Union[GeneralState, LimitState]:
     half, x0, k = setup.L / 2, setup.x0_value, t / 2
     a = math.expm1(-2 * (t * setup.width_right / 2))
     b = math.expm1(-2 * (t * setup.width_left / 2))
-    state = GeneralState(
-        setup=setup, kind=WaveKind("hyper"),
-        left=lambda x: (
-            a * math.expm1(-2 * (k * (half + x))) * math.exp(-k * abs(x - x0)) / (4 * state.norm)
-        ),
-        right=lambda x: (
-            b * math.expm1(-2 * (k * (half - x))) * math.exp(-k * abs(x - x0)) / (4 * state.norm)
-        ),
-        branch="deep", nu=nu, sign=1.0,
-    )
+    expm1, exp = math.expm1, math.exp
+
+    def left(xs: List[float]) -> List[float]:
+        scale = 4 * state.norm
+        return [a * expm1(-2 * (k * (half + x))) * exp(-k * abs(x - x0)) / scale + 0.0 for x in xs]
+
+    def right(xs: List[float]) -> List[float]:
+        scale = 4 * state.norm
+        return [b * expm1(-2 * (k * (half - x))) * exp(-k * abs(x - x0)) / scale + 0.0 for x in xs]
+
+    state = GeneralState(setup, WaveKind("hyper"), left, right, "deep", nu, 1.0)
     return state
 
 
@@ -481,8 +505,8 @@ def limit_state(setup: Setup, kind: str, index: float, side: str = "below") -> L
         amp, root = math.sqrt(2 / setup.L), math.sqrt(setup.q_ratio)
         return LimitState(
             setup=setup, kind=WaveKind("limit_hat"),
-            left=lambda x: -root * phi_mode(setup, n, x),
-            right=lambda x: phi_mode(setup, n, x) / root,
+            left=lambda xs: [-root * v + 0.0 for v in phi_mode_grid(setup, n, xs)],
+            right=lambda xs: [v / root + 0.0 for v in phi_mode_grid(setup, n, xs)],
             mode=n, sign=1.0, amp=amp, root=root, width=setup.L,
         )
     if kind not in ("under", "over"):
@@ -508,15 +532,22 @@ def limit_state(setup: Setup, kind: str, index: float, side: str = "below") -> L
     # In the half next to the site sin(j pi u) = (-1)**(j+1) sin(j pi (1 - u)),
     # u the distance from the wall over the width, with the phase taken from
     # the site: x0 - x is exact next to it, 0 at x0.
-    x0, near = setup.x0_value, (amp if index % 2 else -amp)
+    x0, near, sin = setup.x0_value, (amp if index % 2 else -amp), math.sin
+    zeros: _HalfWave = lambda xs: [0.0] * len(xs)
     if kind == "under":
-        left = lambda x: (near * math.sin(phase * (x0 - x) / width) if 2 * (half + x) > width
-                          else amp * math.sin(phase * (half + x) / width))
-        right = lambda x: 0.0
+        left = lambda xs: [
+            (near * sin(phase * (x0 - x) / width) if 2 * (half + x) > width
+             else amp * sin(phase * (half + x) / width)) + 0.0
+            for x in xs
+        ]
+        right = zeros
     else:
-        left = lambda x: 0.0
-        right = lambda x: (near * math.sin(phase * (x - x0) / width) if 2 * (half - x) > width
-                           else amp * math.sin(phase * (half - x) / width))
+        left = zeros
+        right = lambda xs: [
+            (near * sin(phase * (x - x0) / width) if 2 * (half - x) > width
+             else amp * sin(phase * (half - x) / width)) + 0.0
+            for x in xs
+        ]
     return LimitState(
         setup=setup, kind=wave_kind, left=left, right=right,
         mode=index, sign=sign, amp=amp, root=root, width=width,

@@ -381,6 +381,24 @@ def test_division_by_an_underflowed_length_exits_4(capsys, argv, quantity):
     assert f"{quantity} underflows to 0 at L = 1e-300" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, quotient",
+    [
+        # alpha / c = -2e308 in the coupling equation.
+        (("spectrum", "--alpha=-1e308", "--c", "0.5", "--count", "2"), "alpha/c"),
+        # alpha / dx = -1.024e311 on the grid Hamiltonian's diagonal.
+        (("oracle", "--alpha=-1e308", "--c", "0.5", "--grid", "1023", "--count", "1"), "alpha/dx"),
+    ],
+    ids=["spectrum", "oracle"],
+)
+def test_coupling_quotient_beyond_float_range_exits_4(capsys, argv, quotient):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith(f"error: {quotient} exceeds float range at alpha (--alpha) = -1e+308")
+    assert ("c (--c) = 0.5" if quotient == "alpha/c" else "dx = 0.0009765625") in captured.err
+
+
 def test_spectrum_deep_bound_state_is_the_converged_newton_root(capsys):
     """At alpha = -1e8 the bound state's nu is -1e8 to rounding; bisecting on
     past a converged Newton step would print -100000000.00000285."""
@@ -399,11 +417,12 @@ def test_oracle_isolates_levels_across_a_wide_gershgorin_bracket(capsys):
 
 
 def test_oracle_out_of_sturm_passes_exits_4(capsys, monkeypatch):
-    """An eigenvalue whose bracket never narrows to relative 1e-12 exhausts
-    the oracle's Sturm passes: 54 halvings of the Gershgorin width down to
-    the spacing of doubles at its bounds, plus 64 for Newton.  That is a
-    convergence failure."""
+    """An eigenvalue whose bracket never narrows to relative eps exhausts
+    the oracle's Sturm passes, count-only and full together: 54 halvings of
+    the Gershgorin width down to the spacing of doubles at its bounds, plus
+    64 for Newton.  That is a convergence failure."""
     monkeypatch.setattr(oracle, "_sturm", lambda d, e2, shift, pivmin: (int(shift >= 0.0), math.nan))
+    monkeypatch.setattr(oracle, "_sturm_count", lambda d, e2, shift, pivmin: int(shift >= 0.0))
     code = cli.main(["oracle", "--alpha", "-1000", "--grid", "511", "--count", "1"])
     assert code == 4
     assert "eigenvalue 1 did not converge in 118 Sturm passes" in capsys.readouterr().err

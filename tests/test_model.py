@@ -15,6 +15,7 @@ from deltabox.model import (
     make_setup,
     nu_n,
     phi_mode,
+    phi_mode_grid,
     site_modes,
 )
 
@@ -123,6 +124,31 @@ def test_mode_function_left_half_against_40_digits(n):
         for x in xs:
             exact = mpmath.sqrt(2) * mpmath.sin(n * mpmath.pi * (mpmath.mpf(0.5) - mpmath.mpf(x)))
             assert abs(phi_mode(s, n, x) - exact) <= 2 * (n + 4) * eps * amp, x
+
+
+@pytest.mark.parametrize(
+    "L, x0",
+    [(1.0, RationalX0(1, 4)), (1.0, RationalX0(0, 1)), (2.5, RationalX0(3, 7)), (1.0, RealX0(0.125))],
+)
+def test_phi_mode_grid_is_phi_mode_at_every_point(L, x0):
+    """The list form equals the point form bit for bit, in any order, at the
+    walls, at the site (site_modes' value, 0.0 at a node there), at the
+    mode's own nodes and between them; a wall and the site print 0.0, never
+    -0.0, and an x outside the box anywhere in the list is a DomainError."""
+    s = make_setup(L=L, x0=x0, c=1.0)
+    for n in (1, 2, 3, 8, 14):
+        nodes = [-L / 2 + j * L / n for j in range(n + 1)]
+        xs = [*nodes, s.x0_value, -0.3 * L, 0.1 * L, math.nextafter(s.x0_value, L), -L / 2]
+        values = phi_mode_grid(s, n, xs)
+        assert repr(values) == repr([phi_mode(s, n, x) for x in xs]), n
+        assert repr(phi_mode_grid(s, n, xs[::-1])) == repr(values[::-1]), n
+        assert values[xs.index(s.x0_value)] == site_modes(s, n)[n - 1]
+        for x in (-L / 2, L / 2):
+            assert repr(values[xs.index(x)]) == "0.0"
+    with pytest.raises(DomainError):
+        phi_mode_grid(s, 1, [0.0, 0.75 * L, 0.1])
+    with pytest.raises(DomainError):
+        phi_mode_grid(s, 1, [0.0, math.nan, 0.1])
 
 
 def test_real_site_stores_negative_zero_as_zero():

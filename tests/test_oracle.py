@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from deltabox import oracle
@@ -25,6 +25,32 @@ from deltabox.spectrum import analytic_levels
 
 def setup_pq(p, q, L=1.0, c=1.0):
     return make_setup(L=L, x0=RationalX0(p, q), c=c)
+
+
+def dense_eigvalsh(diag, offdiag):
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1))
+
+
+def split_eigvalsh(diag, offdiag, solve=dense_eigvalsh):
+    """Sorted eigenvalues of a symmetric tridiagonal, from its blocks split at
+    each |e_i| <= eps * max|T_ij|, which moves no eigenvalue by more than
+    |e_i|.  LAPACK's eigvalsh of the whole matrix can be worse: for diag
+    [0, 0, 0, 1, 0] and offdiag [0, 0, 8.3e-80, 2] it returns -1.56155302
+    for (1 - sqrt(17)) / 2 = -1.5615528128."""
+    scale = max(map(abs, [*diag, *offdiag]))
+    cuts = [i + 1 for i, e in enumerate(offdiag) if abs(e) <= np.finfo(float).eps * scale]
+    values = []
+    for a, b in zip([0, *cuts], [*cuts, len(diag)]):
+        values.extend(np.asarray(solve(np.array(diag[a:b]), np.array(offdiag[a:b - 1]))).tolist())
+    return np.sort(values)
+
+
+@st.composite
+def tridiagonals(draw, entries, off_entries, max_size):
+    """(diag, offdiag) of a symmetric tridiagonal with 2..max_size rows."""
+    diag = draw(st.lists(entries, min_size=2, max_size=max_size))
+    offdiag = draw(st.lists(off_entries, min_size=len(diag) - 1, max_size=len(diag) - 1))
+    return diag, offdiag
 
 
 def tridiag_apply(T, v):
@@ -121,21 +147,17 @@ def test_sturm_counts_clamp_exactly_zero_pivot():
     assert count == int((ref < shift).sum())
 
 
-@given(
-    diag=st.lists(st.floats(-10, 10), min_size=2, max_size=12),
-    data=st.data(),
-)
+@given(matrix=tridiagonals(st.floats(-10, 10), st.floats(-5, 5), 12), shift=st.floats(-25, 25))
+@example(matrix=([0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 8.28472148763232e-80, 2.0]), shift=1.0)
 @settings(max_examples=200, deadline=None)
-def test_sturm_count_and_slope_match_dense_spectrum(diag, data):
+def test_sturm_count_and_slope_match_dense_spectrum(matrix, shift):
     """The count equals the dense count.  The slope is sum 1/(shift - lambda_i)
     to rel 1e-9 of sum |1/(shift - lambda_i)|, the scale its rounding has;
     it is not finite only where a pivot was clamped, that is, where the
     shift is an eigenvalue of a leading block to rounding."""
+    diag, offdiag = matrix
     n = len(diag)
-    offdiag = data.draw(st.lists(st.floats(-5, 5), min_size=n - 1, max_size=n - 1))
-    shift = data.draw(st.floats(-25, 25))
-    dense = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
-    ref = np.linalg.eigvalsh(dense)
+    ref = split_eigvalsh(diag, offdiag)
     assume(np.min(np.abs(ref - shift)) >= 1e-3)
     e2 = [e * e for e in offdiag]
     count, slope = _sturm(diag, e2, shift, _pivmin(e2))
@@ -144,7 +166,7 @@ def test_sturm_count_and_slope_match_dense_spectrum(diag, data):
     if math.isfinite(slope):
         assert abs(slope - float(np.sum(terms))) <= 1e-9 * float(np.sum(np.abs(terms)))
     else:
-        blocks = [np.linalg.eigvalsh(dense[:i, :i]) for i in range(1, n)]
+        blocks = [split_eigvalsh(diag[:i], offdiag[:i - 1]) for i in range(1, n)]
         assert min(float(np.min(np.abs(mu - shift))) for mu in blocks) <= 1e-12 * (1 + abs(shift))
 
 
@@ -216,18 +238,61 @@ def test_eig_lowest_matches_lapack_to_rounding(N, alpha, count):
 
 def test_eig_lowest_isolates_then_takes_newton_steps(monkeypatch):
     """Bisection to relative 1e-12 took 256 Sturm passes for these six
-    eigenvalues; bisection to isolation plus Newton takes under 80."""
+    eigenvalues, and halving to isolation plus Newton 43 full passes.
+    Isolating each level with count-only passes and starting Newton from
+    its estimate takes 8 of those and 26 full passes."""
     T = build_hamiltonian(setup_pq(1, 4), 5.0, 1023)
-    calls = []
-    sturm = oracle._sturm
+    full, count_only = [], []
+    sturm, sturm_count = oracle._sturm, oracle._sturm_count
 
     def counted(*args):
-        calls.append(args[2])
+        full.append(args[2])
         return sturm(*args)
 
+    def counted_only(*args):
+        count_only.append(args[2])
+        return sturm_count(*args)
+
     monkeypatch.setattr(oracle, "_sturm", counted)
+    monkeypatch.setattr(oracle, "_sturm_count", counted_only)
     eig_lowest(T, 6)
-    assert len(calls) <= 80
+    assert len(count_only) <= 10 and len(full) <= 30
+
+
+@given(
+    matrix=tridiagonals(
+        st.sampled_from([0.0, 1.0, -1.0, 2.5, -3.0, 1e3])
+        | st.floats(-10, 10).filter(lambda x: x == 0.0 or abs(x) >= 1e-30),
+        st.sampled_from([0.0, 1e-30, 1e-12, 1.0, -2.0])
+        | st.floats(-5, 5).filter(lambda x: x == 0.0 or abs(x) >= 1e-30),
+        10,
+    ),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_eig_lowest_matches_split_blocks_on_irregular_spectra(matrix, data):
+    """Spectra far from the k**2 law of the grid: zero and tiny off-diagonals
+    split the matrix into blocks, and repeated diagonal values give exact
+    and near clusters, zero among them, and levels some 60 decades nearer
+    zero than the rest.  Every level is within 8 eps * max|T_ij| of the
+    split-block reference, with no ConvergenceError.  Entries are 0 or at
+    least 1e-30 in size, and the largest at least 1: an exact cluster at
+    zero beside an entry of 1e-222 can still outrun the pass budget, and the
+    Sturm count squares an off-diagonal below 1e-154 to an underflow
+    (ROADMAP item 3).  The blocks are solved by LAPACK's bisection (stebz),
+    within about eps * max|T_ij|; the dense eigvalsh is up to 8.6 times
+    that off on such matrices (diag [0, -2.35, 6.56, 6.56, 1, 3.74, -8.09,
+    1, -2.35, 9])."""
+    linalg = pytest.importorskip("scipy.linalg")
+    diag, offdiag = matrix
+    assume(max(map(abs, [*diag, *offdiag])) >= 1.0)
+    count = data.draw(st.integers(1, min(len(diag), 12)))
+    ref = split_eigvalsh(
+        diag, offdiag, lambda d, e: linalg.eigvalsh_tridiagonal(d, e, lapack_driver="stebz")
+    )[:count]
+    found = [lam for lam, _ in eig_lowest(Tridiagonal(diag, offdiag, len(diag), 1.0), count)]
+    bound = 8 * np.finfo(float).eps * max(map(abs, [*diag, *offdiag]))
+    assert np.max(np.abs(np.array(found) - ref)) <= bound
 
 
 def test_free_grid_levels_match_discrete_laplacian():
@@ -275,6 +340,38 @@ def test_eig_lowest_survives_exactly_singular_shift():
         assert np.all(np.isfinite(v))
         assert float(v @ v) == pytest.approx(1.0, rel=1e-12)
         assert abs(float(v @ ref)) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "diag, offdiag",
+    [([-1.0, 0.0, 0.0], [1e-300, 1e-150]), ([0.0, 1.0], [1e-150]), ([1.0, 2.2e-309], [0.0])],
+    ids=["two-tiny-pivots", "zero-pivot-beside-a-tiny-one", "subnormal-diagonal"],
+)
+def test_eig_lowest_survives_tiny_pivots(diag, offdiag):
+    """Couplings far below the rounding of T leave pivots whose reciprocals
+    overflow when multiplied (1e-300 * 1e-150), or an exactly zero pivot
+    beside a tiny one; the back-substitution then scales down as it goes.
+    Every pair passes the residual check, with a finite unit vector."""
+    T = Tridiagonal(diag, offdiag, len(diag), 1.0)
+    ref = split_eigvalsh(diag, offdiag)
+    for (lam, v), expected in zip(eig_lowest(T, len(diag)), ref):
+        assert abs(lam - expected) <= 8 * np.finfo(float).eps
+        assert all(map(math.isfinite, v))
+        assert math.fsum(x * x for x in v) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "diag, expected",
+    [([1.0, 2.0, 2.0, 3.0], [1.0, 2.0, 2.0, 3.0]), ([-1.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 1.0])],
+)
+def test_eig_lowest_resolves_repeated_levels(diag, expected):
+    """A cluster no shift splits ends at the rounding of T: bisecting a
+    double level 2 to relative 1e-12 left it 4e-13 off, a Newton step from
+    the clamped pivot at 2.0 returned 2.0 for the level 3.0, and a double
+    level 0 ran out of passes."""
+    T = Tridiagonal(diag, [0.0] * (len(diag) - 1), len(diag), 1.0)
+    found = [lam for lam, _ in eig_lowest(T, len(diag))]
+    assert np.max(np.abs(np.array(found) - expected)) <= 8 * np.finfo(float).eps * 3.0
 
 
 def test_eig_lowest_resolves_an_exact_zero_eigenvalue():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from deltabox import spectrum
 from deltabox.errors import SingularPoint
-from deltabox.lattice import classify_mode, partition, singular_guard_radius
+from deltabox.lattice import classify_mode, kappa_base, partition, singular_guard_radius
 from deltabox.model import RationalX0, RealX0, make_setup, nu_n
 from deltabox.spectrum import alpha_from_nu, analytic_levels, dispersion, solve_nu
 
@@ -314,3 +314,47 @@ def test_solve_lands_within_two_ulps_of_the_mpmath_root():
                 hi = mid
         root = (lo + hi) / 2
         assert abs(mp.mpf(nu) - root) <= 2 * math.ulp(nu), (s.x0, index, alpha)
+
+
+def _levels_sorted_from_every_interval(setup, alpha, count):
+    """The reference: every interval up to (1.5 count + 8) lattice units
+    solved, the shared modes up to there added, all sorted, `count` kept."""
+    nu_max = (1.5 * count + 8) * 2 * math.pi / setup.L
+    _, intervals = partition(setup, nu_max)
+    levels = [(solve_nu(setup, alpha, iv), False) for iv in intervals]
+    base, n = kappa_base(setup), kappa_base(setup)
+    while nu_n(setup, n) <= nu_max:
+        levels.append((nu_n(setup, n), True))
+        n += base
+    return sorted(levels, key=lambda item: item[0])[:count]
+
+
+@given(
+    site=st.sampled_from([(1, 4), (1, 7), (2, 5), (0, 1), (1, 2), (3, 4), "real"]),
+    alpha=st.sampled_from([0.0, 5.0, -5.0, 1e3, -1e3, 1e15, -1e8, 1e300, -1e300])
+    | st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False),
+    count=st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=100, deadline=None)
+def test_analytic_levels_solve_only_the_levels_they_return(site, alpha, count):
+    """The intervals and the shared modes are walked in order and the walk
+    stops at `count`: one solve per non-mode level returned, and one more
+    only when the last level is a mode on the lower end of the next
+    interval, whose root orders against it.  Every interval up to 1.5 count
+    + 8 lattice units was solved before (1,009 solves for the 454 levels of
+    the seed-1 tables' spectrum requests).  The levels are those of the
+    sorted reference, bit for bit, ties included: at alpha = -1e300 a root
+    rounds onto the shared point below it and comes before that mode."""
+    s = make_setup(L=1.0, x0=RealX0(0.3) if site == "real" else RationalX0(*site), c=1.0)
+    solves = []
+
+    def counted(*args):
+        solves.append(args[2])
+        return solve_nu(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectrum, "solve_nu", counted)
+        levels = analytic_levels(s, alpha, count)
+    extra = len(solves) - sum(1 for _, is_mode in levels if not is_mode)
+    assert extra == 0 or (extra == 1 and levels[-1][1])
+    assert levels == _levels_sorted_from_every_interval(s, alpha, count)

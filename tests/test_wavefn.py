@@ -400,7 +400,7 @@ def _under_states(x0):
 def test_under_piece_is_exactly_zero_at_the_site(x0):
     s, states = _under_states(x0)
     for state in states:
-        assert state.left(s.x0_value) == 0.0, state.kind
+        assert state.left([s.x0_value])[0] == 0.0, state.kind
         assert repr(state.sample([s.x0_value])[0]) == "0.0", state.kind
 
 
@@ -419,7 +419,7 @@ def test_under_piece_next_to_the_site_against_40_digits(x0):
         for state in states:
             for x in xs:
                 exact = state.amp * mpmath.sin(state.mode * mpmath.pi * (half + x) / (half + site))
-                assert abs(state.left(x) - exact) <= 1e-15 * abs(exact), (state.kind, x)
+                assert abs(state.left([x])[0] - exact) <= 1e-15 * abs(exact), (state.kind, x)
 
 
 _OVER_SITES = [RationalX0(1, 4), RationalX0(1, 7), RationalX0(1, 500), RealX0(0.125)]
@@ -441,10 +441,10 @@ def test_over_piece_next_to_the_site_against_40_digits(x0):
     with mpmath.workdps(40):
         half = mpmath.mpf(s.L) / 2
         for state in states:
-            assert state.right(site) == 0.0, state.kind
+            assert state.right([site])[0] == 0.0, state.kind
             for x in xs:
                 exact = state.amp * mpmath.sin(state.mode * mpmath.pi * (half - x) / (half - site))
-                assert abs(state.right(x) - exact) <= 1e-15 * abs(exact), (state.kind, x)
+                assert abs(state.right([x])[0] - exact) <= 1e-15 * abs(exact), (state.kind, x)
 
 
 def test_over_state_support_and_norm():
@@ -494,6 +494,20 @@ def test_limit_list_sampler_matches_one_point_functions(x0, kind, index, side):
     assert len(listed) == len(xs)
     assert listed == [one_point(x).value for x in xs]
     assert state.kind == one_point(0.0).kind
+
+
+@pytest.mark.parametrize("nu", [20.5, 0.0, -3.0, -3000.0, 50.26548245743669])
+def test_sample_in_any_order_is_the_ascending_sample_permuted(nu):
+    """An ascending list is cut at x0 and each half goes to its piece; any
+    other order is merged back from the pieces, value for value."""
+    s = setup_pq(1, 4)
+    xs = grid_with_site_and_walls(s)
+    order = list(range(len(xs)))
+    order.reverse()
+    order[::3] = order[::3][::-1]
+    for state in (general_state(s, nu), limit_state(s, "under", 2, "above"), limit_state(s, "over", 1)):
+        ascending = state.sample(xs)
+        assert state.sample([xs[i] for i in order]) == [ascending[i] for i in order]
 
 
 def test_one_sided_states_reject_shared_indices():
