@@ -15,9 +15,13 @@ on its own, in order, and all of them share one table of Sturm counts.  A
 count-only pass (the pivot recurrence without its slope, about half a full
 pass) serves every pass that is read only for its count: each eigenvalue
 is isolated with such passes, and only the Newton steps that follow run
-the full pass.  Every eigenpair must pass a residual check
-max|T v - lambda v| <= 1e-10 * max|T_ij| * max|v|, else ConvergenceError;
-max|T_ij| is max|diag| for every grid Hamiltonian.
+the full pass.  Every eigenvalue is solved before `eig_lowest` returns;
+each eigenvector is computed when its pair is drawn from the iterator it
+returns, and `compare` draws one pair per level, so the oracle holds one
+eigenvector at a time and its working set is O(N) whatever the count, as
+EISPACK tinvit and LAPACK dstein compute theirs.  Every eigenpair must pass
+a residual check max|T v - lambda v| <= 1e-10 * max|T_ij| * max|v|, else
+ConvergenceError; max|T_ij| is max|diag| for every grid Hamiltonian.
 
 Accuracy expectations: O(dx**2) for smooth states, degrading to O(dx) when
 the interaction is on (the delta weight is a first-order approximation), so
@@ -29,8 +33,8 @@ from __future__ import annotations
 import math
 import sys
 from itertools import chain, islice, repeat
-from operator import add, mul, neg, sub, truediv
-from typing import Dict, List, NamedTuple, Tuple
+from operator import add, mul, sub, truediv
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 from .errors import ConvergenceError, DomainError, GridMismatch
 from .lattice import POINT_BUDGET
@@ -181,6 +185,13 @@ def _sturm_count(d: List[float], e2: List[float], shift: float, pivmin: float) -
 _NEWTON_PASSES = 64
 
 
+def _midpoint(lo: float, hi: float) -> float:
+    """0.5 * (lo + hi), or 0.5 * lo + 0.5 * hi where that sum overflows (ends
+    of one sign beyond half the float range)."""
+    mid = 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi if math.isinf(mid) else mid
+
+
 def _bisect(
     d: List[float],
     e2: List[float],
@@ -201,7 +212,8 @@ def _bisect(
     index interpolated linearly in sqrt(shift - lower bound), because the
     k-th level of a second-difference operator grows like k**2 (Weyl's
     law); a split that did not halve the bracket is followed by the
-    midpoint.  A bracket that the midpoint cannot split, or as narrow as
+    midpoint (`_midpoint`, which stays in float range for ends beyond
+    half of it).  A bracket that the midpoint cannot split, or as narrow as
     `rounding` (eps times T's rows with the largest left out, see
     `eig_lowest`), ends the solve at its midpoint: it holds a cluster, or a
     level no further pass resolves.
@@ -237,10 +249,10 @@ def _bisect(
         root = root_lo + (root_hi - root_lo) * (level - j_lo) / (j_hi - j_lo)
         return origin + root * root
 
-    x = 0.5 * (lo + hi)
+    x = _midpoint(lo, hi)
     passes, before = 0, math.inf
     while True:
-        mid = 0.5 * (lo + hi)
+        mid = _midpoint(lo, hi)
         # A bracket as narrow as the rounding of T holds a cluster no shift splits.
         if mid in (lo, hi) or hi - lo <= rounding:
             return mid
@@ -275,7 +287,7 @@ def _bisect(
             hi = x
         else:
             lo = x
-        mid = 0.5 * (lo + hi)
+        mid = _midpoint(lo, hi)
         width = hi - lo
         # Once Newton has stepped, the rounding of T ends it as in isolation.
         if mid in (lo, hi) or width <= sys.float_info.epsilon * max(abs(lo), abs(hi)) or (
@@ -318,19 +330,25 @@ def _bisect(
     raise ConvergenceError(f"eigenvalue {k} did not converge in {budget} Sturm passes")
 
 
-def eig_lowest(T: Tridiagonal, count: int) -> List[Tuple[float, List[float]]]:
-    """Lowest `count` eigenpairs of the tridiagonal matrix.
+def eig_lowest(T: Tridiagonal, count: int) -> Iterator[Tuple[float, List[float]]]:
+    """Lowest `count` eigenpairs of the tridiagonal matrix, in ascending order.
 
     Each eigenvalue is found on its own inside Gershgorin bounds, isolated
     by count-only Sturm passes and then refined by bracketed Newton on the
     full pass (`_bisect`).  The targets run in order and share one table of
     Sturm counts, so each starts from the tightest bracket the lower ones
-    left, and no result depends on `count`.
-    Eigenvectors come from `_inverse_iteration`, normalized so that
-    sum(v**2) * dx = 1 and positive at the last node carrying appreciable
-    amplitude.  A pair whose residual max|T v - lambda v| exceeds
-    1e-10 * max(max|diag|, max|offdiag|) * max|v|, or whose v has no finite
-    nonzero norm, raises ConvergenceError.
+    left, and no result depends on `count`.  All of this runs in the call:
+    a bad `count` raises DomainError, and a level out of Sturm passes
+    ConvergenceError, before it returns.
+
+    The result is an iterator, and each eigenvector is computed only when
+    its pair is drawn, so one vector is held at a time and the working set
+    stays O(N) whatever `count` is.  Eigenvectors come from
+    `_inverse_iteration`, normalized so that sum(v**2) * dx = 1 and
+    positive at the last node carrying appreciable amplitude.  A pair whose
+    residual max|T v - lambda v| exceeds 1e-10 * max(max|diag|,
+    max|offdiag|) * max|v|, or whose v has no finite nonzero norm, raises
+    ConvergenceError when it is drawn.
     """
     if count < 1 or count > 12:
         raise DomainError(f"count must be in 1..12, got {count!r}")
@@ -362,25 +380,30 @@ def eig_lowest(T: Tridiagonal, count: int) -> List[Tuple[float, List[float]]]:
         _bisect(d, e2, pivmin, k, counts, (lo, hi), rounding, budget) for k in range(1, count + 1)
     ]
     residual_scale = 1e-10 * max(max(map(abs, d)), max(abs_e, default=0.0))
-    pairs: List[Tuple[float, List[float]]] = []
-    for lam in values:
-        v = _inverse_iteration(d, e, lam)
-        vmax = max(map(abs, v))
-        # (T - lam I) v in one pass: e[i-1] v[i-1] + (d[i] - lam) v[i] + e[i] v[i+1].
-        below = chain((0.0,), map(mul, e, v))
-        above = chain(map(mul, e, islice(v, 1, None)), (0.0,))
-        residual = max([abs(b + (di - lam) * vi + a) for b, di, vi, a in zip(below, d, v, above)])
-        # hypot carries a nan or inf of v into norm; max, above, may skip a nan.
-        norm = math.hypot(*v) * math.sqrt(T.dx)
-        if not (residual <= residual_scale * vmax and 0.0 < norm < math.inf):
-            raise ConvergenceError(
-                f"inverse iteration left residual {residual:.3e} at eigenvalue {lam!r}"
-            )
-        cutoff = 1e-8 * vmax
-        if next(x for x in reversed(v) if abs(x) > cutoff) < 0:
-            norm = -norm
-        pairs.append((lam, list(map(truediv, v, repeat(norm)))))
-    return pairs
+    # The lists above die with this call; each vector is made as it is drawn.
+    return (_eigenpair(T, lam, residual_scale) for lam in values)
+
+
+def _eigenpair(T: Tridiagonal, lam: float, residual_scale: float) -> Tuple[float, List[float]]:
+    """(lam, v) for `eig_lowest`: v by inverse iteration, residual-checked,
+    normalized and signed."""
+    d, e = T.diag, T.offdiag
+    v = _inverse_iteration(d, e, lam)
+    vmax = max(map(abs, v))
+    # (T - lam I) v in one pass: e[i-1] v[i-1] + (d[i] - lam) v[i] + e[i] v[i+1].
+    below = chain((0.0,), map(mul, e, v))
+    above = chain(map(mul, e, islice(v, 1, None)), (0.0,))
+    residual = max([abs(b + (di - lam) * vi + a) for b, di, vi, a in zip(below, d, v, above)])
+    # hypot carries a nan or inf of v into norm; max, above, may skip a nan.
+    norm = math.hypot(*v) * math.sqrt(T.dx)
+    if not (residual <= residual_scale * vmax and 0.0 < norm < math.inf):
+        raise ConvergenceError(
+            f"inverse iteration left residual {residual:.3e} at eigenvalue {lam!r}"
+        )
+    cutoff = 1e-8 * vmax
+    if next(x for x in reversed(v) if abs(x) > cutoff) < 0:
+        norm = -norm
+    return lam, list(map(truediv, v, repeat(norm)))
 
 
 # How far a back-substituted entry may grow before it is scaled down.
@@ -490,14 +513,17 @@ def compare(setup: Setup, alpha: float, N: int, count: int) -> OracleComparison:
 
     Reports, per level, the relative eigenvalue error and the sup-norm
     eigenvector discrepancy (relative to the eigenfunction's amplitude) on
-    the interior nodes.
+    the interior nodes.  Each level draws its eigenpair from `eig_lowest`
+    and keeps only its LevelComparison, so one eigenvector and one sampled
+    state are held at a time.
     """
     T = build_hamiltonian(setup, alpha, N)
     pairs = eig_lowest(T, count)
     levels = analytic_levels(setup, alpha, count)
     xs = list(map(add, repeat(-setup.L / 2, N), map(mul, range(1, N + 1), repeat(T.dx))))
     out: List[LevelComparison] = []
-    for idx, ((nu, is_mode), (lam, vec)) in enumerate(zip(levels, pairs), start=1):
+    for idx, (nu, is_mode) in enumerate(levels, start=1):
+        lam, vec = next(pairs)
         energy = energy_from_nu(setup, nu)
         scale = max(abs(energy), abs(lam), setup.c * (math.pi / setup.L) ** 2)
         rel_energy = abs(lam - energy) / scale
@@ -506,11 +532,12 @@ def compare(setup: Setup, alpha: float, N: int, count: int) -> OracleComparison:
         else:
             psi = general_state(setup, nu).sample(xs)
         # eig_lowest signs v by its last node above 1e-8 max|v|, which can lie
-        # left of a strongly coupled state's right compartment: align it to psi.
-        if sum(map(mul, vec, psi)) < 0:
-            vec = list(map(neg, vec))
-        sup_wave = max(map(abs, map(sub, vec, psi))) / max(map(abs, psi))
+        # left of a strongly coupled state's right compartment: align it to
+        # psi, by |-v - psi| = |v + psi|.
+        align = add if sum(map(mul, vec, psi)) < 0 else sub
+        sup_wave = max(map(abs, map(align, vec, psi))) / max(map(abs, psi))
         out.append(LevelComparison(idx, nu, is_mode, energy, lam, rel_energy, sup_wave))
+        del vec, psi  # released before the next pair is drawn
     return OracleComparison(
         out,
         max(lv.rel_energy_error for lv in out),

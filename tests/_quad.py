@@ -10,18 +10,45 @@ uniform grid converges at fourth order and is plenty for 1e-8 comparisons.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from functools import reduce
+from operator import add
+from typing import Callable, Iterable, List, Sequence, Tuple
+
+
+def simpson_nodes(a: float, b: float, n: int = 4001) -> Tuple[List[float], float]:
+    """The n nodes of the composite Simpson rule on [a, b] (n odd, >= 3;
+    an even n is raised by one) and their spacing h."""
+    if n % 2 == 0:
+        n += 1
+    h = (b - a) / (n - 1)
+    return [a, *(a + i * h for i in range(1, n - 1)), b], h
+
+
+def simpson_values(ys: Sequence[float], h: float) -> float:
+    """Composite Simpson rule from the integrand's values at simpson_nodes."""
+    total = ys[0] + ys[-1]
+    for i in range(1, len(ys) - 1):
+        total += ys[i] * (4 if i % 2 else 2)
+    return total * h / 3.0
 
 
 def simpson(f: Callable[[float], float], a: float, b: float, n: int = 4001) -> float:
     """Composite Simpson rule with n sample points (n odd, >= 3)."""
-    if n % 2 == 0:
-        n += 1
-    h = (b - a) / (n - 1)
-    total = f(a) + f(b)
-    for i in range(1, n - 1):
-        total += f(a + i * h) * (4 if i % 2 else 2)
-    return total * h / 3.0
+    xs, h = simpson_nodes(a, b, n)
+    return simpson_values(list(map(f, xs)), h)
+
+
+def split_nodes(a: float, b: float, cut: float, n: int = 4001) -> List[Tuple[List[float], float]]:
+    """simpson_split's panels as (nodes, h): [a, b] whole, or split at an
+    interior cut."""
+    if not a < cut < b:
+        return [simpson_nodes(a, b, n)]
+    return [simpson_nodes(a, cut, n), simpson_nodes(cut, b, n)]
+
+
+def simpson_panels(panels: Iterable[Tuple[Sequence[float], float]]) -> float:
+    """Sum of simpson_values over split_nodes' panels, given as (values, h)."""
+    return reduce(add, (simpson_values(ys, h) for ys, h in panels))
 
 
 def simpson_split(
@@ -32,9 +59,7 @@ def simpson_split(
     n: int = 4001,
 ) -> float:
     """Simpson rule split at an interior kink so each panel stays smooth."""
-    if not a < cut < b:
-        return simpson(f, a, b, n)
-    return simpson(f, a, cut, n) + simpson(f, cut, b, n)
+    return simpson_panels((list(map(f, xs)), h) for xs, h in split_nodes(a, b, cut, n))
 
 
 def simpson_peaked(

@@ -399,6 +399,17 @@ def test_coupling_quotient_beyond_float_range_exits_4(capsys, argv, quotient):
     assert ("c (--c) = 0.5" if quotient == "alpha/c" else "dx = 0.0009765625") in captured.err
 
 
+def test_oracle_level_beyond_half_the_float_range_exits_4_on_its_energy(capsys):
+    """The oracle's midpoints no longer overflow, so it solves the level near
+    -1.024e308 (it used to fail with a nan residual at -inf); the analytic
+    energy c (nu/2)**2 of the same level is beyond float range, exit 4."""
+    code = cli.main(["oracle", "--alpha=-1e305", "--c", "0.5", "--grid", "1023", "--count", "1"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert "energy c (nu/2)**2 exceeds float range at nu = -2e+305" in captured.err
+    assert "residual" not in captured.err
+
+
 def test_spectrum_deep_bound_state_is_the_converged_newton_root(capsys):
     """At alpha = -1e8 the bound state's nu is -1e8 to rounding; bisecting on
     past a converged Newton step would print -100000000.00000285."""

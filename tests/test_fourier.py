@@ -2,6 +2,7 @@
 
 import functools
 import math
+from operator import mul
 
 import pytest
 
@@ -17,7 +18,7 @@ from deltabox.fourier import (
     tail_bound,
 )
 from deltabox.lattice import kappa_base, over_in_shared, overline_nu, under_in_shared, underline_nu
-from deltabox.model import RationalX0, RealX0, make_setup, nu_n, phi_mode, site_modes
+from deltabox.model import RationalX0, RealX0, make_setup, nu_n, phi_mode, phi_mode_grid, site_modes
 from deltabox.wavefn import (
     eval_normalized,
     limit_state,
@@ -26,7 +27,7 @@ from deltabox.wavefn import (
     upsilon_under,
 )
 
-from _quad import extrapolate_to_zero, simpson_split
+from _quad import extrapolate_to_zero, simpson_panels, split_nodes
 
 
 def setup_pq(p, q, L=1.0, c=1.0):
@@ -36,17 +37,18 @@ def setup_pq(p, q, L=1.0, c=1.0):
 def assert_coefficients_match_quadrature(expansion, f, n=8001):
     """Each a_m equals the Simpson overlap of f with Phi_m within 2e-9.
 
-    Every m integrates on the same nodes, so f is evaluated once per node
-    and its values are reused for every m.
+    Every m integrates on the same nodes, so f is sampled once per panel
+    and its values are reused for every m; Phi_m is sampled once per panel
+    and m.
     """
-    setup, values = expansion.setup, functools.cache(f)
+    setup = expansion.setup
+    panels = [
+        (xs, list(map(f, xs)), h)
+        for xs, h in split_nodes(-setup.L / 2, setup.L / 2, setup.x0_value, n)
+    ]
     for m, a in expansion.coefficients:
-        quad = simpson_split(
-            lambda x: values(x) * phi_mode(setup, m, x),
-            -setup.L / 2,
-            setup.L / 2,
-            setup.x0_value,
-            n=n,
+        quad = simpson_panels(
+            (list(map(mul, fs, phi_mode_grid(setup, m, xs))), h) for xs, fs, h in panels
         )
         assert a == pytest.approx(quad, abs=2e-9), m
 

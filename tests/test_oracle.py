@@ -1,6 +1,7 @@
 """Finite-difference oracle: discretization, eigensolver, cross-checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,7 +211,7 @@ def test_eig_lowest_is_deterministic():
 def test_eig_lowest_prefix_is_independent_of_count():
     """Targets share one Sturm count cache; no pair may depend on `count`."""
     T = build_hamiltonian(setup_pq(1, 4), 5.0, 1023)
-    full = eig_lowest(T, 12)
+    full = list(eig_lowest(T, 12))
     for j in range(1, 12):
         for (l1, v1), (l2, v2) in zip(eig_lowest(T, j), full[:j]):
             assert l1 == l2
@@ -310,7 +311,7 @@ def test_eig_lowest_rejects_large_residual(monkeypatch):
     T = build_hamiltonian(setup_pq(1, 4), 5.0, 255)
     monkeypatch.setattr(oracle, "_inverse_iteration", lambda d, e, sigma: [1.0] * len(d))
     with pytest.raises(ConvergenceError, match="residual"):
-        eig_lowest(T, 3)
+        list(eig_lowest(T, 3))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
@@ -324,7 +325,7 @@ def test_eig_lowest_rejects_vector_without_finite_norm(monkeypatch, bad):
 
     monkeypatch.setattr(oracle, "_inverse_iteration", broken)
     with pytest.raises(ConvergenceError, match="residual"):
-        eig_lowest(T, 1)
+        list(eig_lowest(T, 1))
 
 
 def test_eig_lowest_survives_exactly_singular_shift():
@@ -395,6 +396,57 @@ def test_eig_lowest_checks_residuals_of_a_zero_diagonal_matrix():
         assert math.fsum(x * x for x in v) * T.dx == pytest.approx(1.0, rel=1e-12)
 
 
+def test_eig_lowest_solves_levels_in_the_call_and_vectors_when_drawn(monkeypatch):
+    """Every Sturm pass runs before eig_lowest returns; each eigenvector is
+    computed, and its residual checked, only when its pair is drawn."""
+    T = build_hamiltonian(setup_pq(1, 4), 5.0, 255)
+    passes, solves = [], []
+    sturm, sturm_count = oracle._sturm, oracle._sturm_count
+
+    def counted(*args):
+        passes.append(args[2])
+        return sturm(*args)
+
+    def counted_only(*args):
+        passes.append(args[2])
+        return sturm_count(*args)
+
+    def no_vector(d, e, sigma):
+        solves.append(sigma)
+        return [1.0] * len(d)
+
+    monkeypatch.setattr(oracle, "_sturm", counted)
+    monkeypatch.setattr(oracle, "_sturm_count", counted_only)
+    monkeypatch.setattr(oracle, "_inverse_iteration", no_vector)
+    pairs = eig_lowest(T, 3)
+    solved = len(passes)
+    assert solved > 0 and solves == []
+    with pytest.raises(ConvergenceError, match="residual"):
+        next(pairs)
+    assert len(passes) == solved and len(solves) == 1
+
+
+def test_eig_lowest_out_of_sturm_passes_raises_in_the_call(monkeypatch):
+    """A level that exhausts its Sturm passes raises before any pair is drawn."""
+    T = build_hamiltonian(setup_pq(1, 4), -1000.0, 511)
+    monkeypatch.setattr(oracle, "_sturm", lambda d, e2, shift, pivmin: (int(shift >= 0.0), math.nan))
+    monkeypatch.setattr(oracle, "_sturm_count", lambda d, e2, shift, pivmin: int(shift >= 0.0))
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        eig_lowest(T, 1)
+
+
+def test_eig_lowest_midpoints_stay_in_float_range():
+    """Both ends of the bracket of the level near -1.024e308 lie beyond half
+    the float range, where 0.5 * (lo + hi) overflows to -inf and inverse
+    iteration at -inf left a nan residual; the midpoint 0.5 * lo + 0.5 * hi
+    stays finite, and the pair is a finite unit vector."""
+    T = build_hamiltonian(setup_pq(1, 4, c=0.5), -1e305, 1023)
+    [(lam, v)] = eig_lowest(T, 1)
+    assert lam == pytest.approx(-1.024e308, rel=1e-12)
+    assert all(map(math.isfinite, v))
+    assert math.fsum(x * x for x in v) * T.dx == pytest.approx(1.0, rel=1e-12)
+
+
 def test_eig_lowest_validates_count():
     T = build_hamiltonian(setup_pq(1, 4), 0.0, 127)
     for bad in (0, 13, -2):
@@ -462,6 +514,26 @@ def test_strong_coupling_levels_match_the_closed_forms_in_sign(alpha):
     s = setup_pq(1, 4)
     result = compare(s, alpha, 1023, 4)
     assert result.max_sup_wave_error < 1e-10
+
+
+def test_compare_holds_one_eigenvector_at_a_time():
+    """compare draws each eigenpair as it compares that level and keeps only
+    its LevelComparison, so its traced peak does not grow with count: at
+    N = 4095 twelve levels peak within 1.1 times one level's peak and at
+    most 400 bytes per grid node.  Holding all twelve pairs took 715."""
+    s = setup_pq(1, 4)
+    N = 4095
+    compare(s, 1000.0, 1023, 3)  # first-call allocations are not the oracle's working set
+    peaks = {}
+    for count in (1, 12):
+        tracemalloc.start()
+        try:
+            compare(s, 1000.0, N, count)
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[12] <= 1.1 * peaks[1]
+    assert peaks[12] <= 400 * N
 
 
 def test_deep_attractive_bound_state():
