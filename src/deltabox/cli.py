@@ -136,6 +136,8 @@ def _linspace(lo: float, hi: float, n: int, option: str = "--points") -> List[fl
     if n == 1:
         return [lo]
     step = (hi - lo) / (n - 1)
+    if math.isinf(step):  # hi - lo overflows: weigh the two ends instead
+        return [lo * ((n - 1 - i) / (n - 1)) + hi * (i / (n - 1)) for i in range(n - 1)] + [hi]
     return [lo + i * step for i in range(n - 1)] + [hi]
 
 

@@ -6,10 +6,9 @@ collapse to closed forms proportional to Phi_m(x0) over a resonance
 denominator, so the coefficients decay like 1/m**2 and partial sums converge
 uniformly.  This module produces those coefficients, kept as one flat list
 of floats per expansion (`FourierExpansion.values`), evaluates partial sums
-by Clenshaw's recurrence with the angle taken from the nearer wall, folds an
-expansion onto the P - 2 terms that an equispaced grid of P points can tell
-apart, and estimates the dropped tail of an expansion on request
-(`tail_bound`).
+by Clenshaw's recurrence with the angle taken from the nearer wall, and
+folds an expansion onto the P - 2 terms that an equispaced grid of P points
+can tell apart.
 
 Branches, signs and norms come from the records of `wavefn.general_state`
 and `wavefn.limit_state`, so the expansions converge to the states as
@@ -218,22 +217,3 @@ def fold_to_grid(expansion: FourierExpansion, points: int) -> FourierExpansion:
         math.fsum(a[s - 1 :: 2 * K]) - math.fsum(a[2 * K - s - 1 :: 2 * K]) for s in range(1, K)
     ]
     return expansion._replace(values=folded)
-
-
-def tail_bound(expansion: FourierExpansion) -> float:
-    """Estimate of the sup-norm of the tail an expansion drops after its M terms.
-
-    sqrt(2/L) * max_m |a_m| m**2 / M, from the measured 1/m**2 envelope.
-    The one-hot expansion of a free mode (a single nonzero coefficient, 1.0)
-    is exact, and its bound is 0.0.
-    """
-    values = expansion.values
-    if [a for a in values if a] == [1.0]:
-        return 0.0
-    envelope = max((abs(a) * m * m for m, a in enumerate(values, 1)), default=0.0)
-    return math.sqrt(2 / expansion.setup.L) * envelope / max(len(values), 1)
-
-
-def parseval_defect(expansion: FourierExpansion) -> float:
-    """1 - sum a_m**2, the truncated mass deficit of a unit-norm state."""
-    return 1.0 - math.fsum(a * a for a in expansion.values)

@@ -35,8 +35,8 @@ Three radii around lattice points, each with its own job:
 Interval case tags follow the bounding-point kinds: G for the unbounded
 leftmost interval, then A (under, under), B (under, over), C (over, under),
 D (both, both), E (both, under), F (under, both).  Free modes never sit at a
-one-sided lattice point, so a mode is either interior to an interval or a
-shared point (tag Z).
+one-sided lattice point, so a mode is either interior to an interval (its
+contains_mode) or a shared point.
 """
 
 from __future__ import annotations
@@ -97,18 +97,6 @@ class IntervalDescriptor(NamedTuple):
     contains_mode: Optional[int]
 
 
-class ModeClassification(NamedTuple):
-    """Placement of a free mode: either interval + case tag, or tag Z."""
-
-    n: int
-    case_tag: str
-    interval: Optional[IntervalDescriptor]
-
-    @property
-    def in_shared_lattice(self) -> bool:
-        return self.case_tag == "Z"
-
-
 # ======================================================================
 # Individual lattice points
 # ======================================================================
@@ -161,13 +149,6 @@ def under_floor(setup: Setup, k: int) -> int:
     return (2 * k * setup.q) // (setup.q + setup.p)
 
 
-def _point(setup: Setup, k: Optional[int], l: Optional[int]) -> tuple[LatticePoint, int, int]:
-    # The point with under index k and/or over index l (the other None) and
-    # its exact position num/den in units of 2 pi / L.
-    num, den = 2 * (k or l) * setup.q, (setup.q + setup.p if k else setup.q - setup.p)
-    return _make_point(num / den * (2 * math.pi / setup.L), k, l), num, den
-
-
 def _make_point(nu: float, k: Optional[int], l: Optional[int]) -> LatticePoint:
     kind = "over" if k is None else ("under" if l is None else "both")
     return LatticePoint(nu=nu, kind=kind, k=k, l=l)
@@ -209,7 +190,7 @@ def partition(setup: Setup, nu_max: float) -> tuple[list[LatticePoint], list[Int
             num, den = 2 * l * q, left
             point = LatticePoint(num / den * unit, "over", None, l)
             l += 1
-        else:  # under, or shared (a == b) with its float from k, as in _point
+        else:  # under, or shared (a == b) with its float from k
             num, den = 2 * k * q, right
             kind, point_l = ("under", None) if a < b else ("both", l)
             point = LatticePoint(num / den * unit, kind, k, point_l)
@@ -240,51 +221,6 @@ def _interval(
     return IntervalDescriptor(
         index=index, lower=lower, upper=upper, case_tag=tag, contains_mode=n if inside else None
     )
-
-
-# ======================================================================
-# Mode classification
-# ======================================================================
-
-
-def classify_mode(setup: Setup, n: int) -> ModeClassification:
-    """Place the n-th free mode: shared point (tag Z) or its open interval.
-
-    The counts of under and over points below the mode are computed as
-    floor(n (q+p)/(2q)) and floor(n (q-p)/(2q)) in exact integer arithmetic
-    (the case analysis is discontinuous in these floors, so floats would
-    misclassify boundary configurations).
-    """
-    if n < 1:
-        raise DomainError(f"mode index must be >= 1, got n={n}")
-    base = kappa_base(setup)
-    if n % base == 0:
-        return ModeClassification(n=n, case_tag="Z", interval=None)
-    p, q = setup.p, setup.q
-    k_hat = (n * (q + p)) // (2 * q)
-    l_hat = (n * (q - p)) // (2 * q)
-    lower = _bounding_point(setup, k_hat, l_hat, max)
-    upper = _bounding_point(setup, k_hat + 1, l_hat + 1, min)
-    interval = _interval(k_hat + l_hat - (n - 1) // base, *lower, *upper)
-    return ModeClassification(n=n, case_tag=interval.case_tag, interval=interval)
-
-
-def _bounding_point(setup: Setup, k: int, l: int, pick) -> tuple[Optional[LatticePoint], int, int]:
-    # The lattice point bounding a mode and its position: pick=max of the
-    # candidates below it (k-th under, l-th over), pick=min of those above
-    # it.  Index 0 means no candidate of that kind.
-    if k < 1 and l < 1:
-        return None, 0, 1
-    if l < 1:
-        return _point(setup, k, None)
-    if k < 1:
-        return _point(setup, None, l)
-    a, b = k * (setup.q - setup.p), l * (setup.q + setup.p)
-    if a == b:
-        return _point(setup, k, l)
-    if pick(a, b) == a:
-        return _point(setup, k, None)
-    return _point(setup, None, l)
 
 
 # ======================================================================

@@ -106,18 +106,6 @@ def expectation_grid(
 # ============================================================
 
 
-def gamma_factor(gamma: float) -> float:
-    """Amplitude envelope 1/sqrt(1 - sin(gamma)/gamma) for a centered site.
-
-    The envelope diverges like sqrt(6)/gamma as gamma -> 0, so arguments
-    below 1e-3 are rejected rather than returned with catastrophic loss of
-    meaning.
-    """
-    if not gamma >= 1e-3:
-        raise DomainError(f"gamma must be >= 1e-3, got {gamma!r}")
-    return 1.0 / math.sqrt(one_minus_sinc(gamma))
-
-
 def _tan_fixed_point(lo: float, hi: float) -> float:
     """Root of tan(gamma) = gamma in [lo, hi] via bisection.
 

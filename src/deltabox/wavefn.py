@@ -27,9 +27,8 @@ the one-element case.
 Conventions fixed here and relied on elsewhere:
 
 * the right piece of a trig state carries amplitude |sin(a2)| >= 0, the left
-  piece carries sign(sin(a2)) * sin(a1) (`trig_left_sign`), which keeps the
-  state continuous at x0 and pins its sign for the coefficient formulas in
-  `fourier`;
+  piece carries sign(sin(a2)) * sin(a1), which keeps the state continuous at
+  x0 and pins its sign for the coefficient formulas in `fourier`;
 * limit states are normalized to 1 and signed so that they are the pointwise
   limits of the normalized eigenfunctions along the attractive and repulsive
   coupling paths (the one-sided pair differ by an overall sign between the
@@ -44,7 +43,6 @@ from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Uni
 
 from .errors import DomainError, InK, NotInK, SingularPoint
 from .lattice import (
-    LatticePoint,
     lattice_locator,
     over_in_shared,
     shared_mode_near,
@@ -89,20 +87,6 @@ class WaveSample(NamedTuple):
     x: float
     value: float
     kind: WaveKind
-
-
-class LimitResidualReport(NamedTuple):
-    """Numerical evidence that a limit state solves its boundary problem.
-
-    max_ode_residual is the largest relative second-difference defect of
-    -psi'' = (E/c) psi away from the kink; jump_error compares the analytic
-    one-sided derivative mismatch at x0 against the tabulated kappa constant;
-    boundary_error is the larger of the two wall values.
-    """
-
-    max_ode_residual: float
-    jump_error: float
-    boundary_error: float
 
 
 # ============================================================
@@ -153,7 +137,8 @@ class GeneralState(_Pieces):
 
     branch is "trig", "linear" (nu is then 0), "hyper" or "deep" (t L >=
     LOG_SWITCH with t = -nu, sampled with its exp(t L / 2) divided out).
-    sign is trig_left_sign on the trig branch and 1.0 elsewhere.
+    sign is sign(sin(a2)), a2 = (nu/2) (L/2 + x0), on the trig branch and
+    1.0 elsewhere.
     """
 
     def __init__(
@@ -207,24 +192,13 @@ class LimitState(_Pieces):
 # ============================================================
 
 
-def trig_left_sign(setup: Setup, nu: float) -> float:
-    """Sign of sin(a2), a2 = (nu/2) (L/2 + x0), carried by the left trig piece.
-
-    The right piece has amplitude |sin(a2)|, so this sign keeps the state
-    continuous at x0.  It is (-1)**floor(a2/pi) and flips at the under
-    points; being read from the very sine of the right amplitude, it
-    cannot disagree with that amplitude next to one.
-    """
-    return math.copysign(1.0, math.sin((nu / 2) * setup.width_left))
-
-
 def _direct(setup: Setup, nu: float) -> GeneralState:
     """The normalized trig, linear or evanescent state at nu."""
     half, w1, w2, sign = setup.L / 2, setup.width_right, setup.width_left, 1.0
     if nu > 0:
         branch, f, k = "trig", math.sin, nu / 2
         s2 = math.sin(k * w2)
-        sign = math.copysign(1.0, s2)  # trig_left_sign, from the sine b needs
+        sign = math.copysign(1.0, s2)  # from the very sine b needs
         a, b = sign * math.sin(k * w1), abs(s2)
     elif nu == 0:
         # w1 (L/2 + x) and w2 (L/2 - x): float is the identity here.
@@ -449,39 +423,6 @@ def eval_normalized(setup: Setup, nu: float, x: float) -> WaveSample:
 
 
 # ============================================================
-# Logarithmic-derivative jump at the interaction site
-# ============================================================
-
-
-def jump_ratio(setup: Setup, nu: float) -> float:
-    """[psi'(x0+) - psi'(x0-)] / psi(x0), from the piecewise derivatives.
-
-    This is computed from the eigenfunction pieces alone, independently of
-    the dispersion function, so the two can be checked against each other.
-    Raises DomainError when psi(x0) = 0 (lattice points), where the ratio
-    is undefined.
-    """
-    w1 = setup.width_right
-    w2 = setup.width_left
-    if nu > 0:
-        a1 = (nu / 2) * w1
-        a2 = (nu / 2) * w2
-        s = trig_left_sign(setup, nu)
-        denom = abs(math.sin(a2)) * math.sin(a1) * s
-        if denom == 0.0:
-            raise DomainError("eigenfunction vanishes at x0; jump ratio undefined")
-        num = -(nu / 2) * (
-            abs(math.sin(a2)) * math.cos(a1) * s + s * s * math.sin(a1) * math.cos(a2)
-        )
-        # s*s = 1; kept explicit so both pieces visibly carry the left sign.
-        return num / denom
-    if nu == 0:
-        return -setup.L / (w1 * w2)
-    t = -nu
-    return -(t / 2) * (1.0 / math.tanh(t * w1 / 2) + 1.0 / math.tanh(t * w2 / 2))
-
-
-# ============================================================
 # Limit states (coupling strength -> +/- infinity)
 # ============================================================
 
@@ -585,93 +526,3 @@ def upsilon_over(setup: Setup, l: int, x: float) -> WaveSample:
     shared lattice.
     """
     return _sample_at(limit_state(setup, "over", l), x)
-
-
-def _point_limit(setup: Setup, point: LatticePoint, side: str = "below") -> LimitState:
-    """The limit state at a lattice point."""
-    if point.kind == "both":
-        return limit_state(setup, "hat", point.nu)
-    if point.kind == "under":
-        return limit_state(setup, "under", point.k, side)
-    if point.kind == "over":
-        return limit_state(setup, "over", point.l)
-    raise DomainError(f"unknown lattice point kind {point.kind!r}")
-
-
-# ============================================================
-# Derivative-jump constants of the limit states
-# ============================================================
-
-
-def kappa_constants(setup: Setup, point: LatticePoint) -> float:
-    """Derivative-jump constant kappa of the limit state at a lattice point.
-
-    The limit state satisfies psi'(x0+) - psi'(x0-) = sigma * kappa / c with
-    sigma = +1 except along the repulsive path of a left one-sided state
-    (side="above"), where sigma = -1.  The returned kappa corresponds to the
-    side="below" sign convention for "under" points.
-    """
-    c = setup.c
-    if point.kind == "both":
-        if point.l is None or point.k is None:
-            raise DomainError("shared lattice point must carry both indices")
-        amp = math.sqrt(2 * setup.L) / (
-            math.sqrt(setup.L + 2 * setup.x0_value)
-            * math.sqrt(setup.L - 2 * setup.x0_value)
-        )
-        sign = -1.0 if (point.l - 1) % 2 else 1.0
-        return c * amp * point.nu * sign
-    state = _point_limit(setup, point)
-    return c * point.nu * -state.coeff_sign / state.root
-
-
-# ============================================================
-# Self-check of the limit states
-# ============================================================
-
-
-def _one_sided_derivatives(state: LimitState) -> "tuple[float, float]":
-    """Analytic (left, right) derivatives of the limit state at x0."""
-    setup, j = state.setup, state.mode
-    if state.kind.label == "limit_hat":
-        h = j * math.pi / setup.L
-        dphi = -state.amp * h * math.cos(h * (setup.L / 2 - setup.x0_value))
-        return -state.root * dphi, dphi / state.root
-    slope = state.amp * (j * math.pi / state.width) * math.cos(j * math.pi)
-    return (slope, 0.0) if state.kind.label == "limit_under" else (0.0, -slope)
-
-
-def limit_residual(
-    setup: Setup, point: LatticePoint, grid_n: int = 2000, side: str = "below"
-) -> LimitResidualReport:
-    """Check that the limit state at `point` solves its boundary problem.
-
-    Verifies three properties on a uniform grid: the free equation
-    -psi'' = (E/c) psi away from x0 (second differences, relative to the
-    state's scale), the derivative jump at x0 against sigma * kappa / c, and
-    the wall values.  All three numbers should be small; the ODE residual is
-    second-order in the grid spacing.
-    """
-    if grid_n < 16:
-        raise DomainError("grid_n too small for a meaningful residual")
-    state = _point_limit(setup, point, side)
-    energy_factor = (point.nu / 2) ** 2
-    h = setup.L / grid_n
-    xs = [-setup.L / 2 + i * h for i in range(grid_n + 1)]
-    values = state.sample(xs)
-    scale = max(abs(v) for v in values)
-    max_resid = 0.0
-    for i in range(1, grid_n):
-        if abs(xs[i] - setup.x0_value) <= 1.5 * h:
-            continue
-        second = (values[i - 1] - 2 * values[i] + values[i + 1]) / (h * h)
-        resid = abs(second + energy_factor * values[i])
-        if resid > max_resid:
-            max_resid = resid
-    max_resid /= energy_factor * scale
-    left_d, right_d = _one_sided_derivatives(state)
-    sigma = -1.0 if (point.kind == "under" and side == "above") else 1.0
-    kappa = kappa_constants(setup, point)
-    jump_error = abs((right_d - left_d) - sigma * kappa / setup.c)
-    boundary_error = max(abs(values[0]), abs(values[-1]))
-    return LimitResidualReport(max_resid, jump_error, boundary_error)

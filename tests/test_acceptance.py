@@ -18,14 +18,15 @@ from pathlib import Path
 import pytest
 
 from deltabox import cli, oracle
-from deltabox.fourier import coeffs_general, coeffs_limit, parseval_defect, partial_sum
+from deltabox.fourier import coeffs_general, coeffs_limit, partial_sum
 from deltabox.lattice import kappa_base, overline_nu, partition, underline_nu
 from deltabox.model import RationalX0, RealX0, make_setup, nu_n
 from deltabox.observables import amplitude_extrema, expectation_grid, ratio_grid
 from deltabox.spectrum import alpha_from_nu, dispersion, solve_nu
-from deltabox.wavefn import eval_normalized, jump_ratio, limit_state, upsilon_hat
+from deltabox.wavefn import eval_normalized, limit_state, upsilon_hat
 
 from _quad import extrapolate_to_zero, simpson
+from _reference import jump_ratio, parseval_defect
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -477,3 +478,53 @@ def test_readme_library_quickstart_runs():
     assert namespace["alpha"] == pytest.approx(5.0, rel=1e-9)
     for name in ("psi", "r", "mean_x"):
         assert math.isfinite(namespace[name]), name
+
+
+# ======================================================================
+# 13. The abstract's strong-coupling claims against the oracle
+# ======================================================================
+
+# Site p/q, a grid of N nodes holding it (x0 on node (N+1)(q+p)/(2q)) and
+# the couplings; the worst cases measured on these are quoted per bound.
+ABSTRACT_SITES = [(1, 4, 4095), (1, 7, 4479), (2, 5, 4479)]
+ABSTRACT_COUPLINGS = (1e3, 1e5)
+
+
+def oracle_pairs(setup, alpha, N, count):
+    """The lowest levels of the finite-difference Hamiltonian with the mean
+    position sum(x v**2) dx of each eigenvector, from the oracle alone."""
+    dx = setup.L / (N + 1)
+    xs = [-setup.L / 2 + j * dx for j in range(1, N + 1)]
+    pairs = oracle.eig_lowest(oracle.build_hamiltonian(setup, alpha, N), count)
+    return [(lam, math.fsum(x * v * v for x, v in zip(xs, vec)) * dx) for lam, vec in pairs]
+
+
+@pytest.mark.parametrize("p,q,N", ABSTRACT_SITES)
+def test_criterion_13_abstract_limits_against_the_oracle(p, q, N):
+    """At the first shared mode n = 2q / gcd(q+p, q-p) of a rational site,
+    one level is coupling-blind: it stays at the free level n of the grid
+    (worst drift measured 7.2e-12 relative, bound 8e-11).  A second level
+    approaches it from below as alpha -> +inf and from above as alpha ->
+    -inf, with its gap shrinking as 1/|alpha|: gap * |alpha| at 1e5 is
+    within 0.09 of its value at 1e3 (worst measured 0.0086).  That level's
+    eigenvector has mean position x0 in the limit: within 4e-7 of it at
+    |alpha| = 1e5 (worst measured 3.1e-8), its error at 1e5 at most 1.3e-3
+    of the error at 1e3 (worst measured 1.2e-4).  At site 1/4 the gap goes
+    5.351 -> 0.0539 for alpha > 0 and 5.420 -> 0.0539 for alpha < 0."""
+    s = setup_pq(p, q)
+    n = 2 * q // math.gcd(q + p, q - p)
+    free = oracle_pairs(s, 0.0, N, n)[-1][0]
+    for sign in (1.0, -1.0):
+        gaps, errors = [], []
+        for a in ABSTRACT_COUPLINGS:
+            levels = oracle_pairs(s, sign * a, N, n + 1)
+            i = min(range(len(levels)), key=lambda i: abs(levels[i][0] - free))
+            mode, (moving, mean) = levels[i][0], levels[i - int(sign)]
+            assert abs(mode - free) < 8e-11 * free
+            gap = mode - moving
+            assert sign * gap > 0  # from below for alpha > 0, from above for alpha < 0
+            gaps.append(abs(gap) * a)
+            errors.append(abs(mean - s.x0_value))
+        assert abs(gaps[1] / gaps[0] - 1) < 0.09
+        assert errors[1] < 4e-7
+        assert errors[1] < 1.3e-3 * errors[0]

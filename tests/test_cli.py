@@ -470,6 +470,35 @@ def test_one_point_grid_is_the_lower_end(capsys):
         cli._linspace(-0.5, 0.5, 0)
 
 
+@pytest.mark.parametrize("cmd", ["ratio", "expectation"])
+@pytest.mark.parametrize("points", [2, 5])
+@pytest.mark.parametrize("ends", [("-1e308", "1e308"), ("1e308", "-1e308")], ids=["up", "down"])
+def test_grid_whose_span_overflows_prints_finite_rows(capsys, cmd, points, ends):
+    """hi - lo overflows to inf: the grid still runs from end to end in
+    finite, monotone steps, and every row is printed."""
+    lo, hi = ends
+    code, out = run_cli(capsys, cmd, f"--nu-min={lo}", f"--nu-max={hi}", "--points", str(points))
+    assert code == 0
+    assert "nan" not in out and "inf" not in out
+    nus = [float(row["nu"]) for row in parse_csv(out)]
+    grid = cli._linspace(float(lo), float(hi), points)
+    assert grid[0] == float(lo) and grid[-1] == float(hi)
+    assert all(math.isfinite(nu) for nu in grid)
+    assert grid == sorted(grid, reverse=float(lo) > float(hi))
+    if cmd == "ratio":
+        assert nus == grid
+    else:  # one-sided rows are left out
+        assert set(nus) <= set(grid) and -1e308 in nus
+
+
+def test_grid_whose_span_is_finite_keeps_its_steps():
+    """Only an overflowing span is weighed: elsewhere the points are lo + i
+    step, so a -0.0 lower end prints as 0.0."""
+    assert cli._linspace(-0.0, 1.0, 3) == [0.0, 0.5, 1.0]
+    assert math.copysign(1.0, cli._linspace(-0.0, 1.0, 3)[0]) == 1.0
+    assert cli._linspace(-1e308, 7e307, 3) == [-1e308 + i * ((7e307 + 1e308) / 2) for i in range(2)] + [7e307]
+
+
 def test_missing_nu_exits_3(capsys):
     code = cli.main(["wavefunction"])
     capsys.readouterr()

@@ -13,9 +13,7 @@ from deltabox.fourier import (
     coeffs_general,
     coeffs_limit,
     fold_to_grid,
-    parseval_defect,
     partial_sum,
-    tail_bound,
 )
 from deltabox.lattice import kappa_base, over_in_shared, overline_nu, under_in_shared, underline_nu
 from deltabox.model import RationalX0, RealX0, make_setup, nu_n, phi_mode, phi_mode_grid, site_modes
@@ -28,6 +26,7 @@ from deltabox.wavefn import (
 )
 
 from _quad import extrapolate_to_zero, simpson_panels, split_nodes
+from _reference import parseval_defect, tail_bound
 
 
 def setup_pq(p, q, L=1.0, c=1.0):

@@ -11,7 +11,6 @@ from deltabox.errors import DomainError, SingularPoint
 from deltabox.lattice import (
     IntervalDescriptor,
     LatticePoint,
-    classify_mode,
     kappa_base,
     lattice_locator,
     nearest_lattice_point,
@@ -22,6 +21,8 @@ from deltabox.lattice import (
 )
 from deltabox.model import RationalX0, RealX0, make_setup, nu_n, phi_mode
 from deltabox.observables import expectation_grid, ratio_grid
+
+from _reference import classify_mode
 
 
 def setup_pq(p, q, L=1.0, c=1.0):

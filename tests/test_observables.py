@@ -22,13 +22,13 @@ from deltabox.model import RationalX0, RealX0, make_setup, nu_n
 from deltabox.observables import (
     amplitude_extrema,
     expectation_grid,
-    gamma_factor,
     prob_ratio_at_mode,
     ratio_grid,
 )
 from deltabox.wavefn import compartment_rows, eval_normalized, rho, rho_grid
 
 from _quad import simpson, simpson_peaked
+from _reference import gamma_factor
 
 
 def setup_pq(p, q, L=1.0, c=1.0):

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from deltabox import spectrum
 from deltabox.errors import SingularPoint
-from deltabox.lattice import classify_mode, kappa_base, partition, singular_guard_radius
+from deltabox.lattice import kappa_base, partition, singular_guard_radius
 from deltabox.model import RationalX0, RealX0, make_setup, nu_n
 from deltabox.spectrum import alpha_from_nu, analytic_levels, dispersion, solve_nu
+
+from _reference import classify_mode
 
 
 def setup_pq(p, q, L=1.0, c=1.0):

@@ -26,12 +26,8 @@ from deltabox.wavefn import (
     compartment_rows,
     eval_normalized,
     general_state,
-    jump_ratio,
-    kappa_constants,
-    limit_residual,
     limit_state,
     rho,
-    trig_left_sign,
     upsilon_hat,
     upsilon_over,
     upsilon_under,
@@ -39,6 +35,7 @@ from deltabox.wavefn import (
 from deltabox._special import one_minus_sinc, sinhc_minus_one
 
 from _quad import simpson_peaked, simpson_split
+from _reference import jump_ratio, kappa_constants, limit_residual, trig_left_sign
 
 
 def setup_pq(p, q, L=1.0, c=1.0):
