@@ -72,9 +72,9 @@ def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpans
 
     At a free-mode value off the shared lattice (within 1e-12 relative) the
     state is the free mode itself and the expansion is exactly one-hot; no
-    norm is taken.  Within the limit-state window around a shared-lattice
-    value (1e-8 relative, as in wavefn.general_state) the state is the
-    continuous limit state, expanded by coeffs_limit.  Inside the linear
+    norm is taken.  On a shared-lattice value (where lattice_locator puts
+    it, as in wavefn.general_state) the state is the continuous limit
+    state, expanded by coeffs_limit.  Inside the linear
     window (|nu| L < LINEAR_WINDOW) the state is the nu = 0 linear state,
     whose closed-form prefactor needs no norm either.  Elsewhere
     a_m = c * Phi_m(x0) / D_m with the branch-dependent resonance
@@ -83,7 +83,7 @@ def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpans
     """
     _check_m(M)
     # Tested before the state is resolved; shared modes (n a multiple of
-    # kappa_base) lie in the limit window instead.
+    # kappa_base) are left to general_state.
     if nu > 0:
         n = round(nu / nu_n(setup, 1))
         if n % kappa_base(setup) and abs(nu - nu_n(setup, n)) <= _MODE_SNAP_RTOL * nu:

@@ -18,17 +18,16 @@ become floats only as (2kq)/(q+p) * (2 pi / L), where Python's int/int
 division rounds correctly (partition makes each point and its interval from
 them in one walk).
 
-Three radii around lattice points, each with its own job:
+Two radii around lattice points, each with its own job:
 
-* ON_LATTICE_RTOL (1e-9, relative to the point): nu counts as sitting on the
-  point (lattice_locator, bound to a setup once, the only on-lattice test).
-  The compartment rows return their limit values there, and a value that
-  it places on a shared point is accepted by the continuous limit state.
-  A locator keeps the gap around its last miss: a sweep searches once a gap.
-* LIMIT_WINDOW_RTOL (1e-8, relative to the point): around a shared point the
-  normalized eigenfunction and its sine expansion are replaced by the
-  continuous limit state, because the norm collapses and the direct quotient
-  loses all precision (shared_mode_near).
+* ON_LATTICE_RTOL (1e-9, relative to the point, capped at 1e-3 of the
+  first under point, the smaller lattice step, so that at large nu it
+  never spans a gap): nu counts as sitting on the point (lattice_locator,
+  bound to a setup once, the only on-lattice test).  The compartment rows
+  return their limit values there, and on a shared point the general
+  state is the continuous limit state, built for exactly those values.
+  A locator keeps the gap around its last miss: a sweep searches once a
+  gap.
 * singular_guard_radius (1e-12 of the first under point, absolute): the
   dispersion function refuses to evaluate its poles closer than this.
 
@@ -48,7 +47,6 @@ from .errors import DomainError
 from .model import Setup
 
 ON_LATTICE_RTOL = 1e-9
-LIMIT_WINDOW_RTOL = 1e-8
 
 # Most lattice points partition builds.  A point with its interval takes
 # about 305 bytes (tracemalloc over an 87 501-point partition), so a
@@ -234,18 +232,22 @@ def lattice_locator(
     """The on-lattice test, setup bound once: nu -> the nearest lattice point
     when nu lies within rtol of it (relative to the point), else None.
 
+    A finite radius is capped at 1e-3 of the under step, the smaller
+    lattice step: rtol times the point would span whole gaps at large nu.
     The nearest under and over indices k and l are nu over the lattice
     steps, rounded; ties go to the under point, and nu <= 0 has no point.
     The shared-lattice test and the LatticePoint are made only on a hit.
     A miss keeps the gap between the points around nu, each end widened by
-    2 rtol of itself, and a later nu strictly inside it misses at once;
-    every other nu takes the test.  Point floats rise with their exact
-    positions, so no point lies in the gap; with rtol = inf nothing misses.
+    twice its capped radius, and a later nu strictly inside it misses at
+    once; every other nu takes the test.  Point floats rise with their
+    exact positions, so no point lies in the gap; with rtol = inf nothing
+    misses.
     """
     p, q = setup.p, setup.q
     unit = 2 * math.pi / setup.L
     two_q, q_plus, q_minus = 2 * q, q + p, q - p
     under_step, over_step = two_q / q_plus * unit, two_q / q_minus * unit
+    cap = 1e-3 * under_step if rtol < math.inf else math.inf
     gap_lo = gap_hi = 0.0
 
     def locate(nu: float) -> Optional[LatticePoint]:
@@ -258,14 +260,15 @@ def lattice_locator(
         over = (l * two_q) / q_minus * unit
         to_under, to_over = abs(nu - under), abs(nu - over)
         if to_over < to_under:
-            if to_over <= rtol * over:
+            if to_over <= min(rtol * over, cap):
                 return _make_point(over, over_in_shared(setup, l), l)
-        elif to_under <= rtol * under:
+        elif to_under <= min(rtol * under, cap):
             return _make_point(under, k, under_in_shared(setup, k))
         k, l = k - (under > nu), l - (over > nu)  # the points at or below nu
         below = max((k * two_q) / q_plus * unit, (l * two_q) / q_minus * unit)
         above = min(((k + 1) * two_q) / q_plus * unit, ((l + 1) * two_q) / q_minus * unit)
-        gap_lo, gap_hi = below * (1 + 2 * rtol), above * (1 - 2 * rtol)
+        gap_lo = below + 2 * min(rtol * below, cap)
+        gap_hi = above - 2 * min(rtol * above, cap)
         return None
 
     return locate
@@ -281,22 +284,6 @@ def nearest_lattice_point(setup: Setup, nu: float) -> tuple[Optional[LatticePoin
     if point is None:
         return None, math.inf
     return point, abs(nu - point.nu)
-
-
-def shared_mode_near(setup: Setup, nu: float) -> Optional[int]:
-    """Mode number n if nu lies within LIMIT_WINDOW_RTOL * nu_n of a shared
-    point nu_n, else None: the limit window of wavefn.general_state.
-
-    The shared points are the free modes whose index is a multiple of
-    kappa_base, so this needs no search of the two one-sided lattices.
-    """
-    if nu <= 0:
-        return None
-    unit = 2 * math.pi / setup.L
-    n = round(nu / unit)
-    if n >= 1 and n % kappa_base(setup) == 0 and abs(nu - n * unit) <= LIMIT_WINDOW_RTOL * n * unit:
-        return n
-    return None
 
 
 def singular_guard_radius(setup: Setup) -> float:

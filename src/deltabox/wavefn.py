@@ -13,10 +13,10 @@ diverges: a continuous state on the shared lattice and one-sided states
 that fill a single compartment and vanish identically on the other.
 
 Each state is resolved once and then sampled.  `general_state` makes the
-window and branch decision for a normalized eigenfunction at nu (the
-shared-lattice window, where it returns the hat limit state, the linear
-window, trig, hyper or deep) and computes the per-branch amplitudes and
-the sign; the norm is taken on first use.  `limit_state` validates a limit
+window and branch decision for a normalized eigenfunction at nu (a shared
+point of lattice_locator, where it returns the hat limit state, the
+linear window, trig, hyper or deep) and computes the per-branch
+amplitudes and the sign; the norm is taken on first use.  `limit_state` validates a limit
 state (index, side, lattice membership) and fixes its sign and amplitude.
 Both records feed `fourier`'s coefficient builders and sample a list of
 positions (`sample`): each half-wave is a list function, one comprehension
@@ -42,14 +42,8 @@ import math
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Union
 
 from .errors import DomainError, InK, NotInK, SingularPoint
-from .lattice import (
-    lattice_locator,
-    over_in_shared,
-    shared_mode_near,
-    under_floor,
-    under_in_shared,
-)
-from .model import Setup, check_all_in_box, nu_n, phi_mode_grid
+from .lattice import lattice_locator, over_in_shared, under_floor, under_in_shared
+from .model import Setup, check_all_in_box, phi_mode_grid
 from ._special import (
     LINEAR_WINDOW,
     LOG_SWITCH,
@@ -382,17 +376,17 @@ def rho(setup: Setup, nu: float) -> float:
 def general_state(setup: Setup, nu: float) -> Union[GeneralState, LimitState]:
     """The normalized eigenfunction at nu, resolved once for sampling.
 
-    Within a relative window of 1e-8 around a shared-lattice mode the norm
-    collapses and the direct quotient loses all precision, so the state is
-    the continuous limit state there (the two-sided limit along either
-    coupling path) and the hat LimitState is returned.  Inside the linear
-    window the state is the nu = 0 linear state.  Deep evanescent states
-    (t L >= LOG_SWITCH, t = -nu), whose sinh products overflow, are rescaled
-    by exp(-t L / 2) in closed form: every factor stays bounded.
+    Where lattice_locator places nu on a shared point the norm collapses
+    and the direct quotient loses all precision, so the state there is the
+    continuous limit state (the two-sided limit along either coupling
+    path) and the hat LimitState is returned.  Inside the linear window
+    the state is the nu = 0 linear state.  Deep evanescent states (t L >=
+    LOG_SWITCH, t = -nu), whose sinh products overflow, are rescaled by
+    exp(-t L / 2) in closed form: every factor stays bounded.
     """
-    n = shared_mode_near(setup, nu)
-    if n is not None:
-        return limit_state(setup, "hat", nu_n(setup, n))
+    point = lattice_locator(setup)(nu)
+    if point is not None and point.kind == "both":
+        return limit_state(setup, "hat", nu)
     if abs(nu) * setup.L < LINEAR_WINDOW:
         nu = 0.0
     t = -nu

@@ -761,6 +761,29 @@ def test_ratio_at_shared_point_reports_lattice_kind(capsys):
     assert float(row["r"]) == pytest.approx(1 / 0.6, rel=1e-12)
 
 
+@pytest.mark.parametrize("nu", ["6e9", "1e10", "3e11"])
+def test_on_lattice_radius_stays_below_the_lattice_gaps(capsys, nu):
+    """Far up the lattice 1e-9 nu spans whole gaps (6, 10 and 300 against
+    steps of 10 and 17); capped at 1e-3 of the first under point, the
+    radius leaves these nu, 0.72, 3.26 and 2.71 from their nearest points,
+    off the lattice in ratio and wavefunction alike."""
+    code, out = run_cli(capsys, "ratio", "--nu", nu)
+    assert code == 0
+    row = parse_csv(out)[0]
+    assert row["at_lattice"] == "" and 0.0 < float(row["r"]) < math.inf
+    code, out = run_cli(capsys, "wavefunction", "--nu", nu, "--points", "3")
+    assert code == 0
+    assert {row["kind"] for row in parse_csv(out)} == {"trig"}
+
+
+def test_expectation_far_up_the_lattice_prints_every_row(capsys):
+    """Each grid point lies 0.6 to 3.3 from its nearest under point."""
+    argv = ("expectation", "--nu-min", "1e10", "--nu-max", "1.0000001e10", "--points", "5")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert [float(row["nu"]) for row in parse_csv(out)] == [1e10 + 250 * i for i in range(5)]
+
+
 def test_expectation_sweep_skips_one_sided_points(capsys):
     lo, hi = 16.255160819145562, 17.255160819145562
     code, out = run_cli(

@@ -1,7 +1,8 @@
 """Package structure: modules share only public names, no module needs numpy,
 importing the CLI builds no parser and loads no fractions, decimal,
 dataclasses or inspect, every name the benchmark reads resolves, and the
-test-only cross-checks live in tests/_reference.py, not in the package."""
+test-only cross-checks live in tests/_reference.py, not in the package, where
+no deleted name is left."""
 
 import ast
 import importlib
@@ -94,11 +95,15 @@ def test_every_deltabox_name_the_benchmark_checks_read_resolves():
     assert isinstance(FourierExpansion.coefficients, property)
 
 
+# Deleted outright: lattice_locator is the one on-lattice test, at one radius.
+DELETED = ("shared_mode_near", "LIMIT_WINDOW_RTOL")
+
+
 def test_no_deltabox_module_holds_a_moved_cross_check():
     held = [
         f"{path.stem}.{name}"
         for path in sorted(SRC.glob("*.py"))
-        for name in MOVED_TO_REFERENCE
+        for name in MOVED_TO_REFERENCE + DELETED
         if hasattr(importlib.import_module(f"deltabox.{path.stem}".removesuffix(".__init__")), name)
     ]
     assert held == []

@@ -166,6 +166,32 @@ def test_ratio_at_mode_against_40_digits(p, q):
             assert abs(prob_ratio_at_mode(s, n) - exact) <= 1e-15 * exact, n
 
 
+@pytest.mark.parametrize("nu", [6e9, 1e10, 1e10 + 250, 1e10 + 500, 1e10 + 750, 1e10 + 1000, 3e11])
+def test_rows_far_up_the_lattice_against_40_digits(nu):
+    """Lattice gaps away from every point (1e-9 nu would span them), r and
+    Ex are general rows within 1e-12 of 40-digit mpmath.  nu times each
+    width is exact at site 1/4, so only the closed forms are measured.
+    Each piece is sin(k (L/2 -/+ x)) over the walls, k = nu/2, with
+    mass s**2 I(w) and first moment s**2 (+/-)(J(w) - I(w) / 2) about the
+    centre, s the other width's sine."""
+    mpmath = pytest.importorskip("mpmath")
+    s = setup_pq(1, 4)
+    with mpmath.workdps(40):
+        k, left_w, right_w = mpmath.mpf(nu) / 2, mpmath.mpf(5) / 8, mpmath.mpf(3) / 8
+
+        def integrals(w):  # I(w) = int_0^w sin(k y)**2 dy, J(w) the same times y
+            c, s2 = mpmath.cos(2 * k * w), mpmath.sin(2 * k * w)
+            return w / 2 - s2 / (4 * k), w * w / 4 - w * s2 / (4 * k) - (c - 1) / (8 * k * k)
+
+        (i_left, j_left), (i_right, j_right) = integrals(left_w), integrals(right_w)
+        a, b = mpmath.sin(k * right_w) ** 2, mpmath.sin(k * left_w) ** 2
+        left, right = a * i_left, b * i_right
+        mean = (a * (j_left - i_left / 2) + b * (i_right / 2 - j_right)) / (left + right)
+        assert next(ratio_grid(s, (nu,)))[2] is None
+        assert ratio_at(s, nu) == pytest.approx(float(right / left), rel=1e-12, abs=0)
+        assert mean_at(s, nu) == pytest.approx(float(mean), rel=1e-12, abs=0)
+
+
 def test_ratio_near_centered_site_stays_near_one():
     """A site near the wall-to-wall midpoint barely splits the mass."""
     sups = []
