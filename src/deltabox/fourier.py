@@ -30,8 +30,10 @@ from .wavefn import LimitState, WaveKind, general_state
 DEFAULT_M = 4096
 
 # Relative snap radius for recognizing nu as a free-mode value nu_n, where
-# the expansion is exactly one-hot.
+# the expansion is exactly one-hot, and its cap as a share of the mode
+# step nu_1: 1e-12 * nu alone spans whole gaps between modes at large nu.
 _MODE_SNAP_RTOL = 1e-12
+_MODE_SNAP_CAP = 1e-3
 
 
 class FourierExpansion(NamedTuple):
@@ -70,11 +72,13 @@ def _check_m(M: int) -> None:
 def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpansion:
     """Expansion of the normalized eigenfunction at branch parameter nu.
 
-    At a free-mode value off the shared lattice (within 1e-12 relative) the
-    state is the free mode itself and the expansion is exactly one-hot; no
-    norm is taken.  On a shared-lattice value (where lattice_locator puts
-    it, as in wavefn.general_state) the state is the continuous limit
-    state, expanded by coeffs_limit.  Inside the linear
+    At a free-mode value off the shared lattice (within 1e-12 relative,
+    capped at 1e-3 of the mode step nu_1 as lattice_locator caps its
+    radius; the cap binds above about 6.3e9 / L) the state is the free mode
+    itself and the expansion is exactly one-hot; no norm is taken.  On a
+    shared-lattice value (where lattice_locator puts it, as in
+    wavefn.general_state) the state is the continuous limit state,
+    expanded by coeffs_limit.  Inside the linear
     window (|nu| L < LINEAR_WINDOW) the state is the nu = 0 linear state,
     whose closed-form prefactor needs no norm either.  Elsewhere
     a_m = c * Phi_m(x0) / D_m with the branch-dependent resonance
@@ -85,8 +89,10 @@ def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpans
     # Tested before the state is resolved; shared modes (n a multiple of
     # kappa_base) are left to general_state.
     if nu > 0:
-        n = round(nu / nu_n(setup, 1))
-        if n % kappa_base(setup) and abs(nu - nu_n(setup, n)) <= _MODE_SNAP_RTOL * nu:
+        step = nu_n(setup, 1)
+        n = round(nu / step)
+        radius = min(_MODE_SNAP_RTOL * nu, _MODE_SNAP_CAP * step)
+        if n % kappa_base(setup) and abs(nu - nu_n(setup, n)) <= radius:
             return _one_hot(setup, WaveKind("trig"), n, M)
     state = general_state(setup, nu)
     if isinstance(state, LimitState):

@@ -4,9 +4,10 @@ Discretizing the box on a uniform interior grid turns the Hamiltonian into a
 symmetric tridiagonal matrix; the point interaction becomes a single
 diagonal weight alpha/dx at the node holding x0.  The eigensolver here is
 deliberately self-contained (Sturm counts to isolation, then bracketed
-Newton on the same recurrence, plus inverse iteration in the manner of
-LAPACK dstein) so that the oracle shares no code path, and no third-party
-solver, with the analytic side it validates.
+Newton on the same recurrence, plus eigenvectors from twisted
+factorizations in the manner of LAPACK dlar1v) so that the oracle shares
+no code path, and no third-party solver, with the analytic side it
+validates.
 
 Both recurrences are inherently sequential over the N grid nodes, so they
 run on Python floats with the standard library alone; vector work goes
@@ -18,10 +19,10 @@ is isolated with such passes, and only the Newton steps that follow run
 the full pass.  Every eigenvalue is solved before `eig_lowest` returns;
 each eigenvector is computed when its pair is drawn from the iterator it
 returns, and `compare` draws one pair per level, so the oracle holds one
-eigenvector at a time and its working set is O(N) whatever the count, as
-EISPACK tinvit and LAPACK dstein compute theirs.  Every eigenpair must pass
-a residual check max|T v - lambda v| <= 1e-10 * max|T_ij| * max|v|, else
-ConvergenceError; max|T_ij| is max|diag| for every grid Hamiltonian.
+eigenvector at a time and its working set is O(N) whatever the count.
+Every eigenpair must pass a residual check max|T v - lambda v| <= 1e-10 *
+max|T_ij| * max|v|, else ConvergenceError; max|T_ij| is max|diag| for
+every grid Hamiltonian.
 
 Accuracy expectations: O(dx**2) for smooth states, degrading to O(dx) when
 the interaction is on (the delta weight is a first-order approximation), so
@@ -32,9 +33,9 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import add, mul, sub, truediv
-from typing import Dict, Iterator, List, NamedTuple, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 from .errors import ConvergenceError, DomainError, GridMismatch
 from .lattice import POINT_BUDGET
@@ -117,7 +118,7 @@ def build_hamiltonian(setup: Setup, alpha: float, N: int) -> Tridiagonal:
 
 
 # ============================================================
-# Sturm-sequence bisection and inverse iteration
+# Sturm-sequence bisection and twisted factorizations
 # ============================================================
 
 
@@ -343,12 +344,12 @@ def eig_lowest(T: Tridiagonal, count: int) -> Iterator[Tuple[float, List[float]]
 
     The result is an iterator, and each eigenvector is computed only when
     its pair is drawn, so one vector is held at a time and the working set
-    stays O(N) whatever `count` is.  Eigenvectors come from
-    `_inverse_iteration`, normalized so that sum(v**2) * dx = 1 and
-    positive at the last node carrying appreciable amplitude.  A pair whose
-    residual max|T v - lambda v| exceeds 1e-10 * max(max|diag|,
-    max|offdiag|) * max|v|, or whose v has no finite nonzero norm, raises
-    ConvergenceError when it is drawn.
+    stays O(N) whatever `count` is.  Eigenvectors come from one twisted
+    factorization of T - lambda I each (`_twisted_vector`), normalized so
+    that sum(v**2) * dx = 1 and positive at the last node carrying
+    appreciable amplitude.  A pair whose residual max|T v - lambda v|
+    exceeds 1e-10 * max(max|diag|, max|offdiag|) * max|v|, or whose v has
+    no finite nonzero norm, raises ConvergenceError when it is drawn.
     """
     if count < 1 or count > 12:
         raise DomainError(f"count must be in 1..12, got {count!r}")
@@ -380,15 +381,18 @@ def eig_lowest(T: Tridiagonal, count: int) -> Iterator[Tuple[float, List[float]]
         _bisect(d, e2, pivmin, k, counts, (lo, hi), rounding, budget) for k in range(1, count + 1)
     ]
     residual_scale = 1e-10 * max(max(map(abs, d)), max(abs_e, default=0.0))
+    tiny = max(rounding, pivmin)
     # The lists above die with this call; each vector is made as it is drawn.
-    return (_eigenpair(T, lam, residual_scale) for lam in values)
+    return (_eigenpair(T, lam, tiny, residual_scale) for lam in values)
 
 
-def _eigenpair(T: Tridiagonal, lam: float, residual_scale: float) -> Tuple[float, List[float]]:
-    """(lam, v) for `eig_lowest`: v by inverse iteration, residual-checked,
+def _eigenpair(
+    T: Tridiagonal, lam: float, tiny: float, residual_scale: float
+) -> Tuple[float, List[float]]:
+    """(lam, v) for `eig_lowest`: v from `_twisted_vector`, residual-checked,
     normalized and signed."""
     d, e = T.diag, T.offdiag
-    v = _inverse_iteration(d, e, lam)
+    v = _twisted_vector(d, e, lam, tiny)
     vmax = max(map(abs, v))
     # (T - lam I) v in one pass: e[i-1] v[i-1] + (d[i] - lam) v[i] + e[i] v[i+1].
     below = chain((0.0,), map(mul, e, v))
@@ -398,7 +402,7 @@ def _eigenpair(T: Tridiagonal, lam: float, residual_scale: float) -> Tuple[float
     norm = math.hypot(*v) * math.sqrt(T.dx)
     if not (residual <= residual_scale * vmax and 0.0 < norm < math.inf):
         raise ConvergenceError(
-            f"inverse iteration left residual {residual:.3e} at eigenvalue {lam!r}"
+            f"the eigenvector solve left residual {residual:.3e} at eigenvalue {lam!r}"
         )
     cutoff = 1e-8 * vmax
     if next(x for x in reversed(v) if abs(x) > cutoff) < 0:
@@ -406,101 +410,87 @@ def _eigenpair(T: Tridiagonal, lam: float, residual_scale: float) -> Tuple[float
     return lam, list(map(truediv, v, repeat(norm)))
 
 
-# How far a back-substituted entry may grow before it is scaled down.
-_GROWTH = 2.0**500
+def _pivots(d: Iterable[float], e: Iterable[float], lam: float, tiny: float) -> List[float]:
+    """Pivots of T - lam*I in the order d is given: `_sturm_count`'s
+    recurrence, with a pivot of magnitude below `tiny` taken as -tiny."""
+    pivots: List[float] = []
+    q = 1.0
+    for di, ei in zip(d, chain((0.0,), e)):
+        q = di - lam - ei * ei / q
+        if q < tiny:
+            if q > -tiny:
+                q = -tiny
+        pivots.append(q)
+    return pivots
 
 
-def _scaled_solve(y: List[float], u0: List[float], u1: List[float], u2: List[float]) -> List[float]:
-    """U x = s y from the last row up (x reversed) for a power of two s <= 1:
-    wherever a quotient would pass _GROWTH, the entries solved so far and s
-    are scaled down first, as LAPACK dlatrs does; inverse iteration needs
-    only the direction of x."""
-    solved: List[float] = []
-    x1 = x2 = 0.0
-    scale = 0
-    for yi, p0, p1, p2 in zip(reversed(y), reversed(u0), reversed(u1), reversed(u2)):
-        num = math.ldexp(yi, scale) - p1 * x1 - p2 * x2
-        if abs(num) > _GROWTH * abs(p0):
-            drop = math.frexp(p0)[1] - math.frexp(num)[1]
-            solved = [math.ldexp(v, drop) for v in solved]
-            x1, x2, num = math.ldexp(x1, drop), math.ldexp(x2, drop), math.ldexp(num, drop)
-            scale += drop
-        x1, x2 = num / p0, x1
-        solved.append(x1)
-    return solved
+def _outward(p: List[float], c: List[float], y: float, rhs: Iterable[float]) -> List[float]:
+    """y_k = (rhs_k - c_k y_(k-1)) / p_k for k = 1, 2, ..., from y_0 = y: a
+    solve with one side of N_r^T, from the twist outward."""
+    out: List[float] = []
+    for pk, ck, bk in zip(p, c, rhs):
+        y = (bk - ck * y) / pk
+        out.append(y)
+    return out
 
 
-def _inverse_iteration(d: List[float], e: List[float], sigma: float) -> List[float]:
-    """Two steps of inverse iteration with T - sigma*I, with 0.5 <= max|x| < 1.
+def _inward(p: List[float], c: List[float], z: List[float]) -> List[float]:
+    """w_k = z_k - (c_(k+1) / p_(k+1)) w_(k+1), from the far end in: a solve
+    with one side of N_r."""
+    w: List[float] = []
+    wk = m = 0.0
+    for zk, pk, ck in zip(reversed(z), reversed(p), reversed(c)):
+        wk = zk - m * wk
+        m = ck / pk
+        w.append(wk)
+    w.reverse()
+    return w
 
-    T - sigma*I is factored once by Gaussian elimination with row pivoting;
-    row swaps introduce a second superdiagonal, so the upper factor U keeps
-    three bands.  Near-singular shifts (inverse iteration's normal operating
-    point) are handled by the pivoting, not by perturbing sigma; an exactly
-    zero pivot is replaced by 1e-300.  Step 1 back-substitutes
-    U x = (1, ..., 1), Wilkinson's start as in EISPACK tinvit; step 2 solves
-    (T - sigma*I) x' = x in full.  After each step x is rescaled by a power
-    of two to 0.5 <= max|x| < 1, so the entries near 1e300 of an exactly
-    singular shift cannot overflow; where tiny pivots overflow the
-    back-substitution itself, `_scaled_solve` takes it again.
+
+def _twisted_vector(d: List[float], e: List[float], lam: float, tiny: float) -> List[float]:
+    """Eigenvector of T at lam from one twisted factorization, 0.5 <= max|v| < 1.
+
+    T - lam*I = N_r Delta_r N_r^T joins the top-down pivots above row r to
+    the bottom-up pivots below it, with gamma_r = top_r + bottom_r - (d_r -
+    lam) at the twist (Fernando 1997; Parlett & Dhillon 2000; LAPACK
+    dlar1v).  The twist is the row with the smallest |gamma_r|, where the
+    eigenvector is largest.  z = N_r^-T e_r solves (T - lam*I) z = gamma_r
+    e_r, and one more solve with the same factors, y = gamma_r (T -
+    lam*I)^-1 z, sharpens it (at gamma_r = 0 it is w_r z).  Every pivot is
+    floored at `tiny` (the larger of the rounding of T and pivmin), which
+    moves T by no more than its rounding and bounds every multiplier: no
+    row is swapped, and nothing is rescaled before the end.
     """
-    u0: List[float] = []
-    u1: List[float] = []
-    u2: List[float] = []
-    swaps: List[bool] = []  # per elimination: row swap or not,
-    mults: List[float] = []  # and the multiplier
-    # Current row i of the reduced system: (b, c1, 0); row i+1 below it is
-    # (a, d_next - sigma, c1_next).  The row with the larger lead pivots.
-    b = d[0] - sigma
-    c1 = e[0] if e else 0.0
-    for a, d_next, c1_next in zip(e, islice(d, 1, None), chain(islice(e, 1, None), (0.0,))):
-        b_next = d_next - sigma
-        swap = abs(a) > abs(b)
-        if swap:
-            m = b / a
-            u0.append(a)
-            u1.append(b_next)
-            u2.append(c1_next)
-            b, c1 = c1 - m * b_next, -m * c1_next
-        else:
-            if b == 0.0:
-                b = 1e-300
-            m = a / b
-            u0.append(b)
-            u1.append(c1)
-            u2.append(0.0)
-            b, c1 = b_next - m * c1, c1_next
-        swaps.append(swap)
-        mults.append(m)
-    u0.append(b if b != 0.0 else 1e-300)
-    u1.append(0.0)
-    u2.append(0.0)
-    x = [1.0] * len(d)
-    for step in range(2):
-        if step:
-            # Step 2's right-hand side: the factorization's eliminations.
-            y = []
-            carry = x[0]
-            for swap, m, nxt in zip(swaps, mults, islice(x, 1, None)):
-                if swap:
-                    carry, nxt = nxt, carry
-                y.append(carry)
-                carry = nxt - m * carry
-            y.append(carry)
-            x = y
-        solved = []
-        x1 = x2 = 0.0
-        for yi, p0, p1, p2 in zip(reversed(x), reversed(u0), reversed(u1), reversed(u2)):
-            x1, x2 = (yi - p1 * x1 - p2 * x2) / p0, x1
-            solved.append(x1)
-        if not math.isfinite(sum(solved)):
-            solved = _scaled_solve(x, u0, u1, u2)
-        solved.reverse()
-        # An exact power-of-two rescaling: dividing by max|x| itself rounds
-        # every entry and measurably doubles the error of near-degenerate pairs.
-        exponent = math.frexp(max(map(abs, solved)))[1]
-        x = list(map(math.ldexp, solved, repeat(-exponent)))
-    return x
+    top = _pivots(d, e, lam, tiny)
+    bottom = _pivots(reversed(d), reversed(e), lam, tiny)
+    bottom.reverse()
+    # log2|gamma_r| up to a constant, from gamma_(r+1) / gamma_r = bottom_(r+1)
+    # / top_r.  The sum that defines gamma_r cancels to rounding, and to exact
+    # zeros wherever both recurrences sit at their fixed points (the tails of
+    # a deep bound state, where a twist far out overflows z); the ratios do not.
+    rise = map(
+        sub, map(math.log2, map(abs, islice(bottom, 1, None))), map(math.log2, map(abs, top))
+    )
+    log_gamma = list(accumulate(rise, initial=0.0))
+    r = log_gamma.index(min(log_gamma))
+    del log_gamma
+    gamma = top[r] + bottom[r] - (d[r] - lam)
+    # Each side of r as (pivots, couplings), ordered outward from r: the
+    # pivots are Delta_r's there, and c_k / p_k are N_r's multipliers.
+    sides = [(top[:r][::-1], e[:r][::-1]), (bottom[r + 1 :], e[r:])]
+    del top, bottom
+    # z = N_r^-T e_r outward from z_r = 1, then N_r w = z inward; w_r takes
+    # both sides.
+    ws = [_inward(p, c, _outward(p, c, 1.0, repeat(0.0))) for p, c in sides]
+    w_r = 1.0 - math.fsum(c[0] / p[0] * w[0] for (p, c), w in zip(sides, ws) if w)
+    # N_r^T y = gamma_r Delta_r^-1 w, outward from y_r = w_r.
+    up, down = [_outward(p, c, w_r, map(mul, w, repeat(gamma))) for (p, c), w in zip(sides, ws)]
+    del ws
+    v = up[::-1] + [w_r] + down
+    # An exact power-of-two rescaling: dividing by max|v| itself rounds
+    # every entry and measurably doubles the error of near-degenerate pairs.
+    exponent = math.frexp(max(map(abs, v)))[1]
+    return list(map(math.ldexp, v, repeat(-exponent)))
 
 
 # ============================================================

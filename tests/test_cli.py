@@ -290,7 +290,7 @@ def test_one_sided_point_expectation_exits_4(capsys):
 
 
 def test_oracle_residual_failure_exits_4(capsys, monkeypatch):
-    monkeypatch.setattr(oracle, "_inverse_iteration", lambda d, e, sigma: [1.0] * len(d))
+    monkeypatch.setattr(oracle, "_twisted_vector", lambda d, e, sigma, tiny: [1.0] * len(d))
     code = cli.main(["oracle", "--alpha", "0.0", "--grid", "511", "--count", "3"])
     assert code == 4
     assert "residual" in capsys.readouterr().err
@@ -772,6 +772,20 @@ def test_on_lattice_radius_stays_below_the_lattice_gaps(capsys, nu):
     row = parse_csv(out)[0]
     assert row["at_lattice"] == "" and 0.0 < float(row["r"]) < math.inf
     code, out = run_cli(capsys, "wavefunction", "--nu", nu, "--points", "3")
+    assert code == 0
+    assert {row["kind"] for row in parse_csv(out)} == {"trig"}
+
+
+def test_mode_snap_radius_stays_below_the_mode_gaps(capsys):
+    """At nu = 1e13, 1e-12 nu (10) spans the gap of 2 pi between free modes,
+    and the snap made such a nu the one-hot expansion of its nearest mode,
+    n near 1.6e12 and beyond M: four 0.0 rows.  Capped at 1e-3 of nu_1, it
+    leaves nu the trig state that wavefunction prints there (0.29 from the
+    mode)."""
+    code, out = run_cli(capsys, "fourier", "--nu", "1e13", "--M", "4")
+    assert code == 0
+    assert all(float(row["a_m"]) != 0.0 for row in parse_csv(out))
+    code, out = run_cli(capsys, "wavefunction", "--nu", "1e13", "--points", "3")
     assert code == 0
     assert {row["kind"] for row in parse_csv(out)} == {"trig"}
 

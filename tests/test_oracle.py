@@ -309,7 +309,7 @@ def test_free_grid_levels_match_discrete_laplacian():
 def test_eig_lowest_rejects_large_residual(monkeypatch):
     """A solve that returns no eigenvector fails the residual check."""
     T = build_hamiltonian(setup_pq(1, 4), 5.0, 255)
-    monkeypatch.setattr(oracle, "_inverse_iteration", lambda d, e, sigma: [1.0] * len(d))
+    monkeypatch.setattr(oracle, "_twisted_vector", lambda d, e, sigma, tiny: [1.0] * len(d))
     with pytest.raises(ConvergenceError, match="residual"):
         list(eig_lowest(T, 3))
 
@@ -320,10 +320,10 @@ def test_eig_lowest_rejects_vector_without_finite_norm(monkeypatch, bad):
     cannot see it; the 2-norm must.  A zero vector has no norm at all."""
     T = build_hamiltonian(setup_pq(1, 4), 5.0, 255)
 
-    def broken(d, e, sigma):
+    def broken(d, e, sigma, tiny):
         return [0.0, 0.0, 0.0, bad] + [0.0] * (len(d) - 4)
 
-    monkeypatch.setattr(oracle, "_inverse_iteration", broken)
+    monkeypatch.setattr(oracle, "_twisted_vector", broken)
     with pytest.raises(ConvergenceError, match="residual"):
         list(eig_lowest(T, 1))
 
@@ -411,13 +411,13 @@ def test_eig_lowest_solves_levels_in_the_call_and_vectors_when_drawn(monkeypatch
         passes.append(args[2])
         return sturm_count(*args)
 
-    def no_vector(d, e, sigma):
+    def no_vector(d, e, sigma, tiny):
         solves.append(sigma)
         return [1.0] * len(d)
 
     monkeypatch.setattr(oracle, "_sturm", counted)
     monkeypatch.setattr(oracle, "_sturm_count", counted_only)
-    monkeypatch.setattr(oracle, "_inverse_iteration", no_vector)
+    monkeypatch.setattr(oracle, "_twisted_vector", no_vector)
     pairs = eig_lowest(T, 3)
     solved = len(passes)
     assert solved > 0 and solves == []
@@ -567,3 +567,60 @@ def test_mode_eigenvector_vanishes_at_site():
     lam, vec = min(eig_lowest(T, 9), key=lambda p: abs(p[0] - target))
     j = _site_node(s, 2047)
     assert abs(vec[j - 1]) < 1e-6 * float(np.max(np.abs(vec)))
+
+
+@pytest.mark.parametrize(
+    "p, q, alpha, count, bound",
+    [
+        (0, 1, 1e4, 3, 4.1e-10),
+        (0, 1, 1e6, 3, 4.2e-8),
+        (1, 4, -1e7, 9, 2.1e-7),
+        (1, 2, 1e8, 4, 1.8e-6),
+    ],
+)
+def test_mode_level_eigenvectors_are_the_sampled_sine(p, q, alpha, count, bound):
+    """On the grid the exact eigenvector at a mode level is the sampled sine,
+    so its sup_wave_error is the eigensolver's own.  A strong coupling
+    pushes another level next to the mode, where inverse iteration from a
+    start vector left 1.6e-8, 1.5e-6, 2.2e-6 and 1.1e-4; each bound is 10
+    times the worst error of the twisted factorization (N = 4095)."""
+    levels = compare(setup_pq(p, q), alpha, 4095, count).levels
+    modes = [lv for lv in levels if lv.is_mode]
+    assert modes
+    assert max(lv.sup_wave_error for lv in modes) <= bound
+
+
+@pytest.mark.parametrize(
+    "diag, offdiag",
+    [
+        ([1.0, 1.0], [1e-30]),
+        ([0.0, -1.0, -1.0], [0.0, 1e-30]),
+        ([0.0, 0.0, 1.0, 0.0, 1.0], [0.0, 1e-12, 1.0, 1.0]),
+    ],
+    ids=["tiny-coupled-pair", "split-tiny-coupled-pair", "split-near-cluster-at-zero"],
+)
+def test_eig_lowest_vectors_of_split_clusters(diag, offdiag):
+    """Exact and near clusters split by zero and tiny couplings: with pivots
+    floored at pivmin alone, rather than at the rounding of T, the twisted
+    vectors left residuals of nan, 0.5 and 0.5 here.  Every pair passes the
+    residual check, with a finite unit vector."""
+    T = Tridiagonal(diag, offdiag, len(diag), 1.0)
+    for lam, v in eig_lowest(T, len(diag)):
+        v = np.asarray(v)
+        assert np.all(np.isfinite(v))
+        assert float(v @ v) == pytest.approx(1.0, rel=1e-12)
+        assert np.max(np.abs(tridiag_apply(T, v) - lam * v)) <= 1e-10 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("p, q, alpha", [(1, 2, -2091.764655756995), (0, 1, -10926.00861117378)])
+def test_deep_bound_state_vector_peaks_at_the_site(p, q, alpha):
+    """Away from the site of a deep bound state both pivot recurrences sit
+    at their fixed points, where top_r + bottom_r - (d_r - lambda) is
+    exactly 0.0 on almost every row: a twist taken as the first smallest
+    of those sums lay in a tail, and z overflowed on its way to the site.
+    The twist from the ratios of the pivots lies at the peak."""
+    s = setup_pq(p, q)
+    T = build_hamiltonian(s, alpha, 4095)
+    lam, v = next(eig_lowest(T, 1))
+    assert all(map(math.isfinite, v))
+    assert v.index(max(v)) == _site_node(s, 4095) - 1
