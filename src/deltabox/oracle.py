@@ -11,15 +11,20 @@ validates.
 
 Both recurrences are inherently sequential over the N grid nodes, so they
 run on Python floats with the standard library alone; vector work goes
-through C-level builtins (map, max, math.hypot).  Each eigenvalue is solved
-on its own, in order, and all of them share one table of Sturm counts.  A
-count-only pass (the pivot recurrence without its slope, about half a full
-pass) serves every pass that is read only for its count: each eigenvalue
-is isolated with such passes, and only the Newton steps that follow run
-the full pass.  Every eigenvalue is solved before `eig_lowest` returns;
-each eigenvector is computed when its pair is drawn from the iterator it
-returns, and `compare` draws one pair per level, so the oracle holds one
-eigenvector at a time and its working set is O(N) whatever the count.
+through C-level builtins (map, max, math.hypot).  Couplings that are
+exactly zero split T into blocks, each solved on its own as in LAPACK
+dstebz; a grid Hamiltonian is one block.  In a block each eigenvalue is
+solved on its own, in order, and all of them share one table of Sturm
+counts.  A count-only pass (the pivot recurrence without its slope, about
+half a full pass) serves every pass that is read only for its count: each
+eigenvalue is isolated with such passes, and only the Newton steps that
+follow run the full pass.  One bracket test ends a level in both phases,
+and a block's pass budget is two passes a halving of its Gershgorin
+width, plus `_NEWTON_PASSES`.  Every eigenvalue is solved before
+`eig_lowest` returns; each eigenvector is computed when its pair is drawn
+from the iterator it returns, and `compare` draws one pair per level, so
+the oracle holds one eigenvector at a time and its working set is O(N)
+whatever the count.
 Every eigenpair must pass a residual check max|T v - lambda v| <= 1e-10 *
 max|T_ij| * max|v|, else ConvergenceError; max|T_ij| is max|diag| for
 every grid Hamiltonian.
@@ -180,9 +185,9 @@ def _sturm_count(d: List[float], e2: List[float], shift: float, pivmin: float) -
     return count
 
 
-# Passes allowed to _bisect's Newton phase on top of its halvings.  Once an
-# eigenvalue is isolated Newton converges quadratically; no oracle test or
-# benchmark request takes more than 20 steps.
+# Passes allowed to _bisect's Newton phase on top of two passes a halving.
+# Once an eigenvalue is isolated Newton converges quadratically; no oracle
+# test or benchmark request takes more than 20 steps.
 _NEWTON_PASSES = 64
 
 
@@ -203,36 +208,26 @@ def _bisect(
     rounding: float,
     budget: int,
 ) -> float:
-    """k-th smallest eigenvalue (1-based) of T, from the Sturm counts known so far.
+    """k-th smallest eigenvalue (1-based) of an unreduced block of T.
 
     `counts` maps each shift passed so far to its count; with the Gershgorin
-    `bounds` (counts 0 and N) its nearest shifts with count below k and with
-    count at least k bracket lambda_k.  Count-only passes (`_sturm_count`)
-    narrow the bracket until lambda_k is alone in it.  Each split aims at
-    the gap next to lambda_k that is not yet bracketed, with the level
-    index interpolated linearly in sqrt(shift - lower bound), because the
-    k-th level of a second-difference operator grows like k**2 (Weyl's
-    law); a split that did not halve the bracket is followed by the
-    midpoint (`_midpoint`, which stays in float range for ends beyond
-    half of it).  A bracket that the midpoint cannot split, or as narrow as
-    `rounding` (eps times T's rows with the largest left out, see
-    `eig_lowest`), ends the solve at its midpoint: it holds a cluster, or a
-    level no further pass resolves.
-
-    From the estimate of lambda_k it then steps shift - 1/slope with full
-    passes (`_sturm`; Newton on det(T - shift): Barth, Martin & Wilkinson
-    1967; Li & Zeng 1994), whose counts still narrow the bracket.  A Newton
+    `bounds` (counts 0 and N) its nearest shifts with count below k and at
+    least k bracket lambda_k.  Count-only passes (`_sturm_count`) narrow the
+    bracket until lambda_k is alone in it, each aimed at the gap next to
+    lambda_k not yet bracketed, with the level index interpolated linearly
+    in sqrt(shift - lower bound) (the k**2 law of the grid Laplacian); a
+    split that did not halve the bracket is followed by the midpoint.  Then
+    Newton on det(T - shift) steps from the estimate of lambda_k on full
+    passes (`_sturm`; Barth, Martin & Wilkinson 1967; Li & Zeng 1994); a
     step that leaves the bracket, or exceeds half the step of two passes
-    before, falls back to the midpoint, or to the middle of the exponent
-    range for ends of one sign far apart.  It stops at a Newton step within
-    1e-8 of the shift whose predicted error, step**3 / (previous step)**2,
-    is within `rounding`; at a step within `rounding` that shrank
-    less than fourfold (linear convergence into a cluster); at a step onto
-    a shift with a clamped pivot, or past it within `rounding`; at relative
-    width eps, or at width `rounding` once a Newton step was taken; or when
-    the midpoint cannot split the bracket.
-    Every pass's count enters `counts`, so later targets start from the
-    tightest bracket known.  More than `budget` passes raise ConvergenceError.
+    before, is a midpoint instead.  Every count enters `counts`.
+
+    One bracket test ends both phases, at the midpoint: the midpoint cannot
+    split the bracket, or it is no wider than max(`rounding`, eps *
+    max(|lo|, |hi|)).  Newton also ends at a step within 1e-8 of the shift,
+    and at most a quarter of the one before, whose predicted error, step**3
+    / (previous step)**2, is within `rounding`.  More than `budget` passes
+    raise ConvergenceError.
     """
     origin, top = bounds
     hi, below_hi = min(((x, c) for x, c in counts.items() if c >= k), default=(top, len(d)))
@@ -250,17 +245,18 @@ def _bisect(
         root = root_lo + (root_hi - root_lo) * (level - j_lo) / (j_hi - j_lo)
         return origin + root * root
 
+    def settled(mid: float) -> bool:
+        tolerance = max(rounding, sys.float_info.epsilon * max(abs(lo), abs(hi)))
+        return mid in (lo, hi) or hi - lo <= tolerance
+
     x = _midpoint(lo, hi)
     passes, before = 0, math.inf
     while True:
         mid = _midpoint(lo, hi)
-        # A bracket as narrow as the rounding of T holds a cluster no shift splits.
-        if mid in (lo, hi) or hi - lo <= rounding:
+        if settled(mid):
             return mid
-        if below_lo == k - 1 and below_hi == k:
+        if (below_lo, below_hi) == (k - 1, k) or passes == budget:
             break
-        if passes == budget:
-            raise ConvergenceError(f"eigenvalue {k} did not converge in {budget} Sturm passes")
         x = mid
         if hi - lo <= 0.5 * before:
             # The gap below lambda_k while that is not bracketed, else the gap above.
@@ -278,8 +274,7 @@ def _bisect(
     if lo < guess < hi:
         x = guess
     step = older = hi - lo
-    converging = stepped = False  # whether step, and any step, was a Newton step
-    pinned = math.nan
+    converging = False  # whether step was a Newton step
     while passes < budget:
         passes += 1
         below, slope = _sturm(d, e2, x, pivmin)
@@ -289,73 +284,34 @@ def _bisect(
         else:
             lo = x
         mid = _midpoint(lo, hi)
-        width = hi - lo
-        # Once Newton has stepped, the rounding of T ends it as in isolation.
-        if mid in (lo, hi) or width <= sys.float_info.epsilon * max(abs(lo), abs(hi)) or (
-            stepped and width <= rounding
-        ):
+        if settled(mid):
             return mid
         # An infinite slope gives a zero step and a nan one (a clamped pivot)
         # no step; neither is taken.
         newton = -1.0 / slope if slope else math.inf
         target = x + newton
-        # A pass with a clamped pivot pins its shift as an eigenvalue of a
-        # leading block; a step from the other end onto it, or past it by no
-        # more than the rounding of T, ends there (as at a root 0.0).
-        if slope != slope:
-            pinned = x
-        elif pinned == hi and x == lo and hi <= target <= hi + rounding:
-            return hi
-        elif pinned == lo and x == hi and lo - rounding <= target <= lo:
-            return lo
         if 0 < abs(newton) <= 0.5 * abs(older) and lo < target < hi:
-            # After a Newton step, newton**3 / step**2 predicts the error of
-            # this one; a step no smaller than a quarter of the last is
-            # converging linearly, as into a cluster.
+            # While Newton converges quadratically (this step at most a quarter
+            # of the last), newton**3 / step**2 predicts the error of this one;
+            # into a near-double level it converges linearly, and that falls short.
             predicted = abs(newton * newton * newton)  # times step**-2
-            if converging and (
-                (abs(newton) <= 1e-8 * abs(x) and predicted <= rounding * step * step)
-                or (4 * abs(newton) > abs(step) and abs(newton) <= rounding)
-            ):
+            fast = converging and 4 * abs(newton) <= abs(step)
+            if fast and abs(newton) <= 1e-8 * abs(x) and predicted <= rounding * step * step:
                 return target
             older, step, converging = step, newton, True
-            stepped = True
         else:
-            if 0.0 < 256.0 * lo < hi or lo < 256.0 * hi < 0.0:
-                # Ends of one sign, far apart: split their exponent range,
-                # as near a level many decades closer to zero than the rest.
-                exponent = (math.frexp(lo)[1] + math.frexp(hi)[1]) // 2
-                mid = math.ldexp(math.copysign(1.0, hi), exponent)
             older, step, converging = step, mid - x, False
         x += step
-    raise ConvergenceError(f"eigenvalue {k} did not converge in {budget} Sturm passes")
+    raise ConvergenceError(
+        f"eigenvalue {k} did not converge in {budget} Sturm passes, "
+        f"left bracket ({lo!r}, {hi!r})"
+    )
 
 
-def eig_lowest(T: Tridiagonal, count: int) -> Iterator[Tuple[float, List[float]]]:
-    """Lowest `count` eigenpairs of the tridiagonal matrix, in ascending order.
-
-    Each eigenvalue is found on its own inside Gershgorin bounds, isolated
-    by count-only Sturm passes and then refined by bracketed Newton on the
-    full pass (`_bisect`).  The targets run in order and share one table of
-    Sturm counts, so each starts from the tightest bracket the lower ones
-    left, and no result depends on `count`.  All of this runs in the call:
-    a bad `count` raises DomainError, and a level out of Sturm passes
-    ConvergenceError, before it returns.
-
-    The result is an iterator, and each eigenvector is computed only when
-    its pair is drawn, so one vector is held at a time and the working set
-    stays O(N) whatever `count` is.  Eigenvectors come from one twisted
-    factorization of T - lambda I each (`_twisted_vector`), normalized so
-    that sum(v**2) * dx = 1 and positive at the last node carrying
-    appreciable amplitude.  A pair whose residual max|T v - lambda v|
-    exceeds 1e-10 * max(max|diag|, max|offdiag|) * max|v|, or whose v has
-    no finite nonzero norm, raises ConvergenceError when it is drawn.
-    """
-    if count < 1 or count > 12:
-        raise DomainError(f"count must be in 1..12, got {count!r}")
-    if count > T.N:
-        raise DomainError(f"count={count} exceeds matrix size N={T.N}")
-    d, e = T.diag, T.offdiag
+def _solve_block(d: List[float], e: List[float], count: int) -> Tuple[List[float], float]:
+    """Lowest `count` eigenvalues of one unreduced block, in order, and the
+    pivot floor of its eigenvectors.  The levels share one table of Sturm
+    counts, so each starts from the tightest bracket the lower ones left."""
     abs_e = list(map(abs, e))
     radius = list(map(add, chain(abs_e, (0.0,)), chain((0.0,), abs_e)))
     lo_bound = min(map(sub, d, radius))
@@ -373,26 +329,66 @@ def eig_lowest(T: Tridiagonal, count: int) -> Iterator[Tuple[float, List[float]]
     e2 = list(map(mul, e, e))
     pivmin = _pivmin(e2)
     # Bisection halves the bracket at most until its width reaches the
-    # spacing of doubles at the Gershgorin bound nearer zero.
+    # spacing of doubles at the Gershgorin bound nearer zero, and a split
+    # that did not halve it is followed by a midpoint: two passes a halving.
     spacing = min(math.ulp(lo_bound), math.ulp(hi_bound))
-    budget = max(math.frexp(hi - lo)[1] - math.frexp(spacing)[1], 0) + _NEWTON_PASSES
+    budget = 2 * max(math.frexp(hi - lo)[1] - math.frexp(spacing)[1], 0) + _NEWTON_PASSES
     counts: Dict[float, int] = {}
     values = [
         _bisect(d, e2, pivmin, k, counts, (lo, hi), rounding, budget) for k in range(1, count + 1)
     ]
-    residual_scale = 1e-10 * max(max(map(abs, d)), max(abs_e, default=0.0))
-    tiny = max(rounding, pivmin)
-    # The lists above die with this call; each vector is made as it is drawn.
-    return (_eigenpair(T, lam, tiny, residual_scale) for lam in values)
+    return values, max(rounding, pivmin)
+
+
+def eig_lowest(T: Tridiagonal, count: int) -> Iterator[Tuple[float, List[float]]]:
+    """Lowest `count` eigenpairs of the tridiagonal matrix, in ascending order.
+
+    Each coupling that is exactly 0.0 splits T into independent blocks, as
+    in LAPACK's dstebz (Demmel, Applied Numerical Linear Algebra, SIAM
+    1997, section 5.3).  `_solve_block` solves each block's lowest levels
+    on their own, and the lowest `count` over all blocks are kept; a T with
+    no zero coupling, as every grid Hamiltonian, is one block and is not
+    copied.  A bad `count` raises DomainError, and a level out of Sturm
+    passes ConvergenceError, before the call returns.
+
+    The result is an iterator, and each eigenvector is computed only when
+    its pair is drawn, so one vector is held at a time and the working set
+    stays O(N) whatever `count` is.  An eigenvector is its block's twisted
+    factorization of T - lambda I (`_twisted_vector`) padded with zeros,
+    normalized so that sum(v**2) * dx = 1 and positive at the last node
+    carrying appreciable amplitude.  A pair whose residual on T, max|T v -
+    lambda v|, exceeds 1e-10 * max|T_ij| * max|v|, or whose v has no finite
+    nonzero norm, raises ConvergenceError when it is drawn.
+    """
+    if count < 1 or count > 12:
+        raise DomainError(f"count must be in 1..12, got {count!r}")
+    if count > T.N:
+        raise DomainError(f"count={count} exceeds matrix size N={T.N}")
+    d, e = T.diag, T.offdiag
+    cuts = [i + 1 for i, ei in enumerate(e) if ei == 0.0] if 0.0 in e else []
+    levels = []
+    for start, end in zip([0, *cuts], [*cuts, T.N]):
+        block = (d[start:end], e[start : end - 1]) if cuts else (d, e)
+        values, tiny = _solve_block(*block, min(count, end - start))
+        levels += [(lam, start, end, tiny) for lam in values]
+    levels.sort()
+    residual_scale = 1e-10 * max(max(map(abs, d)), max(map(abs, e), default=0.0))
+    # The blocks die with this call; each vector is made as it is drawn.
+    return (_eigenpair(T, *level, residual_scale) for level in levels[:count])
 
 
 def _eigenpair(
-    T: Tridiagonal, lam: float, tiny: float, residual_scale: float
+    T: Tridiagonal, lam: float, start: int, end: int, tiny: float, residual_scale: float
 ) -> Tuple[float, List[float]]:
-    """(lam, v) for `eig_lowest`: v from `_twisted_vector`, residual-checked,
-    normalized and signed."""
+    """(lam, v) for `eig_lowest`: v from `_twisted_vector` on lam's block,
+    rows start..end-1, padded with zeros; residual-checked on T, normalized
+    and signed."""
     d, e = T.diag, T.offdiag
-    v = _twisted_vector(d, e, lam, tiny)
+    if end - start == T.N:
+        v = _twisted_vector(d, e, lam, tiny)
+    else:
+        v = _twisted_vector(d[start:end], e[start : end - 1], lam, tiny)
+        v = [0.0] * start + v + [0.0] * (T.N - end)
     vmax = max(map(abs, v))
     # (T - lam I) v in one pass: e[i-1] v[i-1] + (d[i] - lam) v[i] + e[i] v[i+1].
     below = chain((0.0,), map(mul, e, v))

@@ -8,7 +8,7 @@ import shlex
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from deltabox import cli, observables, oracle, spectrum, wavefn
@@ -18,6 +18,8 @@ from deltabox.lattice import POINT_BUDGET
 from deltabox.model import RationalX0, make_setup, nu_n, phi_mode
 from deltabox.observables import amplitude_extrema, expectation_grid, prob_ratio_at_mode, ratio_grid
 from deltabox.wavefn import limit_state, rho
+
+from _examples import examples
 
 OVER_1 = "16.755160819145562"  # first one-sided point of the right compartment
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -428,15 +430,15 @@ def test_oracle_isolates_levels_across_a_wide_gershgorin_bracket(capsys):
 
 
 def test_oracle_out_of_sturm_passes_exits_4(capsys, monkeypatch):
-    """An eigenvalue whose bracket never narrows to relative eps exhausts
-    the oracle's Sturm passes, count-only and full together: 54 halvings of
-    the Gershgorin width down to the spacing of doubles at its bounds, plus
-    64 for Newton.  That is a convergence failure."""
-    monkeypatch.setattr(oracle, "_sturm", lambda d, e2, shift, pivmin: (int(shift >= 0.0), math.nan))
-    monkeypatch.setattr(oracle, "_sturm_count", lambda d, e2, shift, pivmin: int(shift >= 0.0))
+    """An eigenvalue that exhausts the oracle's Sturm passes, count-only and
+    full together, is a convergence failure.  The budget is twice the 54
+    halvings of the Gershgorin width down to the spacing of doubles at its
+    bounds, plus `_NEWTON_PASSES`: at -98 that is 10 passes, and level 1
+    takes 20."""
+    monkeypatch.setattr(oracle, "_NEWTON_PASSES", 10 - 2 * 54)
     code = cli.main(["oracle", "--alpha", "-1000", "--grid", "511", "--count", "1"])
     assert code == 4
-    assert "eigenvalue 1 did not converge in 118 Sturm passes" in capsys.readouterr().err
+    assert "eigenvalue 1 did not converge in 10 Sturm passes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -943,7 +945,7 @@ def _writer_text(columns, rows):
     return buf.getvalue()
 
 
-@settings(max_examples=300, deadline=None)
+@examples(300)
 @given(
     width=st.integers(min_value=1, max_value=6),
     data=st.data(),

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from deltabox.errors import DomainError, SingularPoint
@@ -22,6 +22,7 @@ from deltabox.lattice import (
 from deltabox.model import RationalX0, RealX0, make_setup, nu_n, phi_mode
 from deltabox.observables import expectation_grid, ratio_grid
 
+from _examples import examples
 from _reference import classify_mode
 
 
@@ -235,7 +236,7 @@ def coprime_pq(draw):
 
 
 @given(pq=coprime_pq(), k=st.integers(min_value=1, max_value=40))
-@settings(max_examples=60, deadline=None)
+@examples(60)
 def test_under_point_sharing_matches_exact_arithmetic(pq, k):
     p, q = pq
     s = setup_pq(p, q)
@@ -247,7 +248,7 @@ def test_under_point_sharing_matches_exact_arithmetic(pq, k):
 
 
 @given(pq=coprime_pq(), n=st.integers(min_value=1, max_value=100))
-@settings(max_examples=60, deadline=None)
+@examples(60)
 def test_classified_interval_brackets_the_mode(pq, n):
     p, q = pq
     s = setup_pq(p, q)
@@ -293,7 +294,7 @@ def _outcome(f, *args):
 
 
 @given(pq=coprime_pq(), data=st.data())
-@settings(max_examples=60, deadline=None)
+@examples(60)
 def test_float_twin_agrees_with_rational_site(pq, data):
     p, q = pq
     exact = setup_pq(p, q)
@@ -336,7 +337,7 @@ def lattice_sites(draw):
 
 
 @given(s=lattice_sites(), rtol=st.sampled_from([1e-9, math.inf]), data=st.data())
-@settings(max_examples=80, deadline=None)
+@examples(80)
 def test_bound_locator_answers_as_a_fresh_one_in_any_order(s, rtol, data):
     """One locator kept across calls in ascending, descending and shuffled
     order answers each nu as a fresh locate does: within 1e8 ulps of under,
@@ -419,7 +420,7 @@ def _reference_partition(s, nu_max):
 
 
 @given(s=lattice_sites(), nu_max=st.floats(min_value=0.01, max_value=300.0))
-@settings(max_examples=80, deadline=None)
+@examples(80)
 def test_partition_matches_a_fraction_reference(s, nu_max):
     """Points (floats as underline_nu/overline_nu make them, kinds, indices)
     and intervals (case tags, contained modes) of partition equal those

@@ -4,7 +4,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from deltabox.errors import DomainError
@@ -19,6 +19,7 @@ from deltabox.model import (
     site_modes,
 )
 
+from _examples import examples
 from _quad import simpson
 
 
@@ -202,7 +203,7 @@ def test_site_modes_next_to_the_centre():
     n=st.integers(min_value=1, max_value=50),
     frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
 )
-@settings(max_examples=40, deadline=None)
+@examples(40)
 def test_mode_function_satisfies_free_equation(n, frac):
     """Second differences reproduce -(nu_n/2)^2 phi away from the walls."""
     s = make_setup(L=1.0, x0=RationalX0(0, 1), c=1.0)

@@ -4,7 +4,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from deltabox import lattice, observables
@@ -27,6 +27,7 @@ from deltabox.observables import (
 )
 from deltabox.wavefn import compartment_rows, eval_normalized, rho, rho_grid
 
+from _examples import examples
 from _quad import simpson, simpson_peaked
 from _reference import gamma_factor
 
@@ -410,7 +411,7 @@ def _one_point_expectations(setup, nus):
 
 
 @given(site=st.sampled_from(GRID_SITES), data=st.data())
-@settings(max_examples=150, deadline=None)
+@examples(150)
 def test_grids_equal_the_one_point_functions_bit_for_bit(site, data):
     spec, L = site
     s = make_setup(L=L, x0=parse_x0(spec), c=1.0)
@@ -491,7 +492,7 @@ def kernel_nus(draw, setup):
 
 
 @given(site=st.sampled_from(GRID_SITES), data=st.data())
-@settings(max_examples=150, deadline=None)
+@examples(150)
 def test_row_loop_readouts_equal_the_separate_formulas_bit_for_bit(site, data):
     """Each readout of compartment_rows over one grid equals the masses and
     distances written apart from it, and on a lattice hit the kind of
@@ -543,7 +544,7 @@ def test_row_loop_refuses_an_unknown_readout():
 
 
 @given(site=st.sampled_from(GRID_SITES), data=st.data())
-@settings(max_examples=150, deadline=None)
+@examples(150)
 def test_expectation_rows_equal_the_separate_distance_form_bit_for_bit(site, data):
     spec, L = site
     s = make_setup(L=L, x0=parse_x0(spec), c=1.0)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from deltabox import oracle
@@ -22,6 +22,8 @@ from deltabox.oracle import (
     eig_lowest,
 )
 from deltabox.spectrum import analytic_levels
+
+from _examples import examples
 
 
 def setup_pq(p, q, L=1.0, c=1.0):
@@ -150,7 +152,7 @@ def test_sturm_counts_clamp_exactly_zero_pivot():
 
 @given(matrix=tridiagonals(st.floats(-10, 10), st.floats(-5, 5), 12), shift=st.floats(-25, 25))
 @example(matrix=([0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 8.28472148763232e-80, 2.0]), shift=1.0)
-@settings(max_examples=200, deadline=None)
+@examples(200)
 def test_sturm_count_and_slope_match_dense_spectrum(matrix, shift):
     """The count equals the dense count.  The slope is sum 1/(shift - lambda_i)
     to rel 1e-9 of sum |1/(shift - lambda_i)|, the scale its rounding has;
@@ -260,40 +262,86 @@ def test_eig_lowest_isolates_then_takes_newton_steps(monkeypatch):
     assert len(count_only) <= 10 and len(full) <= 30
 
 
+def stebz_eigvalsh(diag, offdiag):
+    """split_eigvalsh with each block solved by LAPACK's bisection (stebz),
+    within about eps * max|T_ij|."""
+    linalg = pytest.importorskip("scipy.linalg")
+    return split_eigvalsh(
+        diag, offdiag, lambda d, e: linalg.eigvalsh_tridiagonal(d, e, lapack_driver="stebz")
+    )
+
+
 @given(
     matrix=tridiagonals(
-        st.sampled_from([0.0, 1.0, -1.0, 2.5, -3.0, 1e3])
-        | st.floats(-10, 10).filter(lambda x: x == 0.0 or abs(x) >= 1e-30),
-        st.sampled_from([0.0, 1e-30, 1e-12, 1.0, -2.0])
-        | st.floats(-5, 5).filter(lambda x: x == 0.0 or abs(x) >= 1e-30),
+        st.sampled_from([0.0, 1.0, -1.0, 2.5, -3.0, 1e3, 1e-30, 3.9e-222]) | st.floats(-10, 10),
+        st.sampled_from([0.0, 1e-30, 1e-12, 1.0, -2.0, 1e-150, 1e-100])
+        | st.floats(-5, 5).filter(lambda x: x == 0.0 or abs(x) >= 1e-150),
         10,
     ),
     data=st.data(),
 )
-@settings(max_examples=300, deadline=None)
+@examples(300)
 def test_eig_lowest_matches_split_blocks_on_irregular_spectra(matrix, data):
     """Spectra far from the k**2 law of the grid: zero and tiny off-diagonals
     split the matrix into blocks, and repeated diagonal values give exact
-    and near clusters, zero among them, and levels some 60 decades nearer
-    zero than the rest.  Every level is within 8 eps * max|T_ij| of the
-    split-block reference, with no ConvergenceError.  Entries are 0 or at
-    least 1e-30 in size, and the largest at least 1: an exact cluster at
-    zero beside an entry of 1e-222 can still outrun the pass budget, and the
+    and near clusters, zero among them, and levels hundreds of decades
+    nearer zero than the rest.  Every level is within 8 eps * max|T_ij| of
+    the split-block reference, with no ConvergenceError.  The largest entry
+    is at least 1, and off-diagonals are 0 or at least 1e-150 in size: the
     Sturm count squares an off-diagonal below 1e-154 to an underflow
-    (ROADMAP item 3).  The blocks are solved by LAPACK's bisection (stebz),
-    within about eps * max|T_ij|; the dense eigvalsh is up to 8.6 times
-    that off on such matrices (diag [0, -2.35, 6.56, 6.56, 1, 3.74, -8.09,
-    1, -2.35, 9])."""
-    linalg = pytest.importorskip("scipy.linalg")
+    (ROADMAP item 3).  The dense eigvalsh is up to 8.6 times stebz's error
+    off on such matrices (diag [0, -2.35, 6.56, 6.56, 1, 3.74, -8.09, 1,
+    -2.35, 9])."""
     diag, offdiag = matrix
     assume(max(map(abs, [*diag, *offdiag])) >= 1.0)
     count = data.draw(st.integers(1, min(len(diag), 12)))
-    ref = split_eigvalsh(
-        diag, offdiag, lambda d, e: linalg.eigvalsh_tridiagonal(d, e, lapack_driver="stebz")
-    )[:count]
+    ref = stebz_eigvalsh(diag, offdiag)[:count]
     found = [lam for lam, _ in eig_lowest(Tridiagonal(diag, offdiag, len(diag), 1.0), count)]
     bound = 8 * np.finfo(float).eps * max(map(abs, [*diag, *offdiag]))
     assert np.max(np.abs(np.array(found) - ref)) <= bound
+
+
+@pytest.mark.parametrize(
+    "diag, offdiag",
+    [
+        ([0.0, 0.0, 0.0, 1.0], [0.0, 1e-30, 0.0]),
+        ([0.0, -1.0, 0.0, 3.9e-222], [0.0, 0.0, 0.0]),
+        ([0.0, 1000.0, 0.0], [1e-12, 1e-12]),
+        ([0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1e-150]),
+        (
+            [1.0, 1.0, 1e-100, -5.0, -5.0, 5.0, 5.0, -5.0],
+            [1e-30, 1e-30, 1e-100, -3.9333480595399872, 4.489889641124712, 5.0, -5.0],
+        ),
+    ],
+    ids=[
+        "tiny-pair-beside-zeros", "zeros-beside-1e-222", "weak-pair-beside-1000", "pair-of-1e-150",
+        "near-double-level",
+    ],
+)
+def test_eig_lowest_finishes_clusters(diag, offdiag):
+    """Exact and near clusters, with the rest of T up to hundreds of
+    decades larger.  Before the split at zero couplings and the one bracket
+    test, the first four ran out of Sturm passes (after 216, 852, 165 and
+    615).  Newton converges only linearly into the near-double level 1 of
+    the last, and its predicted-error stop, taken there, left that level
+    11.2 eps * max|T_ij| off.  Each level is within 8 eps * max|T_ij| of
+    the split-block reference."""
+    ref = stebz_eigvalsh(diag, offdiag)
+    found = [lam for lam, _ in eig_lowest(Tridiagonal(diag, offdiag, len(diag), 1.0), len(diag))]
+    bound = 8 * np.finfo(float).eps * max(map(abs, [*diag, *offdiag]))
+    assert np.max(np.abs(np.array(found) - ref)) <= bound
+
+
+@pytest.mark.parametrize(
+    "diag, expected",
+    [([1.0, 2.0, 2.0, 3.0], [1.0, 2.0, 2.0, 3.0]), ([1.0, 2.2e-309], [2.2e-309, 1.0])],
+)
+def test_eig_lowest_levels_of_split_blocks_are_exact(diag, expected):
+    """Zero couplings split T into one-row blocks, each its own eigenvalue.
+    Bisecting the whole T returned the double level 2 as
+    1.9999999999999998, and the level 2.2e-309 as 0.0."""
+    T = Tridiagonal(diag, [0.0] * (len(diag) - 1), len(diag), 1.0)
+    assert [lam for lam, _ in eig_lowest(T, len(diag))] == expected
 
 
 def test_free_grid_levels_match_discrete_laplacian():
@@ -427,11 +475,12 @@ def test_eig_lowest_solves_levels_in_the_call_and_vectors_when_drawn(monkeypatch
 
 
 def test_eig_lowest_out_of_sturm_passes_raises_in_the_call(monkeypatch):
-    """A level that exhausts its Sturm passes raises before any pair is drawn."""
+    """A level that exhausts its Sturm passes raises before any pair is drawn.
+    The budget is twice the 54 halvings of the Gershgorin width plus
+    `_NEWTON_PASSES`: at -98 that is 10 passes, and this level takes 20."""
     T = build_hamiltonian(setup_pq(1, 4), -1000.0, 511)
-    monkeypatch.setattr(oracle, "_sturm", lambda d, e2, shift, pivmin: (int(shift >= 0.0), math.nan))
-    monkeypatch.setattr(oracle, "_sturm_count", lambda d, e2, shift, pivmin: int(shift >= 0.0))
-    with pytest.raises(ConvergenceError, match="did not converge"):
+    monkeypatch.setattr(oracle, "_NEWTON_PASSES", 10 - 2 * 54)
+    with pytest.raises(ConvergenceError, match="did not converge in 10 Sturm passes"):
         eig_lowest(T, 1)
 
 

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from deltabox import spectrum
@@ -14,6 +14,7 @@ from deltabox.lattice import kappa_base, partition, singular_guard_radius
 from deltabox.model import RationalX0, RealX0, make_setup, nu_n
 from deltabox.spectrum import alpha_from_nu, analytic_levels, dispersion, solve_nu
 
+from _examples import examples
 from _reference import classify_mode
 
 
@@ -218,7 +219,7 @@ def test_solve_respects_interval_even_for_extreme_couplings():
     alpha=st.floats(min_value=-200.0, max_value=200.0),
     index=st.integers(min_value=0, max_value=6),
 )
-@settings(max_examples=50, deadline=None)
+@examples(50)
 def test_solve_then_evaluate_is_identity(alpha, index):
     s = setup_pq(1, 4)
     _, intervals = partition(s, nu_max=60.0)
@@ -261,7 +262,7 @@ def test_strong_coupling_levels_are_within_two_ulps_of_their_roots():
     count=st.integers(min_value=1, max_value=8),
     j=st.integers(min_value=-10, max_value=10),
 )
-@settings(max_examples=60, deadline=None)
+@examples(60)
 def test_levels_scale_with_the_box_bit_for_bit(site, L, alpha, count, j):
     """At (4**j L, alpha 4**-j) every level is 4**-j times the level at
     (L, alpha): the scale is an exact power of two and every start of the
@@ -337,7 +338,7 @@ def _levels_sorted_from_every_interval(setup, alpha, count):
     | st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False),
     count=st.integers(min_value=1, max_value=40),
 )
-@settings(max_examples=100, deadline=None)
+@examples(100)
 def test_analytic_levels_solve_only_the_levels_they_return(site, alpha, count):
     """The intervals and the shared modes are walked in order and the walk
     stops at `count`: one solve per non-mode level returned, and one more

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from deltabox.errors import DomainError, InK, NotInK
@@ -36,6 +36,7 @@ from deltabox.wavefn import (
 )
 from deltabox._special import one_minus_sinc, sinhc_minus_one
 
+from _examples import examples
 from _quad import simpson_peaked, simpson_split
 from _reference import jump_ratio, kappa_constants, limit_residual, trig_left_sign
 
@@ -167,7 +168,7 @@ def test_jump_ratio_equals_dispersion(nu):
     nu=st.floats(min_value=-80.0, max_value=80.0),
     p_index=st.integers(min_value=0, max_value=3),
 )
-@settings(max_examples=60, deadline=None)
+@examples(60)
 def test_jump_ratio_equals_dispersion_property(nu, p_index):
     s = [setup_pq(0, 1), setup_pq(1, 4), setup_pq(3, 5), setup_pq(11, 13)][p_index]
     pt, dist = nearest_lattice_point(s, nu)
@@ -349,7 +350,7 @@ def _near_shared_points(draw, setup, top=1e15, spread=1.2e-9):
 
 
 @given(site=st.sampled_from(_HAT_SITES), data=st.data())
-@settings(max_examples=300, deadline=None)
+@examples(300)
 def test_hat_state_accepts_exactly_the_locators_shared_points(site, data):
     """limit_state(s, "hat", nu) is built exactly where lattice_locator puts
     nu on a shared point: its nearest lattice point is shared and within
@@ -377,7 +378,7 @@ def test_hat_state_accepts_exactly_the_locators_shared_points(site, data):
                         "rational:0/1", "real:0.125"]),
     data=st.data(),
 )
-@settings(max_examples=300, deadline=None)
+@examples(300)
 def test_every_command_agrees_on_a_shared_point(x0, data):
     """The state, the ratio row, the expansion and the hat limit all ask
     lattice_locator, so they place nu on a shared point together or not at
