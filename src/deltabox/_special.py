@@ -3,8 +3,9 @@
 The closed forms in this package repeatedly need 1 - sin(y)/y and
 sinh(y)/y - 1, which cancel catastrophically for small y, and a rescaling
 of sinh expressions that overflow for large arguments.  These helpers and
-constants hold the series switch, the linear window and the deep
-evanescent switch, so every module uses the same conventions.
+constants hold the series switch, the linear window and the switch to the
+large-argument forms of an evanescent compartment, so every module uses
+the same conventions.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ SERIES_SWITCH = 0.5
 # rounding: its corrections are of relative order (nu * L)**2, under an ulp.
 LINEAR_WINDOW = 2.0**-27
 
-# Beyond this value of |nu| * L the evanescent closed forms (norms, ratios,
-# samples, expansion prefactors) are rescaled by their dominant exponential;
-# the direct sinh products overflow near 709.
+# From this value of y = |nu| * w on, for one compartment of width w of an
+# evanescent state, sinh(y/2)**2 exp(-y), exp(-y) (sinh(y)/y - 1) and the
+# mean distance from the site are 1/4, 0.5/y and w/y to rounding; sinh
+# itself overflows near 710.
 LOG_SWITCH = 600.0
 
 # 1/(2k+1)! for k = 1..7, the Taylor coefficients in y**2 of sinh(y)/y - 1

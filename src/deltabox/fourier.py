@@ -83,7 +83,8 @@ def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpans
     whose closed-form prefactor needs no norm either.  Elsewhere
     a_m = c * Phi_m(x0) / D_m with the branch-dependent resonance
     denominator D_m and prefactor c; the oscillatory and evanescent branches
-    differ in the sign of the nu**2/4 term and in sin versus sinh.
+    differ in the sign of the nu**2/4 term and in sin versus sinh.  The
+    evanescent c and D_m carry t/2 = -nu/2 and exp(t L / 2) divided out.
     """
     _check_m(M)
     # Tested before the state is resolved; shared modes (n a multiple of
@@ -97,21 +98,18 @@ def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpans
     state = general_state(setup, nu)
     if isinstance(state, LimitState):
         return coeffs_limit(state, M)
-    nu, t, L = state.nu, -state.nu, setup.L
+    nu, t, L, label = state.nu, -state.nu, setup.L, state.kind.label
     # a_m = pref * Phi_m(x0) / ((pi m / L)**2 / scale + shift): scale 1.0 and
-    # shift -(nu/2)**2, 0.0 or (t/2)**2 give the trig, linear and hyper
-    # denominators to the last bit; the deep branch divides by t/2 instead.
-    if state.branch == "trig":
+    # shift -(nu/2)**2 or 0.0 give the trig and linear denominators to the
+    # last bit; the hyper branch divides by t/2 instead.
+    if label == "trig":
         pref = state.sign * (nu / (2 * state.norm)) * math.sin(nu * L / 2)
         scale, shift = 1.0, -((nu / 2) ** 2)
-    elif state.branch == "linear":
+    elif label == "linear":
         pref = 4 * math.sqrt(3) * math.sqrt(L) / (L**2 - 4 * setup.x0_value**2)
         scale, shift = 1.0, 0.0
-    elif state.branch == "hyper":
-        pref = (t / (2 * state.norm)) * math.sinh(t * L / 2)
-        scale, shift = 1.0, (t / 2) ** 2
     else:
-        # sinh(t L / 2) / rho = -expm1(-t L) / (2 norm), the deep norm being
+        # sinh(t L / 2) / rho = -expm1(-t L) / (2 norm), the hyper norm being
         # rho exp(-t L / 2); the factor t / 2 moves into the denominator,
         # which would overflow near t**2.
         pref = -math.expm1(-t * L) / (2 * state.norm)

@@ -12,11 +12,15 @@ norm), and exposes the limit states reached as the coupling strength
 diverges: a continuous state on the shared lattice and one-sided states
 that fill a single compartment and vanish identically on the other.
 
+An evanescent state has one form at every depth, each sinh with its
+exponential divided out, and the masses take every width in units of a
+power of four near L, so their rows at L 4**j are those at L to the bit.
+
 Each state is resolved once and then sampled.  `general_state` makes the
 window and branch decision for a normalized eigenfunction at nu (a shared
 point of lattice_locator, where it returns the hat limit state, the
-linear window, trig, hyper or deep) and computes the per-branch
-amplitudes and the sign; the norm is taken on first use.  `limit_state` validates a limit
+linear window, trig or hyper) and computes the per-branch amplitudes and
+the sign; the norm is taken on first use.  `limit_state` validates a limit
 state (index, side, lattice membership) and fixes its sign and amplitude.
 Both records feed `fourier`'s coefficient builders and sample a list of
 positions (`sample`): each half-wave is a list function, one comprehension
@@ -129,28 +133,26 @@ def _sample_at(state: _Pieces, x: float) -> WaveSample:
 class GeneralState(_Pieces):
     """The eigenfunction at one nu, resolved once by general_state.
 
-    branch is "trig", "linear" (nu is then 0), "hyper" or "deep" (t L >=
-    LOG_SWITCH with t = -nu, sampled with its exp(t L / 2) divided out).
-    sign is sign(sin(a2)), a2 = (nu/2) (L/2 + x0), on the trig branch and
-    1.0 elsewhere.
+    kind.label is "trig", "linear" (nu is then 0) or "hyper" (t = -nu > 0,
+    sampled with its exp(t L / 2) divided out).  sign is sign(sin(a2)), a2
+    = (nu/2) (L/2 + x0), on the trig branch and 1.0 elsewhere.
     """
 
     def __init__(
         self, setup: Setup, kind: WaveKind, left: _HalfWave, right: _HalfWave,
-        branch: str, nu: float, sign: float,
+        nu: float, sign: float,
     ) -> None:
         super().__init__(setup, kind, left, right)
-        self.branch, self.nu, self.sign = branch, nu, sign
+        self.nu, self.sign = nu, sign
 
     @functools.cached_property
     def norm(self) -> float:
         """The divisor of every value, taken on first use (the linear expansion
-        in `fourier` never reads it): rho, and on the deep branch rho exp(-t L
-        / 2), about (8 t)**-0.5, which stays finite where rho overflows."""
-        if self.branch != "deep":
-            return rho(self.setup, self.nu)
+        in `fourier` never reads it): rho on the trig and linear branches, and
+        rho exp(-t L / 2) on the hyper branch, about (8 t)**-0.5 for a large
+        t L, which stays finite where rho overflows."""
         mass, _, scale = next(compartment_rows(self.setup, (self.nu,), "norm"))
-        return math.sqrt(mass) * 2.0 ** (0.5 * scale)
+        return math.ldexp(math.sqrt(mass), scale // 2)
 
 
 class LimitState(_Pieces):
@@ -187,20 +189,16 @@ class LimitState(_Pieces):
 
 
 def _direct(setup: Setup, nu: float) -> GeneralState:
-    """The normalized trig, linear or evanescent state at nu."""
+    """The normalized trig or linear state at nu >= 0."""
     half, w1, w2, sign = setup.L / 2, setup.width_right, setup.width_left, 1.0
     if nu > 0:
-        branch, f, k = "trig", math.sin, nu / 2
+        label, f, k = "trig", math.sin, nu / 2
         s2 = math.sin(k * w2)
         sign = math.copysign(1.0, s2)  # from the very sine b needs
         a, b = sign * math.sin(k * w1), abs(s2)
-    elif nu == 0:
-        # w1 (L/2 + x) and w2 (L/2 - x): float is the identity here.
-        branch, f, k, a, b = "linear", float, 1.0, w1, w2
     else:
-        t = -nu
-        branch, f, k = "hyper", math.sinh, t / 2
-        a, b = math.sinh(t * w1 / 2), math.sinh(t * w2 / 2)
+        # w1 (L/2 + x) and w2 (L/2 - x): float is the identity here.
+        label, f, k, a, b = "linear", float, 1.0, w1, w2
 
     def left(xs: List[float]) -> List[float]:
         norm = state.norm
@@ -210,7 +208,7 @@ def _direct(setup: Setup, nu: float) -> GeneralState:
         norm = state.norm
         return [b * f(k * (half - x)) / norm + 0.0 for x in xs]
 
-    state = GeneralState(setup, WaveKind(branch), left, right, branch, nu, sign)
+    state = GeneralState(setup, WaveKind(label), left, right, nu, sign)
     return state
 
 
@@ -235,31 +233,34 @@ def compartment_rows(
     * "norm": (left + right, deep, scale) for every nu, no lattice test.
 
     Only "mean" computes distances.  Each nu > 0 is put to lattice_locator,
-    which builds a point only on a hit.  The masses carry 2**-(deep +
-    scale): deep = log2 exp(t L) on the deep branch (t = -nu, t L >=
-    LOG_SWITCH), where the power of two scale keeps left + right in [0.5,
-    1), except on ratio rows, whose quotient it leaves exact.  In the
-    linear window (|nu| L < LINEAR_WINDOW) the state is (nu/2)**2 times the
-    nu = 0 state to rounding, whose masses scale as L**5 and would
-    underflow for a small L: they are taken with the widths over 2**e_L,
-    e_L the even part of frexp(L)[1] when that is negative and 0 otherwise,
-    and scale is 5 e_L plus the factor's exact binary exponent (both even,
-    so the norm's square root stays exact); both are 0 elsewhere.  With
-    y = |nu| w, d = (w/2) (1 - sinc(y/2)**2) / (1 - sinc(y)) for nu > 0 and
-    its sinh analogue for nu < 0; mass and distance share their sines,
-    (nu/2) w being (nu w)/2 exactly.
+    which builds a point only on a hit.  Every width and distance is taken
+    in units of 2**e_L, e_L the even part of frexp(L)[1], so a box 4**j
+    times as long gives the same masses and distances to the bit.  The
+    masses carry 2**-(deep + scale), scale an even integer.  On the trig
+    branch scale = e_L and deep = 0.  On the evanescent branch (t = -nu)
+    each compartment's sinh(t w / 2)**2 is taken times exp(-t w), so deep =
+    log2 exp(t L); from y = t w = LOG_SWITCH on, a compartment's factors
+    sinh(y/2)**2 exp(-y), exp(-y) (sinh(y)/y - 1) and d are 1/4, 0.5/y and
+    w/y to rounding.  Outside ratio rows, whose quotient it leaves exact,
+    an even power of two k keeps left + right in [0.5, 2), and scale = e_L
+    + k.  In the linear window (|nu| L < LINEAR_WINDOW) the state is
+    (nu/2)**2 times the nu = 0 state to rounding, whose masses scale as
+    L**5: deep = 0 and scale is 5 e_L plus the factor's exact binary
+    exponent.  With y = |nu| w, d = (w/2) (1 - sinc(y/2)**2) / (1 - sinc(y))
+    for nu > 0 and its sinh analogue for nu < 0; mass and distance share
+    their sines, (nu/2) w being (nu w)/2 exactly.
     """
     if readout not in ("ratio", "mean", "norm"):
         raise DomainError(f"unknown readout {readout!r}")
     ratio, mean, on_lattice = readout == "ratio", readout == "mean", readout != "norm"
     L, x0, w1, w2 = setup.L, setup.x0_value, setup.width_right, setup.width_left
-    half_w1, half_w2 = w1 / 2, w2 / 2
-    e_L = min(0, math.frexp(L)[1] & -2)
+    e_L = math.frexp(L)[1] & -2
     v1, v2 = math.ldexp(w1, -e_L), math.ldexp(w2, -e_L)
+    half_v1, half_v2 = v1 / 2, v2 / 2
     linear_left = v1 * v1 * v2**3 / 3
     linear_right = v2 * v2 * v1**3 / 3
     locate, shared = lattice_locator(setup), 1.0 / setup.q_ratio
-    sin, sinh, exp, expm1 = math.sin, math.sinh, math.exp, math.expm1
+    sin, sinh, exp, frexp, ldexp = math.sin, math.sinh, math.exp, math.frexp, math.ldexp
     series, log_switch, linear_window = SERIES_SWITCH, LOG_SWITCH, LINEAR_WINDOW
     for nu in nus:
         # not nu <= 0: a NaN reaches locate's round() and raises there.
@@ -280,14 +281,14 @@ def compartment_rows(
             # states are all symmetric or antisymmetric.
             yield nu, (x0 / 2 if x0 else 0.0)
             continue
-        deep = scale = 0.0
+        deep, scale = 0.0, e_L
         if linear:
             # |nu|/2 = m * 2**(e - 1); frexp avoids the underflow of |nu|/2.
             # At nu = 0, m = 1 and e = 1 give the nu = 0 masses and scale 5 e_L.
-            m, e = math.frexp(abs(nu)) if nu else (1.0, 1)
+            m, e = frexp(abs(nu)) if nu else (1.0, 1)
             m4 = m**4
             left, right = linear_left * m4, linear_right * m4
-            scale = 4.0 * (e - 1) + 5 * e_L
+            scale = 4 * (e - 1) + 5 * e_L
         elif nu > 0:
             z1 = (nu / 2) * w1
             z2 = (nu / 2) * w2
@@ -297,63 +298,57 @@ def compartment_rows(
             s2 = sin(z2)
             m1 = 1.0 - sin(y1) / y1 if y1 >= series else one_minus_sinc(y1)
             m2 = 1.0 - sin(y2) / y2 if y2 >= series else one_minus_sinc(y2)
-            left = s1 * s1 * half_w2 * m2
-            right = s2 * s2 * half_w1 * m1
+            left = s1 * s1 * half_v2 * m2
+            right = s2 * s2 * half_v1 * m1
             if mean:
                 a1 = 1.0 - s1 / z1 if z1 >= series else one_minus_sinc(z1)
                 a2 = 1.0 - s2 / z2 if z2 >= series else one_minus_sinc(z2)
-                d1 = half_w1 * a1 * (2 - a1) / m1
-                d2 = half_w2 * a2 * (2 - a2) / m2
+                d1 = half_v1 * a1 * (2 - a1) / m1
+                d2 = half_v2 * a2 * (2 - a2) / m2
         else:
+            # A compartment's factor sinh(y/2)**2 and the other's factor
+            # m = sinh(y)/y - 1 are each taken times exp(-y), which divides
+            # exp(t L) out of both masses.
             t = -nu
             y1 = t * w1
             y2 = t * w2
-            z1 = y1 / 2
-            z2 = y2 / 2
-            if t * L < log_switch:
+            if y1 < log_switch:
+                z1 = y1 / 2
                 sh1 = sinh(z1)
-                sh2 = sinh(z2)
+                x1 = exp(-y1)
+                f1 = sh1 * sh1 * x1
                 m1 = sinh(y1) / y1 - 1.0 if y1 >= series else sinhc_minus_one(y1)
-                m2 = sinh(y2) / y2 - 1.0 if y2 >= series else sinhc_minus_one(y2)
-                left = sh1 * sh1 * half_w2 * m2
-                right = sh2 * sh2 * half_w1 * m1
+                e1 = x1 * m1
                 if mean:
                     b1 = sh1 / z1 - 1.0 if z1 >= series else sinhc_minus_one(z1)
-                    b2 = sh2 / z2 - 1.0 if z2 >= series else sinhc_minus_one(z2)
-                    d1 = half_w1 * b1 * (2 + b1) / m1
-                    d2 = half_w2 * b2 * (2 + b2) / m2
+                    d1 = half_v1 * b1 * (2 + b1) / m1
             else:
-                # sinh(y/2)**2 = exp(y) expm1(-y)**2 / 4, so a compartment's
-                # mass factor is exp(-y) m with m = sinh(y)/y - 1; from y =
-                # LOG_SWITCH on, it and the distance are 0.5/y and w/y to rounding.
-                if y1 < log_switch:
-                    m1 = sinh(y1) / y1 - 1.0 if y1 >= series else sinhc_minus_one(y1)
-                    e1 = exp(-y1) * m1
-                    if mean:
-                        b1 = sinh(z1) / z1 - 1.0 if z1 >= series else sinhc_minus_one(z1)
-                        d1 = half_w1 * b1 * (2 + b1) / m1
-                else:
-                    e1, d1 = 0.5 / y1, w1 / y1
-                if y2 < log_switch:
-                    m2 = sinh(y2) / y2 - 1.0 if y2 >= series else sinhc_minus_one(y2)
-                    e2 = exp(-y2) * m2
-                    if mean:
-                        b2 = sinh(z2) / z2 - 1.0 if z2 >= series else sinhc_minus_one(z2)
-                        d2 = half_w2 * b2 * (2 + b2) / m2
-                else:
-                    e2, d2 = 0.5 / y2, w2 / y2
-                left = expm1(-y1) ** 2 / 4 * half_w2 * e2
-                right = expm1(-y2) ** 2 / 4 * half_w1 * e1
-                if not ratio:
-                    # A power of two keeps left + right near 1: rho overflows only
-                    # beyond float range, and the mean's d products do not underflow.
-                    k = math.frexp(left + right)[1]
-                    left, right = math.ldexp(left, -k), math.ldexp(right, -k)
-                    deep, scale = (y1 + y2) / _LN2, k
+                f1, e1, d1 = 0.25, 0.5 / y1, v1 / y1
+            if y2 < log_switch:
+                z2 = y2 / 2
+                sh2 = sinh(z2)
+                x2 = exp(-y2)
+                f2 = sh2 * sh2 * x2
+                m2 = sinh(y2) / y2 - 1.0 if y2 >= series else sinhc_minus_one(y2)
+                e2 = x2 * m2
+                if mean:
+                    b2 = sh2 / z2 - 1.0 if z2 >= series else sinhc_minus_one(z2)
+                    d2 = half_v2 * b2 * (2 + b2) / m2
+            else:
+                f2, e2, d2 = 0.25, 0.5 / y2, v2 / y2
+            left = f1 * half_v2 * e2
+            right = f2 * half_v1 * e1
+            if not ratio:
+                # An even power of two keeps left + right near 1: rho overflows
+                # only beyond float range, and the mean's d products do not
+                # underflow.  It depends on t, not on L, so it is taken per row.
+                k = frexp(left + right)[1] & -2
+                left, right = ldexp(left, -k), ldexp(right, -k)
+                deep, scale = (y1 + y2) / _LN2, e_L + k
         if ratio:
             yield nu, right / left, None
         elif mean:
-            yield nu, x0 + (right * d1 - left * d2) / (left + right)
+            yield nu, x0 + ldexp((right * d1 - left * d2) / (left + right), e_L)
         else:
             yield left + right, deep, scale
 
@@ -363,7 +358,7 @@ def rho_grid(setup: Setup, nus: Iterable[float]) -> Iterator[float]:
     from its compartment masses; math.inf where it exceeds float range."""
     for mass, deep, scale in compartment_rows(setup, nus, "norm"):
         try:
-            yield math.sqrt(mass) * 2.0 ** (0.5 * (deep + scale))
+            yield math.ldexp(math.sqrt(mass) * 2.0 ** (0.5 * deep), scale // 2)
         except OverflowError:
             yield math.inf
 
@@ -380,20 +375,20 @@ def general_state(setup: Setup, nu: float) -> Union[GeneralState, LimitState]:
     and the direct quotient loses all precision, so the state there is the
     continuous limit state (the two-sided limit along either coupling
     path) and the hat LimitState is returned.  Inside the linear window
-    the state is the nu = 0 linear state.  Deep evanescent states (t L >=
-    LOG_SWITCH, t = -nu), whose sinh products overflow, are rescaled by
-    exp(-t L / 2) in closed form: every factor stays bounded.
+    the state is the nu = 0 linear state.  Every other evanescent state (t
+    = -nu) is rescaled by exp(-t L / 2) in closed form, so no factor
+    overflows at any depth.
     """
     point = lattice_locator(setup)(nu)
     if point is not None and point.kind == "both":
         return limit_state(setup, "hat", nu)
     if abs(nu) * setup.L < LINEAR_WINDOW:
         nu = 0.0
-    t = -nu
-    if t * setup.L < LOG_SWITCH:
+    if nu >= 0:
         return _direct(setup, nu)
     # sinh(other) sinh(arm) / rho with sinh(z) = -exp(z) expm1(-2 z) / 2 and
     # rho = exp(t L / 2) norm: the exponents sum to -(t/2) |x - x0|.
+    t = -nu
     half, x0, k = setup.L / 2, setup.x0_value, t / 2
     a = math.expm1(-2 * (t * setup.width_right / 2))
     b = math.expm1(-2 * (t * setup.width_left / 2))
@@ -407,7 +402,7 @@ def general_state(setup: Setup, nu: float) -> Union[GeneralState, LimitState]:
         scale = 4 * state.norm
         return [b * expm1(-2 * (k * (half - x))) * exp(-k * abs(x - x0)) / scale + 0.0 for x in xs]
 
-    state = GeneralState(setup, WaveKind("hyper"), left, right, "deep", nu, 1.0)
+    state = GeneralState(setup, WaveKind("hyper"), left, right, nu, 1.0)
     return state
 
 

@@ -755,6 +755,35 @@ def test_linear_window_at_a_tiny_box(capsys):
     assert values[1] == pytest.approx(0.8 * math.sqrt(3 / 1e-70), rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "argv, row, value",
+    [
+        # t L = 420, below LOG_SWITCH, where the plain sinh masses
+        # overflowed in their products with the distances (nan).
+        (("expectation", "--L", "1e100", "--nu=-4.2e-98"), 0, "1.25e+99"),
+        # The linear masses, of order L**5, overflowed (nan).
+        (("ratio", "--nu", "0", "--L", "1e80"), 0, "0.6000000000000002"),
+        # The trig distances underflowed at L = 1e-300, leaving x0.
+        (("expectation", "--nu", "3e300", "--L", "1e-300"), 0, "5.224002248697136e-302"),
+        # These three raised OverflowError (exit 4) in the linear masses,
+        # which every row took first in absolute units.
+        (("ratio", "--nu", "3e-130", "--L", "1e130"), 0, "0.552553321693878"),
+        (("expectation", "--nu", "3e-200", "--L", "1e200"), 0, "5.224002248697135e+198"),
+        (("wavefunction", "--nu", "3e-200", "--L", "1e200", "--points", "3"), 1,
+         "1.3963588806745772e-100"),
+        # 0.8 sqrt(3 / L) at x = 0, where the overflowed norm printed 0.0.
+        (("wavefunction", "--nu", "0", "--L", "1e100", "--points", "3"), 1,
+         "1.3856406460551018e-50"),
+    ],
+)
+def test_tables_hold_far_from_a_unit_box(capsys, argv, row, value):
+    """Rows whose masses or norms left float range in absolute units: the
+    widths are now taken in units of a power of four near L."""
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert list(parse_csv(out)[row].values())[1] == value
+
+
 def test_ratio_at_shared_point_reports_lattice_kind(capsys):
     code, out = run_cli(capsys, "ratio", "--nu", repr(16 * math.pi))
     assert code == 0

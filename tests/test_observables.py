@@ -380,13 +380,12 @@ def grid_nus(draw, setup):
         lambda ps: st.sampled_from(_ulps_around(ps[0] + ps[1] * ON_LATTICE_RTOL * ps[0]))
     )
     linear_edge = LINEAR_WINDOW / setup.L
-    deep_edge = -LOG_SWITCH / setup.L
-    # Each compartment's own deep switch, where y = t w reaches LOG_SWITCH.
+    # Each compartment's switch to its large-y factors, where y = t w
+    # reaches LOG_SWITCH.
     special = st.sampled_from(
         [0.0, -0.0, 1e-200, -1e-200]
         + _ulps_around(linear_edge)
         + _ulps_around(-linear_edge)
-        + _ulps_around(deep_edge)
         + _ulps_around(-LOG_SWITCH / setup.width_right)
         + _ulps_around(-LOG_SWITCH / setup.width_left)
     )
@@ -434,61 +433,71 @@ def test_grids_equal_the_one_point_functions_bit_for_bit(site, data):
     assert repr(list(rho_grid(s, nus))) == repr([rho(s, nu) for nu in nus])
 
 
+def _box_exponent(setup):
+    """e_L, the even part of L's binary exponent: widths are taken over 2**e_L."""
+    return math.frexp(setup.L)[1] & -2
+
+
 def _reference_masses(setup, nu):
-    """(left, right, scale) from the mass formulas alone, written apart from
-    the row loop: the reference its masses must equal bit for bit."""
-    L, w1, w2 = setup.L, setup.width_right, setup.width_left
+    """(left, right, deep, scale) from the mass formulas alone, written apart
+    from the row loop: the reference its masses must equal bit for bit."""
+    L, w1, w2, e_L = setup.L, setup.width_right, setup.width_left, _box_exponent(setup)
+    v1, v2 = math.ldexp(w1, -e_L), math.ldexp(w2, -e_L)
     if abs(nu) * L < LINEAR_WINDOW:
-        # Masses of order L**5, taken with the widths over an even power of
-        # two at or below L (1 from L = 0.5 up) and that power carried in scale.
-        e_L = min(0, math.frexp(L)[1] & -2)
-        v1, v2 = math.ldexp(w1, -e_L), math.ldexp(w2, -e_L)
+        # Masses of order L**5 in units of 2**e_L, that power carried in scale.
         left, right = v1 * v1 * v2**3 / 3, v2 * v2 * v1**3 / 3
         if nu == 0:
-            return left, right, 5.0 * e_L
+            return left, right, 0.0, 5 * e_L
         m, e = math.frexp(abs(nu))
-        return left * m**4, right * m**4, 4.0 * (e - 1) + 5 * e_L
+        return left * m**4, right * m**4, 0.0, 4 * (e - 1) + 5 * e_L
     if nu > 0:
         s1, s2 = math.sin((nu / 2) * w1), math.sin((nu / 2) * w2)
-        left = s1 * s1 * (w2 / 2) * one_minus_sinc(nu * w2)
-        right = s2 * s2 * (w1 / 2) * one_minus_sinc(nu * w1)
-        return left, right, 0.0
-    t = -nu
-    y1, y2 = t * w1, t * w2
-    if t * L < LOG_SWITCH:
-        sh1, sh2 = math.sinh(y1 / 2), math.sinh(y2 / 2)
-        left = sh1 * sh1 * (w2 / 2) * sinhc_minus_one(y2)
-        right = sh2 * sh2 * (w1 / 2) * sinhc_minus_one(y1)
-        return left, right, 0.0
-    # Deep: sinh(y/2)**2 = exp(y) expm1(-y)**2 / 4, the exp(y) of both
-    # compartments carried in scale, rescaled by a power of two.
-    scaled = lambda y: math.exp(-y) * sinhc_minus_one(y) if y < LOG_SWITCH else 0.5 / y
-    left = math.expm1(-y1) ** 2 / 4 * (w2 / 2) * scaled(y2)
-    right = math.expm1(-y2) ** 2 / 4 * (w1 / 2) * scaled(y1)
-    k = math.frexp(left + right)[1]
-    return math.ldexp(left, -k), math.ldexp(right, -k), (y1 + y2) / math.log(2.0) + k
+        left = s1 * s1 * (v2 / 2) * one_minus_sinc(nu * w2)
+        right = s2 * s2 * (v1 / 2) * one_minus_sinc(nu * w1)
+        return left, right, 0.0, e_L
+    # Evanescent: each sinh(y/2)**2 times exp(-y), the exp(y) of both
+    # compartments carried in deep, then an even power of two in scale.
+    y1, y2 = -nu * w1, -nu * w2
+
+    def factors(y):
+        if y >= LOG_SWITCH:
+            return 0.25, 0.5 / y
+        sh = math.sinh(y / 2)
+        return sh * sh * math.exp(-y), math.exp(-y) * sinhc_minus_one(y)
+
+    (f1, e1), (f2, e2) = factors(y1), factors(y2)
+    left, right = f1 * (v2 / 2) * e2, f2 * (v1 / 2) * e1
+    k = math.frexp(left + right)[1] & -2
+    return math.ldexp(left, -k), math.ldexp(right, -k), (y1 + y2) / math.log(2.0), e_L + k
 
 
-def _site_distance(nu, w):
-    """Mean distance from x0 of a compartment's mass, as computed on its own
-    before the row loop took the sines from the mass evaluation."""
-    y = abs(nu) * w
+def _site_distance(setup, nu, w):
+    """Mean distance from x0 of a compartment's mass, in units of 2**e_L,
+    as computed on its own before the row loop took the sines from the
+    mass evaluation."""
+    y, v = abs(nu) * w, math.ldexp(w, -_box_exponent(setup))
     if nu > 0:
         a = one_minus_sinc(y / 2)
-        return (w / 2) * a * (2 - a) / one_minus_sinc(y)
+        return (v / 2) * a * (2 - a) / one_minus_sinc(y)
     if y >= LOG_SWITCH:
-        return w / y
+        return v / y
     b = sinhc_minus_one(y / 2)
-    return (w / 2) * b * (2 + b) / sinhc_minus_one(y)
+    return (v / 2) * b * (2 + b) / sinhc_minus_one(y)
+
+
+def _reference_mean(setup, nu):
+    left, right, _, _ = _reference_masses(setup, nu)
+    d1 = _site_distance(setup, nu, setup.width_right)
+    d2 = _site_distance(setup, nu, setup.width_left)
+    shift = (right * d1 - left * d2) / (left + right)
+    return setup.x0_value + math.ldexp(shift, _box_exponent(setup))
 
 
 @st.composite
 def kernel_nus(draw, setup):
-    """grid_nus, plus both series windows of the sincs (|nu| w < 1) and the
-    positive twin of the deep edge."""
+    """grid_nus, plus both series windows of the sincs (|nu| w < 1)."""
     series = st.floats(min_value=-2.0 / setup.L, max_value=2.0 / setup.L)
-    edge = st.sampled_from(_ulps_around(LOG_SWITCH / setup.L))
-    return draw(grid_nus(setup)) + draw(st.lists(st.one_of(series, edge), max_size=10))
+    return draw(grid_nus(setup)) + draw(st.lists(series, max_size=10))
 
 
 @given(site=st.sampled_from(GRID_SITES), data=st.data())
@@ -505,7 +514,7 @@ def test_row_loop_readouts_equal_the_separate_formulas_bit_for_bit(site, data):
     limits = {"both": 1.0 / s.q_ratio, "under": 0.0, "over": math.inf}
     ratios, means, stop = [], [], None
     for nu in nus:
-        left, right, scale = _reference_masses(s, nu)
+        left, right, _, _ = _reference_masses(s, nu)
         hit = locate(nu)
         if hit is not None:
             ratios.append((nu, limits[hit.kind], hit.kind))
@@ -520,14 +529,15 @@ def test_row_loop_readouts_equal_the_separate_formulas_bit_for_bit(site, data):
         elif abs(nu) * L < LINEAR_WINDOW:
             means.append((nu, x0 / 2))
         else:
-            d1, d2 = _site_distance(nu, s.width_right), _site_distance(nu, s.width_left)
-            means.append((nu, x0 + (right * d1 - left * d2) / (left + right)))
+            means.append((nu, _reference_mean(s, nu)))
     # repr tells every two floats apart, -0.0 from 0.0 included.
     assert repr(list(compartment_rows(s, nus, "ratio"))) == repr(ratios)
     assert repr(list(compartment_rows(s, nus, "mean"))) == repr(means)
-    norms = [(left + right, scale) for left, right, scale in (_reference_masses(s, nu) for nu in nus)]
-    rows = [(mass, deep + scale) for mass, deep, scale in compartment_rows(s, nus, "norm")]
-    assert repr(rows) == repr(norms)
+    norms = [
+        (left + right, deep, scale)
+        for left, right, deep, scale in (_reference_masses(s, nu) for nu in nus)
+    ]
+    assert repr(list(compartment_rows(s, nus, "norm"))) == repr(norms)
     strict, grid = [], compartment_rows(s, nus, "mean", skip_one_sided=False)
     if stop is None:
         assert repr(list(grid)) == repr(means)
@@ -558,10 +568,48 @@ def test_expectation_rows_equal_the_separate_distance_form_bit_for_bit(site, dat
         elif abs(nu) * L < LINEAR_WINDOW:
             expected = x0 / 2
         else:
-            left, right, _ = _reference_masses(s, nu)
-            d1, d2 = _site_distance(nu, s.width_right), _site_distance(nu, s.width_left)
-            expected = x0 + (right * d1 - left * d2) / (left + right)
+            expected = _reference_mean(s, nu)
         assert repr(mean) == repr(expected)
+
+
+def _scaled_by_power_of_two(x, n, y):
+    """Whether y is x * 2**n, read from whichever of the two is a finite
+    normal float (an overflow reads inf); True when neither is."""
+    for a, b, m in ((x, y, n), (y, x, -n)):
+        if math.isfinite(a) and abs(a) >= sys.float_info.min:
+            try:
+                expected = math.ldexp(a, m)
+            except OverflowError:
+                expected = math.copysign(math.inf, a)
+            return repr(expected) == repr(b)
+    return True
+
+
+@given(site=st.sampled_from(GRID_SITES), j=st.integers(-200, 200), data=st.data())
+@examples(150)
+def test_rows_of_a_box_four_to_the_j_times_as_long_are_rescaled_bit_for_bit(site, j, data):
+    """At (4**j L, 4**-j nu) a ratio row is the row at (L, nu), an Ex row
+    that row times 4**j and a rho row that row times 2**j (2**(5 j) at nu
+    = 0, whose masses grow as L**5): every width is taken in units of a
+    power of four near L, and every product nu w keeps its bits."""
+    spec, L = site
+    x0 = parse_x0(spec)
+    s = make_setup(L=L, x0=x0, c=1.0)
+    if isinstance(x0, RealX0):
+        x0 = RealX0(math.ldexp(x0.value_abs, 2 * j))
+    big = make_setup(L=math.ldexp(L, 2 * j), x0=x0, c=1.0)
+    # Only nu whose scaled twin is exact and normal.
+    nus = [
+        nu for nu in data.draw(grid_nus(s)) if nu == 0 or abs(math.ldexp(nu, -2 * j)) >= 2.0**-1000
+    ]
+    scaled = [math.ldexp(nu, -2 * j) for nu in nus]
+    ratios = [row[1:] for row in ratio_grid(s, nus)]
+    assert repr([row[1:] for row in ratio_grid(big, scaled)]) == repr(ratios)
+    rows, big_rows = list(expectation_grid(s, nus)), list(expectation_grid(big, scaled))
+    assert [math.ldexp(nu, -2 * j) for nu, _ in rows] == [nu for nu, _ in big_rows]
+    assert all(_scaled_by_power_of_two(a, 2 * j, b) for (_, a), (_, b) in zip(rows, big_rows))
+    for nu, a, b in zip(nus, rho_grid(s, nus), rho_grid(big, scaled)):
+        assert _scaled_by_power_of_two(a, 5 * j if nu == 0 else j, b)
 
 
 def test_grid_without_lattice_hits_builds_no_lattice_point(monkeypatch):
