@@ -93,10 +93,6 @@ def _x0_spec(spec: str) -> X0Spec:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _setup_from(args: argparse.Namespace) -> Setup:
-    return make_setup(args.L, args.x0, args.c)
-
-
 def _grid_size(text: str) -> int:
     """argparse type hook: a grid needs at least one point (exit 2 otherwise)."""
     try:
@@ -184,12 +180,13 @@ def _emit(args: argparse.Namespace, columns: List[str], rows: Iterable[Tuple[Any
 
 
 # ============================================================
-# Subcommands
+# Subcommands: each returns its columns and rows, which main writes
 # ============================================================
 
+_Table = Tuple[List[str], Iterable[Tuple[Any, ...]]]
 
-def cmd_partition(args: argparse.Namespace) -> None:
-    setup = _setup_from(args)
+
+def cmd_partition(setup: Setup, args: argparse.Namespace) -> _Table:
     points, intervals = partition(setup, args.nu_max)
     columns = [
         "record",
@@ -214,24 +211,21 @@ def cmd_partition(args: argparse.Namespace) -> None:
         )
         for iv in intervals
     ]
-    _emit(args, columns, rows)
+    return columns, rows
 
 
-def cmd_spectrum(args: argparse.Namespace) -> None:
-    setup = _setup_from(args)
+def cmd_spectrum(setup: Setup, args: argparse.Namespace) -> _Table:
     levels = analytic_levels(setup, args.alpha, args.count)
-    columns = ["index", "nu", "energy", "is_mode"]
     rows = []
     for i, (nu, is_mode) in enumerate(levels, start=1):
         try:
             rows.append((i, nu, energy_from_nu(setup, nu), is_mode))
         except OverflowError as exc:
             raise OverflowError(f"level {i}: {exc}") from None
-    _emit(args, columns, rows)
+    return ["index", "nu", "energy", "is_mode"], rows
 
 
-def cmd_sweep(args: argparse.Namespace) -> None:
-    setup = _setup_from(args)
+def cmd_sweep(setup: Setup, args: argparse.Namespace) -> _Table:
     samples = args.samples
     _, intervals = partition(setup, args.nu_max)
     matches = [iv for iv in intervals if iv.index == args.interval]
@@ -253,9 +247,11 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     a_hi = alpha_from_nu(setup, upper - margin)
     for a in _linspace(a_lo, a_hi, samples, "--samples"):
         nus.add(solve_nu(setup, a, iv))
+    # The merge radius scales with the box (1/L near nu = 0), so a box 4**j
+    # times as long keeps every row.
     grid = []
     for nu in sorted(nus):
-        if grid and nu - grid[-1] <= 1e-12 * max(1.0, abs(nu)):
+        if grid and nu - grid[-1] <= 1e-12 * max(abs(nu), 1 / setup.L):
             continue
         grid.append(nu)
     # zip draws alpha, r and Ex of one row before the next row, so a failing
@@ -268,7 +264,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         (nu, alpha, r, mean, norm)
         for nu, alpha, (_, r, _), (_, mean), norm in zip(grid, alphas, ratios, means, norms)
     ]
-    _emit(args, ["nu", "alpha", "r", "Ex", "rho"], rows)
+    return ["nu", "alpha", "r", "Ex", "rho"], rows
 
 
 def _resolve_nu(setup: Setup, args: argparse.Namespace) -> float:
@@ -289,6 +285,15 @@ def _limit_state(setup: Setup, kind: str, args: argparse.Namespace) -> wavefn.Li
     return wavefn.limit_state(setup, kind, index, args.side)
 
 
+def _grid_nus(args: argparse.Namespace, missing: str) -> List[float]:
+    """[--nu], or the --nu-min/--nu-max grid of --points; DomainError(missing) without either."""
+    if args.nu is not None:
+        return [args.nu]
+    if args.nu_min is None or args.nu_max is None:
+        raise DomainError(missing)
+    return _linspace(args.nu_min, args.nu_max, args.points)
+
+
 def _kind_label(kind: wavefn.WaveKind) -> str:
     parts = [kind.label]
     if kind.k is not None:
@@ -300,8 +305,7 @@ def _kind_label(kind: wavefn.WaveKind) -> str:
     return " ".join(parts)
 
 
-def cmd_wavefunction(args: argparse.Namespace) -> None:
-    setup = _setup_from(args)
+def cmd_wavefunction(setup: Setup, args: argparse.Namespace) -> _Table:
     xs = _linspace(-setup.L / 2, setup.L / 2, args.points)
     if args.phi:
         if args.nu_mode is None:
@@ -314,60 +318,42 @@ def cmd_wavefunction(args: argparse.Namespace) -> None:
         else:
             state = wavefn.general_state(setup, _resolve_nu(setup, args))
         values, kind = state.sample(xs), state.kind
-    _emit(args, ["x", "value", "kind"], zip(xs, values, repeat(_kind_label(kind))))
+    return ["x", "value", "kind"], zip(xs, values, repeat(_kind_label(kind)))
 
 
-def cmd_limit(args: argparse.Namespace) -> None:
-    setup = _setup_from(args)
+def cmd_limit(setup: Setup, args: argparse.Namespace) -> _Table:
     xs = _linspace(-setup.L / 2, setup.L / 2, args.points)
-    _emit(args, ["x", "value"], zip(xs, _limit_state(setup, args.kind, args).sample(xs)))
+    return ["x", "value"], zip(xs, _limit_state(setup, args.kind, args).sample(xs))
 
 
-def cmd_fourier(args: argparse.Namespace) -> None:
-    setup = _setup_from(args)
+def cmd_fourier(setup: Setup, args: argparse.Namespace) -> _Table:
     if args.limit is not None:
         expansion = fourier_mod.coeffs_limit(_limit_state(setup, args.limit, args), args.M)
     else:
         expansion = fourier_mod.coeffs_general(setup, _resolve_nu(setup, args), args.M)
-    if args.sum_points is not None:
-        xs = _linspace(-setup.L / 2, setup.L / 2, args.sum_points, "--sum-points")
-        folded = fourier_mod.fold_to_grid(expansion, args.sum_points)
-        rows = [(x, fourier_mod.partial_sum(folded, x)) for x in xs]
-        _emit(args, ["x", "value"], rows)
-        return
-    _emit(args, ["m", "a_m"], enumerate(expansion.values, 1))
+    if args.sum_points is None:
+        return ["m", "a_m"], enumerate(expansion.values, 1)
+    xs = _linspace(-setup.L / 2, setup.L / 2, args.sum_points, "--sum-points")
+    folded = fourier_mod.fold_to_grid(expansion, args.sum_points)
+    return ["x", "value"], [(x, fourier_mod.partial_sum(folded, x)) for x in xs]
 
 
-def cmd_ratio(args: argparse.Namespace) -> None:
-    setup = _setup_from(args)
+def cmd_ratio(setup: Setup, args: argparse.Namespace) -> _Table:
     columns = ["nu", "r", "at_lattice"]
     if args.nu_mode is not None:
         value = observables.prob_ratio_at_mode(setup, args.nu_mode)
-        _emit(args, columns, [(nu_n(setup, args.nu_mode), value, None)])
-        return
-    if args.nu is not None:
-        nus = [args.nu]
-    elif args.nu_min is None or args.nu_max is None:
-        raise DomainError("provide --nu, --nu-mode, or --nu-min/--nu-max")
-    else:
-        nus = _linspace(args.nu_min, args.nu_max, args.points)
-    _emit(args, columns, observables.ratio_grid(setup, nus))
+        return columns, [(nu_n(setup, args.nu_mode), value, None)]
+    nus = _grid_nus(args, "provide --nu, --nu-mode, or --nu-min/--nu-max")
+    return columns, observables.ratio_grid(setup, nus)
 
 
-def cmd_expectation(args: argparse.Namespace) -> None:
-    setup = _setup_from(args)
-    if args.nu is not None:
-        rows = observables.expectation_grid(setup, [args.nu], skip_one_sided=False)
-    elif args.nu_min is None or args.nu_max is None:
-        raise DomainError("provide --nu or --nu-min/--nu-max")
-    else:
-        # One-sided lattice points have no two-sided state; the grid skips them.
-        nus = _linspace(args.nu_min, args.nu_max, args.points)
-        rows = observables.expectation_grid(setup, nus)
-    _emit(args, ["nu", "Ex"], rows)
+def cmd_expectation(setup: Setup, args: argparse.Namespace) -> _Table:
+    nus = _grid_nus(args, "provide --nu or --nu-min/--nu-max")
+    # One-sided lattice points have no two-sided state; a grid skips them.
+    return ["nu", "Ex"], observables.expectation_grid(setup, nus, skip_one_sided=args.nu is None)
 
 
-def cmd_amplitude(args: argparse.Namespace) -> None:
+def cmd_amplitude(setup: Setup, args: argparse.Namespace) -> _Table:
     if args.n is not None:
         ns = [args.n]
     elif args.n_max is not None:
@@ -382,13 +368,13 @@ def cmd_amplitude(args: argparse.Namespace) -> None:
         maximum, minimum = observables.amplitude_extrema(n)
         for which, ext in (("max", maximum), ("min", minimum)):
             rows.append((n, which, ext.gamma_crit, ext.value) + ext.bracket)
-    _emit(args, columns, rows)
+    return columns, rows
 
 
-def cmd_oracle(args: argparse.Namespace) -> None:
-    report = oracle.compare(_setup_from(args), args.alpha, args.grid, args.count)
+def cmd_oracle(setup: Setup, args: argparse.Namespace) -> _Table:
+    report = oracle.compare(setup, args.alpha, args.grid, args.count)
     # Each LevelComparison is a row; its field names are the columns.
-    _emit(args, list(oracle.LevelComparison._fields), report.levels)
+    return list(oracle.LevelComparison._fields), report.levels
 
 
 # ============================================================
@@ -413,6 +399,22 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--output", default=None, help="file path (default stdout)")
 
+    # The state of wavefunction, limit and fourier: a general state at
+    # --nu/--nu-mode, or a limit state at --k/--l and --side.
+    state = argparse.ArgumentParser(add_help=False)
+    state.add_argument("--nu", type=_finite_float, default=None)
+    state.add_argument("--nu-mode", type=int, default=None)
+    state.add_argument("--k", type=int, default=None)
+    state.add_argument("--l", type=int, default=None)
+    state.add_argument("--side", choices=("below", "above"), default="below")
+
+    # The wave numbers of ratio and expectation: --nu, or a grid.
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--nu", type=_finite_float, default=None)
+    grid.add_argument("--nu-min", type=_finite_float, default=None)
+    grid.add_argument("--nu-max", type=_finite_float, default=None)
+    grid.add_argument("--points", type=_grid_size, default=257)
+
     parser = argparse.ArgumentParser(
         prog="deltabox",
         description="Spectral structure of a 1-D box with a point interaction.",
@@ -434,14 +436,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nu-max", type=_finite_float, default=120.0)
     sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("wavefunction", parents=[common], help="eigenfunction samples")
-    sp.add_argument("--nu", type=_finite_float, default=None)
-    sp.add_argument("--nu-mode", type=int, default=None)
+    sp = sub.add_parser("wavefunction", parents=[common, state], help="eigenfunction samples")
     sp.add_argument("--points", type=_grid_size, default=257)
     sp.add_argument("--limit", choices=("hat", "under", "over"), default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--l", type=int, default=None)
-    sp.add_argument("--side", choices=("below", "above"), default="below")
     sp.add_argument(
         "--phi",
         action="store_true",
@@ -449,24 +446,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.set_defaults(func=cmd_wavefunction)
 
-    sp = sub.add_parser("limit", parents=[common], help="limit-state samples")
+    sp = sub.add_parser("limit", parents=[common, state], help="limit-state samples")
     sp.add_argument("--kind", choices=("hat", "under", "over"), required=True)
-    sp.add_argument("--nu", type=_finite_float, default=None)
-    sp.add_argument("--nu-mode", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--l", type=int, default=None)
-    sp.add_argument("--side", choices=("below", "above"), default="below")
     sp.add_argument("--points", type=_grid_size, default=257)
     sp.set_defaults(func=cmd_limit)
 
-    sp = sub.add_parser("fourier", parents=[common], help="sine-basis coefficients")
-    sp.add_argument("--nu", type=_finite_float, default=None)
-    sp.add_argument("--nu-mode", type=int, default=None)
+    sp = sub.add_parser("fourier", parents=[common, state], help="sine-basis coefficients")
     sp.add_argument("--limit", choices=("hat", "under", "over"), default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--l", type=int, default=None)
-    sp.add_argument("--side", choices=("below", "above"), default="below")
-    sp.add_argument("--M", type=int, default=4096)
+    sp.add_argument("--M", type=int, default=fourier_mod.DEFAULT_M)
     sp.add_argument(
         "--sum-points",
         type=_grid_size,
@@ -475,19 +462,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.set_defaults(func=cmd_fourier)
 
-    sp = sub.add_parser("ratio", parents=[common], help="right/left probability ratio")
-    sp.add_argument("--nu", type=_finite_float, default=None)
+    sp = sub.add_parser("ratio", parents=[common, grid], help="right/left probability ratio")
     sp.add_argument("--nu-mode", type=int, default=None)
-    sp.add_argument("--nu-min", type=_finite_float, default=None)
-    sp.add_argument("--nu-max", type=_finite_float, default=None)
-    sp.add_argument("--points", type=_grid_size, default=257)
     sp.set_defaults(func=cmd_ratio)
 
-    sp = sub.add_parser("expectation", parents=[common], help="mean position")
-    sp.add_argument("--nu", type=_finite_float, default=None)
-    sp.add_argument("--nu-min", type=_finite_float, default=None)
-    sp.add_argument("--nu-max", type=_finite_float, default=None)
-    sp.add_argument("--points", type=_grid_size, default=257)
+    sp = sub.add_parser("expectation", parents=[common, grid], help="mean position")
     sp.set_defaults(func=cmd_expectation)
 
     sp = sub.add_parser("amplitude", parents=[common], help="centered-site amplitude extrema")
@@ -528,7 +507,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.func(args)
+        setup = make_setup(args.L, args.x0, args.c)
+        _emit(args, *args.func(setup, args))
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_DOMAIN

@@ -148,10 +148,14 @@ class GeneralState(_Pieces):
     @functools.cached_property
     def norm(self) -> float:
         """The divisor of every value, taken on first use (the linear expansion
-        in `fourier` never reads it): rho on the trig and linear branches, and
-        rho exp(-t L / 2) on the hyper branch, about (8 t)**-0.5 for a large
-        t L, which stays finite where rho overflows."""
+        in `fourier` never reads it): rho on the trig branch; rho 2**(-2 e_L)
+        on the linear branch, whose widths and positions are taken in units
+        of 2**e_L (_box_exponent), as rho grows as L**2.5; and rho exp(-t L /
+        2) on the hyper branch, about (8 t)**-0.5 for a large t L, which
+        stays finite where rho overflows."""
         mass, _, scale = next(compartment_rows(self.setup, (self.nu,), "norm"))
+        if self.kind.label == "linear":
+            scale -= 4 * _box_exponent(self.setup.L)
         return math.ldexp(math.sqrt(mass), scale // 2)
 
 
@@ -197,8 +201,10 @@ def _direct(setup: Setup, nu: float) -> GeneralState:
         sign = math.copysign(1.0, s2)  # from the very sine b needs
         a, b = sign * math.sin(k * w1), abs(s2)
     else:
-        # w1 (L/2 + x) and w2 (L/2 - x): float is the identity here.
-        label, f, k, a, b = "linear", float, 1.0, w1, w2
+        # w1 (L/2 + x) and w2 (L/2 - x), each factor in units of 2**e_L, so
+        # no product holds L**2: float is the identity here.
+        k = math.ldexp(1.0, -_box_exponent(setup.L))
+        label, f, a, b = "linear", float, w1 * k, w2 * k
 
     def left(xs: List[float]) -> List[float]:
         norm = state.norm
@@ -215,6 +221,12 @@ def _direct(setup: Setup, nu: float) -> GeneralState:
 # ============================================================
 # Compartment rows
 # ============================================================
+
+
+def _box_exponent(L: float) -> int:
+    """e_L, the even part of L's binary exponent: a box 4**j times as long
+    has e_L + 2 j, so widths in units of 2**e_L keep their bits."""
+    return math.frexp(L)[1] & -2
 
 
 def compartment_rows(
@@ -234,10 +246,10 @@ def compartment_rows(
 
     Only "mean" computes distances.  Each nu > 0 is put to lattice_locator,
     which builds a point only on a hit.  Every width and distance is taken
-    in units of 2**e_L, e_L the even part of frexp(L)[1], so a box 4**j
-    times as long gives the same masses and distances to the bit.  The
-    masses carry 2**-(deep + scale), scale an even integer.  On the trig
-    branch scale = e_L and deep = 0.  On the evanescent branch (t = -nu)
+    in units of 2**e_L (_box_exponent), so a box 4**j times as long gives
+    the same masses and distances to the bit.  The masses carry 2**-(deep
+    + scale), scale an even integer.  On the trig branch scale = e_L and
+    deep = 0.  On the evanescent branch (t = -nu)
     each compartment's sinh(t w / 2)**2 is taken times exp(-t w), so deep =
     log2 exp(t L); from y = t w = LOG_SWITCH on, a compartment's factors
     sinh(y/2)**2 exp(-y), exp(-y) (sinh(y)/y - 1) and d are 1/4, 0.5/y and
@@ -254,7 +266,7 @@ def compartment_rows(
         raise DomainError(f"unknown readout {readout!r}")
     ratio, mean, on_lattice = readout == "ratio", readout == "mean", readout != "norm"
     L, x0, w1, w2 = setup.L, setup.x0_value, setup.width_right, setup.width_left
-    e_L = math.frexp(L)[1] & -2
+    e_L = _box_exponent(L)
     v1, v2 = math.ldexp(w1, -e_L), math.ldexp(w2, -e_L)
     half_v1, half_v2 = v1 / 2, v2 / 2
     linear_left = v1 * v1 * v2**3 / 3
@@ -358,7 +370,10 @@ def rho_grid(setup: Setup, nus: Iterable[float]) -> Iterator[float]:
     from its compartment masses; math.inf where it exceeds float range."""
     for mass, deep, scale in compartment_rows(setup, nus, "norm"):
         try:
-            yield math.ldexp(math.sqrt(mass) * 2.0 ** (0.5 * deep), scale // 2)
+            # From deep = 2048 on, 2**(deep/2) alone leaves float range: the
+            # whole part of deep/2 then joins the box scale.
+            whole = math.floor(0.5 * deep) if deep >= 2048 else 0
+            yield math.ldexp(math.sqrt(mass) * 2.0 ** (0.5 * deep - whole), whole + scale // 2)
         except OverflowError:
             yield math.inf
 

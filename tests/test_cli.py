@@ -134,6 +134,85 @@ def test_a_named_command_parses_once_like_the_top_level_parse(capsys, monkeypatc
     assert cli._parse(parser, ["ratio", "--nu", "3.3"]).command == "ratio"
 
 
+# Every subcommand's options: (type, default, choices, required) by option string.
+COMMON_OPTIONS = {
+    "--L": ("float", 1.0, None, False),
+    "--c": ("float", 1.0, None, False),
+    "--x0": ("_x0_spec", "rational:1/4", None, False),
+    "--format": (None, "csv", ("csv", "json"), False),
+    "--output": (None, None, None, False),
+}
+STATE_OPTIONS = {
+    "--nu": ("_finite_float", None, None, False),
+    "--nu-mode": ("int", None, None, False),
+    "--k": ("int", None, None, False),
+    "--l": ("int", None, None, False),
+    "--side": (None, "below", ("below", "above"), False),
+}
+GRID_OPTIONS = {
+    "--nu": ("_finite_float", None, None, False),
+    "--nu-min": ("_finite_float", None, None, False),
+    "--nu-max": ("_finite_float", None, None, False),
+    "--points": ("_grid_size", 257, None, False),
+}
+COMMAND_OPTIONS = {
+    "partition": {"--nu-max": ("_finite_float", 60.0, None, False)},
+    "spectrum": {
+        "--alpha": ("_finite_float", None, None, True),
+        "--count": ("_grid_size", 8, None, False),
+    },
+    "sweep": {
+        "--interval": ("int", None, None, True),
+        "--samples": ("_sample_count", 64, None, False),
+        "--nu-max": ("_finite_float", 120.0, None, False),
+    },
+    "wavefunction": {
+        **STATE_OPTIONS,
+        "--points": ("_grid_size", 257, None, False),
+        "--limit": (None, None, ("hat", "under", "over"), False),
+        "--phi": (None, False, None, False),
+    },
+    "limit": {
+        **STATE_OPTIONS,
+        "--kind": (None, None, ("hat", "under", "over"), True),
+        "--points": ("_grid_size", 257, None, False),
+    },
+    "fourier": {
+        **STATE_OPTIONS,
+        "--limit": (None, None, ("hat", "under", "over"), False),
+        "--M": ("int", 4096, None, False),
+        "--sum-points": ("_grid_size", None, None, False),
+    },
+    "ratio": {**GRID_OPTIONS, "--nu-mode": ("int", None, None, False)},
+    "expectation": GRID_OPTIONS,
+    "amplitude": {
+        "--n": ("int", None, None, False),
+        "--n-max": ("_grid_size", None, None, False),
+    },
+    "oracle": {
+        "--alpha": ("_finite_float", None, None, True),
+        "--grid": ("int", 2047, None, False),
+        "--count": ("int", 6, None, False),
+    },
+}
+
+
+def test_every_command_keeps_its_options():
+    """The shared option groups give each command exactly its own options,
+    with their types, defaults, choices and required flags."""
+    commands = cli._build_parser().commands
+    assert list(commands) == list(COMMAND_OPTIONS)
+    for name, command in commands.items():
+        options = {
+            action.option_strings[-1]: (
+                getattr(action.type, "__name__", None), action.default, action.choices,
+                action.required,
+            )
+            for action in command._actions if action.dest != "help"
+        }
+        assert options == {**COMMON_OPTIONS, **COMMAND_OPTIONS[name]}, name
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_readme_commands_in_one_process_match_fresh_parsers(capsys, fmt):
     """Every README command, run in order in one process, prints the bytes
@@ -501,6 +580,25 @@ def test_grid_whose_span_is_finite_keeps_its_steps():
     assert cli._linspace(-1e308, 7e307, 3) == [-1e308 + i * ((7e307 + 1e308) / 2) for i in range(2)] + [7e307]
 
 
+@pytest.mark.parametrize("box", [("--L", "-1"), ("--c", "0"), ("--x0", "real:0.7")])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("partition",), ("spectrum", "--alpha", "5"), ("sweep", "--interval", "1"),
+        ("wavefunction", "--nu", "3.3"), ("limit", "--kind", "over", "--l", "1"),
+        ("fourier", "--nu", "3.3"), ("ratio", "--nu", "3.3"), ("expectation", "--nu", "3.3"),
+        ("amplitude", "--n", "3"), ("oracle", "--alpha", "5"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_command_validates_the_box(capsys, argv, box):
+    """main builds the setup before any command runs, so an invalid --L,
+    --c or --x0 is a domain error everywhere, amplitude included."""
+    code = cli.main([*argv, *box])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_missing_nu_exits_3(capsys):
     code = cli.main(["wavefunction"])
     capsys.readouterr()
@@ -784,6 +882,18 @@ def test_tables_hold_far_from_a_unit_box(capsys, argv, row, value):
     assert list(parse_csv(out)[row].values())[1] == value
 
 
+@pytest.mark.parametrize("L", ["1e160", "1e-130"])
+def test_linear_state_holds_far_from_a_unit_box(capsys, L):
+    """The linear norm grows as L**2.5, beyond float range at either L; the
+    samples take it in units of 2**(2 e_L), so the state at x = 0 is
+    (L/2) / (L/2 + x0) sqrt(3 / L) = 0.8 sqrt(3 / L), x0 = L/8."""
+    code, out = run_cli(capsys, "wavefunction", "--nu", "0", "--L", L, "--points", "3")
+    assert code == 0
+    values = [float(r["value"]) for r in parse_csv(out)]
+    assert values[0] == values[2] == 0.0
+    assert values[1] == pytest.approx(0.8 * math.sqrt(3 / float(L)), rel=1e-15)
+
+
 def test_ratio_at_shared_point_reports_lattice_kind(capsys):
     code, out = run_cli(capsys, "ratio", "--nu", repr(16 * math.pi))
     assert code == 0
@@ -1019,6 +1129,38 @@ def test_sweep_rows_are_the_one_point_functions(capsys, site, interval):
         assert row["r"] == repr(ratio_at(s, nu))
         assert row["Ex"] == repr(mean_at(s, nu))
         assert row["rho"] == repr(rho(s, nu))
+
+
+SWEEP_SITES = ("rational:1/4", "rational:1/7", "rational:0/1", "real:0.1259881576697424")
+
+
+def _sweep_rows(capsys, site, interval, j):
+    """The sweep of 8 samples in a box of length 4**j, as float rows."""
+    if site.startswith("real:"):
+        site = "real:" + repr(math.ldexp(float(site[len("real:"):]), 2 * j))
+    code, out = run_cli(
+        capsys, "sweep", "--interval", str(interval), "--samples", "8", "--x0", site,
+        "--L", repr(math.ldexp(1.0, 2 * j)), "--nu-max", repr(math.ldexp(120.0, -2 * j)),
+    )
+    assert code == 0
+    return [[float(v) for v in row.values()] for row in parse_csv(out)]
+
+
+@pytest.mark.parametrize("j", [-30, -20, -10, -1, 1, 7, 15, 30, 45, 60])
+@pytest.mark.parametrize("site", SWEEP_SITES)
+def test_sweep_of_a_box_four_to_the_j_times_as_long_is_rescaled_bit_for_bit(capsys, site, j):
+    """Samples merge within 1e-12 of max(|nu|, 1/L), so at 4**j L a sweep
+    keeps every row of the unit box: nu and alpha times 4**-j, r alike, Ex
+    times 4**j and rho times 2**j (2**(5 j) at nu = 0, where it grows as
+    L**2.5)."""
+    for interval in range(5):
+        rows = _sweep_rows(capsys, site, interval, 0)
+        expected = [
+            [math.ldexp(nu, -2 * j), math.ldexp(alpha, -2 * j), r, math.ldexp(ex, 2 * j),
+             math.ldexp(norm, 5 * j if nu == 0 else j)]
+            for nu, alpha, r, ex, norm in rows
+        ]
+        assert repr(_sweep_rows(capsys, site, interval, j)) == repr(expected), interval
 
 
 SWEEP_CELLS = ("alpha", "r", "Ex", "rho")

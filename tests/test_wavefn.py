@@ -213,6 +213,25 @@ def test_rho_scales_quadratically_near_zero():
     assert ratio == pytest.approx(100.0, rel=1e-4)
 
 
+def test_rho_of_a_deep_state_in_a_small_box_is_finite():
+    """At L = 1e-300 and t L = 1800, 2**(deep/2) alone leaves float range
+    where rho is about 6e238: the whole part of deep/2 joins the box scale.
+    rho is its norm row read in 30-digit mpmath to 1e-15, and the closed
+    form to t L eps, the conditioning of exp(t L) at a float t L."""
+    mp = pytest.importorskip("mpmath")
+    s, nu = make_setup(L=1e-300, x0=RationalX0(1, 4), c=1.0), -1.8e303
+    ((mass, deep, scale),) = compartment_rows(s, (nu,), "norm")
+    value = rho(s, nu)
+    with mp.workdps(30):
+        from_row = mp.sqrt(mass) * mp.mpf(2) ** ((mp.mpf(deep) + scale) / 2)
+        half, x0, k = mp.mpf(s.L) / 2, mp.mpf(s.x0_value), -mp.mpf(nu) / 2
+        mass_of = lambda w: mp.sinh(2 * k * w) / (4 * k) - w / 2
+        a, b = mp.sinh(k * (half - x0)), mp.sinh(k * (half + x0))
+        exact = mp.sqrt(a * a * mass_of(half + x0) + b * b * mass_of(half - x0))
+        assert abs(value - from_row) <= 1e-15 * from_row
+        assert abs(value - exact) <= 1800 * 2.0**-52 * exact
+
+
 @pytest.mark.parametrize("nu", [12.0, -12.0, -700.0, -1200.0, 1e-10])
 def test_compartment_masses_match_quadrature(nu):
     """Trig, direct evanescent, deep evanescent and linear-window inputs.
@@ -735,6 +754,28 @@ def test_sample_wave_is_the_raw_state_over_rho(nu):
     norm = rho(s, nu)
     samples = general_state(s, nu).sample(xs)
     assert samples == [raw_state(s, nu, x) / norm for x in xs]
+
+
+@pytest.mark.parametrize("j", [-200, -117, -1, 1, 64, 200])
+@pytest.mark.parametrize("spec", ["rational:1/4", "rational:1/7", "rational:0/1", "real:0.2519"])
+def test_linear_samples_of_a_box_four_to_the_j_times_as_long_are_rescaled_bit_for_bit(spec, j):
+    """At 4**j L the linear state's samples are those at L times 2**-j: its
+    widths and positions are taken in units of 2**e_L and its norm in units
+    of 2**(2 e_L), so no product holds L**2 or L**2.5.  A real site is
+    given as a fraction of L."""
+    x0 = parse_x0(spec)
+    for L in (1e-5, 1.0, 1e5):
+        if isinstance(x0, RealX0):
+            small, big = RealX0(x0.value_abs * L), RealX0(math.ldexp(x0.value_abs * L, 2 * j))
+        else:
+            small = big = x0
+        s = make_setup(L=L, x0=small, c=1.0)
+        xs = [-L / 2 + i * (L / 8) for i in range(9)] + [s.x0_value]
+        samples = general_state(s, 0.0).sample(xs)
+        scaled = general_state(make_setup(L=math.ldexp(L, 2 * j), x0=big, c=1.0), 0.0).sample(
+            [math.ldexp(x, 2 * j) for x in xs]
+        )
+        assert repr(scaled) == repr([math.ldexp(v, -j) for v in samples]), L
 
 
 def test_sample_wave_matches_pointwise_evaluation():
