@@ -34,7 +34,7 @@ from .errors import (
     NotInK,
     SingularPoint,
 )
-from .lattice import POINT_BUDGET, partition
+from .lattice import POINT_BUDGET, intervals, partition
 from .model import (
     RationalX0,
     RealX0,
@@ -226,15 +226,10 @@ def cmd_spectrum(setup: Setup, args: argparse.Namespace) -> _Table:
 
 
 def cmd_sweep(setup: Setup, args: argparse.Namespace) -> _Table:
-    samples = args.samples
-    _, intervals = partition(setup, args.nu_max)
-    matches = [iv for iv in intervals if iv.index == args.interval]
-    if not matches:
-        raise DomainError(
-            f"no interval with index {args.interval} below nu-max "
-            f"{args.nu_max}; raise --nu-max or check the partition table"
-        )
-    iv = matches[0]
+    samples, index = args.samples, args.interval
+    if not 0 <= index <= POINT_BUDGET:
+        raise DomainError(f"--interval = {index} lies outside [0, {POINT_BUDGET:.0e}], the budget")
+    iv = next(islice(intervals(setup), index, None))
     upper = iv.upper.nu
     if iv.lower is None:
         lower = upper - max(8 * math.pi / setup.L, 2 * abs(upper))
@@ -433,7 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", parents=[common], help="coupling sweep inside one interval")
     sp.add_argument("--interval", type=int, required=True)
     sp.add_argument("--samples", type=_sample_count, default=64)
-    sp.add_argument("--nu-max", type=_finite_float, default=120.0)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("wavefunction", parents=[common, state], help="eigenfunction samples")

@@ -10,6 +10,11 @@ by Clenshaw's recurrence with the angle taken from the nearer wall, and
 folds an expansion onto the P - 2 terms that an equispaced grid of P points
 can tell apart.
 
+Each builder takes L and x0 in units of a power of four near L
+(model.box_exponent), or near 2**500 / nu for a trig state beyond that nu L,
+once per request: an expansion at 4**j L is the one at L to the bit, and
+none leaves float range far from a unit box.
+
 Branches, signs and norms come from the records of `wavefn.general_state`
 and `wavefn.limit_state`, so the expansions converge to the states as
 defined there, not merely up to sign.
@@ -22,7 +27,7 @@ from typing import List, NamedTuple, Tuple
 
 from .errors import DomainError
 from .lattice import POINT_BUDGET, kappa_base
-from .model import Setup, check_in_box, nu_n, site_modes
+from .model import Setup, box_exponent, check_in_box, nu_n, site_modes
 from .wavefn import LimitState, WaveKind, general_state
 
 # Default truncation order; the 1/m**2 decay puts the sup-norm tail near
@@ -98,23 +103,28 @@ def coeffs_general(setup: Setup, nu: float, M: int = DEFAULT_M) -> FourierExpans
     state = general_state(setup, nu)
     if isinstance(state, LimitState):
         return coeffs_limit(state, M)
-    nu, t, L, label = state.nu, -state.nu, setup.L, state.kind.label
+    # Units of 2**e for lengths, e the even exponent near L, or near 2**500 / nu
+    # beyond nu L = 2**500 (trig), where (nu/2)**2 stays a float; pref is scaled
+    # once by the 2**(e/2) that Phi_m(x0) = sqrt(2/L) sin(.) lacks in them.
+    e = box_exponent(min(setup.L, 2.0**500 / state.nu) if state.nu > 0 else setup.L)
+    L, x0, half_e = math.ldexp(setup.L, -e), math.ldexp(setup.x0_value, -e), e // 2
+    nu, label = math.ldexp(state.nu, e), state.kind.label
     # a_m = pref * Phi_m(x0) / ((pi m / L)**2 / scale + shift): scale 1.0 and
     # shift -(nu/2)**2 or 0.0 give the trig and linear denominators to the
     # last bit; the hyper branch divides by t/2 instead.
     if label == "trig":
-        pref = state.sign * (nu / (2 * state.norm)) * math.sin(nu * L / 2)
+        pref = state.sign * (nu / (2 * math.ldexp(state.norm, -half_e))) * math.sin(nu * L / 2)
         scale, shift = 1.0, -((nu / 2) ** 2)
     elif label == "linear":
-        pref = 4 * math.sqrt(3) * math.sqrt(L) / (L**2 - 4 * setup.x0_value**2)
+        pref = 4 * math.sqrt(3) * math.sqrt(L) / (L**2 - 4 * x0**2)
         scale, shift = 1.0, 0.0
     else:
-        # sinh(t L / 2) / rho = -expm1(-t L) / (2 norm), the hyper norm being
-        # rho exp(-t L / 2); the factor t / 2 moves into the denominator,
-        # which would overflow near t**2.
-        pref = -math.expm1(-t * L) / (2 * state.norm)
-        scale = shift = t / 2
-    pi = math.pi
+        # With t = -nu, sinh(t L / 2) / rho = -expm1(-t L) / (2 norm), the
+        # hyper norm being rho exp(-t L / 2); the factor t / 2 moves into the
+        # denominator, which would overflow near t**2.
+        pref = -math.expm1(nu * L) / (2 * math.ldexp(state.norm, -half_e))
+        scale = shift = -nu / 2
+    pref, pi = math.ldexp(pref, half_e), math.pi
     values = [  # + 0.0: a node of Phi_m prints 0.0, never -0.0
         pref * f / ((pi * m / L) ** 2 / scale + shift) + 0.0
         for m, f in enumerate(site_modes(setup, M), start=1)
@@ -141,23 +151,22 @@ def coeffs_limit(state: LimitState, M: int = DEFAULT_M) -> FourierExpansion:
     _check_m(M)
     setup, j = state.setup, state.mode
     phi0 = site_modes(setup, M)
+    # L and x0 in units of 2**e_L, as in coeffs_general; a one-sided pref takes
+    # root = sqrt(L +/- 2 x0) unscaled, with the 2**(e_L/2) Phi_m(x0) lacks.
+    e_L = box_exponent(setup.L)
+    L, x0 = math.ldexp(setup.L, -e_L), math.ldexp(setup.x0_value, -e_L)
     if state.kind.label == "limit_hat":
-        pref = (
-            math.cos((j * math.pi / setup.L) * (setup.L / 2 - setup.x0_value))
-            * 2
-            * math.sqrt(2)
-            * j
-            * setup.L ** 1.5
-            / (math.pi * math.sqrt(setup.L**2 - 4 * setup.x0_value**2))
-        )
-        j2 = j * j
+        cos = math.cos((j * math.pi / L) * (L / 2 - x0))
+        pref = cos * 2 * math.sqrt(2) * j * L**1.5 / (math.pi * math.sqrt(L**2 - 4 * x0**2))
+        pref, j2 = math.ldexp(pref, e_L // 2), j * j
         values = [  # + 0.0: a node of Phi_m prints 0.0, never -0.0
             0.0 if m == j else pref * f / (m * m - j2) + 0.0
             for m, f in enumerate(phi0, start=1)
         ]
     else:
-        w2, lj2 = state.width * state.width, setup.L**2 * j * j
-        pref = state.coeff_sign * j * setup.L**2 * state.root / math.pi
+        width = math.ldexp(state.width, -e_L)
+        w2, lj2 = width * width, L**2 * j * j
+        pref = state.coeff_sign * j * L**2 * state.root / math.pi
         values = [pref * f / (w2 * m * m - lj2) + 0.0 for m, f in enumerate(phi0, start=1)]
     return FourierExpansion(state.kind, values, setup)
 

@@ -15,8 +15,8 @@ under point is 2kq/(q+p) and the l-th over point is 2lq/(q-p).  Every
 coincidence and ordering question is decided in integer arithmetic (under
 point k and over point l coincide when k(q-p) = l(q+p)), and positions
 become floats only as (2kq)/(q+p) * (2 pi / L), where Python's int/int
-division rounds correctly (partition makes each point and its interval from
-them in one walk).
+division rounds correctly (the lazy walk `intervals` makes each point and
+its interval from them, as far as each caller draws).
 
 Two radii around lattice points, each with its own job:
 
@@ -41,7 +41,8 @@ contains_mode) or a shared point.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional
+from itertools import count, takewhile
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import DomainError
 from .model import Setup
@@ -157,32 +158,14 @@ def _make_point(nu: float, k: Optional[int], l: Optional[int]) -> LatticePoint:
 # ======================================================================
 
 
-def partition(setup: Setup, nu_max: float) -> tuple[list[LatticePoint], list[IntervalDescriptor]]:
-    """Merged, sorted lattice points up to nu_max plus the induced intervals.
-
-    The first point strictly beyond nu_max is included as a closing point so
-    the returned intervals cover (-inf, nu_max] completely.  Coincident
-    under/over points are merged into "both" points.  Raises DomainError
-    when nu_max L / (2 pi), which bounds the point count, exceeds
-    POINT_BUDGET.
-    """
-    if not (math.isfinite(nu_max) and nu_max > 0):
-        raise DomainError(f"nu_max must be positive and finite, got {nu_max}")
-    # Up to nu_max lie at most nu_max (L/2 + x0) / (2 pi) under points and
-    # nu_max (L/2 - x0) / (2 pi) over points: nu_max L / (2 pi) in all.
-    bound = nu_max * setup.L / (2 * math.pi)
-    if bound > POINT_BUDGET:
-        raise DomainError(
-            f"nu_max = {nu_max} allows up to {bound:.3g} lattice points, "
-            f"beyond the budget of {POINT_BUDGET:.0e}"
-        )
-    # Merge the two lattices in order: under point k lies below over point l
-    # exactly when k (q - p) < l (q + p).
+def intervals(setup: Setup) -> Iterator[IntervalDescriptor]:
+    """The partition's intervals in order, each with its upper point, made as
+    the caller draws them; coincident under/over points merge into "both"."""
+    # Under point k lies below over point l exactly when k (q - p) < l (q + p).
     q, left, right, unit = setup.q, setup.q - setup.p, setup.q + setup.p, 2 * math.pi / setup.L
-    points, intervals = [], []
     lower, lo_num, lo_den = None, 0, 1
     k = l = 1
-    while lower is None or lower.nu <= nu_max:
+    for index in count():
         a, b = k * left, l * right
         if a > b:
             num, den = 2 * l * q, left
@@ -194,10 +177,31 @@ def partition(setup: Setup, nu_max: float) -> tuple[list[LatticePoint], list[Int
             point = LatticePoint(num / den * unit, kind, k, point_l)
             k += 1
             l += a == b
-        points.append(point)
-        intervals.append(_interval(len(intervals), lower, lo_num, lo_den, point, num, den))
+        yield _interval(index, lower, lo_num, lo_den, point, num, den)
         lower, lo_num, lo_den = point, num, den
-    return points, intervals
+
+
+def partition(setup: Setup, nu_max: float) -> tuple[list[LatticePoint], list[IntervalDescriptor]]:
+    """Merged, sorted lattice points up to nu_max plus the induced intervals.
+
+    The first point strictly beyond nu_max is included as a closing point so
+    the returned intervals cover (-inf, nu_max] completely.  Raises
+    DomainError when nu_max L / (2 pi), which bounds the point count,
+    exceeds POINT_BUDGET.
+    """
+    if not (math.isfinite(nu_max) and nu_max > 0):
+        raise DomainError(f"nu_max must be positive and finite, got {nu_max}")
+    # Up to nu_max lie at most nu_max (L/2 + x0) / (2 pi) under points and
+    # nu_max (L/2 - x0) / (2 pi) over points: nu_max L / (2 pi) in all.
+    bound = nu_max * setup.L / (2 * math.pi)
+    if bound > POINT_BUDGET:
+        raise DomainError(
+            f"nu_max = {nu_max} allows up to {bound:.3g} lattice points, "
+            f"beyond the budget of {POINT_BUDGET:.0e}"
+        )
+    # Every interval whose lower end lies at or below nu_max.
+    taken = list(takewhile(lambda iv: iv.lower is None or iv.lower.nu <= nu_max, intervals(setup)))
+    return [iv.upper for iv in taken], taken
 
 
 def _interval(

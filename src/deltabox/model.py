@@ -131,6 +131,12 @@ def make_setup(L: float, x0: X0Spec, c: float) -> Setup:
     return Setup(L=L, x0=x0, c=c, x0_value=x0_value, q_ratio=q_ratio, p=p, q=q)
 
 
+def box_exponent(L: float) -> int:
+    """e_L, the even part of L's binary exponent: a box 4**j times as long
+    has e_L + 2 j, so widths in units of 2**e_L keep their bits."""
+    return math.frexp(L)[1] & -2
+
+
 def site_fraction(x0: float, L: float) -> tuple[int, int]:
     """Lowest-terms p/q of smallest q with |(p/q)(L/2) - x0| <= ulp(x0)/2.
 

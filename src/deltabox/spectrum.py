@@ -13,7 +13,9 @@ where f is evaluated per branch:
 with w1 = L/2 - x0 and w2 = L/2 + x0.  The cot/coth forms are used because
 they stay numerically clean away from the lattice poles; a two-sided series
 in nu takes over below |nu| w2 / 2 = 1e-4, where the cotangents would
-cancel catastrophically against each other.  f is continuous across nu = 0,
+cancel catastrophically against each other.  The series takes its lengths
+in units of a power of four near L (model.box_exponent), so it holds at
+every box length.  f is continuous across nu = 0,
 strictly increasing on every lattice interval, and maps each interval onto
 all of R, which makes alpha -> nu on a fixed interval a well-posed root
 finding problem solved here by safeguarded Newton inside the bracket of
@@ -27,7 +29,8 @@ length; dividing alpha by c * nu_n(setup, 1) = 2 pi c / L gives the
 dimensionless coupling scale in which the paper's values are quoted.
 
 analytic_levels assembles the spectrum from these roots: one level per
-partition interval plus the free modes on the shared lattice.
+partition interval, drawn from the lazy walk lattice.intervals until it
+has its levels, plus the free modes on the shared lattice.
 """
 
 from __future__ import annotations
@@ -39,13 +42,13 @@ from .errors import ConvergenceError, DomainError, SingularPoint
 from .lattice import (
     POINT_BUDGET,
     IntervalDescriptor,
+    intervals,
     kappa_base,
     nearest_lattice_point,
-    partition,
     singular_guard_radius,
     underline_nu,
 )
-from .model import Setup, nu_n
+from .model import Setup, box_exponent, nu_n
 
 # Below this value of |nu| w2 / 2 the series expansion around nu = 0 is used.
 # It is not _special.SERIES_SWITCH: it guards the cancellation of the
@@ -80,15 +83,17 @@ def _value_and_derivative(setup: Setup, nu: float) -> tuple[float, float]:
     w1, w2 = setup.width_right, setup.width_left
     if abs(nu) * w2 / 2 < _SERIES_THRESHOLD:
         # Even series around nu = 0, valid on both branches: the quadratic
-        # term changes sign with the branch, the quartic does not.
-        try:
-            g0 = -setup.L / (setup.L**2 / 4 - setup.x0_value**2)
-        except ZeroDivisionError:
-            raise ZeroDivisionError(f"L**2/4 - x0**2 underflows to 0 at L = {setup.L!r}") from None
-        s3 = w1**3 + w2**3
+        # term changes sign with the branch, the quartic does not.  Lengths in
+        # units of 2**e_L and nu in 2**-e_L keep every power of L in float
+        # range; the value, an inverse length, is scaled back.
+        e_L = box_exponent(setup.L)
+        L, x0, v1, v2 = (math.ldexp(w, -e_L) for w in (setup.L, setup.x0_value, w1, w2))
+        nu = math.ldexp(nu, e_L)
+        g0 = -L / (L**2 / 4 - x0**2)
+        s3 = v1**3 + v2**3
         sign = 1.0 if nu >= 0 else -1.0
-        value = g0 + sign * nu**2 * setup.L / 12 + nu**4 * s3 / 720
-        return value, sign * nu * setup.L / 6 + nu**3 * s3 / 180
+        value = g0 + sign * nu**2 * L / 12 + nu**4 * s3 / 720
+        return math.ldexp(value, -e_L), sign * nu * L / 6 + nu**3 * s3 / 180
     if nu > 0:
         a1, a2 = nu / 2 * w1, nu / 2 * w2
         cot1, cot2 = 1 / math.tan(a1), 1 / math.tan(a2)
@@ -194,26 +199,19 @@ def analytic_levels(setup: Setup, alpha: float, count: int) -> List[Tuple[float,
     An eigenvalue is either the root of the coupling equation inside one
     partition interval, or a free mode on the shared lattice, which solves
     the problem for every coupling because it vanishes at the site.  The
-    intervals and the modes are walked in order, a mode before any root
-    above it, and the walk stops at `count` levels: an interval is solved
-    only once every mode below its lower end is taken.  A mode on that end
-    waits for the root, which a huge |alpha| can round onto it.
-    Raises DomainError when the lattice this needs exceeds the point budget.
+    intervals (lattice.intervals) and the modes are walked in order, a mode
+    before any root above it, and the walk stops at `count` levels: an
+    interval is drawn and solved only once every mode below its lower end
+    is taken.  A mode on that end waits for the root, which a huge |alpha|
+    can round onto it.  Raises DomainError when count exceeds POINT_BUDGET.
     """
-    # Up to nu_max lie at most nu_max L / (2 pi) lattice points (partition).
-    points = 1.5 * count + 8
-    if points > POINT_BUDGET:
-        raise DomainError(
-            f"count = {count} needs up to {points:.3g} lattice points, "
-            f"beyond the budget of {POINT_BUDGET:.0e}"
-        )
-    nu_max = points * 2 * math.pi / setup.L
-    _, intervals = partition(setup, nu_max)
+    if count > POINT_BUDGET:
+        raise DomainError(f"count = {count} is beyond the budget of {POINT_BUDGET:.0e}")
     base = kappa_base(setup)
 
     def walk() -> Iterator[Tuple[float, bool]]:
         n = base
-        for iv in intervals:
+        for iv in intervals(setup):
             lower = -math.inf if iv.lower is None else iv.lower.nu
             while (mode := nu_n(setup, n)) < lower:
                 yield mode, True
@@ -223,12 +221,6 @@ def analytic_levels(setup: Setup, alpha: float, count: int) -> List[Tuple[float,
                 yield mode, True
                 n += base
             yield nu, False
-        while (mode := nu_n(setup, n)) <= nu_max:
-            yield mode, True
-            n += base
 
     # zip draws from range first, so walk stops at the count-th level.
-    levels = [level for _, level in zip(range(count), walk())]
-    if len(levels) < count:
-        raise DomainError(f"internal level budget too small for count={count}")
-    return levels
+    return [level for _, level in zip(range(count), walk())]

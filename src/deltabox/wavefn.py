@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Uni
 
 from .errors import DomainError, InK, NotInK, SingularPoint
 from .lattice import lattice_locator, over_in_shared, under_floor, under_in_shared
-from .model import Setup, check_all_in_box, phi_mode_grid
+from .model import Setup, box_exponent, check_all_in_box, phi_mode_grid
 from ._special import (
     LINEAR_WINDOW,
     LOG_SWITCH,
@@ -150,12 +150,12 @@ class GeneralState(_Pieces):
         """The divisor of every value, taken on first use (the linear expansion
         in `fourier` never reads it): rho on the trig branch; rho 2**(-2 e_L)
         on the linear branch, whose widths and positions are taken in units
-        of 2**e_L (_box_exponent), as rho grows as L**2.5; and rho exp(-t L /
+        of 2**e_L (box_exponent), as rho grows as L**2.5; and rho exp(-t L /
         2) on the hyper branch, about (8 t)**-0.5 for a large t L, which
         stays finite where rho overflows."""
         mass, _, scale = next(compartment_rows(self.setup, (self.nu,), "norm"))
         if self.kind.label == "linear":
-            scale -= 4 * _box_exponent(self.setup.L)
+            scale -= 4 * box_exponent(self.setup.L)
         return math.ldexp(math.sqrt(mass), scale // 2)
 
 
@@ -203,7 +203,7 @@ def _direct(setup: Setup, nu: float) -> GeneralState:
     else:
         # w1 (L/2 + x) and w2 (L/2 - x), each factor in units of 2**e_L, so
         # no product holds L**2: float is the identity here.
-        k = math.ldexp(1.0, -_box_exponent(setup.L))
+        k = math.ldexp(1.0, -box_exponent(setup.L))
         label, f, a, b = "linear", float, w1 * k, w2 * k
 
     def left(xs: List[float]) -> List[float]:
@@ -223,12 +223,6 @@ def _direct(setup: Setup, nu: float) -> GeneralState:
 # ============================================================
 
 
-def _box_exponent(L: float) -> int:
-    """e_L, the even part of L's binary exponent: a box 4**j times as long
-    has e_L + 2 j, so widths in units of 2**e_L keep their bits."""
-    return math.frexp(L)[1] & -2
-
-
 def compartment_rows(
     setup: Setup, nus: Iterable[float], readout: str, skip_one_sided: bool = True
 ) -> Iterator[tuple]:
@@ -246,7 +240,7 @@ def compartment_rows(
 
     Only "mean" computes distances.  Each nu > 0 is put to lattice_locator,
     which builds a point only on a hit.  Every width and distance is taken
-    in units of 2**e_L (_box_exponent), so a box 4**j times as long gives
+    in units of 2**e_L (box_exponent), so a box 4**j times as long gives
     the same masses and distances to the bit.  The masses carry 2**-(deep
     + scale), scale an even integer.  On the trig branch scale = e_L and
     deep = 0.  On the evanescent branch (t = -nu)
@@ -266,7 +260,7 @@ def compartment_rows(
         raise DomainError(f"unknown readout {readout!r}")
     ratio, mean, on_lattice = readout == "ratio", readout == "mean", readout != "norm"
     L, x0, w1, w2 = setup.L, setup.x0_value, setup.width_right, setup.width_left
-    e_L = _box_exponent(L)
+    e_L = box_exponent(L)
     v1, v2 = math.ldexp(w1, -e_L), math.ldexp(w2, -e_L)
     half_v1, half_v2 = v1 / 2, v2 / 2
     linear_left = v1 * v1 * v2**3 / 3

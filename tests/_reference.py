@@ -11,6 +11,8 @@ way so that the package can be checked against it:
   constant (`kappa_constants`), and the wall values;
 * the placement of a free mode from exact floors (`classify_mode`) against
   the merge walk of `lattice.partition`;
+* the lowest levels from a partition built to a guessed end before the
+  walk (`partition_levels`) against the lazy walk of `analytic_levels`;
 * the centered-site amplitude envelope (`gamma_factor`);
 * Bessel's inequality and the dropped tail of a sine expansion
   (`parseval_defect`, `tail_bound`).
@@ -23,12 +25,20 @@ yield the same records.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from deltabox.errors import DomainError
 from deltabox.fourier import FourierExpansion
-from deltabox.lattice import IntervalDescriptor, LatticePoint, _interval, _make_point, kappa_base
-from deltabox.model import Setup
+from deltabox.lattice import (
+    IntervalDescriptor,
+    LatticePoint,
+    _interval,
+    _make_point,
+    kappa_base,
+    partition,
+)
+from deltabox.model import Setup, nu_n
+from deltabox.spectrum import solve_nu
 from deltabox.wavefn import LimitState, limit_state
 from deltabox._special import one_minus_sinc
 
@@ -238,6 +248,46 @@ def _point(setup: Setup, k: Optional[int], l: Optional[int]) -> tuple[LatticePoi
     # its exact position num/den in units of 2 pi / L.
     num, den = 2 * (k or l) * setup.q, (setup.q + setup.p if k else setup.q - setup.p)
     return _make_point(num / den * (2 * math.pi / setup.L), k, l), num, den
+
+
+# ============================================================
+# Levels from a whole partition
+# ============================================================
+
+
+def partition_levels(setup: Setup, alpha: float, count: int) -> List[Tuple[float, bool]]:
+    """The lowest `count` levels as (nu, is_mode), from a partition built
+    up to (1.5 count + 8) lattice units before the walk.
+
+    The intervals of that partition and the shared modes up to its end are
+    walked in order, a mode before any root above it, and a mode on an
+    interval's lower end after that interval's root.  The package's
+    `spectrum.analytic_levels` draws its intervals lazily instead.
+    """
+    nu_max = (1.5 * count + 8) * 2 * math.pi / setup.L
+    _, intervals = partition(setup, nu_max)
+    base = kappa_base(setup)
+
+    def walk() -> Iterator[Tuple[float, bool]]:
+        n = base
+        for iv in intervals:
+            lower = -math.inf if iv.lower is None else iv.lower.nu
+            while (mode := nu_n(setup, n)) < lower:
+                yield mode, True
+                n += base
+            nu = solve_nu(setup, alpha, iv)
+            while (mode := nu_n(setup, n)) < nu:
+                yield mode, True
+                n += base
+            yield nu, False
+        while (mode := nu_n(setup, n)) <= nu_max:
+            yield mode, True
+            n += base
+
+    levels = [level for _, level in zip(range(count), walk())]
+    if len(levels) < count:
+        raise DomainError(f"the partition holds fewer than count={count} levels")
+    return levels
 
 
 # ============================================================

@@ -164,7 +164,6 @@ COMMAND_OPTIONS = {
     "sweep": {
         "--interval": ("int", None, None, True),
         "--samples": ("_sample_count", 64, None, False),
-        "--nu-max": ("_finite_float", 120.0, None, False),
     },
     "wavefunction": {
         **STATE_OPTIONS,
@@ -299,21 +298,45 @@ def test_near_twin_site_oracle_exits_3(capsys):
         pytest.param(
             ("spectrum", "--alpha", "5", "--count", "100000000"), "count = 100000000", id="spectrum"
         ),
-        pytest.param(
-            ("sweep", "--interval", "2", "--nu-max", "1e9"), "nu_max = 1000000000.0", id="sweep"
-        ),
+        pytest.param(("sweep", "--interval", "1000001"), "--interval = 1000001", id="sweep"),
     ],
 )
 def test_lattice_beyond_the_point_budget_exits_3(capsys, argv, named):
     """The budget is checked before any point is built, so this is quick.
 
-    The message names the option the user passed: --count for spectrum.
+    The message names the option the user passed: --count for spectrum,
+    --interval for sweep.
     """
     code = cli.main(list(argv))
     err = capsys.readouterr().err
     assert code == 3
     assert "budget" in err
     assert named in err
+
+
+def test_negative_sweep_interval_exits_3(capsys):
+    """An interval index below 0 is a domain error that names --interval,
+    as one above the point budget is."""
+    code = cli.main(["sweep", "--interval", "-1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "--interval = -1 lies outside [0, 1e+06]" in err
+
+
+def test_sweep_has_no_nu_max_option(capsys):
+    """The sweep walks the lattice as far as its interval: no end to guess."""
+    assert cli.main(["sweep", "--interval", "1", "--nu-max", "5"]) == 2
+    assert "unrecognized arguments: --nu-max 5" in capsys.readouterr().err
+
+
+def test_sweep_reaches_an_interval_beyond_any_fixed_end(capsys):
+    """At the centred site every point is shared, 4 pi apart, so interval 10,
+    (40 pi, 44 pi), lay beyond the former fixed end nu = 120."""
+    code, out = run_cli(capsys, "sweep", "--interval", "10", "--x0", "rational:0/1")
+    assert code == 0
+    nus = [float(row["nu"]) for row in parse_csv(out)]
+    assert len(nus) > 64
+    assert all(40 * math.pi < nu < 44 * math.pi for nu in nus)
 
 
 @pytest.mark.parametrize(
@@ -432,6 +455,10 @@ def test_spectrum_newton_out_of_steps_exits_4(capsys, monkeypatch):
         # 1.5 alpha/c overflows: the leftmost bracket starts at the most
         # negative float, so the root is finite and named.
         (("--alpha=-1.7e308",), "-1.7e+308"),
+        # nu = 8e200 at L = 1e-200: the series of the dispersion near nu = 0
+        # takes its lengths in box units, where L**2/4 - x0**2 does not
+        # underflow, so the failure is the energy's own.
+        (("--alpha", "5e200", "--L", "1e-200"), "7.98537109761283"),
     ],
 )
 def test_spectrum_energy_overflow_names_the_level_exits_4(capsys, argv, nu):
@@ -444,15 +471,45 @@ def test_spectrum_energy_overflow_names_the_level_exits_4(capsys, argv, nu):
     assert f"exceeds float range at nu = {nu}" in captured.err
 
 
+def _float_rows(out):
+    return [[float(v) for v in row.values()] for row in parse_csv(out)]
+
+
+def test_sweep_at_a_box_of_1e_minus_300_prints_the_unit_rows_rescaled(capsys):
+    """The dispersion's series near nu = 0 takes its lengths in units of a
+    power of four near L, where L**2/4 - x0**2 no longer underflows: the
+    sweep prints the unit box's rows, nu and alpha times 1/L, Ex times L
+    and rho times sqrt(L)."""
+    argv, L = ("sweep", "--interval", "0", "--samples", "4"), 1e-300
+    code, out = run_cli(capsys, *argv, "--L", repr(L))
+    assert code == 0
+    rows, unit = _float_rows(out), _float_rows(run_cli(capsys, *argv)[1])
+    assert len(rows) == len(unit) == 6
+    for row, (nu, alpha, r, ex, norm) in zip(rows, unit):
+        assert row == pytest.approx([nu / L, alpha / L, r, ex * L, norm * math.sqrt(L)], rel=1e-12)
+
+
+def test_spectrum_at_a_box_of_1e200_prints_the_unit_levels_rescaled(capsys):
+    """The series near nu = 0 no longer squares L beyond float range: the
+    levels are those of the unit box times 1/L, their energies below float
+    range (0.0)."""
+    code, out = run_cli(capsys, "spectrum", "--alpha", "5e-200", "--L", "1e200", "--count", "2")
+    assert code == 0
+    rows = parse_csv(out)
+    unit = parse_csv(run_cli(capsys, "spectrum", "--alpha", "5", "--count", "2")[1])
+    assert len(rows) == len(unit) == 2
+    for row, unit_row in zip(rows, unit):
+        assert float(row["nu"]) == pytest.approx(float(unit_row["nu"]) / 1e200, rel=1e-12)
+        assert row["energy"] == "0.0"
+
+
 @pytest.mark.parametrize(
     "argv, quantity",
     [
-        # L**2/4 - x0**2 underflows to 0 in the dispersion's nu -> 0 limit.
-        (("sweep", "--interval", "0", "--samples", "4", "--L", "1e-300"), "L**2/4 - x0**2"),
         # dx**2 underflows to 0 in the grid Hamiltonian.
         (("oracle", "--alpha", "0", "--grid", "1023", "--count", "4", "--L", "1e-300"), "dx**2"),
     ],
-    ids=["sweep", "oracle"],
+    ids=["oracle"],
 )
 def test_division_by_an_underflowed_length_exits_4(capsys, argv, quantity):
     code = cli.main(list(argv))
@@ -525,7 +582,6 @@ def test_oracle_out_of_sturm_passes_exits_4(capsys, monkeypatch):
     [
         ("partition", "--nu-max"),
         ("spectrum", "--alpha"),
-        ("sweep", "--interval", "2", "--nu-max"),
         ("wavefunction", "--nu"),
         ("limit", "--kind", "hat", "--nu"),
         ("fourier", "--M", "8", "--nu"),
@@ -1140,7 +1196,7 @@ def _sweep_rows(capsys, site, interval, j):
         site = "real:" + repr(math.ldexp(float(site[len("real:"):]), 2 * j))
     code, out = run_cli(
         capsys, "sweep", "--interval", str(interval), "--samples", "8", "--x0", site,
-        "--L", repr(math.ldexp(1.0, 2 * j)), "--nu-max", repr(math.ldexp(120.0, -2 * j)),
+        "--L", repr(math.ldexp(1.0, 2 * j)),
     )
     assert code == 0
     return [[float(v) for v in row.values()] for row in parse_csv(out)]

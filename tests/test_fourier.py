@@ -5,6 +5,8 @@ import math
 from operator import mul
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from deltabox import cli, fourier as fourier_mod
 from deltabox.cli import parse_x0
@@ -25,6 +27,7 @@ from deltabox.wavefn import (
     upsilon_under,
 )
 
+from _examples import examples
 from _quad import extrapolate_to_zero, simpson_panels, split_nodes
 from _reference import parseval_defect, tail_bound
 
@@ -406,6 +409,98 @@ def test_deep_evanescent_coefficients_at_every_depth(p, q):
         for (m, a), phi0 in zip(coeffs_general(s, -t, M=3).coefficients, site_modes(s, 3)):
             expected = 2 * math.sqrt(2 / t) * phi0
             assert abs(a - expected) <= 1e-14 * abs(expected), (t, m)  # a node: both 0.0
+
+
+# ======================================================================
+# Boxes far from unit length
+# ======================================================================
+
+FAMILIES = ("trig", "linear", "hyper", "mode", "hat", "under", "over")
+
+
+def _site(site, L):
+    """RationalX0(*site), or a real site whose fraction has a large q, in a box of length L."""
+    return RealX0(0.1259881576697424 * L) if site == "real" else RationalX0(*site)
+
+
+def _expansion(family, L, site, nu, index, side, M):
+    """The expansion of one state family in a box of length L; nu is the
+    branch parameter in units of 1/L, index the mode or lattice index."""
+    s = make_setup(L=L, x0=_site(site, L), c=1.0)
+    if family in ("trig", "linear", "hyper"):
+        nu = {"trig": nu, "linear": 1e-12 * nu, "hyper": -nu}[family] / L
+        return coeffs_general(s, nu, M)
+    if family == "mode":
+        return coeffs_general(s, nu_n(s, index), M)
+    if family == "hat":
+        return coeffs_limit(limit_state(s, "hat", nu_n(s, index * kappa_base(s))), M)
+    return coeffs_limit(limit_state(s, family, index, side), M)
+
+
+@given(
+    family=st.sampled_from(FAMILIES),
+    site=st.sampled_from([(1, 4), (1, 7), (0, 1), (2, 5), (11, 13), "real"]),
+    L=st.floats(min_value=0.25, max_value=4.0),
+    nu=st.floats(min_value=0.01, max_value=3000.0),
+    index=st.integers(min_value=1, max_value=12),
+    side=st.sampled_from(["below", "above"]),
+    M=st.integers(min_value=1, max_value=40),
+    j=st.integers(min_value=-500, max_value=500),
+)
+@examples(150)
+def test_coefficients_of_a_box_four_to_the_j_times_as_long_are_the_same_bits(
+    family, site, L, nu, index, side, M, j
+):
+    """a_m has no unit: with every length in units of a power of four near
+    L, the coefficients at (4**j L, 4**-j nu) are those at (L, nu), bit for
+    bit, on every branch and limit, for |j| up to 500, where 4**j L leaves
+    the range in which (pi m / L)**2, L**2 and L**1.5 are floats."""
+    if family == "hat":
+        assume(site != "real")  # a real site's shared lattice starts near 1e8 modes
+    if family in ("under", "over"):
+        s = make_setup(L=L, x0=_site(site, L), c=1.0)
+        assume((under_in_shared if family == "under" else over_in_shared)(s, index) is None)
+    unit = _expansion(family, L, site, nu, index, side, M)
+    scaled = _expansion(family, math.ldexp(L, 2 * j), site, nu, index, side, M)
+    assert scaled.kind == unit.kind
+    assert repr(scaled.values) == repr(unit.values)
+
+
+@pytest.mark.parametrize("j", [-200, -1, 1, 100])
+def test_trig_coefficients_far_beyond_the_box_modes_keep_their_bits(j):
+    """At nu L = 7.3e200, beyond 2**500, (nu/2)**2 in units of L would leave
+    float range; in units near 2**500 / nu the coefficients are finite, obey
+    Bessel's inequality and are those at (4**j L, 4**-j nu) bit for bit."""
+    unit = coeffs_general(make_setup(L=1e200, x0=RationalX0(1, 4), c=1.0), 7.3, 64).values
+    L, nu = math.ldexp(1e200, 2 * j), math.ldexp(7.3, -2 * j)
+    scaled = coeffs_general(make_setup(L=L, x0=RationalX0(1, 4), c=1.0), nu, 64).values
+    assert repr(scaled) == repr(unit)
+    assert all(map(math.isfinite, unit)) and math.fsum(a * a for a in unit) <= 1.0
+
+
+# Requests that printed wrong coefficients (the first two) or exited 4 in
+# absolute units, and the unit-box requests of the same nu L.
+FAR_BOX_REQUESTS = [
+    (("--nu=-3e-200", "--L", "1e200"), ("--nu=-3",)),
+    (("--nu=-3e-160", "--L", "1e160"), ("--nu=-3",)),
+    (("--nu", "0", "--L", "1e300"), ("--nu", "0")),
+    (("--nu", "3e-300", "--L", "1e300"), ("--nu", "3")),
+    (("--limit", "over", "--l", "1", "--L", "1e300"), ("--limit", "over", "--l", "1")),
+    (("--limit", "hat", "--nu-mode", "8", "--L", "1e300"), ("--limit", "hat", "--nu-mode", "8")),
+    (("--nu", "0", "--L", "1e-300"), ("--nu", "0")),
+    (("--limit", "under", "--k", "1", "--L", "1e-300"), ("--limit", "under", "--k", "1")),
+]
+
+
+@pytest.mark.parametrize("far, unit", FAR_BOX_REQUESTS, ids=lambda argv: " ".join(argv))
+def test_coefficients_far_from_a_unit_box_are_those_of_the_unit_box(capsys, far, unit):
+    """(pi m / L)**2, L**2 and L**1.5 left float range at these lengths;
+    in box units the coefficients are those of the unit box with the same
+    nu L, to rounding (L is no power of two), and obey Bessel's inequality."""
+    far_values = [float(a) for _, a in _coefficient_fields(capsys, "--M", "64", *far)]
+    unit_values = [float(a) for _, a in _coefficient_fields(capsys, "--M", "64", *unit)]
+    assert far_values == pytest.approx(unit_values, rel=1e-12)
+    assert math.fsum(a * a for a in far_values) <= 1.0
 
 
 # ======================================================================

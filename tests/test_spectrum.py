@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from deltabox import spectrum
@@ -15,7 +15,7 @@ from deltabox.model import RationalX0, RealX0, make_setup, nu_n
 from deltabox.spectrum import alpha_from_nu, analytic_levels, dispersion, solve_nu
 
 from _examples import examples
-from _reference import classify_mode
+from _reference import classify_mode, partition_levels
 
 
 def setup_pq(p, q, L=1.0, c=1.0):
@@ -361,3 +361,29 @@ def test_analytic_levels_solve_only_the_levels_they_return(site, alpha, count):
     extra = len(solves) - sum(1 for _, is_mode in levels if not is_mode)
     assert extra == 0 or (extra == 1 and levels[-1][1])
     assert levels == _levels_sorted_from_every_interval(s, alpha, count)
+
+
+# A rational site p/q (q <= 60) or a real site in [0, L/2), not subnormal.
+SITES = st.integers(min_value=1, max_value=60).flatmap(
+    lambda q: st.builds(RationalX0, st.integers(min_value=0, max_value=q - 1), st.just(q))
+) | st.builds(RealX0, st.floats(0.0, 0.49, allow_subnormal=False))
+
+
+@given(
+    x0=SITES,
+    alpha=st.sampled_from([0.0, 1e15, -1e15, 1e8, -1e8])
+    | st.floats(min_value=-1e15, max_value=1e15, allow_subnormal=False),
+    count=st.integers(min_value=1, max_value=200),
+    c=st.sampled_from([1.0, 0.5, 0.01]),
+)
+# At alpha/c = +/-1e17 and the centred site a root rounds onto the shared
+# mode at 44 pi, the upper end of its interval for alpha > 0 and the lower
+# end for alpha < 0; the root comes first either way.
+@example(x0=RationalX0(0, 1), alpha=1e15, count=30, c=0.01)
+@example(x0=RationalX0(0, 1), alpha=-1e15, count=30, c=0.01)
+@examples(60)
+def test_analytic_levels_match_the_levels_of_a_whole_partition(x0, alpha, count, c):
+    """Intervals drawn lazily give the levels of the walk over a partition
+    built to (1.5 count + 8) lattice units first, bit for bit."""
+    s = make_setup(L=1.0, x0=x0, c=c)
+    assert analytic_levels(s, alpha, count) == partition_levels(s, alpha, count)
